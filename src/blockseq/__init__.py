@@ -9,12 +9,11 @@ functional equation their generating series satisfies over F_p.
 """
 
 from .errors import (BlockseqError, ClaimViolationError, FixtureFormatError,
-                     InvalidBaseError, InvalidPatternError,
-                     KernelOverflowError, VerificationError,
+                     InvalidBaseError, InvalidPatternError, VerificationError,
                      WindowAlignmentError, WrongVariantError)
-from .morphism import (KernelElement, UniformMorphism, build_morphism,
-                       expand_fixed_point, export_morphism, infer_kernel,
-                       parse_morphism, pure_single_letter_morphism)
+from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
+                       export_morphism, parse_morphism,
+                       pure_single_letter_morphism)
 from .series import (DegreeEvidence, FpPoly, TruncatedSeries, degree_evidence,
                      frobenius_power, functional_equation_residual,
                      origin_correction, poly_div_series, rhs_series,
@@ -28,6 +27,6 @@ from .windows import (WindowSpec, generate, initial_block, phi, step_nonzero,
                       step_zero)
 from .words import (PatternSpec, Word, a_batch, a_prefix, a_value,
                     count_occurrences, digit_string, e_count, from_base,
-                    is_prime, to_base, word_plus)
+                    is_prime, to_base)
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
 error.  `blocks`, `powers` and `series` require a prime base; `verify`
-accepts composite bases by dropping the morphism leg (the morphic
-presentation needs primality, the window construction does not).
+accepts composite bases by dropping the morphism leg, which is limited
+to prime bases, the paper's setting; the window construction works for
+every base.
 """
 
 from __future__ import annotations

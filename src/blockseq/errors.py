@@ -24,12 +24,6 @@ class WrongVariantError(BlockseqError):
     was called on a zero-leading pattern, or vice versa."""
 
 
-class KernelOverflowError(BlockseqError):
-    """A subsequence-closure computation exceeded its state budget or its
-    fingerprints failed re-validation.  Either the fingerprint length is
-    too small to separate states or there is a bug upstream."""
-
-
 class ClaimViolationError(BlockseqError):
     """A structural claim that the library treats as a hard contract
     (block dichotomy, power-prefix exclusion, divisibility of power

@@ -2,64 +2,43 @@
 
 For prime p the sequence (a_{p;w}(n)) is p-automatic, so it arises as a
 coding of the fixed point of a p-uniform substitution.  This module
-recovers such a presentation empirically, with every identification
-re-validated at higher precision and (in the test suite) against the
-brute-force oracle.
+constructs that presentation exactly, from the pattern alone.
 
-Two different subsequence closures appear here:
-
-* `infer_kernel` computes the classical p-kernel: the closure of the
-  sequence under the maps  g(n) -> g(p*n + j).  Its elements are indexed
-  from the least-significant digit end.  Finiteness of this closure is
-  what makes the sequence automatic, but its elements do not directly
-  give substitution rows for a most-significant-first fixed point.
-
-* `build_morphism` closes over value-indexed residuals instead: for each
-  integer s let  G_s(d, v) = a(s*p^d + v)  for 0 <= v < p^d -- the block
-  of values whose expansions extend [s]_p by d more digits.  Splitting
-  that block by its leading extra digit j gives exactly  G_{s*p+j}, so
-  "G_s -> G_{s*p} ... G_{s*p+p-1}"  is a p-uniform substitution, coded
-  by  G_s -> a(s).  Starting from s = 0 the fixed point exists
-  automatically (child j = 0 of s = 0 is s = 0 again), and the coded
-  fixed point is the sequence itself.  States are identified when their
-  depth-D value trees agree; D defaults to |w| + 3 and every
-  identification is re-checked at depth D + 1.
+Read the digits of n most-significant first through the
+Knuth-Morris-Pratt automaton of w while counting completed matches mod
+p: the count in the state (KMP state, count mod p) reached after the
+last digit is a(n).  A start state stands for n = 0 before any digit;
+it loops on 0 (leading zeros do not change n) and its code is a(0).
+Reading one more digit j maps the block of values a(s*p^d + v),
+0 <= v < p^d, onto its j-th sub-block, so the automaton's transitions
+are a p-uniform substitution, its outputs a coding, and the start
+letter's image begins with itself.  After Moore minimization (initial
+partition by code) the letters are the classes of states that no digit
+string tells apart, numbered breadth-first from the start state with
+children in digit order.  See Allouche & Shallit, *Automatic Sequences*,
+section 5, and Moore (1956).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidPatternError, KernelOverflowError
-from .words import MAX_INDEX, PatternSpec, a_batch
+from .errors import InvalidPatternError
+
+if TYPE_CHECKING:
+    from .words import PatternSpec
 
 __all__ = [
-    "KernelElement",
     "UniformMorphism",
-    "infer_kernel",
     "build_morphism",
     "pure_single_letter_morphism",
     "expand_fixed_point",
     "export_morphism",
     "parse_morphism",
 ]
-
-
-@dataclass(frozen=True)
-class KernelElement:
-    """One element of the p-kernel: the subsequence n -> a(p^e * n + r),
-    represented by its first-L-values fingerprint (stored as raw bytes,
-    one value per byte)."""
-
-    exponent: int
-    residue: int
-    fingerprint: bytes
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.frombuffer(self.fingerprint, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -99,129 +78,74 @@ class UniformMorphism:
         return len(self.substitution)
 
 
-def _kernel_fingerprint(spec: PatternSpec, e: int, r: int, length: int) -> bytes:
-    if (spec.base ** e) * length + r >= MAX_INDEX:
-        raise KernelOverflowError(
-            f"kernel closure reached exponent {e} without repeating; "
-            "fingerprint length is probably too small")
-    idx = r + (spec.base ** e) * np.arange(length, dtype=np.int64)
-    return a_batch(spec, idx).tobytes()
+def _kmp_automaton(w: tuple, p: int) -> list:
+    """The Knuth-Morris-Pratt automaton of w over digits [0, p):
+    delta[q][d], for 0 <= q <= |w|, is the length of the longest prefix
+    of w that is a suffix of w[:q] followed by d."""
+    k = len(w)
+    delta = [[0] * p for _ in range(k + 1)]
+    delta[0][w[0]] = 1
+    restart = 0  # the state reached by reading w[1:q]
+    for q in range(1, k + 1):
+        delta[q] = list(delta[restart])
+        if q < k:
+            delta[q][w[q]] = q + 1
+            restart = delta[restart][w[q]]
+    return delta
 
 
-def infer_kernel(spec: PatternSpec, fingerprint_len: int | None = None) -> tuple:
-    """Close the sequence under n -> a(p*n + j) and return the distinct
-    subsequences found, deduplicated by first-L-values fingerprint.
+def build_morphism(spec: PatternSpec) -> UniformMorphism:
+    """Build the p-uniform morphism + coding whose coded fixed point is
+    (a_{p;w}(n)): the minimal automaton of the sequence, constructed from
+    the pattern alone.
 
-    Every identification is re-validated with fingerprints of doubled
-    length; a mismatch (or exceeding the state budget) raises
-    KernelOverflowError.
-    """
-    if not spec.modulus_is_prime:
-        raise InvalidPatternError("kernel inference requires a prime base")
-    p = spec.base
-    if fingerprint_len is None:
-        fingerprint_len = 4 * p ** (spec.width + 2)
-    budget = p ** (spec.width + 2) * p
-
-    seen = {}      # fingerprint -> index into elements
-    elements = []  # KernelElement, discovery order
-    matches = []   # (child (e, r), representative index) for re-validation
-    queue = [(0, 0)]
-    root_fp = _kernel_fingerprint(spec, 0, 0, fingerprint_len)
-    seen[root_fp] = 0
-    elements.append(KernelElement(0, 0, root_fp))
-    while queue:
-        e, r = queue.pop(0)
-        for j in range(p):
-            ce, cr = e + 1, r + j * p ** e
-            fp = _kernel_fingerprint(spec, ce, cr, fingerprint_len)
-            if fp in seen:
-                matches.append(((ce, cr), seen[fp]))
-                continue
-            if len(elements) >= budget:
-                raise KernelOverflowError(
-                    f"kernel closure exceeded {budget} elements")
-            seen[fp] = len(elements)
-            elements.append(KernelElement(ce, cr, fp))
-            queue.append((ce, cr))
-
-    # re-validate all identifications at doubled fingerprint length
-    for (ce, cr), idx in matches:
-        rep = elements[idx]
-        long_child = _kernel_fingerprint(spec, ce, cr, 2 * fingerprint_len)
-        long_rep = _kernel_fingerprint(
-            spec, rep.exponent, rep.residue, 2 * fingerprint_len)
-        if long_child != long_rep:
-            raise KernelOverflowError(
-                "kernel identification failed re-validation at doubled "
-                f"fingerprint length (element p^{ce}*n+{cr})")
-    return tuple(elements)
-
-
-def _residual_fingerprint(spec: PatternSpec, s: int, depth: int) -> bytes:
-    p = spec.base
-    if (s + 1) * p ** depth >= MAX_INDEX:
-        raise KernelOverflowError(
-            f"residual closure reached representative {s} without repeating; "
-            "depth is probably too small")
-    parts = []
-    for d in range(depth + 1):
-        lo = s * p ** d
-        parts.append(a_batch(spec, np.arange(lo, lo + p ** d, dtype=np.int64)))
-    return np.concatenate(parts).tobytes()
-
-
-def build_morphism(spec: PatternSpec, depth: int | None = None) -> UniformMorphism:
-    """Build a p-uniform morphism + coding whose coded fixed point is
-    (a_{p;w}(n)), by closing over the value-indexed residuals G_s.
-
-    States are identified by depth-D fingerprints (D = |w| + 3 by
-    default) and re-checked at depth D + 1; the closure aborts past
-    p^(|w|+2) * p states.
+    States are (KMP state q, occurrence count c mod p), numbered q*p + c,
+    plus a start state that stays put on the leading zeros of n = 0.
+    Moore's refinement merges the states no digit string tells apart,
+    and the classes are numbered in breadth-first order from the start
+    state, children in digit order.
     """
     if not spec.modulus_is_prime:
         raise InvalidPatternError("the morphic presentation requires a prime base")
-    p = spec.base
-    if depth is None:
-        depth = spec.width + 3
-    budget = p ** (spec.width + 2) * p
+    p, w, k = spec.base, spec.pattern, spec.width
+    delta = _kmp_automaton(w, p)
+    start = (k + 1) * p
 
-    seen = {_residual_fingerprint(spec, 0, depth): 0}
-    reps = [0]       # representative integer s per letter
-    rows = {}        # letter -> substitution row
-    matches = []     # (child s, representative letter)
-    queue = [(0, 0)]
-    while queue:
-        s, letter = queue.pop(0)
-        if letter in rows:
-            continue
+    def step(s: int, d: int) -> int:
+        if s == start:
+            if d == 0:
+                return start
+            s = 0
+        q = delta[s // p][d]
+        return q * p + (s % p + (q == k)) % p
+
+    trans = [[step(s, d) for d in range(p)] for s in range(start + 1)]
+    # the expansion of 0 is the single digit "0", so a(0) = 1 only for w = "0"
+    code = [s % p for s in range(start)] + [int(w == (0,))]
+
+    # Moore: refine the partition by code until no class splits
+    block, classes = code, len(set(code))
+    while True:
+        keys = {}
+        block = [keys.setdefault((block[s], *(block[t] for t in trans[s])),
+                                 len(keys))
+                 for s in range(start + 1)]
+        if len(keys) == classes:
+            break
+        classes = len(keys)
+
+    letter = {block[start]: 0}
+    reps = [start]   # one state per letter; the loop below visits appended ones
+    substitution = []
+    for s in reps:
         row = []
-        for j in range(p):
-            c = s * p + j
-            fp = _residual_fingerprint(spec, c, depth)
-            if fp in seen:
-                matches.append((c, seen[fp]))
-            else:
-                if len(reps) >= budget:
-                    raise KernelOverflowError(
-                        f"residual closure exceeded {budget} states")
-                seen[fp] = len(reps)
-                reps.append(c)
-                queue.append((c, seen[fp]))
-            row.append(seen[fp])
-        rows[letter] = tuple(row)
-
-    for c, letter in matches:
-        if (_residual_fingerprint(spec, c, depth + 1)
-                != _residual_fingerprint(spec, reps[letter], depth + 1)):
-            raise KernelOverflowError(
-                f"state identification for residual {c} failed re-validation "
-                f"at depth {depth + 1}")
-
-    substitution = tuple(rows[i] for i in range(len(reps)))
-    coding = tuple(
-        int(a_batch(spec, np.array([s], dtype=np.int64))[0]) for s in reps)
-    return UniformMorphism(p, substitution, coding, start=0)
+        for t in trans[s]:
+            if block[t] not in letter:
+                letter[block[t]] = len(reps)
+                reps.append(t)
+            row.append(letter[block[t]])
+        substitution.append(row)
+    return UniformMorphism(p, substitution, [code[s] for s in reps], start=0)
 
 
 def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:

@@ -201,11 +201,6 @@ def a_value(spec: PatternSpec, n: int) -> int:
     return e_count(spec, n) % spec.base
 
 
-def word_plus(v: Word) -> Word:
-    """Increment every digit mod the base (length preserved)."""
-    return Word(tuple((d + 1) % v.base for d in v.digits), v.base)
-
-
 def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     """Vectorized a_{m;w} over an arbitrary array of indices.
 

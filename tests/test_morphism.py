@@ -1,20 +1,20 @@
-"""Unit tests for kernel closure and the uniform-morphism presentation."""
+"""Unit tests for the uniform-morphism presentation."""
+
+import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from blockseq import (
     InvalidPatternError,
-    KernelOverflowError,
     PatternSpec,
     UniformMorphism,
-    a_batch,
     a_prefix,
     build_morphism,
     digit_string,
     expand_fixed_point,
     export_morphism,
-    infer_kernel,
     parse_morphism,
     pure_single_letter_morphism,
 )
@@ -24,63 +24,50 @@ def as_str(values) -> str:
     return digit_string(values, 10)
 
 
-# ---------------------------------------------------------------------------
-# kernel closure
-# ---------------------------------------------------------------------------
+# Presentations pinned from the earlier fingerprint-inference builder,
+# which identified states by oracle value trees: the exact construction
+# must reproduce them letter for letter.
+EXPORT_GOLDENS = {
+    (2, "1"): (
+        "width=2 start=0\n"
+        "0 -> 0 1 ; code=0\n"
+        "1 -> 1 0 ; code=1\n"
+    ),
+    (2, "11"): (
+        "width=2 start=0\n"
+        "0 -> 0 1 ; code=0\n"
+        "1 -> 0 2 ; code=0\n"
+        "2 -> 3 1 ; code=1\n"
+        "3 -> 3 2 ; code=1\n"
+    ),
+    (5, "123"): (
+        "width=5 start=0\n"
+        "0 -> 0 1 0 0 0 ; code=0\n"
+        "1 -> 0 1 2 0 0 ; code=0\n"
+        "2 -> 0 1 0 3 0 ; code=0\n"
+        "3 -> 3 4 3 3 3 ; code=1\n"
+        "4 -> 3 4 5 3 3 ; code=1\n"
+        "5 -> 3 4 3 6 3 ; code=1\n"
+        "6 -> 6 7 6 6 6 ; code=2\n"
+        "7 -> 6 7 8 6 6 ; code=2\n"
+        "8 -> 6 7 6 9 6 ; code=2\n"
+        "9 -> 9 10 9 9 9 ; code=3\n"
+        "10 -> 9 10 11 9 9 ; code=3\n"
+        "11 -> 9 10 9 12 9 ; code=3\n"
+        "12 -> 12 13 12 12 12 ; code=4\n"
+        "13 -> 12 13 14 12 12 ; code=4\n"
+        "14 -> 12 13 12 0 12 ; code=4\n"
+    ),
+}
 
-def test_kernel_sizes_for_known_sequences():
-    # Thue-Morse: the sequence and its complement.
-    assert len(infer_kernel(PatternSpec(2, "1"))) == 2
-    # Rudin-Shapiro: four distinct subsequences.
-    assert len(infer_kernel(PatternSpec(2, "11"))) == 4
-
-
-def test_kernel_contains_root():
-    ks = infer_kernel(PatternSpec(2, "0"))
-    assert (ks[0].exponent, ks[0].residue) == (0, 0)
-    assert len(ks) == 4
-
-
-def test_kernel_fingerprints_distinct_and_faithful():
-    for m, w in [(2, "11"), (3, "1"), (2, "01")]:
-        spec = PatternSpec(m, w)
-        ks = infer_kernel(spec)
-        fps = [k.fingerprint for k in ks]
-        assert len(set(fps)) == len(fps)
-        for k in ks:
-            idx = k.residue + (m ** k.exponent) * np.arange(
-                len(k.values), dtype=np.int64)
-            assert np.array_equal(k.values, a_batch(spec, idx))
-
-
-def test_kernel_is_closed_under_digit_refinement():
-    """Each child subsequence n -> a(p^(e+1) n + r + j p^e) of a kernel
-    element must coincide with some kernel element on a long window."""
-    for m, w in [(2, "1"), (2, "11"), (3, "2")]:
-        spec = PatternSpec(m, w)
-        ks = infer_kernel(spec)
-        probe = np.arange(512, dtype=np.int64)
-        tabulated = {
-            a_batch(spec, k.residue + (m ** k.exponent) * probe).tobytes()
-            for k in ks
-        }
-        for k in ks:
-            for j in range(m):
-                e, r = k.exponent + 1, k.residue + j * m ** k.exponent
-                child = a_batch(spec, r + (m ** e) * probe).tobytes()
-                assert child in tabulated
+ALPHABET_SIZES = {(2, "11"): 4, (3, "12"): 6, (5, "123"): 15, (2, "0"): 3,
+                  (3, "01"): 7, (5, "23"): 10}
 
 
-def test_kernel_rejects_composite_base():
-    with pytest.raises(InvalidPatternError):
-        infer_kernel(PatternSpec(4, "1"))
-
-
-def test_kernel_tiny_fingerprint_fails_revalidation():
-    # A one-value fingerprint collapses distinct subsequences; the
-    # doubled-length re-check must catch the bogus identification.
-    with pytest.raises(KernelOverflowError):
-        infer_kernel(PatternSpec(2, "11"), fingerprint_len=1)
+def all_patterns(m: int, max_width: int):
+    for k in range(1, max_width + 1):
+        for w in itertools.product(range(m), repeat=k):
+            yield m, w
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +124,8 @@ def test_pure_single_letter_rejects_zero():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_pure_and_inferred_presentations_agree(p):
-    """For single nonzero letters the inferred morphism and the explicit
-    pure one expand to the same sequence."""
+    """For single nonzero letters the constructed morphism and the
+    explicit pure one expand to the same sequence."""
     for x in range(1, p):
         spec = PatternSpec(p, (x,))
         built = expand_fixed_point(build_morphism(spec), 10 ** 4)
@@ -176,9 +163,8 @@ def test_expand_fixed_point_rejects_bad_count():
 
 
 def test_coded_fixed_point_matches_oracle():
-    cases = [(2, w) for w in ("0", "1", "00", "01", "10", "11", "110", "010")]
-    cases += [(3, w) for w in ("0", "2", "01", "12", "20", "002")]
-    cases += [(5, w) for w in ("0", "3", "10", "23")]
+    cases = [*all_patterns(2, 4), *all_patterns(3, 3), *all_patterns(5, 2),
+             (5, "123"), *all_patterns(7, 2)]
     for m, w in cases:
         spec = PatternSpec(m, w)
         mu = build_morphism(spec)
@@ -187,10 +173,23 @@ def test_coded_fixed_point_matches_oracle():
 
 
 def test_morphism_rows_are_uniform():
-    for m, w in [(2, "11"), (3, "01"), (5, "23")]:
+    for (m, w), size in ALPHABET_SIZES.items():
         mu = build_morphism(PatternSpec(m, w))
         assert all(len(row) == m for row in mu.substitution)
-        assert len(mu.coding) == mu.alphabet_size
+        assert len(mu.coding) == mu.alphabet_size == size
+
+
+def test_build_morphism_does_not_consult_the_oracle(monkeypatch):
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("build_morphism consulted the oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name == "blockseq" or name.startswith("blockseq."):
+            for attr in ("a_batch", "a_prefix"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, oracle_called)
+    for (m, w), text in EXPORT_GOLDENS.items():
+        assert export_morphism(build_morphism(PatternSpec(m, w))) == text
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +214,8 @@ def test_uniform_morphism_validation():
 # ---------------------------------------------------------------------------
 
 def test_export_thue_morse_golden():
-    mu = build_morphism(PatternSpec(2, "1"))
-    assert export_morphism(mu) == (
-        "width=2 start=0\n"
-        "0 -> 0 1 ; code=0\n"
-        "1 -> 1 0 ; code=1\n"
-    )
+    for (m, w), text in EXPORT_GOLDENS.items():
+        assert export_morphism(build_morphism(PatternSpec(m, w))) == text
 
 
 def test_export_parse_round_trip():

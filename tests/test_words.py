@@ -19,7 +19,6 @@ from blockseq import (
     from_base,
     is_prime,
     to_base,
-    word_plus,
 )
 
 
@@ -178,30 +177,6 @@ def test_a_value_matches_digit_count_reference():
         )
         assert e_count(spec, n) == expected
         assert a_value(spec, n) == expected % m
-
-
-# ---------------------------------------------------------------------------
-# successor map on words
-# ---------------------------------------------------------------------------
-
-def test_word_plus_examples():
-    assert str(word_plus(Word.from_string("011", 2))) == "100"
-    assert str(word_plus(Word.from_string("012", 3))) == "120"
-    assert len(word_plus(Word((), 2))) == 0
-
-
-def test_word_plus_is_digitwise_successor():
-    rng = random.Random(23)
-    for _ in range(200):
-        m = rng.choice([2, 3, 5])
-        v = Word(tuple(rng.randrange(m) for _ in range(rng.randrange(1, 9))), m)
-        plus = word_plus(v)
-        assert tuple(plus) == tuple((d + 1) % m for d in v)
-        # applying the map m times returns to the start
-        cur = v
-        for _ in range(m):
-            cur = word_plus(cur)
-        assert cur == v
 
 
 # ---------------------------------------------------------------------------
