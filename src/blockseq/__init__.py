@@ -22,7 +22,7 @@ from .structure import (BlockClass, ClaimReport, PowerPrefixReport,
                         check_multiple_property, check_power_exclusions,
                         classify_block, classify_range, expected_type2,
                         expected_type2_batch, scan_power_prefixes,
-                        tail_periods, z_array)
+                        tail_periods)
 from .windows import (WindowSpec, generate, initial_block, phi, step_nonzero,
                       step_zero)
 from .words import (PatternSpec, Word, a_batch, a_prefix, a_value,

@@ -1,0 +1,8 @@
+"""`python -m blockseq ...`: the command line without an installed script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

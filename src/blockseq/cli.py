@@ -252,7 +252,7 @@ def _cmd_series(cfg: RunConfig) -> int:
 
 
 def _time_passes(fn, passes: int) -> tuple:
-    fn()  # warm-up (JIT, page faults, allocator)
+    fn()  # warm-up (page faults, allocator)
     times = []
     out = None
     for _ in range(passes):

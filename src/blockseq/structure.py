@@ -15,13 +15,21 @@ or a type-2 verdict disagreeing with the suffix predicate, raises
 ClaimViolationError.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
-length L is detected from the self-match table z, where z[i] is the
-length of the longest common prefix of the word and its suffix starting
-at i: the prefix of length e*L consists of e copies of the first L
-symbols iff z[L] >= (e-1)*L.  One O(N) pass therefore yields all power
-prefixes at once; the pass is JIT-compiled when numba is available.
-The same table drives the eventual-periodicity scan used by the algebra
-module (T is a period of the tail y iff z_y[T] >= |y| - T).
+length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
+eventual-periodicity scan used by the algebra module) iff
+y[T:] == y[:|y|-T].  Both compare a shifted copy of the word with its
+start, so one primitive serves both.  Karp-Rabin prefix hashes modulo
+the prime 2^31 - 1 test every shift at once with a few vectorized
+passes; a hash can only err by a false match, so each candidate is then
+confirmed by direct comparison, and the results are exact.  Confirming
+a shift c also measures how far the prefix keeps period c; every
+multiple of c whose comparison fits inside that extent holds too and
+is marked without another comparison.  The cost is O(N) numpy work for
+the hashes, plus one comparison of at most N symbols for each hash
+collision (about one shift in 2^31) and for each match that is not a
+multiple of a smaller one.  For power prefixes those are the primitively
+rooted ones, O(log N) of them, so a run of one symbol costs a single
+comparison.
 """
 
 from __future__ import annotations
@@ -33,14 +41,6 @@ import numpy as np
 from .errors import ClaimViolationError, InvalidPatternError
 from .words import PatternSpec, Word, digit_string
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(**kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
 __all__ = [
     "BlockClass",
     "PowerPrefixReport",
@@ -49,7 +49,6 @@ __all__ = [
     "expected_type2_batch",
     "classify_block",
     "classify_range",
-    "z_array",
     "scan_power_prefixes",
     "tail_periods",
     "check_multiple_property",
@@ -205,67 +204,128 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# self-match table and power-prefix scanning
+# repetition scans: Karp-Rabin candidates, exact confirmation
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _z_array_jit(s):  # pragma: no cover - exercised through z_array
-    n = s.size
-    z = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return z
-    z[0] = n
-    l = 0
-    r = 0
-    for i in range(1, n):
-        if i < r:
-            k = z[i - l]
-            if k < r - i:
-                z[i] = k
-                continue
-            z[i] = r - i
-        else:
-            z[i] = 0
-        while i + z[i] < n and s[z[i]] == s[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > r:
-            l = i
-            r = i + z[i]
-    return z
+# Hash modulus (the Mersenne prime 2^31 - 1) and base (a primitive root
+# modulo it).  Residues stay below 2^31, so every product of two fits in
+# int64.  Read at call time, so a test can swap in a tiny modulus.
+_P = (1 << 31) - 1
+_B = 48271
 
 
-def z_array(s: np.ndarray) -> np.ndarray:
-    """z[i] = length of the longest common prefix of s and s[i:]
-    (z[0] = len(s)).  Linear time, single pass."""
-    return _z_array_jit(np.ascontiguousarray(s, dtype=np.uint8))
+def _reduce(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a mod P, in place, with q (same shape) as scratch.  Floor division
+    by a scalar into a reused buffer is several times faster than
+    np.remainder."""
+    np.floor_divide(a, _P, out=q)
+    np.multiply(q, _P, out=q)
+    np.subtract(a, q, out=a)
+    return a
+
+
+def _hash_powers(size: int, q: np.ndarray) -> np.ndarray:
+    """B^j mod P for j < size, filled by doubling: log2(size) steps."""
+    pw = np.empty(size, dtype=np.int64)
+    pw[0] = 1
+    filled, step = 1, _B % _P  # step = B^filled mod P
+    while filled < size:
+        k = min(filled, size - filled)
+        chunk = pw[filled:filled + k]
+        np.multiply(pw[:k], step, out=chunk)
+        _reduce(chunk, q[:k])
+        filled += k
+        step = step * step % _P
+    return pw
+
+
+def _at(g: np.ndarray, a: int, b: int, cmax: int):
+    """g[a*c + b] for c = 1..cmax: a strided view, or a scalar if a == 0."""
+    return g[b] if a == 0 else g[a + b::a][:cmax]
+
+
+def _period_extent(x: np.ndarray, c: int, first: int, hi: int) -> int:
+    """Largest E <= hi such that x[:E] has period c, i.e. the first i in
+    [c, hi) with x[i] != x[i - c], or hi.  Compares `first` symbols,
+    then chunks of doubling size, and stops at the first mismatch."""
+    lo, step = c, max(first, 1)
+    while lo < hi:
+        top = min(hi, lo + step)
+        bad = np.flatnonzero(x[lo:top] != x[lo - c:top - c])
+        if bad.size:
+            return lo + int(bad[0])
+        lo, step = top, 2 * step
+    return hi
+
+
+def _shift_matches(x: np.ndarray, cmax: int, a: int, b: int) -> np.ndarray:
+    """Every c in [1, cmax] with x[c:a*c+b] == x[:(a-1)*c+b], ascending
+    (a >= 0 and a*cmax + b <= len(x)).
+
+    All c are tested at once with prefix hashes G[i] = sum_{j<i}
+    x[j] B^j mod P: the two sides match only if
+    G[a*c+b] - G[c] == G[(a-1)*c+b] * B^c (mod P).  Equal words always
+    pass, so a collision can only add a candidate, and every candidate
+    is confirmed by direct comparison.  A confirmed c with period extent
+    E also confirms each multiple k*c with a*k*c + b <= E (period c
+    implies period k*c), so a run of one symbol costs one comparison.
+    """
+    n = x.size
+    if cmax < 1:
+        return np.zeros(0, dtype=np.int64)
+    q = np.empty(n + 1, dtype=np.int64)  # scratch for _reduce
+    pw = _hash_powers(n + 1, q)
+    g = np.zeros(n + 1, dtype=np.int64)
+    np.multiply(x, pw[:n], out=g[1:])
+    np.cumsum(_reduce(g[1:], q[1:]), out=g[1:])  # n < 2^32 terms below 2^31
+    _reduce(g, q)
+    lhs = _at(g, a, b, cmax) - g[1:cmax + 1]
+    rhs = pw[1:cmax + 1]
+    rhs *= _at(g, a - 1, b, cmax)
+    lhs -= _reduce(rhs, q[:cmax])
+    cands = np.flatnonzero(_reduce(lhs, q[:cmax]) == 0) + 1
+    del q, pw, g, lhs, rhs  # free the hash arrays before confirming
+
+    hit = np.zeros(cmax + 1, dtype=bool)
+    i = 0
+    while i < cands.size:
+        c = int(cands[i])
+        i += 1
+        need = a * c + b
+        top = cmax - cmax % c  # largest multiple of c within range
+        extent = _period_extent(x, c, need - c, a * top + b)
+        if extent < need:
+            continue
+        hit[c] = True
+        multiples = np.arange(2 * c, top + 1, c)
+        multiples = multiples[a * multiples + b <= extent]
+        if multiples.size:
+            hit[multiples] = True
+            cands = cands[i:]
+            cands = cands[~hit[cands]]
+            i = 0
+    return np.flatnonzero(hit)
 
 
 def scan_power_prefixes(prefix, exponent: int,
                         pattern: PatternSpec | None = None) -> PowerPrefixReport:
     """Find every L with prefix[0:exponent*L] equal to exponent copies of
-    prefix[0:L], in O(len(prefix)) time via the self-match table."""
+    prefix[0:L]: hashed candidates, each confirmed exactly."""
     if exponent < 2:
         raise ValueError("exponent must be >= 2")
     arr = np.asarray(prefix if not isinstance(prefix, Word) else prefix.digits,
                      dtype=np.uint8)
     n = arr.size
-    z = z_array(arr)
-    ls = np.arange(1, n // exponent + 1, dtype=np.int64)
-    found = ls[z[ls] >= (exponent - 1) * ls]
-    return PowerPrefixReport(pattern, exponent, n,
-                             tuple(int(x) for x in found))
+    found = _shift_matches(arr, n // exponent, exponent, 0)
+    return PowerPrefixReport(pattern, exponent, n, tuple(found.tolist()))
 
 
 def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
     """Period lengths T <= max_period for which x becomes T-periodic from
-    index `preperiod` on.  One self-match pass over the tail."""
+    index `preperiod` on: the tail y has period T iff y[T:] == y[:-T]."""
     y = np.ascontiguousarray(x[preperiod:], dtype=np.uint8)
-    z = z_array(y)
-    out = []
-    for t in range(1, min(max_period, y.size - 1) + 1):
-        if z[t] >= y.size - t:
-            out.append(t)
-    return tuple(out)
+    found = _shift_matches(y, min(max_period, y.size - 1), 0, y.size)
+    return tuple(found.tolist())
 
 
 # ---------------------------------------------------------------------------

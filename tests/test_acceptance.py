@@ -44,7 +44,6 @@ from blockseq import (
     initial_block,
     scan_power_prefixes,
     step_zero,
-    z_array,
 )
 from blockseq.cli import bench_generators, default_scan_length
 
@@ -206,7 +205,6 @@ def test_criterion_5_block_dichotomy():
 
 def test_criterion_6_square_exclusions_base2():
     n = 1 << 20
-    z_array(np.zeros(8, dtype=np.uint8))  # compile/load the scanner once
 
     zero_prefix = generate(PatternSpec(2, "0"), n)
     t0 = time.perf_counter()

@@ -1,7 +1,10 @@
 """Tests for the command-line surface, fixtures, and the bench harness."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,17 @@ def test_default_scan_lengths():
 def test_run_config_spec_roundtrip():
     cfg = RunConfig(subcommand="generate", base=3, pattern="12", count=10)
     assert cfg.spec() == PatternSpec(3, "12")
+
+
+def test_python_dash_m_matches_in_process_run(capsys):
+    argv = ["generate", "-m", "2", "-w", "11", "-N", "8"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "blockseq", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code = run(RunConfig(subcommand="generate", base=2, pattern="11", count=8))
+    assert proc.returncode == code == 0
+    assert proc.stdout == capsys.readouterr().out == RS_S3[:8] + "\n"
 
 
 def test_console_script_entry_point():

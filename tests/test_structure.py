@@ -19,8 +19,9 @@ from blockseq import (
     generate,
     scan_power_prefixes,
     tail_periods,
-    z_array,
 )
+from blockseq import structure
+from blockseq.words import is_prime
 
 
 def ref_type2(spec: PatternSpec, n: int) -> bool:
@@ -157,40 +158,6 @@ def test_classify_range_detects_corruption():
 
 
 # ---------------------------------------------------------------------------
-# the self-match table
-# ---------------------------------------------------------------------------
-
-def naive_z(s) -> list:
-    out = []
-    n = len(s)
-    for i in range(n):
-        k = 0
-        while i + k < n and s[k] == s[i + k]:
-            k += 1
-        out.append(k)
-    if n:
-        out[0] = n
-    return out
-
-
-def test_z_array_against_naive():
-    rng = np.random.default_rng(41)
-    for _ in range(60):
-        size = int(rng.integers(1, 300))
-        alphabet = int(rng.integers(2, 6))
-        s = rng.integers(0, alphabet, size=size).astype(np.uint8)
-        assert z_array(s).tolist() == naive_z(s.tolist())
-
-
-def test_z_array_structured_cases():
-    s = np.array([1, 1, 1, 1], dtype=np.uint8)
-    assert z_array(s).tolist() == [4, 3, 2, 1]
-    s = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
-    assert z_array(s).tolist() == [5, 0, 3, 0, 1]
-    assert z_array(np.array([], dtype=np.uint8)).tolist() == []
-
-
-# ---------------------------------------------------------------------------
 # power-prefix scanning
 # ---------------------------------------------------------------------------
 
@@ -204,6 +171,12 @@ def naive_powers(arr, e) -> tuple:
         ):
             out.append(length)
     return tuple(out)
+
+
+def naive_tail_periods(x, max_period, preperiod) -> tuple:
+    y = np.asarray(x[preperiod:])
+    return tuple(t for t in range(1, min(max_period, len(y) - 1) + 1)
+                 if np.array_equal(y[t:], y[:len(y) - t]))
 
 
 def test_scan_against_naive_random():
@@ -260,6 +233,54 @@ def test_exclusion_stability_under_longer_scans():
             L for L in large.found_lengths if L <= horizon)
 
 
+def test_hash_modulus_is_a_prime_below_2_31():
+    # residues below 2^31 keep every product of two inside int64
+    assert is_prime(structure._P)
+    assert structure._P < 1 << 31
+
+
+def test_scans_exact_when_most_candidates_collide(monkeypatch):
+    """With modulus 3 most shifts hash alike; exact confirmation must
+    still return precisely the true matches."""
+    monkeypatch.setattr(structure, "_P", 3)
+    confirmations = []
+    extent = structure._period_extent
+
+    def counted(*args):
+        confirmations.append(args)
+        return extent(*args)
+
+    monkeypatch.setattr(structure, "_period_extent", counted)
+    rng = np.random.default_rng(53)
+    hits = 0
+    for trial in range(60):
+        e = int(rng.integers(2, 6))
+        tail = rng.integers(0, 2, size=int(rng.integers(0, 80))).astype(np.uint8)
+        if trial % 2:
+            block = rng.integers(0, 2, size=int(rng.integers(1, 12))).astype(np.uint8)
+            arr = np.concatenate([np.tile(block, e + int(rng.integers(0, 3))), tail])
+        else:
+            arr = tail
+        found = scan_power_prefixes(arr, e).found_lengths
+        assert found == naive_powers(arr, e)
+        pre = int(rng.integers(0, 6))
+        for max_period in (len(arr) // 3, len(arr)):
+            periods = tail_periods(arr, max_period, pre)
+            assert periods == naive_tail_periods(arr, max_period, pre)
+            hits += len(periods)
+        hits += len(found)
+    assert len(confirmations) > hits  # the false candidates were compared
+
+
+def test_scans_of_a_constant_run():
+    n = 1 << 16
+    zeros = np.zeros(n, dtype=np.uint8)
+    for e in range(2, 6):
+        assert scan_power_prefixes(zeros, e).found_lengths == tuple(range(1, n // e + 1))
+    assert tail_periods(zeros, max_period=n, preperiod=0) == tuple(range(1, n))
+    assert tail_periods(zeros, max_period=100, preperiod=7) == tuple(range(1, 101))
+
+
 # ---------------------------------------------------------------------------
 # eventual periodicity
 # ---------------------------------------------------------------------------
@@ -273,6 +294,9 @@ def test_tail_periods_finds_planted_period():
     assert found == (3, 6, 9, 12)
     # an offset preperiod inside the periodic part still works
     assert tail_periods(x, max_period=3, preperiod=8) == (3,)
+    # a purely periodic word: preperiod 0
+    y = np.tile(np.array([0, 1, 2], dtype=np.uint8), 40)
+    assert tail_periods(y, max_period=12, preperiod=0) == (3, 6, 9, 12)
 
 
 def test_tail_periods_aperiodic_sequence():
