@@ -9,11 +9,12 @@ Subcommands:
 * series   -- functional-equation residual and degree evidence;
 * bench    -- time all three generators on identical parameters.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
-error.  `blocks`, `powers` and `series` require a prime base; `verify`
-accepts composite bases by dropping the morphism leg, which is limited
-to prime bases, the paper's setting; the window construction works for
-every base.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
+base, pattern or size, or a size whose output does not fit in memory),
+3 I/O error.  `blocks`, `powers` and `series` require a prime base;
+`verify` accepts composite bases by dropping the morphism leg, which is
+limited to prime bases, the paper's setting; the window construction
+works for every base.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 from .errors import (BlockseqError, ClaimViolationError, FixtureFormatError,
                      InvalidBaseError, InvalidPatternError, VerificationError)
 from .morphism import build_morphism, expand_fixed_point
-from .series import degree_evidence, functional_equation_residual
-from .structure import (check_multiple_property, check_power_exclusions,
-                        classify_range)
+from .series import degree_evidence
+from .structure import (ClaimReport, check_multiple_property,
+                        check_power_exclusions, classify_range)
 from .windows import generate
 from .words import PatternSpec, a_prefix, digit_string
 
@@ -213,17 +214,18 @@ def _cmd_blocks(cfg: RunConfig) -> int:
     is_type2 = classify_range(spec, prefix)  # raises on any violation
     n2 = int(is_type2.sum())
     n1 = int(is_type2.size - n2)
-    lines = [
-        f"claim=block-dichotomy params=[{spec}] scan={cfg.count} "
-        f"evidence=[type1={n1},type2={n2}] verdict=PASS",
-    ]
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    report = ClaimReport(claim="block-dichotomy", params=str(spec),
+                         scan_length=cfg.count,
+                         evidence=(f"type1={n1}", f"type2={n2}"),
+                         verdict="PASS")
+    _emit(report.format() + "\n", cfg.output_path)
     return EXIT_OK
 
 
 def _cmd_powers(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    n = cfg.scan_length or default_scan_length(spec.base)
+    n = (default_scan_length(spec.base) if cfg.scan_length is None
+         else cfg.scan_length)
     reports = [
         check_multiple_property(spec, n),
         check_power_exclusions(spec, n),
@@ -235,20 +237,14 @@ def _cmd_powers(cfg: RunConfig) -> int:
 def _cmd_series(cfg: RunConfig) -> int:
     spec = cfg.spec()
     print(f"seed={cfg.seed}")
-    res = functional_equation_residual(spec, cfg.order, seed=cfg.seed)
-    first = res.first_nonzero()
-    lines = []
-    if first is None:
-        lines.append(f"claim=functional-equation params=[{spec}] "
-                     f"scan={cfg.order} evidence=[] verdict=PASS")
-    else:
-        lines.append(f"claim=functional-equation params=[{spec}] "
-                     f"scan={cfg.order} evidence=[first_nonzero={first}] "
-                     f"verdict=FAIL")
     ev = degree_evidence(spec, cfg.order, seed=cfg.seed)
-    lines.append(ev.format())
-    _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK if first is None and ev.verdict == "PASS" else EXIT_VERIFY
+    first = ev.residual_first_nonzero
+    equation = ClaimReport(
+        claim="functional-equation", params=str(spec), scan_length=cfg.order,
+        evidence=() if first is None else (f"first_nonzero={first}",),
+        verdict="PASS" if first is None else "FAIL")
+    _emit(equation.format() + "\n" + ev.format() + "\n", cfg.output_path)
+    return EXIT_OK if ev.verdict == "PASS" else EXIT_VERIFY
 
 
 def _time_passes(fn, passes: int) -> tuple:
@@ -321,6 +317,10 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.count < 1:
             raise InvalidPatternError("count must be >= 1")
+        if cfg.order < 1:
+            raise InvalidPatternError("order must be >= 1")
+        if cfg.scan_length is not None and cfg.scan_length < 1:
+            raise InvalidPatternError("scan length must be >= 1")
         spec = cfg.spec()  # validates base and digits
         if cfg.subcommand in PRIME_ONLY and not spec.modulus_is_prime:
             print(f"error: subcommand {cfg.subcommand!r} requires a prime "
@@ -336,6 +336,10 @@ def run(cfg: RunConfig) -> int:
     except (OSError, FixtureFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: not enough memory for this request: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except BlockseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

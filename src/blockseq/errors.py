@@ -19,11 +19,6 @@ class WindowAlignmentError(BlockseqError):
     would not be integers."""
 
 
-class WrongVariantError(BlockseqError):
-    """A doubling step meant for patterns starting with a nonzero digit
-    was called on a zero-leading pattern, or vice versa."""
-
-
 class ClaimViolationError(BlockseqError):
     """A structural claim that the library treats as a hard contract
     (block dichotomy, power-prefix exclusion, divisibility of power

@@ -40,13 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPatternError, VerificationError
-from .structure import tail_periods
+from .structure import ClaimReport, tail_periods
 from .words import PatternSpec, a_batch
 
 __all__ = [
     "FpPoly",
     "TruncatedSeries",
-    "poly_div_series",
     "series_from_sequence",
     "frobenius_power",
     "rhs_series",
@@ -76,24 +75,9 @@ class FpPoly:
         return len(self.coefficients) - 1  # zero polynomial -> -1
 
     @classmethod
-    def monomial_minus_one(cls, p: int, exponent: int) -> "FpPoly":
-        """t^exponent - 1 over F_p."""
-        cs = [p - 1] + [0] * (exponent - 1) + [1]
-        return cls(p, tuple(cs))
-
-    @classmethod
     def all_ones(cls, p: int) -> "FpPoly":
         """1 + t + ... + t^(p-1) over F_p."""
         return cls(p, (1,) * p)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        if not self.coefficients or not other.coefficients:
-            return FpPoly(self.modulus, ())
-        a = np.array(self.coefficients, dtype=np.int64)
-        b = np.array(other.coefficients, dtype=np.int64)
-        return FpPoly(self.modulus, tuple(np.convolve(a, b) % self.modulus))
 
     def times_series(self, f: "TruncatedSeries") -> "TruncatedSeries":
         """Multiply a truncated series by this polynomial (order kept)."""
@@ -142,32 +126,6 @@ class TruncatedSeries:
     def first_nonzero(self) -> int | None:
         nz = np.nonzero(self.coefficients)[0]
         return int(nz[0]) if nz.size else None
-
-
-def poly_div_series(numerator: FpPoly, denominator: FpPoly,
-                    order: int) -> TruncatedSeries:
-    """Series expansion of numerator/denominator by long division;
-    requires an invertible constant term in the denominator."""
-    p = numerator.modulus
-    if denominator.modulus != p:
-        raise ValueError("modulus mismatch")
-    d0 = denominator.coefficients[0] if denominator.coefficients else 0
-    if d0 == 0:
-        raise ZeroDivisionError("denominator has zero constant term")
-    inv_d0 = pow(int(d0), p - 2, p) if p > 2 else d0  # d0^(p-2) = d0^-1
-    num = np.zeros(order, dtype=np.int64)
-    k = min(order, len(numerator.coefficients))
-    num[:k] = numerator.coefficients[:k]
-    den = denominator.coefficients
-    out = np.zeros(order, dtype=np.int64)
-    for i in range(order):
-        c = (num[i] * inv_d0) % p
-        out[i] = c
-        if c:
-            upper = min(order - i, len(den))
-            for j in range(1, upper):
-                num[i + j] = (num[i + j] - c * den[j]) % p
-    return TruncatedSeries(p, out)
 
 
 def series_from_sequence(spec: PatternSpec, order: int,
@@ -228,13 +186,16 @@ def origin_correction(spec: PatternSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(p, out)
 
 
+def _residual(spec: PatternSpec, f: TruncatedSeries) -> TruncatedSeries:
+    lhs = FpPoly.all_ones(spec.base).times_series(frobenius_power(f)) - f
+    return lhs - rhs_series(spec, f.order) - origin_correction(spec, f.order)
+
+
 def functional_equation_residual(spec: PatternSpec, order: int,
                                  seed: int | None = None) -> TruncatedSeries:
     """(1 + t + ... + t^(p-1)) f^p - f - rhs - origin_correction,
     truncated at the given order; identically zero for every pattern."""
-    f = series_from_sequence(spec, order, seed=seed)
-    lhs = FpPoly.all_ones(spec.base).times_series(frobenius_power(f)) - f
-    return lhs - rhs_series(spec, order) - origin_correction(spec, order)
+    return _residual(spec, series_from_sequence(spec, order, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -251,10 +212,13 @@ class DegreeEvidence:
     verdict: str
 
     def format(self) -> str:
-        return (f"claim=degree-evidence params=[{self.pattern}] "
-                f"scan={self.order} "
-                f"evidence=[residual_zero={self.residual_zero},"
-                f"periods={list(self.periods_found)}] verdict={self.verdict}")
+        return ClaimReport(
+            claim="degree-evidence",
+            params=str(self.pattern),
+            scan_length=self.order,
+            evidence=(f"residual_zero={self.residual_zero}",
+                      f"periods={list(self.periods_found)}"),
+            verdict=self.verdict).format()
 
 
 def degree_evidence(spec: PatternSpec, order: int,
@@ -262,9 +226,10 @@ def degree_evidence(spec: PatternSpec, order: int,
     """Check the residual vanishes to the given order and scan the
     coefficients for an eventual period (candidates and preperiod up to
     order/4).  A found period would make f rational, contradicting
-    degree p; absence is evidence only, and is labeled as such."""
-    res = functional_equation_residual(spec, order, seed=seed)
-    f = series_from_sequence(spec, order, seed=seed, check_fraction=0)
+    degree p; absence is evidence only, and is labeled as such.  Both
+    checks read one series, spot-checked against the oracle."""
+    f = series_from_sequence(spec, order, seed=seed)
+    res = _residual(spec, f)
     quarter = max(1, order // 4)
     periods = tail_periods(f.coefficients, max_period=quarter, preperiod=quarter)
     ok = res.is_zero() and not periods

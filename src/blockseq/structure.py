@@ -34,43 +34,23 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClaimViolationError, InvalidPatternError
-from .words import PatternSpec, Word, digit_string
+from .words import PatternSpec, digit_string
 
 __all__ = [
-    "BlockClass",
     "PowerPrefixReport",
     "ClaimReport",
-    "expected_type2",
     "expected_type2_batch",
-    "classify_block",
     "classify_range",
     "scan_power_prefixes",
     "tail_periods",
     "check_multiple_property",
     "check_power_exclusions",
 ]
-
-
-@dataclass(frozen=True)
-class BlockClass:
-    """Verdict for one p-block: variant "type1" (constant, value
-    base_value) or "type2" (base_value everywhere except deviant_index,
-    which holds base_value + 1 mod p)."""
-
-    variant: str
-    base_value: int
-    deviant_index: int | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("type1", "type2"):
-            raise ValueError(f"unknown block variant {self.variant!r}")
-        if (self.deviant_index is None) != (self.variant == "type1"):
-            raise ValueError("deviant_index is for type2 blocks exactly")
 
 
 @dataclass(frozen=True)
@@ -109,22 +89,10 @@ class ClaimReport:
 # block dichotomy
 # ---------------------------------------------------------------------------
 
-def expected_type2(spec: PatternSpec, n: int) -> bool:
-    """Whether the block at n should be type 2: the pattern minus its
-    last letter is a suffix of the expansion of n."""
-    q = spec.width - 1
-    if q == 0:
-        return True
-    p = spec.base
-    head = Word(spec.pattern[:-1], p)
-    s = 0
-    for d in head.digits:
-        s = s * p + d
-    return n >= p ** (q - 1) and n % (p ** q) == s
-
-
 def expected_type2_batch(spec: PatternSpec, ns: np.ndarray) -> np.ndarray:
-    """Vectorized form of expected_type2."""
+    """Whether each block n in ns should be type 2: the pattern minus its
+    last letter is a suffix of the expansion of n (see the module
+    docstring for the arithmetic form of the test)."""
     ns = np.asarray(ns, dtype=np.int64)
     q = spec.width - 1
     if q == 0:
@@ -134,38 +102,6 @@ def expected_type2_batch(spec: PatternSpec, ns: np.ndarray) -> np.ndarray:
     for d in spec.pattern[:-1]:
         s = s * p + d
     return (ns >= p ** (q - 1)) & (ns % (p ** q) == s)
-
-
-def _block_shape(spec: PatternSpec, values: np.ndarray, n: int) -> BlockClass:
-    p = spec.base
-    i0 = spec.pattern[-1]
-    if np.all(values == values[0]):
-        return BlockClass("type1", int(values[0]))
-    t = int(values[1] if i0 == 0 else values[0])
-    rest = np.delete(values, i0)
-    if np.all(rest == t) and int(values[i0]) == (t + 1) % p:
-        return BlockClass("type2", t, i0)
-    raise ClaimViolationError(
-        f"block at n={n} ({spec}) is neither constant nor singly-deviant: "
-        f"{digit_string(values, p)}")
-
-
-def classify_block(spec: PatternSpec, n: int, prefix) -> BlockClass:
-    """Classify the block (a(pn), ..., a(pn+p-1)) taken from a generated
-    prefix, and cross-check the verdict against the suffix predicate.
-    Any dichotomy or predicate violation is a hard error."""
-    p = spec.base
-    arr = np.asarray(prefix if not isinstance(prefix, Word) else prefix.digits,
-                     dtype=np.uint8)
-    if arr.size < p * (n + 1):
-        raise ValueError(f"prefix too short to cover block n={n}")
-    verdict = _block_shape(spec, arr[p * n:p * (n + 1)], n)
-    want_type2 = expected_type2(spec, n)
-    if (verdict.variant == "type2") != want_type2:
-        raise ClaimViolationError(
-            f"block at n={n} ({spec}) classified {verdict.variant} but the "
-            f"suffix predicate says {'type2' if want_type2 else 'type1'}")
-    return verdict
 
 
 def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
@@ -313,8 +249,7 @@ def scan_power_prefixes(prefix, exponent: int,
     prefix[0:L]: hashed candidates, each confirmed exactly."""
     if exponent < 2:
         raise ValueError("exponent must be >= 2")
-    arr = np.asarray(prefix if not isinstance(prefix, Word) else prefix.digits,
-                     dtype=np.uint8)
+    arr = np.asarray(prefix, dtype=np.uint8)
     n = arr.size
     found = _shift_matches(arr, n // exponent, exponent, 0)
     return PowerPrefixReport(pattern, exponent, n, tuple(found.tolist()))

@@ -7,13 +7,18 @@ the pattern minus its first letter.  Window bounds are exact rationals
 with denominator m^(|w|-1); they are evaluated with integer arithmetic
 only, and lengths that would make them non-integral are rejected.
 
-Two doubling constructions build (a_{m;w}(n)) from the seed block u_0
-(length m^|w|, a single 1 at index (w)_m):
+One doubling step builds (a_{m;w}(n)) from the seed block u_0 (length
+m^|w|, a single 1 at index (w)_m).  With x the first letter of the
+pattern,
 
-* pattern starting with x != 0:   u_{k+1} = u_k^x phi(u_k) u_k^(m-x-1),
-  and u_k converges to the sequence itself;
-* pattern starting with 0:        u_{k+1} = phi(u_k) u_k^(m-1), and the
-  sequence is  w_{-1} w_0 w_1 ...  with chunks w_k = u_k^(m-1).
+    u_{k+1} = u_k^x phi(u_k) u_k^(m-x-1),
+
+and the blocks u_k are assembled into the sequence in one of two ways:
+
+* pattern starting with x != 0:  u_k converges to the sequence itself,
+  so a prefix of u_k is the output;
+* pattern starting with 0 (the step reads u_{k+1} = phi(u_k) u_k^(m-1)):
+  the sequence is  w_{-1} w_0 w_1 ...  with chunks w_k = u_k^(m-1).
 
 The leading chunk w_{-1} covers n in [0, m^|w|), where the expansion of
 n is shorter than the pattern, so no occurrence fits and w_{-1} is all
@@ -22,7 +27,8 @@ in [0]_m = "0" forces w_{-1} = u_0.  (Stating the exception as "w_{-1} =
 u_0 whenever the pattern is all zeros" overcounts at n = 0 for lengths
 >= 2; the oracle-equivalence tests pin the version implemented here.)
 
-Both constructions are valid for composite m as well as prime m.
+The step and both assemblies are valid for composite m as well as
+prime m.
 """
 
 from __future__ import annotations
@@ -31,15 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowAlignmentError, WrongVariantError
+from .errors import WindowAlignmentError
 from .words import PatternSpec, Word, from_base
 
 __all__ = [
     "WindowSpec",
     "phi",
     "initial_block",
-    "step_nonzero",
-    "step_zero",
+    "step",
     "generate",
 ]
 
@@ -77,59 +82,27 @@ def _window_bounds(ws: WindowSpec, length: int) -> tuple:
     return lo, hi
 
 
-def _phi_array(ws: WindowSpec, v: np.ndarray) -> np.ndarray:
+def phi(ws: WindowSpec, v: np.ndarray) -> np.ndarray:
+    """Apply the window transform to a uint8 word of aligned length."""
     lo, hi = _window_bounds(ws, v.size)
     out = v.copy()
-    m = ws.pattern.base
-    out[lo:hi] = (out[lo:hi].astype(np.int16) + 1) % m
-    return out.astype(np.uint8)
+    out[lo:hi] = (v[lo:hi].astype(np.int16) + 1) % ws.pattern.base
+    return out
 
 
-def phi(ws: WindowSpec, v: Word) -> Word:
-    """Apply the window transform to a word of aligned length."""
-    arr = np.array(v.digits, dtype=np.uint8)
-    return Word(tuple(int(d) for d in _phi_array(ws, arr)), v.base)
-
-
-def _initial_array(spec: PatternSpec) -> np.ndarray:
+def initial_block(spec: PatternSpec) -> np.ndarray:
+    """The seed block u_0: length m^|w|, a single 1 at index (w)_m."""
     u0 = np.zeros(spec.base ** spec.width, dtype=np.uint8)
     u0[spec.value] = 1
     return u0
 
 
-def initial_block(spec: PatternSpec) -> Word:
-    """The seed block u_0: length m^|w|, a single 1 at index (w)_m."""
-    return Word(tuple(int(d) for d in _initial_array(spec)), spec.base)
-
-
-def _step_nonzero_array(ws: WindowSpec, u: np.ndarray) -> np.ndarray:
+def step(ws: WindowSpec, u: np.ndarray) -> np.ndarray:
+    """One doubling step u -> u^x phi(u) u^(m-x-1), x the pattern's
+    first letter."""
     m = ws.pattern.base
     x = ws.pattern.pattern[0]
-    return np.concatenate([u] * x + [_phi_array(ws, u)] + [u] * (m - x - 1))
-
-
-def _step_zero_array(ws: WindowSpec, u: np.ndarray) -> np.ndarray:
-    m = ws.pattern.base
-    return np.concatenate([_phi_array(ws, u)] + [u] * (m - 1))
-
-
-def step_nonzero(spec: PatternSpec, u: Word) -> Word:
-    """One doubling step for patterns starting with x != 0."""
-    if spec.is_zero_word:
-        raise WrongVariantError(
-            "step_nonzero needs a pattern starting with a nonzero digit")
-    ws = WindowSpec.from_pattern(spec)
-    arr = _step_nonzero_array(ws, np.array(u.digits, dtype=np.uint8))
-    return Word(tuple(int(d) for d in arr), spec.base)
-
-
-def step_zero(spec: PatternSpec, u: Word) -> Word:
-    """One doubling step for patterns starting with 0."""
-    if not spec.is_zero_word:
-        raise WrongVariantError("step_zero needs a pattern starting with 0")
-    ws = WindowSpec.from_pattern(spec)
-    arr = _step_zero_array(ws, np.array(u.digits, dtype=np.uint8))
-    return Word(tuple(int(d) for d in arr), spec.base)
+    return np.concatenate([u] * x + [phi(ws, u)] + [u] * (m - x - 1))
 
 
 def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
@@ -143,31 +116,23 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
         raise ValueError("n_terms must be >= 1")
     m = spec.base
     ws = WindowSpec.from_pattern(spec)
-    u = _initial_array(spec)
+    u = initial_block(spec)
 
     if not spec.is_zero_word:
         while u.size < n_terms:
-            u = _step_nonzero_array(ws, u)
-            if u.size >= n_terms:
-                break
+            u = step(ws, u)
         return u[:n_terms].copy()
 
     # zero-leading pattern: w_{-1} then chunks u_0^(m-1), u_1^(m-1), ...
-    if spec.width == 1:
-        lead = u.copy()  # pattern "0": a(0) = 1 lands inside w_{-1}
-    else:
-        lead = np.zeros(spec.base ** spec.width, dtype=np.uint8)
+    # (pattern "0": a(0) = 1 lands inside w_{-1}, which is then u_0)
+    lead = u if spec.width == 1 else np.zeros_like(u)
     parts = [lead[:n_terms]]
-    total = parts[0].size
+    total, copies = parts[0].size, 0
     while total < n_terms:
-        for _ in range(m - 1):
-            take = min(u.size, n_terms - total)
-            parts.append(u[:take])
-            total += take
-            if total >= n_terms:
-                break
-        else:
-            u = _step_zero_array(ws, u)
-            continue
-        break
+        if copies == m - 1:  # chunk u_k^(m-1) is complete: double u
+            u, copies = step(ws, u), 0
+        take = min(u.size, n_terms - total)
+        parts.append(u[:take])
+        total += take
+        copies += 1
     return np.concatenate(parts)

@@ -32,6 +32,7 @@ import numpy as np
 
 from blockseq import (
     PatternSpec,
+    WindowSpec,
     a_prefix,
     build_morphism,
     check_multiple_property,
@@ -43,7 +44,7 @@ from blockseq import (
     generate,
     initial_block,
     scan_power_prefixes,
-    step_zero,
+    step,
 )
 from blockseq.cli import bench_generators, default_scan_length
 
@@ -125,11 +126,12 @@ def test_criterion_1_golden_nonzero_word():
 
 def test_criterion_2_golden_zero_word_chunks():
     spec = PatternSpec(2, "01")
+    ws = WindowSpec.from_pattern(spec)
     s0 = initial_block(spec)
-    s1 = step_zero(spec, s0)
-    s2 = step_zero(spec, s1)
-    s3 = step_zero(spec, s2)
-    chunks_ok = (str(s0), str(s1), str(s2), str(s3)) == \
+    s1 = step(ws, s0)
+    s2 = step(ws, s1)
+    s3 = step(ws, s2)
+    chunks_ok = (as_str(s0), as_str(s1), as_str(s2), as_str(s3)) == \
         (ZW_S0, ZW_S1, ZW_S2, ZW_S3)
     prefix_ok = as_str(generate(spec, 64)) == ZW_PREFIX64
     ok = chunks_ok and prefix_ok

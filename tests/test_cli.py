@@ -116,6 +116,33 @@ def test_bad_count_is_usage_error():
     assert main(["generate", "-m", "2", "-w", "1", "-N", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "-m", "2", "-w", "11", "--order", "0"],
+    ["series", "-m", "2", "-w", "11", "--order", "-3"],
+    ["powers", "-m", "2", "-w", "11", "--scan-length", "-5"],
+    ["powers", "-m", "2", "-w", "11", "--scan-length", "0"],
+])
+def test_bad_sizes_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(spec, n_terms):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr("blockseq.cli.generate", no_memory)
+    assert main(["generate", "-m", "2", "-w", "11", "-N", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "memory" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unwritable_output_path_is_io_error(capsys):
     code = main(["generate", "-m", "2", "-w", "1", "-N", "4",
                  "--out", "/nonexistent-dir-blockseq/x.txt"])
@@ -129,11 +156,10 @@ def test_unwritable_output_path_is_io_error(capsys):
 
 def test_blocks_summary(capsys):
     assert main(["blocks", "-m", "2", "-w", "11", "-N", "4096"]) == 0
-    out = capsys.readouterr().out
-    assert "claim=block-dichotomy" in out
-    assert "verdict=PASS" in out
     # half of all blocks have expansions ending in the deviant digit
-    assert "type1=1024,type2=1024" in out
+    assert capsys.readouterr().out == (
+        "claim=block-dichotomy params=[m=2 w=11] scan=4096 "
+        "evidence=[type1=1024,type2=1024] verdict=PASS\n")
 
 
 def test_powers_one_zero_pattern(capsys):
@@ -155,14 +181,36 @@ def test_powers_zero_pattern_base2_reports_violation(capsys):
     assert "6" in err
 
 
+def test_series_reports_first_nonzero_residual(monkeypatch, capsys):
+    import blockseq.series
+
+    real = blockseq.series.rhs_series
+
+    def shifted(spec, order):  # one wrong coefficient, at t^100
+        r = real(spec, order)
+        r.coefficients[100] = (r.coefficients[100] + 1) % spec.base
+        return r
+
+    monkeypatch.setattr(blockseq.series, "rhs_series", shifted)
+    assert main(["series", "-m", "2", "-w", "11", "--order", "2000",
+                 "--seed", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "seed=5\n"
+        "claim=functional-equation params=[m=2 w=11] scan=2000 "
+        "evidence=[first_nonzero=100] verdict=FAIL\n"
+        "claim=degree-evidence params=[m=2 w=11] scan=2000 "
+        "evidence=[residual_zero=False,periods=[]] verdict=FAIL\n")
+
+
 def test_series_subcommand(capsys):
     assert main(["series", "-m", "2", "-w", "11", "-N", "10",
                  "--order", "2000", "--seed", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "seed=5" in out
-    assert "claim=functional-equation" in out
-    assert "claim=degree-evidence" in out
-    assert out.count("verdict=PASS") == 2
+    assert capsys.readouterr().out == (
+        "seed=5\n"
+        "claim=functional-equation params=[m=2 w=11] scan=2000 evidence=[] "
+        "verdict=PASS\n"
+        "claim=degree-evidence params=[m=2 w=11] scan=2000 "
+        "evidence=[residual_zero=True,periods=[]] verdict=PASS\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from blockseq import (
     functional_equation_residual,
     generate,
     origin_correction,
-    poly_div_series,
     rhs_series,
     series_from_sequence,
 )
@@ -38,19 +37,7 @@ def test_fppoly_normalization_and_degree():
 
 
 def test_fppoly_constructors():
-    assert FpPoly.monomial_minus_one(2, 4).coefficients == (1, 0, 0, 0, 1)
-    assert FpPoly.monomial_minus_one(5, 2).coefficients == (4, 0, 1)
     assert FpPoly.all_ones(3).coefficients == (1, 1, 1)
-
-
-def test_fppoly_multiplication():
-    one_plus_t = FpPoly(2, (1, 1))
-    assert (one_plus_t * one_plus_t).coefficients == (1, 0, 1)
-    a = FpPoly(3, (1, 2))
-    b = FpPoly(3, (2, 1))
-    assert (a * b).coefficients == (2, 2, 2)
-    zero = FpPoly(3, ())
-    assert (a * zero).coefficients == ()
 
 
 def test_fppoly_times_series():
@@ -82,32 +69,6 @@ def test_series_zero_predicates():
 
 def test_series_reduces_mod_p():
     assert ts(3, [4, -1, 6]).coefficients.tolist() == [1, 2, 0]
-
-
-# ---------------------------------------------------------------------------
-# long division
-# ---------------------------------------------------------------------------
-
-def test_poly_div_series_geometric():
-    # 1/(1+t) over F_2 is the all-ones series
-    out = poly_div_series(FpPoly(2, (1,)), FpPoly(2, (1, 1)), 16)
-    assert out.coefficients.tolist() == [1] * 16
-
-
-def test_poly_div_series_inverse_check():
-    # dividing and multiplying back recovers the numerator
-    num = FpPoly(5, (3, 0, 2))
-    den = FpPoly(5, (1, 4, 0, 2))
-    q = poly_div_series(num, den, 64)
-    back = den.times_series(q)
-    want = np.zeros(64, dtype=int)
-    want[:3] = (3, 0, 2)
-    assert back.coefficients.tolist() == want.tolist()
-
-
-def test_poly_div_series_rejects_zero_constant_term():
-    with pytest.raises(ZeroDivisionError):
-        poly_div_series(FpPoly(2, (1,)), FpPoly(2, (0, 1)), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +171,21 @@ def all_patterns(p, max_width):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rhs_series_agrees_with_long_division(p):
-    """The closed-form expansion must match dividing the monomial by
-    t^(p^k) - 1 directly."""
+    """The closed-form expansion r of t^s / (t^M - 1), M = p^k, is the
+    long-division quotient: multiplying back, (t^M - 1) r = t^s, i.e.
+    r[n - M] - r[n] = [n = s] for every n below the order."""
+    order = 512
     for pat in all_patterns(p, 2):
         spec = PatternSpec(p, pat)
-        start = spec.value + (p ** spec.width if spec.is_zero_word else 0)
-        # t^start / (t^(p^k) - 1), computed through 1/(1 - t^M) = sum t^(jM):
-        # numerator * (-1) * sum, i.e. coefficient p-1 at start + j*M.
-        num = FpPoly(p, (0,) * start + (1,))
-        den = FpPoly.monomial_minus_one(p, p ** spec.width)
-        # long division needs an invertible constant term; multiply both
-        # sides by -1: t^start / (t^M - 1) = -t^start / (1 - t^M)
-        neg_den = FpPoly(p, tuple(-c % p for c in den.coefficients))
-        neg_num = FpPoly(p, tuple(-c % p for c in num.coefficients))
-        via_division = poly_div_series(neg_num, neg_den, 512)
-        assert via_division.coefficients.tolist() == \
-            rhs_series(spec, 512).coefficients.tolist(), f"mismatch for {spec}"
+        M = p ** spec.width
+        s = spec.value + (M if spec.is_zero_word else 0)
+        r = rhs_series(spec, order).coefficients.astype(np.int64)
+        shifted = np.zeros(order, dtype=np.int64)
+        shifted[M:] = r[:order - M]
+        want = np.zeros(order, dtype=np.int64)
+        want[s] = 1
+        assert ((shifted - r) % p).tolist() == want.tolist(), \
+            f"mismatch for {spec}"
 
 
 def test_rhs_series_sign_sanity():

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from blockseq import (
-    BlockClass,
     ClaimViolationError,
     InvalidPatternError,
     PatternSpec,
     check_multiple_property,
     check_power_exclusions,
-    classify_block,
     classify_range,
-    expected_type2,
     expected_type2_batch,
     generate,
     scan_power_prefixes,
@@ -47,21 +44,25 @@ def ref_type2(spec: PatternSpec, n: int) -> bool:
 # the suffix predicate
 # ---------------------------------------------------------------------------
 
+def type2_at(spec: PatternSpec, n: int) -> bool:
+    return bool(expected_type2_batch(spec, np.array([n]))[0])
+
+
 def test_expected_type2_examples():
     spec = PatternSpec(2, "11")
-    assert expected_type2(spec, 1)
-    assert not expected_type2(spec, 0)
-    assert not expected_type2(spec, 2)  # "10" does not end in "1"
-    assert expected_type2(spec, 3)
+    assert type2_at(spec, 1)
+    assert not type2_at(spec, 0)
+    assert not type2_at(spec, 2)  # "10" does not end in "1"
+    assert type2_at(spec, 3)
 
     # single-letter patterns: every block is type 2
-    assert expected_type2(PatternSpec(2, "0"), 0)
-    assert expected_type2(PatternSpec(3, "2"), 7)
+    assert type2_at(PatternSpec(2, "0"), 0)
+    assert type2_at(PatternSpec(3, "2"), 7)
 
     # zero-led width-2 pattern: n = 0 is NOT type 2 (its children are
     # single digits, which cannot contain a width-2 pattern)
-    assert not expected_type2(PatternSpec(2, "01"), 0)
-    assert expected_type2(PatternSpec(2, "01"), 2)
+    assert not type2_at(PatternSpec(2, "01"), 0)
+    assert type2_at(PatternSpec(2, "01"), 2)
 
 
 def test_expected_type2_against_reference():
@@ -69,20 +70,10 @@ def test_expected_type2_against_reference():
     for m, w in [(2, "1"), (2, "11"), (2, "01"), (2, "010"), (3, "12"),
                  (3, "00"), (5, "23")]:
         spec = PatternSpec(m, w)
-        for n in range(300):
-            assert expected_type2(spec, n) == ref_type2(spec, n), (spec, n)
-        for _ in range(200):
-            n = rng.randrange(10 ** 6)
-            assert expected_type2(spec, n) == ref_type2(spec, n), (spec, n)
-
-
-def test_expected_type2_batch_matches_scalar():
-    for m, w in [(2, "11"), (3, "02"), (5, "10")]:
-        spec = PatternSpec(m, w)
-        ns = np.arange(2000)
-        got = expected_type2_batch(spec, ns)
-        want = np.array([expected_type2(spec, int(n)) for n in ns])
-        assert np.array_equal(got, want)
+        ns = list(range(300)) + [rng.randrange(10 ** 6) for _ in range(200)]
+        got = expected_type2_batch(spec, np.array(ns))
+        want = [ref_type2(spec, n) for n in ns]
+        assert got.tolist() == want, spec
 
 
 # ---------------------------------------------------------------------------
@@ -91,41 +82,26 @@ def test_expected_type2_batch_matches_scalar():
 
 def test_classify_block_examples():
     spec = PatternSpec(2, "11")
-    prefix = generate(spec, 32)
+    flags = classify_range(spec, generate(spec, 32))
 
-    assert classify_block(spec, 0, prefix) == BlockClass("type1", 0)
-    assert classify_block(spec, 1, prefix) == BlockClass("type2", 0, 1)
+    assert not flags[0]  # block 0 is constant
+    assert flags[1]      # block 1 is 01: type 2
     # the expansion "110" of 6 does not end in "1", so the block stays flat
-    assert classify_block(spec, 6, prefix) == BlockClass("type1", 1)
-
-
-def test_block_class_invariants():
-    with pytest.raises(ValueError):
-        BlockClass("type2", 0, deviant_index=None)
-    with pytest.raises(ValueError):
-        BlockClass("type1", 0, deviant_index=1)
-    with pytest.raises(ValueError):
-        BlockClass("type3", 0)
-
-
-def test_classify_block_needs_enough_prefix():
-    spec = PatternSpec(2, "11")
-    with pytest.raises(ValueError):
-        classify_block(spec, 100, generate(spec, 32))
+    assert not flags[6]
 
 
 def test_classify_block_detects_corruption():
     spec = PatternSpec(2, "11")
     prefix = generate(spec, 64).copy()
     prefix[12] ^= 1  # makes block 6 contradict the suffix predicate
-    with pytest.raises(ClaimViolationError):
-        classify_block(spec, 6, prefix)
+    with pytest.raises(ClaimViolationError, match="n=6 .*suffix predicate"):
+        classify_range(spec, prefix)
 
 
 def test_classify_block_detects_shape_violation():
     spec = PatternSpec(3, "2")
-    with pytest.raises(ClaimViolationError):
-        classify_block(spec, 0, np.array([0, 1, 2], dtype=np.uint8))
+    with pytest.raises(ClaimViolationError, match="neither constant"):
+        classify_range(spec, np.array([0, 1, 2], dtype=np.uint8))
 
 
 def test_classify_range_matches_scalar():
@@ -134,9 +110,7 @@ def test_classify_range_matches_scalar():
         prefix = generate(spec, m * 700)
         flags = classify_range(spec, prefix)
         assert flags.shape == (700,)
-        for n in range(700):
-            verdict = classify_block(spec, n, prefix)
-            assert flags[n] == (verdict.variant == "type2")
+        assert flags.tolist() == [ref_type2(spec, n) for n in range(700)]
 
 
 def test_classify_range_full_grid_never_errors():

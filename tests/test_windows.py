@@ -7,15 +7,12 @@ from blockseq import (
     PatternSpec,
     WindowAlignmentError,
     WindowSpec,
-    Word,
-    WrongVariantError,
     a_prefix,
     digit_string,
     generate,
     initial_block,
     phi,
-    step_nonzero,
-    step_zero,
+    step,
 )
 
 # Hand-checked expansion chunks for the two classic base-2 sequences.
@@ -34,8 +31,12 @@ def as_str(values) -> str:
     return digit_string(values, 10)
 
 
-def w2(s: str) -> Word:
-    return Word.from_string(s, 2)
+def arr(s: str) -> np.ndarray:
+    return np.array([int(ch) for ch in s], dtype=np.uint8)
+
+
+def ws_of(m: int, w: str) -> WindowSpec:
+    return WindowSpec.from_pattern(PatternSpec(m, w))
 
 
 # ---------------------------------------------------------------------------
@@ -55,23 +56,19 @@ def test_window_spec_fractions():
 
 
 def test_phi_examples():
-    ws = WindowSpec.from_pattern(PatternSpec(2, "11"))
-    assert str(phi(ws, w2("0001"))) == "0010"
-
-    ws = WindowSpec.from_pattern(PatternSpec(2, "01"))
-    assert str(phi(ws, w2("0100"))) == "0111"
-
-    ws = WindowSpec.from_pattern(PatternSpec(2, "1"))
+    assert as_str(phi(ws_of(2, "11"), arr("0001"))) == "0010"
+    assert as_str(phi(ws_of(2, "01"), arr("0100"))) == "0111"
     # |w| = 1 means the window is the whole word
-    assert str(phi(ws, w2("01"))) == "10"
+    assert as_str(phi(ws_of(2, "1"), arr("01"))) == "10"
 
 
 def test_phi_increments_only_the_window():
-    ws = WindowSpec.from_pattern(PatternSpec(3, "10"))
-    v = Word.from_string("012012012", 3)
-    out = phi(ws, v)
+    v = arr("012012012")
+    out = phi(ws_of(3, "10"), v)
     # window [0/3, 1/3) of length 9 is positions 0..2
-    assert tuple(out) == (1, 2, 0, 0, 1, 2, 0, 1, 2)
+    assert out.tolist() == [1, 2, 0, 0, 1, 2, 0, 1, 2]
+    assert out.dtype == np.uint8
+    assert as_str(v) == "012012012"  # the input is not modified
 
 
 def test_phi_applied_base_times_is_identity():
@@ -80,67 +77,62 @@ def test_phi_applied_base_times_is_identity():
         spec = PatternSpec(m, w)
         ws = WindowSpec.from_pattern(spec)
         length = ws.denominator * 6
-        v = Word(tuple(rng.integers(0, m, size=length).tolist()), m)
+        v = rng.integers(0, m, size=length).astype(np.uint8)
         cur = v
         for _ in range(m):
             cur = phi(ws, cur)
-        assert cur == v
+        assert np.array_equal(cur, v)
 
 
 def test_phi_rejects_misaligned_length():
-    ws = WindowSpec.from_pattern(PatternSpec(2, "11"))
+    ws = ws_of(2, "11")
     with pytest.raises(WindowAlignmentError):
-        phi(ws, w2("001"))
+        phi(ws, arr("001"))
     with pytest.raises(WindowAlignmentError):
-        phi(ws, Word((), 2))
+        phi(ws, arr(""))
 
 
 # ---------------------------------------------------------------------------
-# seeds and the two doubling steps
+# the seed and the doubling step
 # ---------------------------------------------------------------------------
 
 def test_initial_block_examples():
-    assert str(initial_block(PatternSpec(2, "11"))) == "0001"
-    assert str(initial_block(PatternSpec(2, "01"))) == ZW_S0
-    assert str(initial_block(PatternSpec(3, "2"))) == "001"
+    assert as_str(initial_block(PatternSpec(2, "11"))) == "0001"
+    assert as_str(initial_block(PatternSpec(2, "01"))) == ZW_S0
+    assert as_str(initial_block(PatternSpec(3, "2"))) == "001"
+    assert initial_block(PatternSpec(3, "2")).dtype == np.uint8
 
 
 def test_step_nonzero_examples():
-    spec = PatternSpec(2, "11")
-    s1 = step_nonzero(spec, w2("0001"))
-    assert str(s1) == RS_S1
-    assert str(step_nonzero(spec, s1)) == RS_S2
+    ws = ws_of(2, "11")
+    s1 = step(ws, arr("0001"))
+    assert as_str(s1) == RS_S1
+    assert as_str(step(ws, s1)) == RS_S2
 
     # single-letter pattern: u -> u phi(u) for base 2
-    assert str(step_nonzero(PatternSpec(2, "1"), w2("01"))) == "0110"
+    assert as_str(step(ws_of(2, "1"), arr("01"))) == "0110"
 
 
 def test_step_zero_examples():
-    spec = PatternSpec(2, "01")
-    s1 = step_zero(spec, w2(ZW_S0))
-    assert str(s1) == ZW_S1
-    assert str(step_zero(spec, s1)) == ZW_S2
+    # a pattern starting with 0 puts phi(u) first: u -> phi(u) u^(m-1)
+    ws = ws_of(2, "01")
+    s1 = step(ws, arr(ZW_S0))
+    assert as_str(s1) == ZW_S1
+    assert as_str(step(ws, s1)) == ZW_S2
 
-    assert str(step_zero(PatternSpec(2, "0"), w2("10"))) == "0110"
-
-
-def test_step_variant_guards():
-    with pytest.raises(WrongVariantError):
-        step_zero(PatternSpec(2, "11"), w2("0001"))
-    with pytest.raises(WrongVariantError):
-        step_nonzero(PatternSpec(2, "01"), w2("0100"))
+    assert as_str(step(ws_of(2, "0"), arr("10"))) == "0110"
 
 
 def test_step_lengths_multiply_by_base():
     for m, w in [(2, "11"), (3, "12"), (3, "012")]:
         spec = PatternSpec(m, w)
+        ws = WindowSpec.from_pattern(spec)
         u = initial_block(spec)
-        step = step_zero if spec.is_zero_word else step_nonzero
         for _ in range(3):
-            nxt = step(spec, u)
+            nxt = step(ws, u)
             assert len(nxt) == m * len(u)
             # each doubling step extends the previous word
-            assert tuple(nxt)[: len(u)] == tuple(u) or spec.is_zero_word
+            assert np.array_equal(nxt[: len(u)], u) or spec.is_zero_word
             u = nxt
 
 
