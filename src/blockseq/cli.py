@@ -15,6 +15,16 @@ base, pattern or size, or a size whose output does not fit in memory),
 `verify` accepts composite bases by dropping the morphism leg, which is
 limited to prime bases, the paper's setting; the window construction
 works for every base.
+
+`generate` renders its terms in numpy, never one Python string per
+term.  Digits of a base <= 10 are shifted to ASCII bytes in one
+operation.  Every other layout (`bfile`, `table`, base > 10) is rows of
+columns -- index, separator, value, newline -- that
+`words.decimal_digits` writes as right-aligned digits into uint8
+matrices; `words.render_rows` joins the columns and drops the pad bytes
+of unaligned numbers.  The text goes out in chunks of CHUNK_TERMS
+terms, so stdout and `--out` get the same bytes and hold one chunk of
+text at a time, not the whole output.
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ from .series import degree_evidence
 from .structure import (ClaimReport, check_multiple_property,
                         check_power_exclusions, classify_range)
 from .windows import generate
-from .words import PatternSpec, a_prefix, digit_string
+from .words import (PatternSpec, a_prefix, decimal_digits, digit_string,
+                    render_rows)
 
 __all__ = [
     "RunConfig",
@@ -149,29 +160,52 @@ def default_scan_length(p: int) -> int:
 # output formatting
 # ---------------------------------------------------------------------------
 
-def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
-    if fmt == "plain":
-        return digit_string(values, spec.base) + "\n"
-    if fmt == "bfile":
-        return "".join(f"{n} {int(v)}\n" for n, v in enumerate(values))
+# Terms rendered per chunk of output text.
+CHUNK_TERMS = 1 << 16
+
+
+def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
+    """The text of `fmt` for `values`, in chunks of CHUNK_TERMS terms
+    (after a header line for `table` and `report`)."""
+    n = len(values)
     if fmt == "table":
-        width = len(str(len(values) - 1))
-        lines = [f"{'n':>{width}}  a(n)"]
-        lines += [f"{n:>{width}}  {int(v)}" for n, v in enumerate(values)]
-        return "\n".join(lines) + "\n"
-    if fmt == "report":
-        header = (f"p={spec.base} w={digit_string(spec.pattern, spec.base)} "
-                  f"N={len(values)}")
-        return header + "\n" + digit_string(values, spec.base) + "\n"
-    raise InvalidPatternError(f"unknown output format {fmt!r}")
+        width = len(str(n - 1))
+        yield f"{'n':>{width}}  a(n)\n"
+    elif fmt == "report":
+        yield (f"p={spec.base} w={digit_string(spec.pattern, spec.base)} "
+               f"N={n}\n")
+    elif fmt not in ("plain", "bfile"):
+        raise InvalidPatternError(f"unknown output format {fmt!r}")
+    between = " " if spec.base > 10 else ""
+    for lo in range(0, max(n, 1), CHUNK_TERMS):
+        hi = min(lo + CHUNK_TERMS, n)
+        part = values[lo:hi]
+        if fmt == "bfile":
+            yield render_rows(decimal_digits(np.arange(lo, hi)), b" ",
+                              decimal_digits(part), b"\n")
+        elif fmt == "table":
+            yield render_rows(decimal_digits(np.arange(lo, hi), width), b"  ",
+                              decimal_digits(part), b"\n")
+        else:
+            yield digit_string(part, spec.base) + ("\n" if hi == n
+                                                   else between)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
+    """The whole text of `fmt` for `values`: the chunks `generate`
+    writes, joined."""
+    return "".join(_format_chunks(values, spec, fmt))
+
+
+def _emit(chunks, out_path: str | None) -> None:
+    """Write each text chunk to stdout, or to out_path opened once."""
     if out_path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +215,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_generate(cfg: RunConfig) -> int:
     spec = cfg.spec()
     values = generate(spec, cfg.count)
-    _emit(format_sequence(values, spec, cfg.output_format), cfg.output_path)
+    _emit(_format_chunks(values, spec, cfg.output_format), cfg.output_path)
     return EXIT_OK
 
 
@@ -218,7 +252,7 @@ def _cmd_blocks(cfg: RunConfig) -> int:
                          scan_length=cfg.count,
                          evidence=(f"type1={n1}", f"type2={n2}"),
                          verdict="PASS")
-    _emit(report.format() + "\n", cfg.output_path)
+    _emit([report.format() + "\n"], cfg.output_path)
     return EXIT_OK
 
 
@@ -230,20 +264,20 @@ def _cmd_powers(cfg: RunConfig) -> int:
         check_multiple_property(spec, n),
         check_power_exclusions(spec, n),
     ]
-    _emit("\n".join(r.format() for r in reports) + "\n", cfg.output_path)
+    _emit([r.format() + "\n" for r in reports], cfg.output_path)
     return EXIT_OK
 
 
 def _cmd_series(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    print(f"seed={cfg.seed}")
     ev = degree_evidence(spec, cfg.order, seed=cfg.seed)
     first = ev.residual_first_nonzero
     equation = ClaimReport(
         claim="functional-equation", params=str(spec), scan_length=cfg.order,
         evidence=() if first is None else (f"first_nonzero={first}",),
         verdict="PASS" if first is None else "FAIL")
-    _emit(equation.format() + "\n" + ev.format() + "\n", cfg.output_path)
+    _emit([f"seed={cfg.seed}\n", equation.format() + "\n", ev.format() + "\n"],
+          cfg.output_path)
     return EXIT_OK if ev.verdict == "PASS" else EXIT_VERIFY
 
 
@@ -298,7 +332,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
     else:
         ordered = by_name["window"].throughput > by_name["oracle"].throughput
     text += f"ordering window>=morphism>oracle: {'PASS' if ordered else 'FAIL'}\n"
-    _emit(text, cfg.output_path)
+    _emit([text], cfg.output_path)
     return EXIT_OK if ordered else EXIT_VERIFY
 
 

@@ -108,13 +108,23 @@ def step(ws: WindowSpec, u: np.ndarray) -> np.ndarray:
 def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     """First n_terms values of (a_{m;w}(n)) as a uint8 array.
 
-    Nonzero-leading patterns iterate the doubling step and truncate;
-    zero-leading patterns emit w_{-1} and then the chunks u_k^(m-1),
-    building each u_k only while more output is still needed.
+    For n_terms <= m^|w| the output is u_0[:n_terms] (nonzero-leading
+    patterns) or w_{-1}[:n_terms] (zero-leading ones): zeros, with a 1
+    at (w)_m if that index is below n_terms and the pattern is not a
+    zero-led one of width >= 2.  It is built directly, without the
+    m^|w|-term seed.  Past m^|w|, nonzero-leading patterns iterate the
+    doubling step and truncate; zero-leading patterns emit w_{-1} and
+    then the chunks u_k^(m-1), building each u_k only while more output
+    is still needed.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     m = spec.base
+    if n_terms <= m ** spec.width:
+        out = np.zeros(n_terms, dtype=np.uint8)
+        if spec.value < n_terms and (spec.width == 1 or not spec.is_zero_word):
+            out[spec.value] = 1
+        return out
     ws = WindowSpec.from_pattern(spec)
     u = initial_block(spec)
 

@@ -11,7 +11,9 @@ paths are provided: a scalar one built on digit strings (`e_count`,
 `a_value`) and a vectorized one built on numpy digit windows (`a_batch`,
 `a_prefix`).  The scalar path is the ground truth for tests; the
 vectorized path is the workhorse the rest of the package validates
-against.
+against.  The package's one text renderer lives here too:
+`digit_string`, and the digit matrices of `decimal_digits` joined by
+`render_rows`.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -46,11 +48,59 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Pad byte of unaligned decimal columns; not ASCII, so never real text.
+_SKIP = 0xFF
+
+
+def decimal_digits(values, width: int | None = None) -> np.ndarray:
+    """Non-negative integers as right-aligned ASCII decimal digits: a
+    (rows, width) uint8 matrix, one row per value.
+
+    Without `width` the matrix is as wide as the largest value and short
+    values are padded on the left with a byte that `render_rows` drops,
+    so they print unpadded.  With `width` (at least the largest value's
+    digit count) the padding is spaces, for aligned columns.
+    """
+    values = np.asarray(values)
+    pad = ord(" ")
+    if width is None:
+        pad = _SKIP
+        width = len(str(int(values.max()))) if values.size else 0
+    # the narrowest unsigned type divides fastest; digits fill rows of
+    # the transposed matrix, which are contiguous
+    q = values.astype(np.min_scalar_type(10 ** width))
+    out = np.empty((width, values.size), dtype=np.uint8)
+    for col in reversed(range(width)):
+        leading = q == 0  # past the value's first digit: padding
+        np.remainder(q, 10, out=out[col], casting="unsafe")
+        out[col] += ord("0")
+        if col < width - 1:  # the units digit is written even for 0
+            out[col][leading] = pad
+        q //= 10
+    return out.T
+
+
+def render_rows(*columns) -> str:
+    """Lines of ASCII text, one per row of the digit matrices among
+    `columns`.  A bytes column is written on every row; a matrix from
+    `decimal_digits` gives each row its digits.  The columns are joined
+    side by side in one uint8 matrix and its pad bytes dropped, so no
+    Python string is built per row."""
+    rows = next(c.shape[0] for c in columns if isinstance(c, np.ndarray))
+    matrix = np.concatenate(
+        [np.broadcast_to(np.frombuffer(c, dtype=np.uint8), (rows, len(c)))
+         if isinstance(c, bytes) else c for c in columns], axis=1).ravel()
+    return matrix[matrix != _SKIP].tobytes().decode("ascii")
+
+
 def digit_string(digits, base: int) -> str:
-    """Render a digit vector: concatenated for base <= 10, else space-separated."""
+    """Render a digit vector: concatenated for base <= 10, else
+    space-separated.  Digits below 10 are shifted to ASCII in one numpy
+    operation; wider digits go through `render_rows`."""
     if base <= 10:
-        return "".join(str(int(d)) for d in digits)
-    return " ".join(str(int(d)) for d in digits)
+        ascii_digits = np.asarray(digits, dtype=np.uint8) + ord("0")
+        return ascii_digits.tobytes().decode("ascii")
+    return render_rows(decimal_digits(digits), b" ")[:-1]
 
 
 @dataclass(frozen=True)

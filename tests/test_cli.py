@@ -15,6 +15,7 @@ from blockseq import (
     generate,
 )
 from blockseq.cli import (
+    CHUNK_TERMS,
     BenchRecord,
     RunConfig,
     bench_generators,
@@ -53,10 +54,13 @@ def test_generate_report_format(capsys):
 def test_generate_table_format(capsys):
     assert main(["generate", "-m", "2", "-w", "1", "-N", "3",
                  "--format", "table"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "a(n)"]
-    assert lines[1].split() == ["0", "0"]
-    assert lines[3].split() == ["2", "1"]
+    assert capsys.readouterr().out == "n  a(n)\n0  0\n1  1\n2  1\n"
+    # at N = 11 the index column widens to 2 and right-aligns
+    assert main(["generate", "-m", "2", "-w", "1", "-N", "11",
+                 "--format", "table"]) == 0
+    assert capsys.readouterr().out == (
+        " n  a(n)\n 0  0\n 1  1\n 2  1\n 3  0\n 4  1\n 5  0\n 6  0\n"
+        " 7  1\n 8  1\n 9  0\n10  0\n")
 
 
 def test_generate_out_file(tmp_path, capsys):
@@ -72,6 +76,66 @@ def test_format_sequence_rejects_unknown():
 
     with pytest.raises(InvalidPatternError):
         format_sequence(np.zeros(4, dtype=np.uint8), PatternSpec(2, "1"), "json")
+
+
+FORMATS = ("plain", "bfile", "table", "report")
+
+
+def reference_digits(digits, base):
+    if base <= 10:
+        return "".join(str(int(d)) for d in digits)
+    return " ".join(str(int(d)) for d in digits)
+
+
+def reference_format(values, spec, fmt):
+    """The layouts written one f-string per term, as a reference for the
+    numpy renderer."""
+    if fmt == "plain":
+        return reference_digits(values, spec.base) + "\n"
+    if fmt == "bfile":
+        return "".join(f"{n} {int(v)}\n" for n, v in enumerate(values))
+    if fmt == "table":
+        width = len(str(len(values) - 1))
+        lines = [f"{'n':>{width}}  a(n)"]
+        lines += [f"{n:>{width}}  {int(v)}" for n, v in enumerate(values)]
+        return "\n".join(lines) + "\n"
+    if fmt == "report":
+        header = (f"p={spec.base} w={reference_digits(spec.pattern, spec.base)} "
+                  f"N={len(values)}")
+        return header + "\n" + reference_digits(values, spec.base) + "\n"
+    raise AssertionError(fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("base", [2, 3, 5, 10, 11, 13, 101])
+def test_format_sequence_matches_reference(base, fmt):
+    rng = np.random.default_rng(base)
+    spec = PatternSpec(base, [base - 1, 0, 1 % base])
+    for n in (1, 9, 10, 11, 99, 100, 101, 1000,
+              CHUNK_TERMS - 1, CHUNK_TERMS, CHUNK_TERMS + 1):
+        # values up to m - 1, so base > 10 prints multi-digit values
+        values = rng.integers(0, base, n).astype(np.uint8)
+        values[-1] = base - 1
+        assert format_sequence(values, spec, fmt) == \
+            reference_format(values, spec, fmt), n
+    empty = np.zeros(0, dtype=np.uint8)
+    assert format_sequence(empty, spec, fmt) == \
+        reference_format(empty, spec, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
+                                                        capsys):
+    n = 2 * CHUNK_TERMS + 3
+    argv = ["generate", "-m", "3", "-w", "12", "-N", str(n), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "seq.txt"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("ascii")
+    spec = PatternSpec(3, "12")
+    assert out == format_sequence(generate(spec, n), spec, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +264,19 @@ def test_series_reports_first_nonzero_residual(monkeypatch, capsys):
         "evidence=[first_nonzero=100] verdict=FAIL\n"
         "claim=degree-evidence params=[m=2 w=11] scan=2000 "
         "evidence=[residual_zero=False,periods=[]] verdict=FAIL\n")
+
+
+def test_series_out_file_holds_the_seed_line(tmp_path, capsys):
+    target = tmp_path / "series.txt"
+    assert main(["series", "-m", "2", "-w", "11", "--order", "2000",
+                 "--seed", "5", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == (
+        "seed=5\n"
+        "claim=functional-equation params=[m=2 w=11] scan=2000 evidence=[] "
+        "verdict=PASS\n"
+        "claim=degree-evidence params=[m=2 w=11] scan=2000 "
+        "evidence=[residual_zero=True,periods=[]] verdict=PASS\n")
 
 
 def test_series_subcommand(capsys):

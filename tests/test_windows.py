@@ -209,6 +209,33 @@ def test_generate_matches_oracle(m):
         assert np.array_equal(got, want), f"mismatch for {spec}"
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_generate_up_to_seed_length_matches_oracle(m):
+    """N <= m^|w| is built without the seed block; N = m^|w| + 1 is the
+    first length that takes the doubling path."""
+    for pat in all_patterns(m, 3) + [(0,)]:
+        spec = PatternSpec(m, pat)
+        seed = m ** spec.width
+        for n in (1, seed, seed + 1):
+            got = generate(spec, n)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, a_prefix(spec, n)), (spec, n)
+
+
+def test_generate_short_request_allocates_no_seed():
+    import tracemalloc
+
+    spec = PatternSpec(10, "01234567")  # the seed would be 10^8 bytes
+    tracemalloc.start()
+    try:
+        out = generate(spec, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.any()
+    assert peak < 1 << 20
+
+
 def test_generate_matches_oracle_wider_pattern():
     for m, w in [(2, "1101"), (3, "0012")]:
         spec = PatternSpec(m, w)

@@ -93,6 +93,9 @@ def test_to_base_rejects_bad_input():
 def test_digit_string_wide_base_uses_separators():
     assert digit_string((1, 0, 11), 16) == "1 0 11"
     assert digit_string((1, 0, 1), 2) == "101"
+    assert digit_string(np.array([100, 7, 255], dtype=np.uint8), 256) == \
+        "100 7 255"
+    assert digit_string((), 16) == digit_string((), 2) == ""
 
 
 def test_word_validation():
