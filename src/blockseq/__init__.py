@@ -8,15 +8,15 @@ p-blocks, scans prefixes for repetitions, and checks the degree-p
 functional equation their generating series satisfies over F_p.
 """
 
-from .errors import (BlockseqError, ClaimViolationError, FixtureFormatError,
-                     InvalidBaseError, InvalidPatternError, VerificationError,
+from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
+                     InvalidPatternError, VerificationError,
                      WindowAlignmentError)
 from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
                        export_morphism, parse_morphism,
                        pure_single_letter_morphism)
-from .series import (DegreeEvidence, FpPoly, TruncatedSeries, degree_evidence,
-                     frobenius_power, functional_equation_residual,
-                     origin_correction, rhs_series, series_from_sequence)
+from .series import (DegreeEvidence, degree_evidence,
+                     functional_equation_residual, origin_correction,
+                     rhs_series, series_from_sequence)
 from .structure import (ClaimReport, PowerPrefixReport,
                         check_multiple_property, check_power_exclusions,
                         classify_range, expected_type2_batch,

@@ -11,10 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
 base, pattern or size, or a size whose output does not fit in memory),
-3 I/O error.  `blocks`, `powers` and `series` require a prime base;
-`verify` accepts composite bases by dropping the morphism leg, which is
-limited to prime bases, the paper's setting; the window construction
-works for every base.
+3 I/O error.  `blocks`, `powers` and `series` require a prime base,
+the paper's setting.  `verify` and `bench` accept composite bases and
+compare only the window generator with the oracle there.
 
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
@@ -31,17 +30,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .errors import (BlockseqError, ClaimViolationError, FixtureFormatError,
-                     InvalidBaseError, InvalidPatternError, VerificationError)
+from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
+                     InvalidPatternError, VerificationError)
 from .morphism import build_morphism, expand_fixed_point
 from .series import degree_evidence
 from .structure import (ClaimReport, check_multiple_property,
@@ -53,8 +50,6 @@ from .words import (PatternSpec, a_prefix, decimal_digits, digit_string,
 __all__ = [
     "RunConfig",
     "BenchRecord",
-    "load_fixture",
-    "fixtures_dir",
     "bench_generators",
     "default_scan_length",
     "run",
@@ -100,52 +95,6 @@ class BenchRecord:
         return (f"bench generator={self.generator} m={m} w={w} N={n} "
                 f"median_s={self.wall_time:.6f} "
                 f"terms_per_s={self.throughput:.0f} sha256={self.checksum[:16]}")
-
-
-def fixtures_dir() -> str:
-    """Fixture directory; BLOCKSEQ_FIXTURES overrides the bundled one."""
-    env = os.environ.get("BLOCKSEQ_FIXTURES")
-    if env:
-        return env
-    return str(resources.files(__package__) / "fixtures")
-
-
-def load_fixture(path: str) -> tuple:
-    """Parse a fixture file: header "p=<p> w=<w> N=<N>" then digit lines.
-    Returns (PatternSpec, digit array).  Malformed files raise
-    FixtureFormatError naming the offending line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FixtureFormatError(f"{path}:1: empty fixture")
-    fields = {}
-    for part in lines[0].split():
-        if "=" not in part:
-            raise FixtureFormatError(f"{path}:1: bad header field {part!r}")
-        k, v = part.split("=", 1)
-        fields[k] = v
-    try:
-        p = int(fields["p"])
-        w = fields["w"]
-        n = int(fields["N"])
-    except (KeyError, ValueError) as exc:
-        raise FixtureFormatError(f"{path}:1: header needs p=, w=, N= ({exc})")
-    digits = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        s = line.strip()
-        if not s:
-            continue
-        for ch in s:
-            if not ch.isdigit() or int(ch) >= p:
-                raise FixtureFormatError(
-                    f"{path}:{lineno}: invalid digit {ch!r} for base {p}")
-            digits.append(int(ch))
-    if not digits:
-        raise FixtureFormatError(f"{path}:2: fixture has no digits")
-    if len(digits) != n:
-        raise FixtureFormatError(
-            f"{path}: header says N={n} but found {len(digits)} digits")
-    return PatternSpec(p, w), np.array(digits, dtype=np.uint8)
 
 
 def default_scan_length(p: int) -> int:
@@ -367,7 +316,7 @@ def run(cfg: RunConfig) -> int:
     except (ClaimViolationError, VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (OSError, FixtureFormatError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:

@@ -27,8 +27,3 @@ class ClaimViolationError(BlockseqError):
 
 class VerificationError(BlockseqError):
     """Two independent generation methods disagreed on sequence values."""
-
-
-class FixtureFormatError(BlockseqError):
-    """A fixture file could not be parsed; the message includes the
-    offending line number."""

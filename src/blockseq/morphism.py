@@ -1,8 +1,9 @@
 """Uniform-morphism presentations of block-counting sequences.
 
-For prime p the sequence (a_{p;w}(n)) is p-automatic, so it arises as a
-coding of the fixed point of a p-uniform substitution.  This module
-constructs that presentation exactly, from the pattern alone.
+For every base p >= 2, prime or not, the sequence (a_{p;w}(n)) is
+p-automatic, so it arises as a coding of the fixed point of a p-uniform
+substitution.  This module constructs that presentation exactly, from
+the pattern alone.
 
 Read the digits of n most-significant first through the
 Knuth-Morris-Pratt automaton of w while counting completed matches mod
@@ -22,14 +23,11 @@ section 5, and Moore (1956).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidPatternError
-
-if TYPE_CHECKING:
-    from .words import PatternSpec
+from .words import PatternSpec
 
 __all__ = [
     "UniformMorphism",
@@ -105,8 +103,6 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     and the classes are numbered in breadth-first order from the start
     state, children in digit order.
     """
-    if not spec.modulus_is_prime:
-        raise InvalidPatternError("the morphic presentation requires a prime base")
     p, w, k = spec.base, spec.pattern, spec.width
     delta = _kmp_automaton(w, p)
     start = (k + 1) * p
@@ -167,11 +163,12 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
         raise ValueError("n_terms must be >= 1")
     dtype = np.uint8 if mu.alphabet_size <= 256 else np.int64
     table = np.array(mu.substitution, dtype=dtype)
-    coding = np.array(mu.coding, dtype=np.uint8)
+    coding = np.array(mu.coding, dtype=np.min_scalar_type(mu.width - 1))
     seq = np.array([mu.start], dtype=dtype)
     while seq.size < n_terms:
         seq = table[seq].reshape(-1)
-    return coding[seq[:n_terms]]
+    # a(n) counts at most the 63 windows of n, so the cast is exact
+    return coding[seq[:n_terms]].astype(np.uint8, copy=False)
 
 
 def export_morphism(mu: UniformMorphism) -> str:

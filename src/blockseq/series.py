@@ -1,4 +1,4 @@
-"""Truncated power series over F_p and the degree-p functional equation.
+"""Truncated series over F_p as arrays, and the degree-p functional equation.
 
 For prime p let f = sum a_{p;w}(n) t^n over F_p.  Splitting indices as
 n = p*q + j and using the Frobenius identity f(t)^p = f(t^p) gives
@@ -15,6 +15,12 @@ double sum to a geometric tail:
 
 with k = |w| and [w]_p the pattern read as a base-p integer; both equal
 rational functions with denominator t^(p^k) - 1.
+
+A series truncated at order N is the numpy array of its first N
+coefficients.  Since f^p = f(t^p), multiplying by 1 + t + ... + t^(p-1)
+spreads each coefficient of f over p consecutive places, so the left
+side has coefficient f[n // p] at t^n: one `np.repeat`.  The residual is
+reduced mod p in int64, so it is exact for every prime p.
 
 The q = 0 column is the one place the digit-append model breaks: the
 expansion of j is the single digit "j", not "0j".  For every pattern of
@@ -41,13 +47,11 @@ import numpy as np
 
 from .errors import InvalidPatternError, VerificationError
 from .structure import ClaimReport, tail_periods
+from .windows import generate
 from .words import PatternSpec, a_batch
 
 __all__ = [
-    "FpPoly",
-    "TruncatedSeries",
     "series_from_sequence",
-    "frobenius_power",
     "rhs_series",
     "origin_correction",
     "functional_equation_residual",
@@ -56,85 +60,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """Polynomial over F_p, coefficients ascending, normalized so the
-    trailing coefficient is nonzero (or the polynomial is zero)."""
-
-    modulus: int
-    coefficients: tuple
-
-    def __post_init__(self):
-        cs = [int(c) % self.modulus for c in self.coefficients]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coefficients", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1  # zero polynomial -> -1
-
-    @classmethod
-    def all_ones(cls, p: int) -> "FpPoly":
-        """1 + t + ... + t^(p-1) over F_p."""
-        return cls(p, (1,) * p)
-
-    def times_series(self, f: "TruncatedSeries") -> "TruncatedSeries":
-        """Multiply a truncated series by this polynomial (order kept)."""
-        if self.modulus != f.modulus:
-            raise ValueError("modulus mismatch")
-        out = np.zeros(f.order, dtype=np.int64)
-        for e, c in enumerate(self.coefficients):
-            if c:
-                out[e:] += c * f.coefficients[:f.order - e].astype(np.int64)
-        return TruncatedSeries(self.modulus, out % self.modulus)
-
-
-@dataclass
-class TruncatedSeries:
-    """Power series over F_p known exactly up to (not including) order N."""
-
-    modulus: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = (
-            np.asarray(self.coefficients, dtype=np.int64) % self.modulus
-        ).astype(np.uint8)
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size
-
-    def _binop(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        n = min(self.order, other.order)
-        a = self.coefficients[:n].astype(np.int64)
-        b = other.coefficients[:n].astype(np.int64)
-        return TruncatedSeries(self.modulus, (a + sign * b) % self.modulus)
-
-    def __add__(self, other):
-        return self._binop(other, +1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients.any()
-
-    def first_nonzero(self) -> int | None:
-        nz = np.nonzero(self.coefficients)[0]
-        return int(nz[0]) if nz.size else None
-
-
 def series_from_sequence(spec: PatternSpec, order: int,
                          seed: int | None = None,
-                         check_fraction: float = 0.01) -> TruncatedSeries:
-    """f = sum a(n) t^n to the given order, sourced from the fast window
-    generator with a seeded random sample re-verified against the
+                         check_fraction: float = 0.01) -> np.ndarray:
+    """The coefficients a(0), .., a(order-1) of f, sourced from the fast
+    window generator with a seeded random sample re-verified against the
     brute-force oracle (default: 1% of coefficients, at least 16)."""
-    from .windows import generate
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     coeffs = generate(spec, order)
@@ -148,19 +79,10 @@ def series_from_sequence(spec: PatternSpec, order: int,
             bad = int(sample[np.argmax(got != expect)])
             raise VerificationError(
                 f"window generator disagrees with the oracle at n={bad} ({spec})")
-    return TruncatedSeries(spec.base, coeffs)
+    return coeffs
 
 
-def frobenius_power(f: TruncatedSeries) -> TruncatedSeries:
-    """f^p over F_p via the Frobenius identity f(t)^p = f(t^p): the
-    coefficient at p*n is the coefficient of f at n, all others zero."""
-    p = f.modulus
-    out = np.zeros(f.order, dtype=np.int64)
-    out[::p] = f.coefficients[:(f.order + p - 1) // p]
-    return TruncatedSeries(p, out)
-
-
-def rhs_series(spec: PatternSpec, order: int) -> TruncatedSeries:
+def rhs_series(spec: PatternSpec, order: int) -> np.ndarray:
     """Expansion of the rational right-hand side: -sum over j of
     t^(j*p^k + [w]_p), starting at j=0 for nonzero-leading patterns and
     j=1 for zero-leading ones (1/(t^M - 1) = -sum t^(jM) over F_p)."""
@@ -172,29 +94,31 @@ def rhs_series(spec: PatternSpec, order: int) -> TruncatedSeries:
     out = np.zeros(order, dtype=np.int64)
     if start < order:
         out[start::pk] = p - 1  # -1 mod p
-    return TruncatedSeries(p, out)
+    return out
 
 
-def origin_correction(spec: PatternSpec, order: int) -> TruncatedSeries:
+def origin_correction(spec: PatternSpec, order: int) -> np.ndarray:
     """Correction for the q = 0 column of the index split, where the
     expansion of j is "j" rather than "0j": nonzero only for the
     single-letter pattern "0", where it equals sum_{j=1}^{p-1} t^j."""
-    p = spec.base
     out = np.zeros(order, dtype=np.int64)
     if spec.pattern == (0,):
-        out[1:min(p, order)] = 1
-    return TruncatedSeries(p, out)
+        out[1:min(spec.base, order)] = 1
+    return out
 
 
-def _residual(spec: PatternSpec, f: TruncatedSeries) -> TruncatedSeries:
-    lhs = FpPoly.all_ones(spec.base).times_series(frobenius_power(f)) - f
-    return lhs - rhs_series(spec, f.order) - origin_correction(spec, f.order)
+def _residual(spec: PatternSpec, f: np.ndarray) -> np.ndarray:
+    # (1 + t + ... + t^(p-1)) f(t^p) has coefficient f[n // p] at t^n
+    p, n = spec.base, f.size
+    return (np.repeat(f.astype(np.int64), p)[:n] - f - rhs_series(spec, n)
+            - origin_correction(spec, n)) % p
 
 
 def functional_equation_residual(spec: PatternSpec, order: int,
-                                 seed: int | None = None) -> TruncatedSeries:
-    """(1 + t + ... + t^(p-1)) f^p - f - rhs - origin_correction,
-    truncated at the given order; identically zero for every pattern."""
+                                 seed: int | None = None) -> np.ndarray:
+    """The coefficients of (1 + t + ... + t^(p-1)) f^p - f - rhs -
+    origin_correction in [0, p), truncated at the given order;
+    identically zero for every pattern."""
     return _residual(spec, series_from_sequence(spec, order, seed=seed))
 
 
@@ -229,14 +153,13 @@ def degree_evidence(spec: PatternSpec, order: int,
     degree p; absence is evidence only, and is labeled as such.  Both
     checks read one series, spot-checked against the oracle."""
     f = series_from_sequence(spec, order, seed=seed)
-    res = _residual(spec, f)
+    nonzero = np.flatnonzero(_residual(spec, f))
     quarter = max(1, order // 4)
-    periods = tail_periods(f.coefficients, max_period=quarter, preperiod=quarter)
-    ok = res.is_zero() and not periods
+    periods = tail_periods(f, max_period=quarter, preperiod=quarter)
     return DegreeEvidence(
         pattern=spec,
         order=order,
-        residual_zero=res.is_zero(),
-        residual_first_nonzero=res.first_nonzero(),
+        residual_zero=not nonzero.size,
+        residual_first_nonzero=int(nonzero[0]) if nonzero.size else None,
         periods_found=periods,
-        verdict="PASS" if ok else "FAIL")
+        verdict="PASS" if not nonzero.size and not periods else "FAIL")

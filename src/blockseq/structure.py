@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClaimViolationError, InvalidPatternError
+from .windows import generate
 from .words import PatternSpec, digit_string
 
 __all__ = [
@@ -267,18 +268,13 @@ def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
 # claim checks
 # ---------------------------------------------------------------------------
 
-def _generated_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    from .windows import generate
-    return generate(spec, n_terms)
-
-
 def check_multiple_property(spec: PatternSpec, n_terms: int) -> ClaimReport:
     """Scan v^(p+1) prefixes and require every found length at least
     2*p^|w| to be divisible by p^(|w|-1)."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("divisibility claim needs a prime base")
     p = spec.base
-    report = scan_power_prefixes(_generated_prefix(spec, n_terms), p + 1, spec)
+    report = scan_power_prefixes(generate(spec, n_terms), p + 1, spec)
     threshold = 2 * p ** spec.width
     modulus = p ** (spec.width - 1)
     offenders = [L for L in report.found_lengths
@@ -312,7 +308,7 @@ def check_power_exclusions(spec: PatternSpec, n_terms: int) -> ClaimReport:
         raise InvalidPatternError("power-exclusion claims need a prime base")
     p = spec.base
     w = spec.pattern
-    prefix = _generated_prefix(spec, n_terms)
+    prefix = generate(spec, n_terms)
 
     if w == (0,):
         report = scan_power_prefixes(prefix, 2, spec)

@@ -121,15 +121,6 @@ class Word:
                 raise InvalidPatternError(
                     f"digit {d} out of range for base {self.base}")
 
-    @classmethod
-    def from_string(cls, s: str, base: int) -> "Word":
-        try:
-            if base <= 10:
-                return cls(tuple(int(c) for c in s), base)
-            return cls(tuple(int(c) for c in s.split()), base)
-        except ValueError as exc:
-            raise InvalidPatternError(f"{s!r} is not a digit string") from exc
-
     def __len__(self) -> int:
         return len(self.digits)
 

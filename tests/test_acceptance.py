@@ -165,7 +165,7 @@ def test_criterion_3_tri_generator_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 4. the window construction needs no primality
+# 4. neither the window nor the morphism construction needs primality
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_composite_base_window():
@@ -174,12 +174,15 @@ def test_criterion_4_composite_base_window():
     for m in (4, 6):
         for pat in _patterns(m, 2):
             spec = PatternSpec(m, pat)
-            if not np.array_equal(generate(spec, n), a_prefix(spec, n)):
+            oracle = a_prefix(spec, n)
+            if not (np.array_equal(generate(spec, n), oracle) and np.array_equal(
+                    expand_fixed_point(build_morphism(spec), n), oracle)):
                 bad.append(str(spec))
     ok = not bad
     announce(4, "composite-base-window", ok,
-             f"bases 4 and 6, all patterns of width <= 2, {n} terms")
-    assert not bad, f"window/oracle disagreement for {bad}"
+             f"bases 4 and 6, all patterns of width <= 2, {n} terms, "
+             "window and morphism vs. oracle")
+    assert not bad, f"window/morphism/oracle disagreement for {bad}"
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +293,8 @@ def test_criterion_9_functional_equation():
     for base, pat in GRID:
         spec = PatternSpec(base, pat)
         res = functional_equation_residual(spec, order, seed=9)
-        if not res.is_zero():
-            bad.append((str(spec), res.first_nonzero()))
+        if res.any():
+            bad.append((str(spec), int(np.flatnonzero(res)[0])))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 10.0
     announce(9, "functional-equation", ok,

@@ -1,4 +1,4 @@
-"""Tests for the command-line surface, fixtures, and the bench harness."""
+"""Tests for the command-line surface and the bench harness."""
 
 import os
 import shutil
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from blockseq import (
-    FixtureFormatError,
     PatternSpec,
     generate,
 )
@@ -20,9 +19,7 @@ from blockseq.cli import (
     RunConfig,
     bench_generators,
     default_scan_length,
-    fixtures_dir,
     format_sequence,
-    load_fixture,
     main,
     run,
 )
@@ -157,6 +154,13 @@ def test_verify_composite_drops_morphism_leg(capsys):
     assert "morphism" not in out.split("PASS")[1]
 
 
+def test_verify_prime_base_above_256(capsys):
+    # coding digits up to 256 need more than uint8
+    assert main(["verify", "-m", "257", "-w", "1", "-N", "2000"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS m=257 w=1 N=2000: window, morphism, oracle agree\n")
+
+
 # ---------------------------------------------------------------------------
 # prime-only guard and usage errors
 # ---------------------------------------------------------------------------
@@ -252,18 +256,20 @@ def test_series_reports_first_nonzero_residual(monkeypatch, capsys):
 
     def shifted(spec, order):  # one wrong coefficient, at t^100
         r = real(spec, order)
-        r.coefficients[100] = (r.coefficients[100] + 1) % spec.base
+        r[100] = (r[100] + 1) % spec.base
         return r
 
     monkeypatch.setattr(blockseq.series, "rhs_series", shifted)
-    assert main(["series", "-m", "2", "-w", "11", "--order", "2000",
-                 "--seed", "5"]) == 1
-    assert capsys.readouterr().out == (
-        "seed=5\n"
-        "claim=functional-equation params=[m=2 w=11] scan=2000 "
-        "evidence=[first_nonzero=100] verdict=FAIL\n"
-        "claim=degree-evidence params=[m=2 w=11] scan=2000 "
-        "evidence=[residual_zero=False,periods=[]] verdict=FAIL\n")
+    # for p = 257 the residual there is p - 1 = 256, which uint8 reads as 0
+    for m, w, seed in [("2", "11", "5"), ("257", "1", "0")]:
+        assert main(["series", "-m", m, "-w", w, "--order", "2000",
+                     "--seed", seed]) == 1
+        assert capsys.readouterr().out == (
+            f"seed={seed}\n"
+            f"claim=functional-equation params=[m={m} w={w}] scan=2000 "
+            "evidence=[first_nonzero=100] verdict=FAIL\n"
+            f"claim=degree-evidence params=[m={m} w={w}] scan=2000 "
+            "evidence=[residual_zero=False,periods=[]] verdict=FAIL\n")
 
 
 def test_series_out_file_holds_the_seed_line(tmp_path, capsys):
@@ -291,58 +297,6 @@ def test_series_subcommand(capsys):
 
 
 # ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-def test_bundled_fixtures_match_generator():
-    """Each bundled fixture is either a sequence prefix or (for the
-    zero-word expansion chunks) the block at positions [N, 2N)."""
-    import os
-
-    root = fixtures_dir()
-    names = sorted(os.listdir(root))
-    assert len(names) >= 5
-    for name in names:
-        spec, digits = load_fixture(os.path.join(root, name))
-        n = len(digits)
-        as_prefix = np.array_equal(generate(spec, n), digits)
-        as_chunk = np.array_equal(generate(spec, 2 * n)[n:], digits)
-        assert as_prefix or as_chunk, name
-
-
-def test_fixture_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("BLOCKSEQ_FIXTURES", str(tmp_path))
-    assert fixtures_dir() == str(tmp_path)
-    monkeypatch.delenv("BLOCKSEQ_FIXTURES")
-    assert fixtures_dir().endswith("fixtures")
-
-
-def test_load_fixture_malformed(tmp_path):
-    cases = [
-        ("", "empty fixture"),
-        ("p=2 w=1\n01\n", "header needs"),
-        ("p=2 w=1 N=4 junk\n0110\n", "bad header field"),
-        ("p=2 w=1 N=4\n0120\n", ":2: invalid digit '2'"),
-        ("p=2 w=1 N=5\n0110\n", "found 4 digits"),
-        ("p=2 w=1 N=4\n\n", "no digits"),
-    ]
-    for i, (content, needle) in enumerate(cases):
-        f = tmp_path / f"bad{i}.txt"
-        f.write_text(content)
-        with pytest.raises(FixtureFormatError) as err:
-            load_fixture(str(f))
-        assert needle in str(err.value), content
-
-
-def test_load_fixture_multiline_digits(tmp_path):
-    f = tmp_path / "multi.txt"
-    f.write_text("p=2 w=1 N=8\n0110\n1001\n")
-    spec, digits = load_fixture(str(f))
-    assert spec == PatternSpec(2, "1")
-    assert digits.tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
-
-
-# ---------------------------------------------------------------------------
 # bench harness
 # ---------------------------------------------------------------------------
 
@@ -355,6 +309,12 @@ def test_bench_generators_smoke():
         assert r.throughput > 0
         line = r.format()
         assert "sha256=" in line and "terms_per_s=" in line
+
+
+def test_bench_prime_base_above_256():
+    records = bench_generators(PatternSpec(257, "1"), 2000, passes=1)
+    assert [r.generator for r in records] == ["window", "morphism", "oracle"]
+    assert len({r.checksum for r in records}) == 1
 
 
 def test_bench_composite_base_has_two_legs():

@@ -1,5 +1,6 @@
-"""Every exported name resolves: a deleted function must not linger in a
-module's __all__ or in the package's re-exports."""
+"""Every exported name resolves and every import is used: a deleted
+function must not linger in a module's __all__, in the package's
+re-exports, or as an import nothing references."""
 
 import ast
 import importlib
@@ -34,3 +35,27 @@ def test_package_imports_exist():
             elif not hasattr(blockseq, alias.asname or alias.name):
                 missing.append(alias.asname or alias.name)
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(blockseq.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_module_imports_are_used(path):
+    """No module keeps an import it never references; __init__ imports
+    only to re-export."""
+    assert _unused_imports(path) == []

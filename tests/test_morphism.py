@@ -104,9 +104,14 @@ def test_build_morphism_zero_pattern_alphabet():
     assert mu.coding == (1, 0, 1)
 
 
-def test_build_morphism_rejects_composite_base():
-    with pytest.raises(InvalidPatternError):
-        build_morphism(PatternSpec(6, "11"))
+def test_build_morphism_composite_base_matches_oracle():
+    # The construction counts matches mod m; it never needs m prime.
+    for m in (4, 6, 10):
+        for pat in ["0", "1", "11", "10", "01", str(m - 1)]:
+            spec = PatternSpec(m, pat)
+            n = 5 * m ** 3
+            assert np.array_equal(expand_fixed_point(build_morphism(spec), n),
+                                  a_prefix(spec, n)), spec
 
 
 def test_pure_single_letter_examples():

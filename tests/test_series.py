@@ -1,16 +1,14 @@
-"""Unit tests for F_p series arithmetic and the functional equation."""
+"""Unit tests for the series of the sequence and the functional equation."""
 
 import numpy as np
 import pytest
 
+import blockseq.series
 from blockseq import (
     DegreeEvidence,
-    FpPoly,
     PatternSpec,
-    TruncatedSeries,
     VerificationError,
     degree_evidence,
-    frobenius_power,
     functional_equation_residual,
     generate,
     origin_correction,
@@ -19,56 +17,22 @@ from blockseq import (
 )
 
 
-def ts(p, coeffs):
-    return TruncatedSeries(p, np.array(coeffs))
+def residual_of(monkeypatch, spec, f):
+    """functional_equation_residual with the series of the sequence
+    replaced by the coefficient array f."""
+    monkeypatch.setattr(blockseq.series, "series_from_sequence",
+                        lambda spec, order, seed=None: np.asarray(f))
+    return functional_equation_residual(spec, len(f))
 
 
-# ---------------------------------------------------------------------------
-# polynomials
-# ---------------------------------------------------------------------------
-
-def test_fppoly_normalization_and_degree():
-    assert FpPoly(2, (1, 0, 1, 0)).coefficients == (1, 0, 1)
-    assert FpPoly(2, (1, 0, 1, 0)).degree == 2
-    assert FpPoly(3, (0, 0)).coefficients == ()
-    assert FpPoly(3, (0, 0)).degree == -1
-    # coefficients are reduced mod p
-    assert FpPoly(3, (4, 5)).coefficients == (1, 2)
-
-
-def test_fppoly_constructors():
-    assert FpPoly.all_ones(3).coefficients == (1, 1, 1)
-
-
-def test_fppoly_times_series():
-    f = ts(2, [1, 1, 0, 0])
-    out = FpPoly(2, (1, 1)).times_series(f)
-    assert out.coefficients.tolist() == [1, 0, 1, 0]
-    assert out.order == 4
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-# ---------------------------------------------------------------------------
-
-def test_series_arithmetic_and_order_rule():
-    a = ts(3, [1, 2, 0, 1])
-    b = ts(3, [2, 2])
-    assert (a + b).coefficients.tolist() == [0, 1]
-    assert (a - b).coefficients.tolist() == [2, 0]
-    assert (a + b).order == 2  # min of operand orders
-
-
-def test_series_zero_predicates():
-    assert ts(2, [0, 0, 0]).is_zero()
-    assert ts(2, [0, 0, 0]).first_nonzero() is None
-    s = ts(2, [0, 0, 1, 0])
-    assert not s.is_zero()
-    assert s.first_nonzero() == 2
-
-
-def test_series_reduces_mod_p():
-    assert ts(3, [4, -1, 6]).coefficients.tolist() == [1, 2, 0]
+def left_side(monkeypatch, p, f):
+    """(1 + t + ... + t^(p-1)) f^p for the coefficient array f, read off
+    the residual with the right-hand side and the correction zeroed."""
+    zeros = lambda spec, order: np.zeros(order, dtype=np.int64)
+    monkeypatch.setattr(blockseq.series, "rhs_series", zeros)
+    monkeypatch.setattr(blockseq.series, "origin_correction", zeros)
+    res = residual_of(monkeypatch, PatternSpec(p, "1"), f)
+    return ((res + np.asarray(f)) % p).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +40,21 @@ def test_series_reduces_mod_p():
 # ---------------------------------------------------------------------------
 
 def test_series_from_sequence_goldens():
-    assert series_from_sequence(PatternSpec(2, "1"), 8).coefficients.tolist() \
+    assert series_from_sequence(PatternSpec(2, "1"), 8).tolist() \
         == [0, 1, 1, 0, 1, 0, 0, 1]
-    assert series_from_sequence(PatternSpec(2, "11"), 16).coefficients.tolist() \
+    assert series_from_sequence(PatternSpec(2, "11"), 16).tolist() \
         == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
-    assert series_from_sequence(PatternSpec(2, "01"), 8).coefficients.tolist() \
+    assert series_from_sequence(PatternSpec(2, "01"), 8).tolist() \
         == [0, 0, 0, 0, 0, 1, 0, 0]
 
 
 def test_series_from_sequence_spot_check_catches_corruption(monkeypatch):
-    import blockseq.windows
-
-    real = blockseq.windows.generate
+    real = blockseq.series.generate
 
     def corrupted(spec, n):
         return (1 - real(spec, n)) % spec.base  # every coefficient wrong
 
-    monkeypatch.setattr(blockseq.windows, "generate", corrupted)
+    monkeypatch.setattr(blockseq.series, "generate", corrupted)
     with pytest.raises(VerificationError):
         series_from_sequence(PatternSpec(2, "1"), 2048, seed=3)
 
@@ -105,18 +67,17 @@ def test_series_from_sequence_rejects_composite():
 
 
 # ---------------------------------------------------------------------------
-# Frobenius power
+# the left side (1 + t + ... + t^(p-1)) f^p
 # ---------------------------------------------------------------------------
 
-def test_frobenius_examples():
-    out = frobenius_power(ts(2, [0, 1, 0, 0]))
-    assert out.coefficients.tolist() == [0, 0, 1, 0]  # t -> t^2
-
-    out = frobenius_power(ts(3, [1, 1, 0, 0, 0, 0]))
-    assert out.coefficients.tolist() == [1, 0, 0, 1, 0, 0]  # 1+t -> 1+t^3
-
+def test_frobenius_examples(monkeypatch):
+    # t -> (1 + t) t^2
+    assert left_side(monkeypatch, 2, [0, 1, 0, 0]) == [0, 0, 1, 1]
+    # 1 + 2t -> (1 + t + t^2)(1 + 2t^3)
+    assert left_side(monkeypatch, 3, [1, 2, 0, 0, 0, 0]) == [1, 1, 1, 2, 2, 2]
+    # Thue-Morse: coefficient f[n // 2] at t^n
     f = series_from_sequence(PatternSpec(2, "1"), 8)
-    assert frobenius_power(f).coefficients.tolist() == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert left_side(monkeypatch, 2, f) == [0, 0, 1, 1, 1, 1, 0, 0]
 
 
 def naive_series_product(a, b, p):
@@ -129,16 +90,34 @@ def naive_series_product(a, b, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_frobenius_matches_schoolbook_power(p):
+def test_frobenius_matches_schoolbook_power(p, monkeypatch):
+    """The residual of a random f equals the schoolbook
+    (1 + ... + t^(p-1)) f^p - f - rhs - corr, f^p by repeated products."""
     rng = np.random.default_rng(100 + p)
-    for _ in range(6):
+    for pattern in ("0", "1", "10"):
+        spec = PatternSpec(p, pattern)
         order = int(rng.integers(16, 256))
         coeffs = rng.integers(0, p, size=order)
-        f = ts(p, coeffs)
         power = coeffs.copy()
         for _ in range(p - 1):
             power = naive_series_product(power, coeffs, p)
-        assert frobenius_power(f).coefficients.tolist() == power.tolist()
+        ones = (np.arange(order) < p).astype(np.int64)  # 1 + ... + t^(p-1)
+        lhs = naive_series_product(ones, power, p)
+        want = (lhs - coeffs - rhs_series(spec, order)
+                - origin_correction(spec, order)) % p
+        assert residual_of(monkeypatch, spec, coeffs).tolist() == want.tolist()
+
+
+def test_series_reduces_mod_p(monkeypatch):
+    """The residual lies in [0, p) for every prime, past 256 too."""
+    rng = np.random.default_rng(11)
+    for p in (3, 257):
+        spec = PatternSpec(p, "1")
+        f = rng.integers(0, p, size=1200)
+        rhs = rhs_series(spec, f.size)
+        want = [(int(f[n // p]) - int(f[n]) - int(rhs[n])) % p
+                for n in range(f.size)]
+        assert residual_of(monkeypatch, spec, f).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +126,18 @@ def test_frobenius_matches_schoolbook_power(p):
 
 def test_rhs_series_examples():
     out = rhs_series(PatternSpec(2, "11"), 10)
-    assert out.coefficients.tolist() == [0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert out.tolist() == [0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
 
     out = rhs_series(PatternSpec(2, "01"), 10)
-    assert out.coefficients.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert out.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
 
     out = rhs_series(PatternSpec(3, "1"), 10)
-    assert out.coefficients.tolist() == [0, 2, 0, 0, 2, 0, 0, 2, 0, 0]
+    assert out.tolist() == [0, 2, 0, 0, 2, 0, 0, 2, 0, 0]
+
+
+def test_rhs_series_is_exact_past_uint8():
+    # -1 mod 257 is 256, which a uint8 coefficient would read as 0
+    assert rhs_series(PatternSpec(257, "1"), 10)[1] == 256
 
 
 def all_patterns(p, max_width):
@@ -179,7 +163,7 @@ def test_rhs_series_agrees_with_long_division(p):
         spec = PatternSpec(p, pat)
         M = p ** spec.width
         s = spec.value + (M if spec.is_zero_word else 0)
-        r = rhs_series(spec, order).coefficients.astype(np.int64)
+        r = rhs_series(spec, order)
         shifted = np.zeros(order, dtype=np.int64)
         shifted[M:] = r[:order - M]
         want = np.zeros(order, dtype=np.int64)
@@ -194,8 +178,8 @@ def test_rhs_series_sign_sanity():
             spec = PatternSpec(p, pat)
             out = rhs_series(spec, 2 * p ** 3 + 4)
             start = spec.value + (p ** spec.width if spec.is_zero_word else 0)
-            assert out.first_nonzero() == start
-            assert int(out.coefficients[start]) == p - 1
+            assert np.flatnonzero(out)[0] == start
+            assert int(out[start]) == p - 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +188,26 @@ def test_rhs_series_sign_sanity():
 
 def test_origin_correction_support():
     out = origin_correction(PatternSpec(3, "0"), 10)
-    assert out.coefficients.tolist() == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert origin_correction(PatternSpec(2, "0"), 10).coefficients.tolist() \
+    assert out.tolist() == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert origin_correction(PatternSpec(2, "0"), 10).tolist() \
         == [0, 1] + [0] * 8
     # every other pattern needs no correction
     for spec in (PatternSpec(2, "1"), PatternSpec(2, "00"),
                  PatternSpec(3, "01"), PatternSpec(5, "10")):
-        assert origin_correction(spec, 10).is_zero()
+        assert not origin_correction(spec, 10).any()
 
 
-def test_uncorrected_residual_is_exactly_the_correction():
+def test_uncorrected_residual_is_exactly_the_correction(monkeypatch):
     """For the single-letter pattern "0" the raw identity misses the
     origin column by precisely sum_{j=1}^{p-1} t^j."""
+    real = blockseq.series.origin_correction
+    monkeypatch.setattr(blockseq.series, "origin_correction",
+                        lambda spec, order: np.zeros(order, dtype=np.int64))
     for p in (2, 3, 5):
         spec = PatternSpec(p, "0")
         order = 3000
-        f = series_from_sequence(spec, order)
-        lhs = FpPoly.all_ones(p).times_series(frobenius_power(f)) - f
-        raw = lhs - rhs_series(spec, order)
-        assert raw.coefficients.tolist() == \
-            origin_correction(spec, order).coefficients.tolist()
+        raw = functional_equation_residual(spec, order)
+        assert raw.tolist() == real(spec, order).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,24 @@ def test_functional_equation_residual_zero():
     for m, w in [(2, "1"), (2, "11"), (2, "01"), (2, "0"), (3, "0"),
                  (3, "12"), (5, "23"), (5, "0")]:
         res = functional_equation_residual(PatternSpec(m, w), 2000, seed=7)
-        assert res.is_zero(), f"nonzero residual for m={m} w={w}"
+        assert not res.any(), f"nonzero residual for m={m} w={w}"
+
+
+def test_series_zero_predicates(monkeypatch):
+    """degree_evidence reads the residual's first nonzero coefficient."""
+    spec = PatternSpec(3, "12")
+    real = blockseq.series.rhs_series
+    for k in (0, 2, 999):
+        def bumped(spec, order, k=k):
+            r = real(spec, order)
+            r[k] = (r[k] + 1) % spec.base
+            return r
+
+        monkeypatch.setattr(blockseq.series, "rhs_series", bumped)
+        ev = degree_evidence(spec, 1000, seed=1)
+        assert not ev.residual_zero
+        assert ev.residual_first_nonzero == k
+        assert ev.verdict == "FAIL"
 
 
 def test_degree_evidence_passes_for_known_sequences():
@@ -279,11 +280,11 @@ def test_degree_evidence_format():
 
 def test_residual_order_matches_request():
     res = functional_equation_residual(PatternSpec(2, "11"), 777)
-    assert res.order == 777
+    assert res.size == 777
 
 
 def test_series_and_generator_agree():
     # sanity tie between the algebra layer and the generator layer
     spec = PatternSpec(3, "10")
     f = series_from_sequence(spec, 2187)
-    assert f.coefficients.tolist() == generate(spec, 2187).tolist()
+    assert f.tolist() == generate(spec, 2187).tolist()

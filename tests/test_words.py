@@ -58,11 +58,11 @@ def test_to_base_examples():
 
 
 def test_from_base_examples():
-    assert from_base(Word.from_string("11", 2)) == 3
+    assert from_base(PatternSpec(2, "11").word) == 3
     # Leading zeros are legal input for evaluation even though canonical
     # expansions never carry them.
-    assert from_base(Word.from_string("01", 2)) == 1
-    assert from_base(Word.from_string("0", 5)) == 0
+    assert from_base(PatternSpec(2, "01").word) == 1
+    assert from_base(PatternSpec(5, "0").word) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10])
@@ -110,7 +110,7 @@ def test_word_validation():
 # ---------------------------------------------------------------------------
 
 def test_count_occurrences_examples():
-    w2 = lambda s: Word.from_string(s, 2)
+    w2 = lambda s: PatternSpec(2, s).word
     assert count_occurrences(w2("111"), w2("11")) == 2
     assert count_occurrences(w2("0010110"), w2("01")) == 2
     assert count_occurrences(w2("10"), w2("101")) == 0
