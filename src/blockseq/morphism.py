@@ -167,8 +167,12 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     seq = np.array([mu.start], dtype=dtype)
     while seq.size < n_terms:
         seq = table[seq].reshape(-1)
-    # a(n) counts at most the 63 windows of n, so the cast is exact
-    return coding[seq[:n_terms]].astype(np.uint8, copy=False)
+    out = coding[seq[:n_terms]]
+    # a(n) counts at most the 63 windows of n, but a morphism built
+    # elsewhere may code a reachable letter past 255: refuse, never wrap
+    if out.max(initial=0) > 255:
+        raise ValueError("coded fixed point holds a digit above 255")
+    return out.astype(np.uint8, copy=False)
 
 
 def export_morphism(mu: UniformMorphism) -> str:

@@ -108,9 +108,11 @@ def origin_correction(spec: PatternSpec, order: int) -> np.ndarray:
 
 
 def _residual(spec: PatternSpec, f: np.ndarray) -> np.ndarray:
-    # (1 + t + ... + t^(p-1)) f(t^p) has coefficient f[n // p] at t^n
+    # (1 + t + ... + t^(p-1)) f(t^p) has coefficient f[n // p] at t^n;
+    # only the first ceil(n / p) coefficients are repeated, so memory is O(n)
     p, n = spec.base, f.size
-    return (np.repeat(f.astype(np.int64), p)[:n] - f - rhs_series(spec, n)
+    lhs = np.repeat(f[:-(-n // p)].astype(np.int64), p)[:n]
+    return (lhs - f - rhs_series(spec, n)
             - origin_correction(spec, n)) % p
 
 

@@ -167,6 +167,21 @@ def test_expand_fixed_point_rejects_bad_count():
         expand_fixed_point(tm, 0)
 
 
+def test_expand_fixed_point_refuses_digits_past_uint8():
+    """A width-300 morphism whose reachable letter codes 299 raises
+    rather than wrapping to 299 mod 256; an unreachable one does not."""
+    width = 300
+    rows = ((0, 1) + (0,) * (width - 2), (1,) * width, (2,) * width)
+    wide = UniformMorphism(width, rows, (0, 299, 0), 0)
+    with pytest.raises(ValueError, match="above 255"):
+        expand_fixed_point(wide, 2)
+    assert expand_fixed_point(wide, 1).tolist() == [0]
+    unreachable = UniformMorphism(width, rows, (0, 255, 299), 0)
+    out = expand_fixed_point(unreachable, 2 * width)
+    assert out.dtype == np.uint8
+    assert out[:3].tolist() == [0, 255, 0]
+
+
 def test_coded_fixed_point_matches_oracle():
     cases = [*all_patterns(2, 4), *all_patterns(3, 3), *all_patterns(5, 2),
              (5, "123"), *all_patterns(7, 2)]

@@ -1,5 +1,7 @@
 """Unit tests for the series of the sequence and the functional equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ def test_series_reduces_mod_p(monkeypatch):
         want = [(int(f[n // p]) - int(f[n]) - int(rhs[n])) % p
                 for n in range(f.size)]
         assert residual_of(monkeypatch, spec, f).tolist() == want
+
+
+def test_residual_memory_is_linear_in_order(monkeypatch):
+    """The left side repeats only the ceil(n / p) coefficients it reads:
+    repeating all n of them p times would take 8*p bytes per term."""
+    p, order = 251, 50_000
+    f = np.random.default_rng(3).integers(0, p, size=order).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        residual_of(monkeypatch, PatternSpec(p, "1"), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * order  # a few int64 arrays of length order
 
 
 # ---------------------------------------------------------------------------
