@@ -9,20 +9,19 @@ functional equation their generating series satisfies over F_p.
 """
 
 from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
-                     InvalidPatternError, VerificationError,
-                     WindowAlignmentError)
+                     InvalidPatternError, VerificationError)
 from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
                        export_morphism, parse_morphism,
                        pure_single_letter_morphism)
 from .series import (DegreeEvidence, degree_evidence,
                      functional_equation_residual, origin_correction,
                      rhs_series, series_from_sequence)
-from .structure import (ClaimReport, PowerPrefixReport,
-                        check_multiple_property, check_power_exclusions,
-                        classify_range, expected_type2_batch,
-                        scan_power_prefixes, tail_periods)
-from .windows import WindowSpec, generate, initial_block, phi, step
-from .words import (PatternSpec, Word, a_batch, a_prefix, a_value,
+from .structure import (ClaimReport, check_multiple_property,
+                        check_power_exclusions, classify_range,
+                        expected_type2_batch, scan_power_prefixes,
+                        tail_periods)
+from .windows import generate
+from .words import (PatternSpec, a_batch, a_prefix, a_value,
                     count_occurrences, digit_string, e_count, from_base,
                     is_prime, to_base)
 

@@ -274,7 +274,6 @@ def _cmd_bench(cfg: RunConfig) -> int:
     records = bench_generators(spec, cfg.count)
     text = "\n".join(r.format() for r in records) + "\n"
     by_name = {r.generator: r for r in records}
-    ordered = True
     if "morphism" in by_name:
         ordered = (by_name["window"].throughput >= by_name["morphism"].throughput
                    > by_name["oracle"].throughput)
@@ -364,18 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        base=args.base,
-        pattern=args.pattern,
-        count=args.count,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        seed=args.seed,
-        scan_length=args.scan_length,
-        order=args.order,
-    )
-    return run(cfg)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,6 @@ class InvalidPatternError(BlockseqError):
     """A pattern word is empty or contains digits outside the base."""
 
 
-class WindowAlignmentError(BlockseqError):
-    """The window transform was applied to a word whose length is not a
-    positive multiple of the window denominator, so the window bounds
-    would not be integers."""
-
-
 class ClaimViolationError(BlockseqError):
     """A structural claim that the library treats as a hard contract
     (block dichotomy, power-prefix exclusion, divisibility of power

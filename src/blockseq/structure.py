@@ -43,7 +43,6 @@ from .windows import generate
 from .words import PatternSpec, digit_string
 
 __all__ = [
-    "PowerPrefixReport",
     "ClaimReport",
     "expected_type2_batch",
     "classify_range",
@@ -52,17 +51,6 @@ __all__ = [
     "check_multiple_property",
     "check_power_exclusions",
 ]
-
-
-@dataclass(frozen=True)
-class PowerPrefixReport:
-    """All block lengths L such that the first exponent*L terms of the
-    scanned prefix are exponent identical copies of the first L."""
-
-    pattern: PatternSpec | None
-    exponent: int
-    prefix_scanned: int
-    found_lengths: tuple
 
 
 @dataclass(frozen=True)
@@ -244,16 +232,15 @@ def _shift_matches(x: np.ndarray, cmax: int, a: int, b: int) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def scan_power_prefixes(prefix, exponent: int,
-                        pattern: PatternSpec | None = None) -> PowerPrefixReport:
-    """Find every L with prefix[0:exponent*L] equal to exponent copies of
-    prefix[0:L]: hashed candidates, each confirmed exactly."""
+def scan_power_prefixes(prefix, exponent: int) -> tuple:
+    """Every block length L, ascending, with prefix[0:exponent*L] equal
+    to exponent copies of prefix[0:L]: hashed candidates, each confirmed
+    exactly."""
     if exponent < 2:
         raise ValueError("exponent must be >= 2")
     arr = np.asarray(prefix, dtype=np.uint8)
-    n = arr.size
-    found = _shift_matches(arr, n // exponent, exponent, 0)
-    return PowerPrefixReport(pattern, exponent, n, tuple(found.tolist()))
+    found = _shift_matches(arr, arr.size // exponent, exponent, 0)
+    return tuple(found.tolist())
 
 
 def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
@@ -274,11 +261,10 @@ def check_multiple_property(spec: PatternSpec, n_terms: int) -> ClaimReport:
     if not spec.modulus_is_prime:
         raise InvalidPatternError("divisibility claim needs a prime base")
     p = spec.base
-    report = scan_power_prefixes(generate(spec, n_terms), p + 1, spec)
+    found = scan_power_prefixes(generate(spec, n_terms), p + 1)
     threshold = 2 * p ** spec.width
     modulus = p ** (spec.width - 1)
-    offenders = [L for L in report.found_lengths
-                 if L >= threshold and L % modulus != 0]
+    offenders = [L for L in found if L >= threshold and L % modulus != 0]
     if offenders:
         raise ClaimViolationError(
             f"power-prefix length {offenders[0]} (>= {threshold}) is not a "
@@ -287,7 +273,7 @@ def check_multiple_property(spec: PatternSpec, n_terms: int) -> ClaimReport:
         claim="power-length-multiple",
         params=f"{spec} exponent={p + 1} threshold={threshold} modulus={modulus}",
         scan_length=n_terms,
-        evidence=report.found_lengths,
+        evidence=found,
         verdict="PASS",
         detail=f"all found lengths >= {threshold} divisible by {modulus}")
 
@@ -308,42 +294,39 @@ def check_power_exclusions(spec: PatternSpec, n_terms: int) -> ClaimReport:
         raise InvalidPatternError("power-exclusion claims need a prime base")
     p = spec.base
     w = spec.pattern
-    prefix = generate(spec, n_terms)
+    # squares for "0", p-powers for "10" (squares again at p = 2), else
+    # (p+1)-powers
+    exponent = 2 if w == (0,) else p if w == (1, 0) else p + 1
+    found = scan_power_prefixes(generate(spec, n_terms), exponent)
 
     if w == (0,):
-        report = scan_power_prefixes(prefix, 2, spec)
         bound = 5 if p == 2 else p * p
         claim = "zero-pattern-square-bound"
-        offenders = [L for L in report.found_lengths if L >= bound]
+        offenders = [L for L in found if L >= bound]
         detail = f"no square prefix with block length >= {bound}"
+    elif w == (1, 0) and p == 2:
+        claim = "one-zero-pattern-square-bound"
+        offenders = [L for L in found if L != 1]
+        detail = "the only square prefix has block length 1"
     elif w == (1, 0):
-        if p == 2:
-            report = scan_power_prefixes(prefix, 2, spec)
-            claim = "one-zero-pattern-square-bound"
-            offenders = [L for L in report.found_lengths if L != 1]
-            detail = "the only square prefix has block length 1"
-        else:
-            report = scan_power_prefixes(prefix, p, spec)
-            claim = "one-zero-pattern-power-bound"
-            offenders = [L for L in report.found_lengths if L > p * p]
-            detail = f"no {p}-power prefix with block length > {p * p}"
+        claim = "one-zero-pattern-power-bound"
+        offenders = [L for L in found if L > p * p]
+        detail = f"no {p}-power prefix with block length > {p * p}"
     elif spec.width > 1:
-        report = scan_power_prefixes(prefix, p + 1, spec)
         modulus = p ** (spec.width - 1)
         claim = "power-prefix-cap"
-        offenders = [L for L in report.found_lengths
+        offenders = [L for L in found
                      if L % modulus == 0 and L // modulus >= p + 1]
         detail = (f"no {p + 1}-power prefix with block length "
                   f"i*{modulus}, i >= {p + 1}")
     else:
         # single nonzero letter: the sequence has a pure presentation, so
         # no power-exclusion argument applies; report the scan as-is.
-        report = scan_power_prefixes(prefix, p + 1, spec)
         return ClaimReport(
             claim="single-letter-pure",
-            params=f"{spec} exponent={p + 1}",
+            params=f"{spec} exponent={exponent}",
             scan_length=n_terms,
-            evidence=report.found_lengths,
+            evidence=found,
             verdict="PASS",
             detail="no exclusion asserted; pure presentation exists")
 
@@ -353,8 +336,8 @@ def check_power_exclusions(spec: PatternSpec, n_terms: int) -> ClaimReport:
             f"{offenders[0]} within {n_terms} terms")
     return ClaimReport(
         claim=claim,
-        params=f"{spec} exponent={report.exponent}",
+        params=f"{spec} exponent={exponent}",
         scan_length=n_terms,
-        evidence=report.found_lengths,
+        evidence=found,
         verdict="PASS",
         detail=detail)

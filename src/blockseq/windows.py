@@ -3,17 +3,19 @@
 The window transform phi_w increments (mod m) exactly the digits of a
 word whose indices fall in [alpha*L, beta*L), where L is the word length
 and alpha = (w')_m / m^(|w|-1), beta = ((w')_m + 1) / m^(|w|-1) with w'
-the pattern minus its first letter.  Window bounds are exact rationals
-with denominator m^(|w|-1); they are evaluated with integer arithmetic
-only, and lengths that would make them non-integral are rejected.
+the pattern minus its first letter.  With den = m^(|w|-1) and tail =
+(w')_m the window is [tail*L/den, (tail+1)*L/den); every word the
+generator transforms has length L = m^K with K >= |w| - 1, so both
+bounds are exact integers.
 
-One doubling step builds (a_{m;w}(n)) from the seed block u_0 (length
-m^|w|, a single 1 at index (w)_m).  With x the first letter of the
-pattern,
+One doubling step builds u_{k+1} from u_k.  With x the first letter of
+the pattern,
 
     u_{k+1} = u_k^x phi(u_k) u_k^(m-x-1),
 
-and the blocks u_k are assembled into the sequence in one of two ways:
+and u_{-1} = 0^den, so that u_0 (length m^|w|) is zeros with a single 1
+at index (w)_m.  The blocks u_k are assembled into the sequence in one
+of two ways:
 
 * pattern starting with x != 0:  u_k converges to the sequence itself,
   so a prefix of u_k is the output;
@@ -27,122 +29,75 @@ in [0]_m = "0" forces w_{-1} = u_0.  (Stating the exception as "w_{-1} =
 u_0 whenever the pattern is all zeros" overcounts at n = 0 for lengths
 >= 2; the oracle-equivalence tests pin the version implemented here.)
 
+Both assemblies are written level by level into one zeroed output
+buffer s of N terms, which is never grown or concatenated; a(0) = 1 is
+set first for the pattern "0".  Each level copies terms already written
+forward in chunks of doubling length, then increments one window in
+place, every write clipped at N:
+
+* x != 0: u_k is s[:L].  Repeating it through s[:mL] and incrementing
+  the window of the copy at xL leaves u_{k+1} = s[:mL].
+* x = 0: u_k is s[L:2L] and s[L:mL] is the chunk w_k.  Repeating u_k
+  through 2mL and incrementing the window of the copy at mL leaves
+  u_{k+1} = s[mL:2mL]; repeating that through m^2 L writes w_{k+1}.
+
+Both start from L = den, where s[:m*den] already holds u_{-1}^m (x != 0)
+or w_{-1} = s[:den] u_{-1}^(m-1) (x = 0).  A level costs O(log m) numpy
+calls, and nothing past N is materialized, so the peak is N bytes.
+
 The step and both assemblies are valid for composite m as well as
 prime m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import WindowAlignmentError
-from .words import PatternSpec, Word, from_base
+from .words import PatternSpec
 
-__all__ = [
-    "WindowSpec",
-    "phi",
-    "initial_block",
-    "step",
-    "generate",
-]
+__all__ = ["generate"]
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Exact-rational window bounds alpha = alpha_numerator/denominator,
-    beta = beta_numerator/denominator for the transform phi_w."""
-
-    alpha_numerator: int
-    beta_numerator: int
-    denominator: int
-    pattern: PatternSpec
-
-    def __post_init__(self):
-        if not 0 <= self.alpha_numerator < self.beta_numerator <= self.denominator:
-            raise ValueError("window bounds out of order")
-        if self.beta_numerator != self.alpha_numerator + 1:
-            raise ValueError("window must have width 1/denominator")
-
-    @classmethod
-    def from_pattern(cls, spec: PatternSpec) -> "WindowSpec":
-        tail = Word(spec.pattern[1:], spec.base)  # pattern minus first letter
-        alpha = from_base(tail)
-        den = spec.base ** (spec.width - 1)
-        return cls(alpha, alpha + 1, den, spec)
-
-
-def _window_bounds(ws: WindowSpec, length: int) -> tuple:
-    if length <= 0 or length % ws.denominator != 0:
-        raise WindowAlignmentError(
-            f"length {length} is not a positive multiple of {ws.denominator}")
-    lo = ws.alpha_numerator * length // ws.denominator
-    hi = ws.beta_numerator * length // ws.denominator
-    return lo, hi
-
-
-def phi(ws: WindowSpec, v: np.ndarray) -> np.ndarray:
-    """Apply the window transform to a uint8 word of aligned length."""
-    lo, hi = _window_bounds(ws, v.size)
-    out = v.copy()
-    out[lo:hi] = (v[lo:hi].astype(np.int16) + 1) % ws.pattern.base
-    return out
-
-
-def initial_block(spec: PatternSpec) -> np.ndarray:
-    """The seed block u_0: length m^|w|, a single 1 at index (w)_m."""
-    u0 = np.zeros(spec.base ** spec.width, dtype=np.uint8)
-    u0[spec.value] = 1
-    return u0
-
-
-def step(ws: WindowSpec, u: np.ndarray) -> np.ndarray:
-    """One doubling step u -> u^x phi(u) u^(m-x-1), x the pattern's
-    first letter."""
-    m = ws.pattern.base
-    x = ws.pattern.pattern[0]
-    return np.concatenate([u] * x + [phi(ws, u)] + [u] * (m - x - 1))
+def _repeat(s: np.ndarray, lo: int, filled: int, hi: int) -> None:
+    """Extend the periodic run s[lo:filled] through index hi (clipped at
+    the end of s) by copies of doubling length; filled - lo must be a
+    whole number of periods."""
+    hi = min(hi, s.size)
+    while filled < hi:
+        k = min(filled - lo, hi - filled)
+        s[filled:filled + k] = s[lo:lo + k]
+        filled += k
 
 
 def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    """First n_terms values of (a_{m;w}(n)) as a uint8 array.
-
-    For n_terms <= m^|w| the output is u_0[:n_terms] (nonzero-leading
-    patterns) or w_{-1}[:n_terms] (zero-leading ones): zeros, with a 1
-    at (w)_m if that index is below n_terms and the pattern is not a
-    zero-led one of width >= 2.  It is built directly, without the
-    m^|w|-term seed.  Past m^|w|, nonzero-leading patterns iterate the
-    doubling step and truncate; zero-leading patterns emit w_{-1} and
-    then the chunks u_k^(m-1), building each u_k only while more output
-    is still needed.
-    """
+    """First n_terms values of (a_{m;w}(n)) as a uint8 array, written in
+    place level by level (see the module docstring)."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    m = spec.base
-    if n_terms <= m ** spec.width:
-        out = np.zeros(n_terms, dtype=np.uint8)
-        if spec.value < n_terms and (spec.width == 1 or not spec.is_zero_word):
-            out[spec.value] = 1
-        return out
-    ws = WindowSpec.from_pattern(spec)
-    u = initial_block(spec)
+    m, x = spec.base, spec.pattern[0]
+    den = m ** (spec.width - 1)
+    tail = spec.value - x * den
+    s = np.zeros(n_terms, dtype=np.uint8)
+    s[0] = spec.pattern == (0,)
 
-    if not spec.is_zero_word:
-        while u.size < n_terms:
-            u = step(ws, u)
-        return u[:n_terms].copy()
+    def increment_window(start: int, length: int) -> None:
+        seg = s[start + tail * length // den:start + (tail + 1) * length // den]
+        seg += 1
+        # a(n) <= 63 < m past m = 64, and a uint8 remainder by m > 255
+        # would overflow, so only small bases wrap
+        if m <= 64:
+            np.remainder(seg, m, out=seg)
 
-    # zero-leading pattern: w_{-1} then chunks u_0^(m-1), u_1^(m-1), ...
-    # (pattern "0": a(0) = 1 lands inside w_{-1}, which is then u_0)
-    lead = u if spec.width == 1 else np.zeros_like(u)
-    parts = [lead[:n_terms]]
-    total, copies = parts[0].size, 0
-    while total < n_terms:
-        if copies == m - 1:  # chunk u_k^(m-1) is complete: double u
-            u, copies = step(ws, u), 0
-        take = min(u.size, n_terms - total)
-        parts.append(u[:take])
-        total += take
-        copies += 1
-    return np.concatenate(parts)
+    L = den
+    if x:
+        while L < n_terms:
+            _repeat(s, 0, L, m * L)
+            increment_window(x * L, L)
+            L *= m
+    else:
+        while m * L < n_terms:
+            _repeat(s, L, m * L, 2 * m * L)
+            increment_window(m * L, L)
+            _repeat(s, m * L, 2 * m * L, m * m * L)
+            L *= m
+    return s

@@ -104,43 +104,10 @@ def digit_string(digits, base: int) -> str:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite word of digits over [0, base).  May be empty and may
-    carry leading zeros; canonical expansions are produced by `to_base`.
-    """
-
-    digits: tuple
-    base: int
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise InvalidBaseError(f"base must be >= 2, got {self.base}")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise InvalidPatternError(
-                    f"digit {d} out of range for base {self.base}")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(self.digits[i], self.base)
-        return self.digits[i]
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __str__(self) -> str:
-        return digit_string(self.digits, self.base)
-
-
-@dataclass(frozen=True)
 class PatternSpec:
     """The pair (base m, pattern word w); the universal parameter object.
 
-    `pattern` accepts a digit tuple, a digit string, or a Word and is
+    `pattern` accepts a digit sequence or a digit string and is
     normalized to a tuple.  The empty pattern is rejected.
     """
 
@@ -154,8 +121,6 @@ class PatternSpec:
         try:
             if isinstance(p, str):
                 p = tuple(int(c) for c in (p if self.base <= 10 else p.split()))
-            elif isinstance(p, Word):
-                p = p.digits
             else:
                 p = tuple(int(d) for d in p)
         except (TypeError, ValueError) as exc:
@@ -174,10 +139,6 @@ class PatternSpec:
         return is_prime(self.base)
 
     @property
-    def word(self) -> Word:
-        return Word(self.pattern, self.base)
-
-    @property
     def width(self) -> int:
         """|w|, the pattern length."""
         return len(self.pattern)
@@ -185,7 +146,7 @@ class PatternSpec:
     @property
     def value(self) -> int:
         """(w)_m, the pattern read as a base-m integer."""
-        return from_base(self.word)
+        return from_base(self.pattern, self.base)
 
     @property
     def is_zero_word(self) -> bool:
@@ -196,7 +157,7 @@ class PatternSpec:
         return f"m={self.base} w={digit_string(self.pattern, self.base)}"
 
 
-def to_base(n: int, m: int) -> Word:
+def to_base(n: int, m: int) -> tuple:
     """Canonical base-m expansion of n, most-significant digit first.
 
     The expansion of 0 is the single digit "0"; expansions of n > 0 have
@@ -207,34 +168,35 @@ def to_base(n: int, m: int) -> Word:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return Word((0,), m)
+        return (0,)
     out = []
     while n:
         n, r = divmod(n, m)
         out.append(r)
-    return Word(tuple(reversed(out)), m)
+    return tuple(reversed(out))
 
 
-def from_base(v: Word) -> int:
-    """Integer value of a digit word; leading zeros are accepted."""
+def from_base(digits, m: int) -> int:
+    """Integer value of a base-m digit sequence; leading zeros are
+    accepted."""
     n = 0
-    for d in v.digits:
-        n = n * v.base + d
+    for d in digits:
+        n = n * m + d
     return n
 
 
-def count_occurrences(v: Word, w: Word) -> int:
-    """Number of (possibly overlapping) occurrences of w in v."""
+def count_occurrences(v: tuple, w: tuple) -> int:
+    """Number of (possibly overlapping) occurrences of the digit tuple w
+    in v."""
     if len(w) == 0:
         raise InvalidPatternError("occurrence counting needs a non-empty pattern")
     k = len(w)
-    target = w.digits
-    return sum(1 for i in range(len(v) - k + 1) if v.digits[i:i + k] == target)
+    return sum(1 for i in range(len(v) - k + 1) if v[i:i + k] == w)
 
 
 def e_count(spec: PatternSpec, n: int) -> int:
     """Unreduced occurrence count of the pattern in the expansion of n."""
-    return count_occurrences(to_base(n, spec.base), spec.word)
+    return count_occurrences(to_base(n, spec.base), spec.pattern)
 
 
 def a_value(spec: PatternSpec, n: int) -> int:

@@ -32,7 +32,6 @@ import numpy as np
 
 from blockseq import (
     PatternSpec,
-    WindowSpec,
     a_prefix,
     build_morphism,
     check_multiple_property,
@@ -42,9 +41,7 @@ from blockseq import (
     expand_fixed_point,
     functional_equation_residual,
     generate,
-    initial_block,
     scan_power_prefixes,
-    step,
 )
 from blockseq.cli import bench_generators, default_scan_length
 
@@ -126,14 +123,12 @@ def test_criterion_1_golden_nonzero_word():
 
 def test_criterion_2_golden_zero_word_chunks():
     spec = PatternSpec(2, "01")
-    ws = WindowSpec.from_pattern(spec)
-    s0 = initial_block(spec)
-    s1 = step(ws, s0)
-    s2 = step(ws, s1)
-    s3 = step(ws, s2)
+    # the chunk u_k^(m-1) = u_k starts at 2^(k+2)
+    out = generate(spec, 64)
+    s0, s1, s2, s3 = (out[2 ** (k + 2):2 ** (k + 3)] for k in range(4))
     chunks_ok = (as_str(s0), as_str(s1), as_str(s2), as_str(s3)) == \
         (ZW_S0, ZW_S1, ZW_S2, ZW_S3)
-    prefix_ok = as_str(generate(spec, 64)) == ZW_PREFIX64
+    prefix_ok = as_str(out) == ZW_PREFIX64
     ok = chunks_ok and prefix_ok
     announce(2, "golden-zero-word", ok, "chunks s0..s3 + 64-term prefix")
     assert chunks_ok
@@ -221,14 +216,14 @@ def test_criterion_6_square_exclusions_base2():
     rep_ten = scan_power_prefixes(ten_prefix, 2)
     dt_ten = time.perf_counter() - t0
 
-    zero_ok = all(L < 5 for L in rep_zero.found_lengths)
-    ten_ok = rep_ten.found_lengths == (1,)
+    zero_ok = all(L < 5 for L in rep_zero)
+    ten_ok = rep_ten == (1,)
     time_ok = dt_zero < 0.1 and dt_ten < 0.1
     ok = zero_ok and ten_ok and time_ok
     announce(
         6, "square-exclusions-base2", ok,
-        f"zero-pattern squares {list(rep_zero.found_lengths)} "
-        f"[claimed all < 5], pattern-10 squares {list(rep_ten.found_lengths)}, "
+        f"zero-pattern squares {list(rep_zero)} "
+        f"[claimed all < 5], pattern-10 squares {list(rep_ten)}, "
         f"scans {dt_zero * 1e3:.0f}/{dt_ten * 1e3:.0f} ms")
     assert ten_ok
     assert time_ok
@@ -237,7 +232,7 @@ def test_criterion_6_square_exclusions_base2():
     # the claim as stated; the scan evidence above shows the violation.
     assert zero_ok, (
         "the zero-counting sequence in base 2 has a square prefix of "
-        f"block length {[L for L in rep_zero.found_lengths if L >= 5]}, "
+        f"block length {[L for L in rep_zero if L >= 5]}, "
         "contradicting the claimed bound 5")
 
 
@@ -253,12 +248,12 @@ def test_criterion_7_power_exclusions_odd_primes():
         assert n >= p ** 8
         zero_rep = scan_power_prefixes(generate(PatternSpec(p, "0"), n), 2)
         ten_rep = scan_power_prefixes(generate(PatternSpec(p, "10"), n), p)
-        zero_ok = all(L < p * p for L in zero_rep.found_lengths)
-        ten_ok = all(L <= p * p for L in ten_rep.found_lengths)
+        zero_ok = all(L < p * p for L in zero_rep)
+        ten_ok = all(L <= p * p for L in ten_rep)
         ok = ok and zero_ok and ten_ok
         details.append(
-            f"p={p}: squares {list(zero_rep.found_lengths)}, "
-            f"{p}-powers {list(ten_rep.found_lengths)} over {n} terms")
+            f"p={p}: squares {list(zero_rep)}, "
+            f"{p}-powers {list(ten_rep)} over {n} terms")
         # the dispatching checker must agree
         assert check_power_exclusions(PatternSpec(p, "0"), n).verdict == "PASS"
         assert check_power_exclusions(PatternSpec(p, "10"), n).verdict == "PASS"

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from blockseq import (
-    PatternSpec,
-    WindowAlignmentError,
-    WindowSpec,
-    a_prefix,
-    digit_string,
-    generate,
-    initial_block,
-    phi,
-    step,
-)
+from blockseq import PatternSpec, a_prefix, digit_string, generate
 
 # Hand-checked expansion chunks for the two classic base-2 sequences.
 RS_S1 = "00010010"
@@ -31,109 +21,38 @@ def as_str(values) -> str:
     return digit_string(values, 10)
 
 
-def arr(s: str) -> np.ndarray:
-    return np.array([int(ch) for ch in s], dtype=np.uint8)
-
-
-def ws_of(m: int, w: str) -> WindowSpec:
-    return WindowSpec.from_pattern(PatternSpec(m, w))
-
-
 # ---------------------------------------------------------------------------
-# window geometry
-# ---------------------------------------------------------------------------
-
-def test_window_spec_fractions():
-    ws = WindowSpec.from_pattern(PatternSpec(2, "11"))
-    # strip the leading letter: remainder "1" has value 1 over denominator 2
-    assert (ws.alpha_numerator, ws.beta_numerator, ws.denominator) == (1, 2, 2)
-
-    ws = WindowSpec.from_pattern(PatternSpec(2, "1"))
-    assert (ws.alpha_numerator, ws.beta_numerator, ws.denominator) == (0, 1, 1)
-
-    ws = WindowSpec.from_pattern(PatternSpec(3, "12"))
-    assert (ws.alpha_numerator, ws.beta_numerator, ws.denominator) == (2, 3, 3)
-
-
-def test_phi_examples():
-    assert as_str(phi(ws_of(2, "11"), arr("0001"))) == "0010"
-    assert as_str(phi(ws_of(2, "01"), arr("0100"))) == "0111"
-    # |w| = 1 means the window is the whole word
-    assert as_str(phi(ws_of(2, "1"), arr("01"))) == "10"
-
-
-def test_phi_increments_only_the_window():
-    v = arr("012012012")
-    out = phi(ws_of(3, "10"), v)
-    # window [0/3, 1/3) of length 9 is positions 0..2
-    assert out.tolist() == [1, 2, 0, 0, 1, 2, 0, 1, 2]
-    assert out.dtype == np.uint8
-    assert as_str(v) == "012012012"  # the input is not modified
-
-
-def test_phi_applied_base_times_is_identity():
-    rng = np.random.default_rng(17)
-    for m, w in [(2, "11"), (3, "02"), (5, "10")]:
-        spec = PatternSpec(m, w)
-        ws = WindowSpec.from_pattern(spec)
-        length = ws.denominator * 6
-        v = rng.integers(0, m, size=length).astype(np.uint8)
-        cur = v
-        for _ in range(m):
-            cur = phi(ws, cur)
-        assert np.array_equal(cur, v)
-
-
-def test_phi_rejects_misaligned_length():
-    ws = ws_of(2, "11")
-    with pytest.raises(WindowAlignmentError):
-        phi(ws, arr("001"))
-    with pytest.raises(WindowAlignmentError):
-        phi(ws, arr(""))
-
-
-# ---------------------------------------------------------------------------
-# the seed and the doubling step
+# the seed block u_0 and the doubling step, read off the output: for a
+# nonzero-led pattern u_k is the prefix of length m^(|w|+k); for a
+# zero-led one it starts the chunk u_k^(m-1) at m^(|w|+k)
 # ---------------------------------------------------------------------------
 
 def test_initial_block_examples():
-    assert as_str(initial_block(PatternSpec(2, "11"))) == "0001"
-    assert as_str(initial_block(PatternSpec(2, "01"))) == ZW_S0
-    assert as_str(initial_block(PatternSpec(3, "2"))) == "001"
-    assert initial_block(PatternSpec(3, "2")).dtype == np.uint8
+    assert as_str(generate(PatternSpec(2, "11"), 4)) == "0001"
+    assert as_str(generate(PatternSpec(2, "01"), 8)[4:8]) == ZW_S0
+    assert as_str(generate(PatternSpec(3, "2"), 3)) == "001"
+    assert generate(PatternSpec(3, "2"), 3).dtype == np.uint8
 
 
 def test_step_nonzero_examples():
-    ws = ws_of(2, "11")
-    s1 = step(ws, arr("0001"))
-    assert as_str(s1) == RS_S1
-    assert as_str(step(ws, s1)) == RS_S2
+    out = generate(PatternSpec(2, "11"), 16)
+    assert as_str(out[:8]) == RS_S1
+    assert as_str(out[:16]) == RS_S2
 
-    # single-letter pattern: u -> u phi(u) for base 2
-    assert as_str(step(ws_of(2, "1"), arr("01"))) == "0110"
+    # single-letter pattern: u -> u phi(u) for base 2, from u_0 = 01
+    assert as_str(generate(PatternSpec(2, "1"), 4)) == "0110"
 
 
 def test_step_zero_examples():
     # a pattern starting with 0 puts phi(u) first: u -> phi(u) u^(m-1)
-    ws = ws_of(2, "01")
-    s1 = step(ws, arr(ZW_S0))
-    assert as_str(s1) == ZW_S1
-    assert as_str(step(ws, s1)) == ZW_S2
+    out = generate(PatternSpec(2, "01"), 32)
+    assert as_str(out[8:16]) == ZW_S1
+    assert as_str(out[16:32]) == ZW_S2
 
-    assert as_str(step(ws_of(2, "0"), arr("10"))) == "0110"
-
-
-def test_step_lengths_multiply_by_base():
-    for m, w in [(2, "11"), (3, "12"), (3, "012")]:
-        spec = PatternSpec(m, w)
-        ws = WindowSpec.from_pattern(spec)
-        u = initial_block(spec)
-        for _ in range(3):
-            nxt = step(ws, u)
-            assert len(nxt) == m * len(u)
-            # each doubling step extends the previous word
-            assert np.array_equal(nxt[: len(u)], u) or spec.is_zero_word
-            u = nxt
+    # pattern 0: u_0 = 10 at [2, 4), u_1 = phi(u_0) u_0 at [4, 8)
+    out = generate(PatternSpec(2, "0"), 8)
+    assert as_str(out[2:4]) == "10"
+    assert as_str(out[4:8]) == "0110"
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +128,23 @@ def test_generate_matches_oracle(m):
         assert np.array_equal(got, want), f"mismatch for {spec}"
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
+# bases on both sides of the m > 64 skip of the wrap; base 257 stops at
+# width 1, where width 2 would need 2*257^3 oracle terms
+WIDE_BASE_PATTERNS = {64: ["1", "0", "10", "01"], 65: ["1", "0", "10", "01"],
+                      257: ["1", "0"]}
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 64, 65, 257])
 def test_generate_up_to_seed_length_matches_oracle(m):
-    """N <= m^|w| is built without the seed block; N = m^|w| + 1 is the
-    first length that takes the doubling path."""
-    for pat in all_patterns(m, 3) + [(0,)]:
+    """Lengths on both sides of the level boundaries m^(|w|-1), m^|w|
+    and m^(|w|+1), where the in-place levels start, and past the first
+    clipped level; short requests take the same loop as long ones."""
+    pats = all_patterns(m, 3) if m <= 5 else WIDE_BASE_PATTERNS[m]
+    for pat in pats:
         spec = PatternSpec(m, pat)
-        seed = m ** spec.width
-        for n in (1, seed, seed + 1):
+        den, seed = m ** (spec.width - 1), m ** spec.width
+        for n in sorted({1, den - 1, den + 1, seed, seed + 1, m * seed - 1,
+                         m * seed + 1, 2 * m * seed + 1} - {0}):
             got = generate(spec, n)
             assert got.dtype == np.uint8
             assert np.array_equal(got, a_prefix(spec, n)), (spec, n)
@@ -234,6 +162,26 @@ def test_generate_short_request_allocates_no_seed():
         tracemalloc.stop()
     assert not out.any()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m, w, n", [
+    (2, "1", 2 ** 20 + 1), (2, "11", 2 ** 20 + 1), (2, "0", 2 ** 20 + 1),
+    (3, "02", 3 ** 12 + 1), (257, "1", 257 ** 2 + 1), (257, "0", 4 * 257 ** 2),
+])
+def test_generate_peak_memory_is_linear(m, w, n):
+    """The levels are written into the one N-byte output buffer: no
+    block past N, no copy per level and no mask."""
+    import tracemalloc
+
+    spec = PatternSpec(m, w)
+    tracemalloc.start()
+    try:
+        out = generate(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == n
+    assert peak <= 1.1 * n + (64 << 10), f"peak {peak / n:.2f} bytes per term"
 
 
 def test_generate_matches_oracle_wider_pattern():
