@@ -157,20 +157,35 @@ def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:
 
 
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
-    """Iterate the substitution from the start letter until at least
-    n_terms letters exist, then apply the coding and truncate."""
+    """First n_terms letters of the fixed point, coded.
+
+    Level d of the fixed point is the image of the start letter under
+    d substitutions, and each level is a prefix of the next.  The level
+    i steps before the output is cut to the ceil(n_terms / p^i) letters
+    that the levels after it read, so about n_terms * p / (p - 1)
+    letters are gathered in all, where expanding whole levels could
+    build up to p times n_terms in the last one alone.  The last gather
+    goes through `coding[table]`, the codes of every letter's image, and
+    writes the coded terms directly.
+    """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    p = mu.width
     dtype = np.uint8 if mu.alphabet_size <= 256 else np.int64
     table = np.array(mu.substitution, dtype=dtype)
-    coding = np.array(mu.coding, dtype=np.min_scalar_type(mu.width - 1))
+    coded = np.array(mu.coding, dtype=np.min_scalar_type(p - 1))[table]
+    lengths = []  # ceil(n_terms / p^i), down to the first one <= p
+    n = n_terms
+    while n > p:
+        n = -(-n // p)
+        lengths.append(n)
     seq = np.array([mu.start], dtype=dtype)
-    while seq.size < n_terms:
-        seq = table[seq].reshape(-1)
-    out = coding[seq[:n_terms]]
+    for n in reversed(lengths):
+        seq = table[seq].reshape(-1)[:n]
+    out = coded[seq].reshape(-1)[:n_terms]
     # a(n) counts at most the 63 windows of n, but a morphism built
     # elsewhere may code a reachable letter past 255: refuse, never wrap
-    if out.max(initial=0) > 255:
+    if out.dtype != np.uint8 and out.max(initial=0) > 255:
         raise ValueError("coded fixed point holds a digit above 255")
     return out.astype(np.uint8, copy=False)
 

@@ -9,9 +9,12 @@ the Rudin-Shapiro sequence.
 Everything here is exact integer arithmetic.  Two independent oracle
 paths are provided: a scalar one built on digit strings (`e_count`,
 `a_value`) and a vectorized one built on numpy digit windows (`a_batch`,
-`a_prefix`).  The scalar path is the ground truth for tests; the
-vectorized path is the workhorse the rest of the package validates
-against.  The package's one text renderer lives here too:
+`a_prefix`), which walks each index's windows by carrying its quotient
+n // m^j in a narrow unsigned dtype and counts a zero-led window only
+where it fits inside the expansion.  Neither uses an automaton, the
+doubling, or contiguous indices.  The scalar path is the ground truth
+for tests; the vectorized path is the workhorse the rest of the package
+validates against.  The package's one text renderer lives here too:
 `digit_string`, and the digit matrices of `decimal_digits` joined by
 `render_rows`.
 
@@ -31,8 +34,8 @@ import numpy as np
 
 from .errors import InvalidBaseError, InvalidPatternError
 
-# Indices handled by the vectorized oracle must stay clear of int64
-# overflow in the windowed-digit arithmetic.
+# Indices of the vectorized oracle are read as int64; below 2^62 an index
+# has at most 62 digits, so its window counts fit in uint8.
 MAX_INDEX = 2 ** 62
 
 
@@ -204,14 +207,30 @@ def a_value(spec: PatternSpec, n: int) -> int:
     return e_count(spec, n) % spec.base
 
 
+def _mod(x: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """x mod d into `out`: a mask for a power of two, else x - (x // d) * d,
+    because numpy divides an unsigned array by a scalar about ten times
+    faster than it takes the remainder."""
+    if d & (d - 1) == 0:
+        return np.bitwise_and(x, d - 1, out=out)
+    np.floor_divide(x, d, out=out)
+    out *= d
+    return np.subtract(x, out, out=out)
+
+
 def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     """Vectorized a_{m;w} over an arbitrary array of indices.
 
-    Works windowwise: the length-|w| digit window starting j positions
-    from the least-significant end has value (n // m^j) mod m^|w|; an
-    occurrence is a window equal to (w)_m that also fits inside the
-    canonical expansion (len([n]_m) >= j + |w|).  The length mask is what
-    keeps leading zeros from being counted.
+    Works windowwise, each index on its own: the length-|w| digit window
+    starting j positions from the least-significant end is q mod m^|w|,
+    where the quotient q = n // m^j is carried from one window to the
+    next by q //= m, in uint32 when every index fits and uint64
+    otherwise.  An occurrence is a window equal to (w)_m that also fits
+    inside the canonical expansion (len([n]_m) >= j + |w|).  A window
+    with a nonzero first digit always fits; a zero-led one fits when
+    q >= m^(|w|-1), except that the units digit of every n fits, so the
+    single "0" of n = 0 is counted.  Counts stay below the 63 windows of
+    an index, so they are kept in uint8 and reduced mod m only for m < 64.
     """
     ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -219,8 +238,8 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     if ns.min() < 0:
         raise ValueError("indices must be non-negative")
     m = spec.base
-    w = spec.pattern
-    k = len(w)
+    k = spec.width
+    wv = spec.value
     nmax = int(ns.max())
     if nmax >= MAX_INDEX:
         raise ValueError(f"index {nmax} too large for the vectorized oracle")
@@ -230,26 +249,30 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     while m ** ndig <= nmax:
         ndig += 1
 
-    # canonical expansion lengths: len([n]) = #{powers m^i <= n} (min 1)
-    lens = np.ones(ns.shape, dtype=np.int64)
-    pw = m
-    while pw <= nmax:
-        lens += ns >= pw
-        pw *= m
-
-    counts = np.zeros(ns.shape, dtype=np.int64)
-    if k <= ndig:
-        wv = spec.value
-        mk = m ** k
-        for j in range(ndig - k + 1):
-            win = (ns // (m ** j)) % mk
-            counts += (win == wv) & (lens >= j + k)
-    return (counts % m).astype(np.uint8)
+    counts = np.zeros(ns.shape, dtype=np.uint8)
+    if k > ndig or wv > nmax:  # no window can equal (w)_m
+        return counts
+    q = ns.astype(np.uint32 if nmax < 2 ** 32 else np.uint64)
+    win = np.empty_like(q)
+    hit = np.empty(ns.shape, dtype=bool)
+    fits = np.empty(ns.shape, dtype=bool) if spec.is_zero_word else None
+    mk = m ** k
+    lead = m ** (k - 1)
+    for j in range(ndig - k + 1):
+        # once m^|w| > nmax (it may not fit the dtype) q is its own window
+        window = q if mk > nmax else _mod(q, mk, win)
+        np.equal(window, wv, out=hit)
+        if fits is not None and j + k > 1:
+            hit &= np.greater_equal(q, lead, out=fits)
+        counts += hit
+        q //= m
+    return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
 def a_prefix(spec: PatternSpec, n_terms: int, chunk: int = 1 << 22) -> np.ndarray:
-    """First n_terms values of a_{m;w}, computed by the vectorized oracle
-    in fixed-size chunks to bound peak memory."""
+    """First n_terms values of a_{m;w}, computed by `a_batch` in chunks
+    of `chunk` indices, so peak memory is the output plus about 20 bytes
+    per index of one chunk."""
     out = np.empty(n_terms, dtype=np.uint8)
     for lo in range(0, n_terms, chunk):
         hi = min(lo + chunk, n_terms)

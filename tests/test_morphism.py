@@ -161,6 +161,41 @@ def test_expand_fixed_point_truncates_to_any_length():
         assert np.array_equal(expand_fixed_point(mu, n), full[:n])
 
 
+@pytest.mark.parametrize("p, w", [(2, "11"), (2, "0"), (3, "12"), (3, "01"),
+                                  (5, "123"), (5, "0")])
+def test_expand_fixed_point_at_level_boundaries(p, w):
+    """Each level is built only as far as the next one reads, so the
+    lengths just around a power of p are where a short level would show."""
+    spec = PatternSpec(p, w)
+    mu = build_morphism(spec)
+    oracle = a_prefix(spec, p ** 6 + 1)
+    sizes = {1, 2}
+    for d in range(1, 7):
+        sizes |= {p ** d - 1, p ** d, p ** d + 1}
+    for n in sorted(sizes):
+        got = expand_fixed_point(mu, n)
+        assert got.dtype == np.uint8 and got.size == n
+        assert np.array_equal(got, oracle[:n]), (spec, n)
+
+
+def test_expand_fixed_point_peak_memory():
+    """No level is expanded past what the next one reads: at N = 2^20 + 1
+    the full last level would hold 2^21 letters."""
+    import tracemalloc
+
+    mu = build_morphism(PatternSpec(2, "11"))
+    n = 2 ** 20 + 1
+    table_bytes = 2 * mu.alphabet_size * mu.width  # letters and their codes
+    tracemalloc.start()
+    try:
+        out = expand_fixed_point(mu, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == n
+    assert peak <= 2 * n + table_bytes, f"peak {peak / n:.2f} bytes per term"
+
+
 def test_expand_fixed_point_rejects_bad_count():
     tm = UniformMorphism(2, ((0, 1), (1, 0)), (0, 1), 0)
     with pytest.raises(ValueError):
@@ -173,8 +208,9 @@ def test_expand_fixed_point_refuses_digits_past_uint8():
     width = 300
     rows = ((0, 1) + (0,) * (width - 2), (1,) * width, (2,) * width)
     wide = UniformMorphism(width, rows, (0, 299, 0), 0)
-    with pytest.raises(ValueError, match="above 255"):
-        expand_fixed_point(wide, 2)
+    for n in (2, width, width + 1, 2 * width + 1):  # one and two levels
+        with pytest.raises(ValueError, match="above 255"):
+            expand_fixed_point(wide, n)
     assert expand_fixed_point(wide, 1).tolist() == [0]
     unreachable = UniformMorphism(width, rows, (0, 255, 299), 0)
     out = expand_fixed_point(unreachable, 2 * width)

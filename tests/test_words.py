@@ -187,6 +187,56 @@ def test_a_batch_matches_scalar():
         assert np.array_equal(got, want)
 
 
+EDGE_INDICES = [2 ** 62 - 1, 0, 2 ** 32, 7, 2 ** 32 - 1, 1, 2 ** 32 + 1,
+                3 ** 30, 2 ** 40]
+
+
+@pytest.mark.parametrize("m, w", [
+    (2, "1"), (2, "11"), (2, "0"), (2, "010"), (3, "0"), (3, "001"),
+    (3, "12"), (5, "10"), (10, "00"), (16, "15"), (65, "1"), (65, "0"),
+    (257, "1"), (257, "0 0"), (257, "1 0 0 0"),
+])
+def test_a_batch_edge_indices_unsorted(m, w):
+    """Unsorted, non-contiguous indices on both sides of 2^32, so the
+    uint64 quotient is exercised as well as the uint32 one."""
+    spec = PatternSpec(m, w)
+    rng = np.random.default_rng(17 + m)
+    ns = np.array(EDGE_INDICES + rng.integers(2 ** 32, 2 ** 62, 200).tolist()
+                  + rng.integers(0, 2 ** 32, 100).tolist(), dtype=np.int64)
+    rng.shuffle(ns)
+    got = a_batch(spec, ns)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [a_value(spec, int(n)) for n in ns]
+    small = ns[ns < 2 ** 32]  # the uint32 quotient
+    assert np.array_equal(a_batch(spec, small), got[ns < 2 ** 32])
+
+
+def test_a_batch_zero_conventions():
+    """The expansion of 0 is the digit "0": it holds one occurrence of
+    w = 0 and none of any longer word; zero-led windows count only
+    inside the expansion."""
+    ns = np.array([0, 1, 2, 4, 8, 9, 16, 17, 36])
+    for m, w in [(2, "0"), (3, "0"), (2, "00"), (2, "001"), (3, "010")]:
+        spec = PatternSpec(m, w)
+        got = a_batch(spec, ns)
+        assert got.tolist() == [a_value(spec, int(n)) for n in ns], spec
+    assert a_batch(PatternSpec(2, "0"), [0]).tolist() == [1]
+    # 1 and 4 would read 001 only with leading zeros; 1001 and 10001 hold it
+    assert a_batch(PatternSpec(2, "001"), [1, 4, 9, 17, 8]).tolist() == \
+        [0, 0, 1, 1, 0]
+
+
+def test_a_batch_wide_base_counts_are_not_reduced():
+    """For m >= 64 no count reaches m, so a(n) is the raw count."""
+    for m in (65, 257):
+        ones = sum(m ** i for i in range(7))  # seven digits 1
+        assert m ** 7 < 2 ** 62
+        spec = PatternSpec(m, "1")
+        assert a_batch(spec, [ones, 0, m ** 6]).tolist() == [7, 0, 1]
+        zero = PatternSpec(m, "0")
+        assert a_batch(zero, [m ** 7, 0, ones]).tolist() == [7, 1, 0]
+
+
 def test_a_batch_rejects_negative_and_oversized():
     spec = PatternSpec(2, "1")
     with pytest.raises(ValueError):
