@@ -18,8 +18,7 @@ from .series import (DegreeEvidence, degree_evidence,
                      rhs_series, series_from_sequence)
 from .structure import (ClaimReport, check_multiple_property,
                         check_power_exclusions, classify_range,
-                        expected_type2_batch, scan_power_prefixes,
-                        tail_periods)
+                        scan_power_prefixes, tail_periods)
 from .windows import generate
 from .words import (PatternSpec, a_batch, a_prefix, a_value,
                     count_occurrences, digit_string, e_count, from_base,

@@ -2,16 +2,23 @@
 
 Block dichotomy.  Group the sequence into p-blocks (a(pn), ..,
 a(pn+p-1)).  Each block is either constant ("type 1") or constant except
-at index w[|w|-1], where it holds the incremented value ("type 2"); and
-a block is type 2 exactly when w minus its last letter is a suffix of
-[n]_p.  The suffix test reduces to arithmetic: with q = |w| - 1 and
-s = (w minus last letter) read as a base-p integer, the expansion of n
-ends in those q digits iff  n >= p^(q-1)  and  n mod p^q == s.  (For
-q = 0 the empty word is a suffix of everything, so every block is
-type 2; n = 0 never passes the q >= 1 test, which matches reading the
-expansion of 0 as carrying no digits for suffix purposes.)  The library
-treats the dichotomy as a hard contract: a block matching neither shape,
-or a type-2 verdict disagreeing with the suffix predicate, raises
+at index i0 = w[|w|-1], where it holds the incremented value mod p
+("type 2"); and a block is type 2 exactly when w minus its last letter
+is a suffix of [n]_p.  With q = |w| - 1 and s = (w minus last letter)
+read as a base-p integer, the expansion of n ends in those q digits iff
+n >= p^(q-1) and n = s (mod p^q).  (For q = 0 the empty word is a suffix
+of everything, so every block is type 2; n = 0 never passes the q >= 1
+test, which matches reading the expansion of 0 as carrying no digits for
+suffix purposes.)  The predicted type-2 blocks are therefore one
+arithmetic progression: every block when q = 0, else step p^q from the
+first n >= p^(q-1) with n = s (mod p^q).  Their deviating digits sit at
+one strided slice of the sequence, from lo*p + i0 with step p^(q+1).
+Stepping each of those digits back by one, mod p, turns every block
+that obeys both the dichotomy and the predicate into a constant one, and
+no other block with digits in [0, p): so the whole claim is one test
+that every block of the stepped copy is constant.  The library treats
+the dichotomy as a hard contract: a block matching neither shape, or a
+type-2 verdict disagreeing with the suffix predicate, raises
 ClaimViolationError.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
@@ -40,11 +47,10 @@ import numpy as np
 
 from .errors import ClaimViolationError, InvalidPatternError
 from .windows import generate
-from .words import PatternSpec, digit_string
+from .words import PatternSpec, digit_string, from_base
 
 __all__ = [
     "ClaimReport",
-    "expected_type2_batch",
     "classify_range",
     "scan_power_prefixes",
     "tail_periods",
@@ -78,34 +84,72 @@ class ClaimReport:
 # block dichotomy
 # ---------------------------------------------------------------------------
 
-def expected_type2_batch(spec: PatternSpec, ns: np.ndarray) -> np.ndarray:
-    """Whether each block n in ns should be type 2: the pattern minus its
-    last letter is a suffix of the expansion of n (see the module
-    docstring for the arithmetic form of the test)."""
-    ns = np.asarray(ns, dtype=np.int64)
-    q = spec.width - 1
-    if q == 0:
-        return np.ones(ns.shape, dtype=bool)
-    p = spec.base
-    s = 0
-    for d in spec.pattern[:-1]:
-        s = s * p + d
-    return (ns >= p ** (q - 1)) & (ns % (p ** q) == s)
-
-
 def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
     """Classify every complete block in the prefix at once; returns a
     boolean array (True = type 2) of length floor(len(prefix)/p).
 
-    Raises ClaimViolationError on the first block violating either the
-    two-shape dichotomy or the suffix predicate.
+    The flags are the predicted ones, built by one strided assignment
+    (see the module docstring).  A uint8 prefix is checked in one pass
+    without widening: a copy steps the deviating digit of every
+    predicted block back by one, mod p, after which the prefix obeys
+    the dichotomy and the predicate exactly when every block of the copy
+    is constant.  Only blocks that fail that test, hold a digit outside
+    [0, p), or come from an input of another dtype are classified one by
+    one.
+
+    Raises ClaimViolationError on the first block violating the two-shape
+    dichotomy, else on the first contradicting the suffix predicate.
     """
     p = spec.base
     i0 = spec.pattern[-1]
+    q = spec.width - 1
     nb = len(prefix) // p
-    blocks = np.asarray(prefix[:nb * p], dtype=np.int64).reshape(nb, p)
+    step = p ** q
+    s = from_base(spec.pattern[:-1], p)
+    lo = s if q == 0 or s >= p ** (q - 1) else s + step
+    flags = np.zeros(nb, dtype=bool)
+    flags[lo::step] = True
+
+    x = prefix[:nb * p]
+    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8 and x.ndim == 1):
+        blocks = np.asarray(x, dtype=np.int64).reshape(nb, p)
+        _diagnose(spec, blocks, np.arange(nb), flags)
+        return flags
+
+    y = x.copy()
+    dev = y[lo * p + i0::step * p]
+    dev -= 1
+    if p <= 256:
+        np.minimum(dev, p - 1, out=dev)  # 0 wrapped to 255; make it p - 1
+    diff = y[1:] != y[:-1]
+    diff[p - 1::p] = False  # pairs that straddle two blocks
+    out_of_range = int(x.max(initial=0)) >= p
+    # For p > 256 a deviating 0 is always a violation (it needs t = p - 1,
+    # which uint8 cannot hold), yet the 255 it wraps to may match t.
+    wrapped = p > 256 and bool((dev == 255).any())
+    if not (diff.any() or out_of_range or wrapped):
+        return flags
+
+    suspects = [np.flatnonzero(diff) // p]
+    if out_of_range:
+        suspects.append(np.flatnonzero(x >= p) // p)
+    if wrapped:
+        suspects.append(np.arange(lo, nb, step)[dev == 255])
+    ns = np.unique(np.concatenate(suspects))
+    _diagnose(spec, x.reshape(nb, p)[ns].astype(np.int64), ns, flags[ns])
+    return flags
+
+
+def _diagnose(spec: PatternSpec, blocks: np.ndarray, ns: np.ndarray,
+              predicted: np.ndarray) -> None:
+    """Classify the given int64 blocks (block indices ns, ascending) and
+    raise ClaimViolationError on the first that is neither constant nor
+    singly deviant, else on the first whose shape contradicts its
+    predicted flag."""
+    p = spec.base
+    i0 = spec.pattern[-1]
     t = blocks[:, 1] if i0 == 0 else blocks[:, 0]
-    rest_ok = np.ones(nb, dtype=bool)
+    rest_ok = np.ones(len(blocks), dtype=bool)
     for j in range(p):
         if j != i0:
             rest_ok &= blocks[:, j] == t
@@ -113,19 +157,17 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
     is_type1 = rest_ok & (blocks[:, i0] == t)
     bad = ~(is_type1 | is_type2)
     if bad.any():
-        n = int(np.argmax(bad))
+        k = int(np.argmax(bad))
         raise ClaimViolationError(
-            f"block at n={n} ({spec}) is neither constant nor singly-deviant: "
-            f"{digit_string(blocks[n], p)}")
-    predicted = expected_type2_batch(spec, np.arange(nb, dtype=np.int64))
+            f"block at n={int(ns[k])} ({spec}) is neither constant nor "
+            f"singly-deviant: {digit_string(blocks[k], p)}")
     mismatch = is_type2 != predicted
     if mismatch.any():
-        n = int(np.argmax(mismatch))
+        k = int(np.argmax(mismatch))
         raise ClaimViolationError(
-            f"block at n={n} ({spec}): classification "
-            f"{'type2' if is_type2[n] else 'type1'} contradicts the suffix "
+            f"block at n={int(ns[k])} ({spec}): classification "
+            f"{'type2' if is_type2[k] else 'type1'} contradicts the suffix "
             "predicate")
-    return is_type2
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ def test_blocks_summary(capsys):
         "evidence=[type1=1024,type2=1024] verdict=PASS\n")
 
 
+def test_blocks_summary_base_past_uint8(capsys):
+    # type 2 at n = 5, 262, 519, 776: a deviating digit 0 would step
+    # back to 256, which uint8 cannot hold
+    assert main(["blocks", "-m", "257", "-w", "5 0", "-N", "200000"]) == 0
+    assert capsys.readouterr().out == (
+        "claim=block-dichotomy params=[m=257 w=5 0] scan=200000 "
+        "evidence=[type1=774,type2=4] verdict=PASS\n")
+
+
 def test_powers_one_zero_pattern(capsys):
     assert main(["powers", "-m", "2", "-w", "10",
                  "--scan-length", "65536"]) == 0

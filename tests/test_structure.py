@@ -12,32 +12,77 @@ from blockseq import (
     check_multiple_property,
     check_power_exclusions,
     classify_range,
-    expected_type2_batch,
     generate,
     scan_power_prefixes,
     tail_periods,
 )
 from blockseq import structure
-from blockseq.words import is_prime
+from blockseq.words import digit_string, is_prime
 
 
 def ref_type2(spec: PatternSpec, n: int) -> bool:
-    """Reference predicate, straight from the digit strings: the pattern
-    minus its last letter must be a suffix of the expansion of n.
+    """Reference predicate, straight from the digit expansion: the
+    pattern minus its last letter must be a suffix of the expansion of n.
 
     Appending a digit to n = 0 produces a single-digit expansion, so the
-    carrier word for n = 0 is empty, not "0".
+    carrier word for n = 0 is empty, not "0".  Digits are compared as a
+    list, so bases above 10 work too.
     """
-    head = "".join(str(d) for d in spec.pattern[:-1])
-    if n == 0:
-        digits = ""
+    head = list(spec.pattern[:-1])
+    digits = []
+    while n:
+        digits.append(n % spec.base)
+        n //= spec.base
+    digits.reverse()
+    return len(digits) >= len(head) and digits[len(digits) - len(head):] == head
+
+
+def ref_classify_range(spec: PatternSpec, prefix) -> np.ndarray:
+    """Reference classifier: every block widened to int64, both shapes
+    and the predicate tested block by block with `%`."""
+    p = spec.base
+    i0 = spec.pattern[-1]
+    nb = len(prefix) // p
+    blocks = np.asarray(prefix[:nb * p], dtype=np.int64).reshape(nb, p)
+    t = blocks[:, 1] if i0 == 0 else blocks[:, 0]
+    rest_ok = np.ones(nb, dtype=bool)
+    for j in range(p):
+        if j != i0:
+            rest_ok &= blocks[:, j] == t
+    is_type2 = rest_ok & (blocks[:, i0] == (t + 1) % p)
+    is_type1 = rest_ok & (blocks[:, i0] == t)
+    bad = ~(is_type1 | is_type2)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ClaimViolationError(
+            f"block at n={n} ({spec}) is neither constant nor singly-deviant: "
+            f"{digit_string(blocks[n], p)}")
+    q = spec.width - 1
+    ns = np.arange(nb, dtype=np.int64)
+    if q == 0:
+        predicted = np.ones(nb, dtype=bool)
     else:
-        out = []
-        while n:
-            out.append(str(n % spec.base))
-            n //= spec.base
-        digits = "".join(reversed(out))
-    return digits.endswith(head)
+        s = 0
+        for d in spec.pattern[:-1]:
+            s = s * p + d
+        predicted = (ns >= p ** (q - 1)) & (ns % (p ** q) == s)
+    mismatch = is_type2 != predicted
+    if mismatch.any():
+        n = int(np.argmax(mismatch))
+        raise ClaimViolationError(
+            f"block at n={n} ({spec}): classification "
+            f"{'type2' if is_type2[n] else 'type1'} contradicts the suffix "
+            "predicate")
+    return is_type2
+
+
+def outcome(classify, spec: PatternSpec, prefix):
+    """The flags a classifier returns, or the type and text of what it
+    raises."""
+    try:
+        return classify(spec, prefix).tolist()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +90,7 @@ def ref_type2(spec: PatternSpec, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def type2_at(spec: PatternSpec, n: int) -> bool:
-    return bool(expected_type2_batch(spec, np.array([n]))[0])
+    return bool(classify_range(spec, generate(spec, spec.base * (n + 1)))[n])
 
 
 def test_expected_type2_examples():
@@ -71,9 +116,9 @@ def test_expected_type2_against_reference():
                  (3, "00"), (5, "23")]:
         spec = PatternSpec(m, w)
         ns = list(range(300)) + [rng.randrange(10 ** 6) for _ in range(200)]
-        got = expected_type2_batch(spec, np.array(ns))
+        flags = classify_range(spec, generate(spec, m * (max(ns) + 1)))
         want = [ref_type2(spec, n) for n in ns]
-        assert got.tolist() == want, spec
+        assert flags[ns].tolist() == want, spec
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +174,97 @@ def test_classify_range_detects_corruption():
     prefix[3] ^= 1
     with pytest.raises(ClaimViolationError):
         classify_range(spec, prefix)
+
+
+@pytest.mark.parametrize("m,w", [(2, "11"), (2, "0"), (3, "02"),
+                                 (3, "120"), (5, "23")])
+def test_classify_range_matches_reference_under_every_corruption(m, w):
+    """Set each position of a 40-block prefix to every other digit, to p
+    and to 255: the same flags, or the same error and message, as the
+    reference classifier."""
+    spec = PatternSpec(m, w)
+    clean = generate(spec, 40 * m)
+    assert outcome(classify_range, spec, clean) == outcome(
+        ref_classify_range, spec, clean)
+    raised = 0
+    for i in range(clean.size):
+        for v in [*range(m), m, 255]:
+            if v == clean[i]:
+                continue
+            x = clean.copy()
+            x[i] = v
+            want = outcome(ref_classify_range, spec, x)
+            assert outcome(classify_range, spec, x) == want, (i, v)
+            raised += isinstance(want, tuple)
+    assert raised > 0
+
+
+def test_classify_range_matches_reference_on_odd_inputs():
+    rng = np.random.default_rng(61)
+    for m, w in [(2, "11"), (2, "0"), (3, "02"), (3, "120"), (5, "23")]:
+        spec = PatternSpec(m, w)
+        x = generate(spec, 40 * m + m - 1)  # length not a multiple of p
+        cases = [x, x[:m - 1], x[:0], x.astype(np.int64), x.tolist(),
+                 np.full(4 * m, m + 3, dtype=np.uint8)]  # constant, out of range
+        wide = x.astype(np.int64)
+        wide[m * 7] += 256  # the same digit as uint8, not as int64
+        # -2 is not -3 + 1 mod p, though it is one step above it
+        n = next(n for n in range(40) if ref_type2(spec, n))
+        neg = x.astype(np.int64)
+        neg[n * m:(n + 1) * m] = -3
+        neg[n * m + spec.pattern[-1]] = -2
+        cases += [wide, neg]
+        for _ in range(20):
+            y = x.copy()
+            y[rng.integers(0, y.size, 3)] = rng.integers(0, 256, 3)
+            cases += [y, y.astype(np.int64)]
+        for case in cases:
+            assert outcome(classify_range, spec, case) == outcome(
+                ref_classify_range, spec, case)
+
+
+@pytest.mark.parametrize("m", [251, 257])
+@pytest.mark.parametrize("w", ["1", "0", "5 0"])
+def test_classify_range_wide_bases(m, w):
+    """At p = 257 a deviating 0 steps back to 256, past uint8."""
+    spec = PatternSpec(m, w)
+    x = generate(spec, 2000 * m)
+    flags = classify_range(spec, x)
+    assert flags.tolist() == [ref_type2(spec, n) for n in range(2000)]
+    i0 = spec.pattern[-1]
+    for n in (int(np.argmax(flags)), int(np.argmin(flags))):
+        for rest in (None, 255):  # 255 around a 0 looks constant in uint8
+            for v in (0, 255):
+                y = x.copy()
+                if rest is not None:
+                    y[n * m:(n + 1) * m] = rest
+                y[n * m + i0] = v
+                assert outcome(classify_range, spec, y) == outcome(
+                    ref_classify_range, spec, y), (n, rest, v)
+
+
+def test_classify_range_pattern_wider_than_int64():
+    """p^(|w|-1) past 2^63 predicts no type-2 block in any prefix."""
+    spec = PatternSpec(2, "1" * 70)
+    assert not classify_range(spec, generate(spec, 4096)).any()
+
+
+@pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
+def test_classify_range_peak_memory(m, w):
+    """No int64 copy of the prefix: one uint8 copy and one bool diff."""
+    import tracemalloc
+
+    spec = PatternSpec(m, w)
+    n = 2 ** 21 + 1
+    x = generate(spec, n)
+    tracemalloc.start()
+    try:
+        flags = classify_range(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags.size == n // m
+    assert peak <= 3 * n, f"peak {peak / n:.2f} bytes per term"
 
 
 # ---------------------------------------------------------------------------
