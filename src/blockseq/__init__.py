@@ -11,11 +11,9 @@ functional equation their generating series satisfies over F_p.
 from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
                      InvalidPatternError, VerificationError)
 from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
-                       export_morphism, parse_morphism,
                        pure_single_letter_morphism)
-from .series import (DegreeEvidence, degree_evidence,
-                     functional_equation_residual, origin_correction,
-                     rhs_series, series_from_sequence)
+from .series import (degree_evidence, functional_equation_residual,
+                     origin_correction, rhs_series, series_from_sequence)
 from .structure import (ClaimReport, check_multiple_property,
                         check_power_exclusions, classify_range,
                         scan_power_prefixes, tail_periods)

@@ -168,24 +168,34 @@ def _cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _generator_legs(spec: PatternSpec, n: int) -> list:
+    """(name, thunk) for each generator `verify` and `bench` run: the
+    window, then the morphism for a prime base (built here, so a timed
+    thunk only expands it), then the oracle."""
+    legs = [("window", lambda: generate(spec, n))]
+    if spec.modulus_is_prime:
+        mu = build_morphism(spec)
+        legs.append(("morphism", lambda: expand_fixed_point(mu, n)))
+    legs.append(("oracle", lambda: a_prefix(spec, n)))
+    return legs
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec()
     n = cfg.count
-    legs = {"window": generate(spec, n)}
-    if spec.modulus_is_prime:
-        legs["morphism"] = expand_fixed_point(build_morphism(spec), n)
-    else:
+    legs = _generator_legs(spec, n)
+    names = [name for name, _ in legs]
+    window = legs[0][1]()
+    if "morphism" not in names:
         print(f"note: base {spec.base} is composite; "
               "checking window vs. oracle only")
-    legs["oracle"] = a_prefix(spec, n)
-    names = list(legs)
-    base_name = names[0]
-    for other in names[1:]:
-        diff = np.nonzero(legs[base_name] != legs[other])[0]
+    for other, leg in legs[1:]:
+        values = leg()
+        diff = np.nonzero(window != values)[0]
         if diff.size:
             i = int(diff[0])
-            print(f"FAIL {spec} N={n}: {base_name} and {other} disagree at "
-                  f"n={i} ({int(legs[base_name][i])} vs {int(legs[other][i])})")
+            print(f"FAIL {spec} N={n}: window and {other} disagree at "
+                  f"n={i} ({int(window[i])} vs {int(values[i])})")
             return EXIT_VERIFY
     print(f"PASS {spec} N={n}: {', '.join(names)} agree")
     return EXIT_OK
@@ -218,42 +228,25 @@ def _cmd_powers(cfg: RunConfig) -> int:
 
 
 def _cmd_series(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    ev = degree_evidence(spec, cfg.order, seed=cfg.seed)
-    first = ev.residual_first_nonzero
-    equation = ClaimReport(
-        claim="functional-equation", params=str(spec), scan_length=cfg.order,
-        evidence=() if first is None else (f"first_nonzero={first}",),
-        verdict="PASS" if first is None else "FAIL")
-    _emit([f"seed={cfg.seed}\n", equation.format() + "\n", ev.format() + "\n"],
+    reports = degree_evidence(cfg.spec(), cfg.order, seed=cfg.seed)
+    _emit([f"seed={cfg.seed}\n"] + [r.format() + "\n" for r in reports],
           cfg.output_path)
-    return EXIT_OK if ev.verdict == "PASS" else EXIT_VERIFY
+    return (EXIT_OK if all(r.verdict == "PASS" for r in reports)
+            else EXIT_VERIFY)
 
 
-def _time_passes(fn, passes: int) -> tuple:
-    fn()  # warm-up (page faults, allocator)
-    times = []
-    out = None
-    for _ in range(passes):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), out
-
-
-def bench_generators(spec: PatternSpec, n_terms: int,
-                     passes: int = 5) -> list:
-    """Warm up then time each generator (median of `passes`); checksums
+def bench_generators(spec: PatternSpec, n_terms: int) -> list:
+    """Warm up then time each generator (median of 5 passes); checksums
     must agree across generators."""
-    jobs = [("window", lambda: generate(spec, n_terms))]
-    if spec.modulus_is_prime:
-        mu = build_morphism(spec)
-        jobs.append(("morphism", lambda: expand_fixed_point(mu, n_terms)))
-    jobs.append(("oracle", lambda: a_prefix(spec, n_terms)))
-
     records = []
-    for name, fn in jobs:
-        wall, out = _time_passes(fn, passes)
+    for name, fn in _generator_legs(spec, n_terms):
+        fn()  # warm-up (page faults, allocator)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            out = fn()
+            times.append(time.perf_counter() - t0)
+        wall = statistics.median(times)
         digest = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
         records.append(BenchRecord(
             generator=name,

@@ -34,8 +34,6 @@ __all__ = [
     "build_morphism",
     "pure_single_letter_morphism",
     "expand_fixed_point",
-    "export_morphism",
-    "parse_morphism",
 ]
 
 
@@ -189,31 +187,3 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
         raise ValueError("coded fixed point holds a digit above 255")
     return out.astype(np.uint8, copy=False)
 
-
-def export_morphism(mu: UniformMorphism) -> str:
-    """Textual form: a header line then one line per letter,
-    "LETTER -> IMAGE ; code=DIGIT" with space-separated image letters."""
-    lines = [f"width={mu.width} start={mu.start}"]
-    for letter, row in enumerate(mu.substitution):
-        image = " ".join(str(x) for x in row)
-        lines.append(f"{letter} -> {image} ; code={mu.coding[letter]}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_morphism(text: str) -> UniformMorphism:
-    """Inverse of export_morphism; round-trips bit-exactly."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("width="):
-        raise ValueError("missing morphism header")
-    head = dict(field.split("=", 1) for field in lines[0].split())
-    width, start = int(head["width"]), int(head["start"])
-    rows, coding = {}, {}
-    for ln in lines[1:]:
-        left, code_part = ln.rsplit(";", 1)
-        letter_part, image_part = left.split("->")
-        letter = int(letter_part.strip())
-        rows[letter] = tuple(int(x) for x in image_part.split())
-        coding[letter] = int(code_part.split("=", 1)[1])
-    substitution = tuple(rows[i] for i in range(len(rows)))
-    return UniformMorphism(
-        width, substitution, tuple(coding[i] for i in range(len(rows))), start)

@@ -36,12 +36,13 @@ Because f then satisfies an explicit degree-p polynomial relation over
 F_p(t), its algebraic degree divides p, i.e. is 1 or p.  Degree 1 would
 make f rational, hence its coefficient sequence eventually periodic;
 `degree_evidence` scans for such a period and reports its absence as
-(explicitly labeled) evidence that the degree is exactly p.
+(explicitly labeled) evidence that the degree is exactly p.  It returns
+the `series` subcommand's two records as `ClaimReport`s: the
+functional equation (with the first nonzero residual coefficient, if
+any) and the degree evidence.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,30 +56,27 @@ __all__ = [
     "rhs_series",
     "origin_correction",
     "functional_equation_residual",
-    "DegreeEvidence",
     "degree_evidence",
 ]
 
 
 def series_from_sequence(spec: PatternSpec, order: int,
-                         seed: int | None = None,
-                         check_fraction: float = 0.01) -> np.ndarray:
+                         seed: int | None = None) -> np.ndarray:
     """The coefficients a(0), .., a(order-1) of f, sourced from the fast
     window generator with a seeded random sample re-verified against the
-    brute-force oracle (default: 1% of coefficients, at least 16)."""
+    brute-force oracle (1% of the coefficients, at least 16)."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     coeffs = generate(spec, order)
-    if check_fraction > 0:
-        rng = np.random.default_rng(seed)
-        k = min(order, max(16, int(order * check_fraction)))
-        sample = rng.integers(0, order, size=k)
-        expect = a_batch(spec, sample)
-        got = coeffs[sample]
-        if not np.array_equal(got, expect):
-            bad = int(sample[np.argmax(got != expect)])
-            raise VerificationError(
-                f"window generator disagrees with the oracle at n={bad} ({spec})")
+    rng = np.random.default_rng(seed)
+    k = min(order, max(16, int(order * 0.01)))
+    sample = rng.integers(0, order, size=k)
+    expect = a_batch(spec, sample)
+    got = coeffs[sample]
+    if not np.array_equal(got, expect):
+        bad = int(sample[np.argmax(got != expect)])
+        raise VerificationError(
+            f"window generator disagrees with the oracle at n={bad} ({spec})")
     return coeffs
 
 
@@ -124,44 +122,28 @@ def functional_equation_residual(spec: PatternSpec, order: int,
     return _residual(spec, series_from_sequence(spec, order, seed=seed))
 
 
-@dataclass(frozen=True)
-class DegreeEvidence:
-    """Evidence (not proof) that f has algebraic degree exactly p:
-    the degree-p relation holds coefficientwise (so the degree divides
-    p), and no eventual period was found (so f appears irrational)."""
-
-    pattern: PatternSpec
-    order: int
-    residual_zero: bool
-    residual_first_nonzero: int | None
-    periods_found: tuple
-    verdict: str
-
-    def format(self) -> str:
-        return ClaimReport(
-            claim="degree-evidence",
-            params=str(self.pattern),
-            scan_length=self.order,
-            evidence=(f"residual_zero={self.residual_zero}",
-                      f"periods={list(self.periods_found)}"),
-            verdict=self.verdict).format()
-
-
 def degree_evidence(spec: PatternSpec, order: int,
-                    seed: int | None = None) -> DegreeEvidence:
-    """Check the residual vanishes to the given order and scan the
-    coefficients for an eventual period (candidates and preperiod up to
-    order/4).  A found period would make f rational, contradicting
+                    seed: int | None = None) -> tuple:
+    """The records (functional-equation, degree-evidence) for one series
+    truncated at the given order.
+
+    The first checks that the residual vanishes to that order, and
+    names its first nonzero coefficient if not.  The second also scans
+    the coefficients for an eventual period (candidates and preperiod up
+    to order/4): a found period would make f rational, contradicting
     degree p; absence is evidence only, and is labeled as such.  Both
-    checks read one series, spot-checked against the oracle."""
+    read one series, spot-checked against the oracle."""
     f = series_from_sequence(spec, order, seed=seed)
     nonzero = np.flatnonzero(_residual(spec, f))
     quarter = max(1, order // 4)
     periods = tail_periods(f, max_period=quarter, preperiod=quarter)
-    return DegreeEvidence(
-        pattern=spec,
-        order=order,
-        residual_zero=not nonzero.size,
-        residual_first_nonzero=int(nonzero[0]) if nonzero.size else None,
-        periods_found=periods,
+    equation = ClaimReport(
+        claim="functional-equation", params=str(spec), scan_length=order,
+        evidence=(f"first_nonzero={nonzero[0]}",) if nonzero.size else (),
+        verdict="FAIL" if nonzero.size else "PASS")
+    degree = ClaimReport(
+        claim="degree-evidence", params=str(spec), scan_length=order,
+        evidence=(f"residual_zero={not nonzero.size}",
+                  f"periods={list(periods)}"),
         verdict="PASS" if not nonzero.size and not periods else "FAIL")
+    return equation, degree

@@ -23,7 +23,7 @@ ClaimViolationError.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
 length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
-eventual-periodicity scan used by the algebra module) iff
+eventual-periodicity scan used by the series module) iff
 y[T:] == y[:|y|-T].  Both compare a shifted copy of the word with its
 start, so one primitive serves both.  Karp-Rabin prefix hashes modulo
 the prime 2^31 - 1 test every shift at once with a few vectorized
@@ -158,9 +158,13 @@ def _diagnose(spec: PatternSpec, blocks: np.ndarray, ns: np.ndarray,
     bad = ~(is_type1 | is_type2)
     if bad.any():
         k = int(np.argmax(bad))
+        block = blocks[k]
+        # digit_string renders only digits in [0, p) faithfully
+        shown = (digit_string(block, p) if 0 <= block.min() and block.max() < p
+                 else " ".join(map(str, block.tolist())))
         raise ClaimViolationError(
             f"block at n={int(ns[k])} ({spec}) is neither constant nor "
-            f"singly-deviant: {digit_string(blocks[k], p)}")
+            f"singly-deviant: {shown}")
     mismatch = is_type2 != predicted
     if mismatch.any():
         k = int(np.argmax(mismatch))

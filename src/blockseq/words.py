@@ -269,12 +269,17 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
-def a_prefix(spec: PatternSpec, n_terms: int, chunk: int = 1 << 22) -> np.ndarray:
+# Indices per `a_batch` call in `a_prefix`.  It sets the oracle's scratch
+# memory and its speed, which criterion 11 ranks below the morphism leg's.
+PREFIX_CHUNK = 1 << 22
+
+
+def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     """First n_terms values of a_{m;w}, computed by `a_batch` in chunks
-    of `chunk` indices, so peak memory is the output plus about 20 bytes
-    per index of one chunk."""
+    of PREFIX_CHUNK indices, so peak memory is the output plus about 20
+    bytes per index of one chunk."""
     out = np.empty(n_terms, dtype=np.uint8)
-    for lo in range(0, n_terms, chunk):
-        hi = min(lo + chunk, n_terms)
+    for lo in range(0, n_terms, PREFIX_CHUNK):
+        hi = min(lo + PREFIX_CHUNK, n_terms)
         out[lo:hi] = a_batch(spec, np.arange(lo, hi, dtype=np.int64))
     return out

@@ -310,7 +310,7 @@ def test_series_subcommand(capsys):
 # ---------------------------------------------------------------------------
 
 def test_bench_generators_smoke():
-    records = bench_generators(PatternSpec(2, "11"), 200_000, passes=3)
+    records = bench_generators(PatternSpec(2, "11"), 200_000)
     assert [r.generator for r in records] == ["window", "morphism", "oracle"]
     assert len({r.checksum for r in records}) == 1
     for r in records:
@@ -321,13 +321,13 @@ def test_bench_generators_smoke():
 
 
 def test_bench_prime_base_above_256():
-    records = bench_generators(PatternSpec(257, "1"), 2000, passes=1)
+    records = bench_generators(PatternSpec(257, "1"), 2000)
     assert [r.generator for r in records] == ["window", "morphism", "oracle"]
     assert len({r.checksum for r in records}) == 1
 
 
 def test_bench_composite_base_has_two_legs():
-    records = bench_generators(PatternSpec(4, "10"), 100_000, passes=2)
+    records = bench_generators(PatternSpec(4, "10"), 100_000)
     assert [r.generator for r in records] == ["window", "oracle"]
     assert len({r.checksum for r in records}) == 1
 

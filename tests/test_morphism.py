@@ -14,8 +14,6 @@ from blockseq import (
     build_morphism,
     digit_string,
     expand_fixed_point,
-    export_morphism,
-    parse_morphism,
     pure_single_letter_morphism,
 )
 
@@ -27,37 +25,19 @@ def as_str(values) -> str:
 # Presentations pinned from the earlier fingerprint-inference builder,
 # which identified states by oracle value trees: the exact construction
 # must reproduce them letter for letter.
-EXPORT_GOLDENS = {
-    (2, "1"): (
-        "width=2 start=0\n"
-        "0 -> 0 1 ; code=0\n"
-        "1 -> 1 0 ; code=1\n"
-    ),
-    (2, "11"): (
-        "width=2 start=0\n"
-        "0 -> 0 1 ; code=0\n"
-        "1 -> 0 2 ; code=0\n"
-        "2 -> 3 1 ; code=1\n"
-        "3 -> 3 2 ; code=1\n"
-    ),
-    (5, "123"): (
-        "width=5 start=0\n"
-        "0 -> 0 1 0 0 0 ; code=0\n"
-        "1 -> 0 1 2 0 0 ; code=0\n"
-        "2 -> 0 1 0 3 0 ; code=0\n"
-        "3 -> 3 4 3 3 3 ; code=1\n"
-        "4 -> 3 4 5 3 3 ; code=1\n"
-        "5 -> 3 4 3 6 3 ; code=1\n"
-        "6 -> 6 7 6 6 6 ; code=2\n"
-        "7 -> 6 7 8 6 6 ; code=2\n"
-        "8 -> 6 7 6 9 6 ; code=2\n"
-        "9 -> 9 10 9 9 9 ; code=3\n"
-        "10 -> 9 10 11 9 9 ; code=3\n"
-        "11 -> 9 10 9 12 9 ; code=3\n"
-        "12 -> 12 13 12 12 12 ; code=4\n"
-        "13 -> 12 13 14 12 12 ; code=4\n"
-        "14 -> 12 13 12 0 12 ; code=4\n"
-    ),
+MORPHISM_GOLDENS = {
+    (2, "1"): UniformMorphism(2, ((0, 1), (1, 0)), (0, 1), start=0),
+    (2, "11"): UniformMorphism(
+        2, ((0, 1), (0, 2), (3, 1), (3, 2)), (0, 0, 1, 1), start=0),
+    (5, "123"): UniformMorphism(
+        5,
+        ((0, 1, 0, 0, 0), (0, 1, 2, 0, 0), (0, 1, 0, 3, 0),
+         (3, 4, 3, 3, 3), (3, 4, 5, 3, 3), (3, 4, 3, 6, 3),
+         (6, 7, 6, 6, 6), (6, 7, 8, 6, 6), (6, 7, 6, 9, 6),
+         (9, 10, 9, 9, 9), (9, 10, 11, 9, 9), (9, 10, 9, 12, 9),
+         (12, 13, 12, 12, 12), (12, 13, 14, 12, 12), (12, 13, 12, 0, 12)),
+        (0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4),
+        start=0),
 }
 
 ALPHABET_SIZES = {(2, "11"): 4, (3, "12"): 6, (5, "123"): 15, (2, "0"): 3,
@@ -80,6 +60,11 @@ def test_build_morphism_thue_morse_exact():
     assert mu.substitution == ((0, 1), (1, 0))
     assert mu.coding == (0, 1)
     assert mu.start == 0
+
+
+def test_build_morphism_goldens():
+    for (m, w), mu in MORPHISM_GOLDENS.items():
+        assert build_morphism(PatternSpec(m, w)) == mu
 
 
 def test_build_morphism_rudin_shapiro_shape():
@@ -244,8 +229,8 @@ def test_build_morphism_does_not_consult_the_oracle(monkeypatch):
             for attr in ("a_batch", "a_prefix"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, oracle_called)
-    for (m, w), text in EXPORT_GOLDENS.items():
-        assert export_morphism(build_morphism(PatternSpec(m, w))) == text
+    for (m, w), mu in MORPHISM_GOLDENS.items():
+        assert build_morphism(PatternSpec(m, w)) == mu
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +248,3 @@ def test_uniform_morphism_validation():
         UniformMorphism(2, ((0, 1), (1, 0)), (0, 2), 0)  # coding digit too big
     with pytest.raises(ValueError):
         UniformMorphism(2, ((1, 0), (1, 0)), (0, 1), 0)  # not prolongable
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_export_thue_morse_golden():
-    for (m, w), text in EXPORT_GOLDENS.items():
-        assert export_morphism(build_morphism(PatternSpec(m, w))) == text
-
-
-def test_export_parse_round_trip():
-    for m, w in [(2, "1"), (2, "11"), (2, "0"), (3, "12"), (5, "10")]:
-        mu = build_morphism(PatternSpec(m, w))
-        assert parse_morphism(export_morphism(mu)) == mu
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_morphism("not a morphism\n")

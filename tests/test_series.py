@@ -7,7 +7,7 @@ import pytest
 
 import blockseq.series
 from blockseq import (
-    DegreeEvidence,
+    ClaimReport,
     PatternSpec,
     VerificationError,
     degree_evidence,
@@ -248,22 +248,23 @@ def test_series_zero_predicates(monkeypatch):
             return r
 
         monkeypatch.setattr(blockseq.series, "rhs_series", bumped)
-        ev = degree_evidence(spec, 1000, seed=1)
-        assert not ev.residual_zero
-        assert ev.residual_first_nonzero == k
+        equation, ev = degree_evidence(spec, 1000, seed=1)
+        assert equation.evidence == (f"first_nonzero={k}",)
+        assert equation.verdict == "FAIL"
+        assert "residual_zero=False" in ev.evidence
         assert ev.verdict == "FAIL"
 
 
 def test_degree_evidence_passes_for_known_sequences():
-    ev = degree_evidence(PatternSpec(2, "1"), 1 << 14, seed=1)
-    assert isinstance(ev, DegreeEvidence)
+    equation, ev = degree_evidence(PatternSpec(2, "1"), 1 << 14, seed=1)
+    assert isinstance(equation, ClaimReport) and isinstance(ev, ClaimReport)
+    assert equation.evidence == ()
+    assert equation.verdict == "PASS"
     assert ev.verdict == "PASS"
-    assert ev.residual_zero
-    assert ev.residual_first_nonzero is None
-    assert ev.periods_found == ()
+    assert ev.evidence == ("residual_zero=True", "periods=[]")
 
-    ev = degree_evidence(PatternSpec(3, "0"), 3 ** 8, seed=1)
-    assert ev.verdict == "PASS"
+    equation, ev = degree_evidence(PatternSpec(3, "0"), 3 ** 8, seed=1)
+    assert equation.verdict == ev.verdict == "PASS"
 
 
 def test_degree_evidence_zero_word_scan_length_artifact():
@@ -276,18 +277,21 @@ def test_degree_evidence_zero_word_scan_length_artifact():
     and a 2^17-term scan, whose candidate band 5^k in [N/5, N/4]
     contains no power of five, finds no period at all.
     """
-    ev = degree_evidence(PatternSpec(5, "0"), 1 << 16, seed=1)
+    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 16, seed=1)
     assert ev.verdict == "FAIL"
-    assert ev.residual_zero  # the functional equation itself is fine
-    assert ev.periods_found == (15625,)
+    # the functional equation itself is fine
+    assert equation.verdict == "PASS"
+    assert ev.evidence == ("residual_zero=True", "periods=[15625]")
 
-    ev = degree_evidence(PatternSpec(5, "0"), 1 << 17, seed=1)
+    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 17, seed=1)
     assert ev.verdict == "PASS"
-    assert ev.periods_found == ()
+    assert ev.evidence == ("residual_zero=True", "periods=[]")
 
 
 def test_degree_evidence_format():
-    ev = degree_evidence(PatternSpec(2, "11"), 4096, seed=1)
+    equation, ev = degree_evidence(PatternSpec(2, "11"), 4096, seed=1)
+    assert equation.format() == ("claim=functional-equation params=[m=2 w=11] "
+                                 "scan=4096 evidence=[] verdict=PASS")
     line = ev.format()
     assert "claim=degree-evidence" in line
     assert "verdict=PASS" in line

@@ -54,9 +54,12 @@ def ref_classify_range(spec: PatternSpec, prefix) -> np.ndarray:
     bad = ~(is_type1 | is_type2)
     if bad.any():
         n = int(np.argmax(bad))
+        block = blocks[n].tolist()
+        shown = (digit_string(block, p) if all(0 <= d < p for d in block)
+                 else " ".join(map(str, block)))
         raise ClaimViolationError(
             f"block at n={n} ({spec}) is neither constant nor singly-deviant: "
-            f"{digit_string(blocks[n], p)}")
+            f"{shown}")
     q = spec.width - 1
     ns = np.arange(nb, dtype=np.int64)
     if q == 0:
@@ -174,6 +177,19 @@ def test_classify_range_detects_corruption():
     prefix[3] ^= 1
     with pytest.raises(ClaimViolationError):
         classify_range(spec, prefix)
+
+
+def test_classify_range_names_out_of_range_digits():
+    """A block holding a digit outside [0, p) is shown as decimals; an
+    in-range block keeps the concatenated digits."""
+    for m, prefix, shown in [
+            (2, np.array([0, 300]), "0 300"),
+            (2, np.array([-2, 0]), "-2 0"),
+            (2, np.array([0, 255], dtype=np.uint8), "0 255"),
+            (3, np.array([0, 2, 0], dtype=np.uint8), "020")]:
+        with pytest.raises(ClaimViolationError) as err:
+            classify_range(PatternSpec(m, "1"), prefix)
+        assert str(err.value).endswith(f"singly-deviant: {shown}")
 
 
 @pytest.mark.parametrize("m,w", [(2, "11"), (2, "0"), (3, "02"),

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import blockseq.words
 from blockseq import (
     InvalidBaseError,
     InvalidPatternError,
@@ -252,10 +253,11 @@ def test_a_prefix_equals_batch_over_range():
         assert np.array_equal(pre, a_batch(spec, np.arange(5000)))
 
 
-def test_a_prefix_chunking_is_seamless():
+def test_a_prefix_chunking_is_seamless(monkeypatch):
     spec = PatternSpec(2, "01")
     whole = a_prefix(spec, 4096)
-    chunked = a_prefix(spec, 4096, chunk=100)
+    monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", 100)
+    chunked = a_prefix(spec, 4096)
     assert np.array_equal(whole, chunked)
 
 
