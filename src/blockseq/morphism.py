@@ -154,6 +154,42 @@ def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:
     return UniformMorphism(p, substitution, tuple(range(p)), start=0)
 
 
+# Terms per np.take gather in `expand_fixed_point`.  np.take copies its
+# indices to int64, so gathering a whole level at once would need 8
+# scratch bytes per letter read.
+TAKE_CHUNK = 1 << 15
+
+
+def _substitute(table: np.ndarray, seq: np.ndarray, n: int,
+                dtype=None) -> np.ndarray:
+    """The first n terms of the rows of `table` that `seq` selects,
+    concatenated (n > (seq.size - 1) * p): the row gather table[seq],
+    written by np.take into one buffer about TAKE_CHUNK terms at a time.
+    With a narrower `dtype` than the table's, each gathered slice is
+    checked to hold no value above 255 before it is narrowed."""
+    p = table.shape[1]
+    out = np.empty(seq.size * p, dtype=dtype or table.dtype)
+    step = max(1, TAKE_CHUNK // p)
+    narrow = out.dtype != table.dtype
+    scratch = np.empty((min(step, seq.size), p), table.dtype) if narrow else None
+    for lo in range(0, seq.size, step):
+        rows = seq[lo:lo + step]
+        dest = out[lo * p:(lo + rows.size) * p]
+        # every letter is a valid row, and "clip" skips the bounds check
+        # and the buffering of `out` that the default mode needs
+        if not narrow:
+            np.take(table, rows, axis=0, out=dest.reshape(-1, p), mode="clip")
+            continue
+        wide = np.take(table, rows, axis=0, out=scratch[:rows.size],
+                       mode="clip").reshape(-1)[:n - lo * p]
+        # a(n) counts at most the 63 windows of n, but a morphism built
+        # elsewhere may code a reachable letter past 255: refuse, never wrap
+        if wide.max() > 255:
+            raise ValueError("coded fixed point holds a digit above 255")
+        dest[:wide.size] = wide
+    return out[:n]
+
+
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     """First n_terms letters of the fixed point, coded.
 
@@ -162,9 +198,11 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     i steps before the output is cut to the ceil(n_terms / p^i) letters
     that the levels after it read, so about n_terms * p / (p - 1)
     letters are gathered in all, where expanding whole levels could
-    build up to p times n_terms in the last one alone.  The last gather
-    goes through `coding[table]`, the codes of every letter's image, and
-    writes the coded terms directly.
+    build up to p times n_terms in the last one alone.  Each level is
+    gathered from the one before by `_substitute`, a chunked np.take of
+    the substitution's rows; the last gather reads `coding[table]`, the
+    codes of every letter's image, and writes the coded terms directly
+    as uint8.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -179,11 +217,5 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
         lengths.append(n)
     seq = np.array([mu.start], dtype=dtype)
     for n in reversed(lengths):
-        seq = table[seq].reshape(-1)[:n]
-    out = coded[seq].reshape(-1)[:n_terms]
-    # a(n) counts at most the 63 windows of n, but a morphism built
-    # elsewhere may code a reachable letter past 255: refuse, never wrap
-    if out.dtype != np.uint8 and out.max(initial=0) > 255:
-        raise ValueError("coded fixed point holds a digit above 255")
-    return out.astype(np.uint8, copy=False)
-
+        seq = _substitute(table, seq, n)
+    return _substitute(coded, seq, n_terms, np.uint8)

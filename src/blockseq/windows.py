@@ -69,6 +69,23 @@ def _repeat(s: np.ndarray, lo: int, filled: int, hi: int) -> None:
         filled += k
 
 
+# Terms per chunk in `_wrap`: its one temporary is this long.
+WRAP_CHUNK = 1 << 14
+
+
+def _wrap(seg: np.ndarray, m: int) -> None:
+    """seg mod m in place for terms in [1, m] and m <= 64, without
+    np.remainder, which is ten times slower on uint8: a mask for a power
+    of two, else min(c, c - m) over chunks of WRAP_CHUNK terms, since
+    c - m wraps above 192 in uint8 for every c < m and is 0 for c = m."""
+    if m & (m - 1) == 0:
+        np.bitwise_and(seg, m - 1, out=seg)
+        return
+    for lo in range(0, seg.size, WRAP_CHUNK):
+        c = seg[lo:lo + WRAP_CHUNK]
+        np.minimum(c, c - m, out=c)
+
+
 def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     """First n_terms values of (a_{m;w}(n)) as a uint8 array, written in
     place level by level (see the module docstring)."""
@@ -83,10 +100,9 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     def increment_window(start: int, length: int) -> None:
         seg = s[start + tail * length // den:start + (tail + 1) * length // den]
         seg += 1
-        # a(n) <= 63 < m past m = 64, and a uint8 remainder by m > 255
-        # would overflow, so only small bases wrap
+        # a(n) <= 63 < m past m = 64, so only small bases wrap
         if m <= 64:
-            np.remainder(seg, m, out=seg)
+            _wrap(seg, m)
 
     L = den
     if x:

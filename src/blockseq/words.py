@@ -8,15 +8,18 @@ the Rudin-Shapiro sequence.
 
 Everything here is exact integer arithmetic.  Two independent oracle
 paths are provided: a scalar one built on digit strings (`e_count`,
-`a_value`) and a vectorized one built on numpy digit windows (`a_batch`,
-`a_prefix`), which walks each index's windows by carrying its quotient
-n // m^j in a narrow unsigned dtype and counts a zero-led window only
-where it fits inside the expansion.  Neither uses an automaton, the
-doubling, or contiguous indices.  The scalar path is the ground truth
-for tests; the vectorized path is the workhorse the rest of the package
-validates against.  The package's one text renderer lives here too:
-`digit_string`, and the digit matrices of `decimal_digits` joined by
-`render_rows`.
+`a_value`) and a vectorized one built on numpy digit windows.  Its
+`a_batch` takes arbitrary indices and walks each index's windows by
+carrying its quotient n // m^j in a narrow unsigned dtype; its
+`a_prefix` takes the first N indices, tests each window once per value
+of that quotient and adds every hit to the run of m^j consecutive
+indices that share it.  Both count a zero-led window only where it fits
+inside the expansion, and neither uses an automaton or the doubling.
+The scalar path is the ground truth for tests; the vectorized path is
+the workhorse the rest of the package validates against, and `a_batch`
+is the independent check of `a_prefix`.  The package's one text
+renderer lives here too: `digit_string`, and the digit matrices of
+`decimal_digits` joined by `render_rows`.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -269,17 +272,63 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
-# Indices per `a_batch` call in `a_prefix`.  It sets the oracle's scratch
-# memory and its speed, which criterion 11 ranks below the morphism leg's.
-PREFIX_CHUNK = 1 << 22
+# Quotients per block in `a_prefix`.  A block's scratch is at most 16
+# bytes per quotient; the block size also sets the oracle's speed,
+# which criterion 11 ranks below the morphism leg's.
+PREFIX_CHUNK = 1 << 16
 
 
 def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    """First n_terms values of a_{m;w}, computed by `a_batch` in chunks
-    of PREFIX_CHUNK indices, so peak memory is the output plus about 20
-    bytes per index of one chunk."""
-    out = np.empty(n_terms, dtype=np.uint8)
-    for lo in range(0, n_terms, PREFIX_CHUNK):
-        hi = min(lo + PREFIX_CHUNK, n_terms)
-        out[lo:hi] = a_batch(spec, np.arange(lo, hi, dtype=np.int64))
-    return out
+    """First n_terms values of a_{m;w}, counted one quotient at a time.
+
+    Window j of n depends only on the quotient q = n // m^j, and the
+    indices that share it form the run [q*m^j, (q+1)*m^j).  So each
+    window is tested once per quotient value, by the test `a_batch`
+    applies per index (q mod m^|w| == (w)_m, plus q >= m^(|w|-1) for a
+    zero-led window off the units digit), and each hit is added to its
+    whole run with a reshape and a broadcast add.  The quotients are
+    built PREFIX_CHUNK at a time as a uint32 arange (uint64 past 2^32),
+    so peak memory is the n_terms output bytes plus one block of
+    scratch.
+    """
+    counts = np.zeros(n_terms, dtype=np.uint8)
+    m, k, wv = spec.base, spec.width, spec.value
+    mk, lead = m ** k, m ** (k - 1)
+    size = min(PREFIX_CHUNK, n_terms)
+    dtype = np.uint32 if n_terms <= 2 ** 32 else np.uint64
+    win = np.empty(size, dtype=dtype)
+    hit = np.empty(size, dtype=bool)
+    fits = np.empty(size, dtype=bool)
+    run, j = 1, 0  # run = m^j
+    while True:
+        qmax = (n_terms - 1) // run
+        fit_test = spec.is_zero_word and j + k > 1
+        # the least quotient that can hit; quotients only shrink with j
+        if qmax < (wv + mk if fit_test else wv):
+            break
+        whole = n_terms // run  # quotients whose run ends inside the output
+        for lo in range(0, qmax + 1, PREFIX_CHUNK):
+            q = np.arange(lo, min(lo + PREFIX_CHUNK, qmax + 1), dtype=dtype)
+            h = hit[:q.size]
+            # once m^|w| > qmax (it may not fit the dtype) q is its own window
+            np.equal(q if mk > qmax else _mod(q, mk, win[:q.size]), wv, out=h)
+            if fit_test:
+                h &= np.greater_equal(q, lead, out=fits[:q.size])
+            h = h.view(np.uint8)
+            rows = min(q.size, whole - lo)
+            block = counts[lo * run:(lo + rows) * run].reshape(rows, run)
+            if run < 8:  # short rows: add column by column
+                for col in range(run):
+                    block[:, col] += h[:rows]
+            else:
+                block += h[:rows, None]
+            if rows < q.size:  # the last run, cut short by n_terms
+                counts[whole * run:] += h[rows]
+        run *= m
+        j += 1
+    if m < 64:  # a count stays below the 63 windows of an index
+        spare = hit.view(np.uint8)  # free once every level is counted
+        for lo in range(0, n_terms, PREFIX_CHUNK):
+            c = counts[lo:lo + PREFIX_CHUNK]
+            c[:] = _mod(c, m, spare[:c.size])
+    return counts

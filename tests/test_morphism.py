@@ -165,20 +165,44 @@ def test_expand_fixed_point_at_level_boundaries(p, w):
 
 def test_expand_fixed_point_peak_memory():
     """No level is expanded past what the next one reads: at N = 2^20 + 1
-    the full last level would hold 2^21 letters."""
+    the full last level would hold 2^21 letters.  The gathers copy their
+    indices to int64 a chunk at a time, and p = 257, whose alphabet
+    needs int64 letters and uint16 codes, narrows its codes a chunk at
+    a time."""
     import tracemalloc
 
-    mu = build_morphism(PatternSpec(2, "11"))
-    n = 2 ** 20 + 1
-    table_bytes = 2 * mu.alphabet_size * mu.width  # letters and their codes
-    tracemalloc.start()
-    try:
-        out = expand_fixed_point(mu, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.size == n
-    assert peak <= 2 * n + table_bytes, f"peak {peak / n:.2f} bytes per term"
+    for (p, w), n in [((2, "11"), 2 ** 20 + 1), ((3, "12"), 3 ** 12 + 1),
+                      ((257, "1"), 4 * 257 ** 2)]:
+        mu = build_morphism(PatternSpec(p, w))
+        letter_bytes = 1 if mu.alphabet_size <= 256 else 8
+        code_bytes = 1 if p <= 256 else 2
+        # letters and their codes
+        table_bytes = (letter_bytes + code_bytes) * mu.alphabet_size * p
+        tracemalloc.start()
+        try:
+            out = expand_fixed_point(mu, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == n
+        assert peak <= 2 * n + table_bytes, \
+            f"p={p}: peak {peak / n:.2f} bytes per term"
+
+
+@pytest.mark.parametrize("w", ["1", "0", "1 0"])
+def test_expand_fixed_point_wide_alphabet_matches_oracle(w):
+    """p = 257 takes the int64 letter table and the uint16 codes; the
+    lengths around p and p^2 cut the last gather inside a row."""
+    p = 257
+    spec = PatternSpec(p, w)
+    mu = build_morphism(spec)
+    assert mu.alphabet_size > 256
+    n = 4 * p ** 2
+    oracle = a_prefix(spec, n)
+    for size in (1, 2, p - 1, p, p + 1, p ** 2 - 1, p ** 2, p ** 2 + 1, n):
+        got = expand_fixed_point(mu, size)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, oracle[:size]), (spec, size)
 
 
 def test_expand_fixed_point_rejects_bad_count():

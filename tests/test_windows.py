@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blockseq.windows
 from blockseq import PatternSpec, a_prefix, digit_string, generate
 
 # Hand-checked expansion chunks for the two classic base-2 sequences.
@@ -167,10 +168,13 @@ def test_generate_short_request_allocates_no_seed():
 @pytest.mark.parametrize("m, w, n", [
     (2, "1", 2 ** 20 + 1), (2, "11", 2 ** 20 + 1), (2, "0", 2 ** 20 + 1),
     (3, "02", 3 ** 12 + 1), (257, "1", 257 ** 2 + 1), (257, "0", 4 * 257 ** 2),
+    (3, "1", 3 ** 13 + 1), (5, "4", 5 ** 9 + 1),
 ])
 def test_generate_peak_memory_is_linear(m, w, n):
     """The levels are written into the one N-byte output buffer: no
-    block past N, no copy per level and no mask."""
+    block past N, no copy per level and no mask.  Single letters of
+    bases that are not powers of two wrap the longest windows, N/m
+    terms, in chunks whose scratch must stay fixed."""
     import tracemalloc
 
     spec = PatternSpec(m, w)
@@ -182,6 +186,16 @@ def test_generate_peak_memory_is_linear(m, w, n):
         tracemalloc.stop()
     assert out.size == n
     assert peak <= 1.1 * n + (64 << 10), f"peak {peak / n:.2f} bytes per term"
+
+
+@pytest.mark.parametrize("m, w", [(3, "1"), (5, "4"), (6, "5"), (7, "3"),
+                                  (3, "02")])
+def test_generate_wraps_windows_longer_than_a_chunk(m, w):
+    """Bases that are not powers of two wrap a window chunk by chunk;
+    the last levels here hold windows longer than one chunk."""
+    spec = PatternSpec(m, w)
+    n = 16 * m * blockseq.windows.WRAP_CHUNK + 1
+    assert np.array_equal(generate(spec, n), a_prefix(spec, n))
 
 
 def test_generate_matches_oracle_wider_pattern():

@@ -254,11 +254,69 @@ def test_a_prefix_equals_batch_over_range():
 
 
 def test_a_prefix_chunking_is_seamless(monkeypatch):
-    spec = PatternSpec(2, "01")
-    whole = a_prefix(spec, 4096)
-    monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", 100)
-    chunked = a_prefix(spec, 4096)
-    assert np.array_equal(whole, chunked)
+    """Blocks of 1 and 100 quotients split the runs of every level at
+    other places than one whole block does."""
+    for m, w in [(2, "01"), (2, "1"), (3, "0"), (3, "102"), (6, "50"),
+                 (65, "0"), (257, "1 0")]:
+        spec = PatternSpec(m, w)
+        whole = a_prefix(spec, 4099)
+        for chunk in (1, 100):
+            monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", chunk)
+            assert np.array_equal(a_prefix(spec, 4099), whole), (spec, chunk)
+            monkeypatch.undo()
+
+
+def _boundary_patterns(m: int) -> list:
+    """Zero-led and nonzero-led patterns of widths 1 to 3."""
+    top = m - 1
+    return list(dict.fromkeys([
+        (0,), (1,), (top,), (0, 0), (0, top), (top, 0), (1, 1),
+        (0, 0, 0), (0, 1, 0), (1, 0, 0), (top, top, 1)]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 64, 65, 257])
+def test_a_prefix_at_run_boundaries(m, monkeypatch):
+    """Lengths 0, 1, 2 and m^j - 1, m^j, m^j + 1 up to 5000, where the
+    last run of a level is cut short or just whole, with blocks of the
+    default size and of 7 quotients, which straddle run boundaries."""
+    limit = 5000
+    sizes = {0, 1, 2, limit}
+    power = m
+    while power + 1 <= limit:
+        sizes |= {power - 1, power, power + 1}
+        power *= m
+    spot = sorted(n for n in sizes | {limit - 1} if n < limit)
+    for w in _boundary_patterns(m):
+        spec = PatternSpec(m, w)
+        want = a_batch(spec, np.arange(limit))
+        assert [int(want[n]) for n in spot] == [a_value(spec, n) for n in spot]
+        for chunk in (blockseq.words.PREFIX_CHUNK, 7):
+            monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", chunk)
+            for n in sorted(sizes):
+                got = a_prefix(spec, n)
+                assert got.dtype == np.uint8 and got.size == n
+                assert np.array_equal(got, want[:n]), (spec, n, chunk)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m, w, n", [
+    (2, "11", 2 ** 20 + 1), (3, "02", 3 ** 12 + 1), (257, "1", 257 ** 2 + 1),
+])
+def test_a_prefix_peak_memory(m, w, n):
+    """The output plus one block of quotients: no array of n int64
+    indices or n quotients, which took about 20 bytes per term."""
+    import tracemalloc
+
+    spec = PatternSpec(m, w)
+    scratch = 16 * blockseq.words.PREFIX_CHUNK  # quotients and their tests
+    tracemalloc.start()
+    try:
+        out = a_prefix(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == n
+    assert peak <= 3 * n + scratch, f"peak {peak / n:.2f} bytes per term"
 
 
 # ---------------------------------------------------------------------------
