@@ -14,8 +14,7 @@ from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
                        pure_single_letter_morphism)
 from .series import (degree_evidence, functional_equation_residual,
                      origin_correction, rhs_series, series_from_sequence)
-from .structure import (ClaimReport, check_multiple_property,
-                        check_power_exclusions, classify_range,
+from .structure import (ClaimReport, check_power_claims, classify_range,
                         scan_power_prefixes, tail_periods)
 from .windows import generate
 from .words import (PatternSpec, a_batch, a_prefix, a_value,

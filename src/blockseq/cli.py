@@ -9,11 +9,13 @@ Subcommands:
 * series   -- functional-equation residual and degree evidence;
 * bench    -- time all three generators on identical parameters.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
-base, pattern or size, or a size whose output does not fit in memory),
-3 I/O error.  `blocks`, `powers` and `series` require a prime base,
-the paper's setting.  `verify` and `bench` accept composite bases and
-compare only the window generator with the oracle there.
+Exit codes: 0 success, 1 verification failure (a claim that fails, a
+FAIL ordering from `bench`, or generators that disagree; `powers` then
+prints only its first FAIL record's detail, on stderr), 2 usage error
+(a bad base, pattern or size, or a size whose output does not fit in
+memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
+base, the paper's setting.  `verify` and `bench` accept composite bases
+and compare only the window generator with the oracle there.
 
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
@@ -41,8 +43,7 @@ from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
                      InvalidPatternError, VerificationError)
 from .morphism import build_morphism, expand_fixed_point
 from .series import degree_evidence
-from .structure import (ClaimReport, check_multiple_property,
-                        check_power_exclusions, classify_range)
+from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
 from .words import (PatternSpec, a_prefix, decimal_digits, digit_string,
                     render_rows)
@@ -158,14 +159,14 @@ def _emit(chunks, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies (raise on failure; run() maps exceptions to codes)
+# subcommand bodies: return (text chunks, exit code) for run() to write,
+# or raise for run() to map to an exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_generate(cfg: RunConfig) -> int:
+def _cmd_generate(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     values = generate(spec, cfg.count)
-    _emit(_format_chunks(values, spec, cfg.output_format), cfg.output_path)
-    return EXIT_OK
+    return _format_chunks(values, spec, cfg.output_format), EXIT_OK
 
 
 def _generator_legs(spec: PatternSpec, n: int) -> list:
@@ -180,28 +181,29 @@ def _generator_legs(spec: PatternSpec, n: int) -> list:
     return legs
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
     legs = _generator_legs(spec, n)
     names = [name for name, _ in legs]
     window = legs[0][1]()
+    lines = []
     if "morphism" not in names:
-        print(f"note: base {spec.base} is composite; "
-              "checking window vs. oracle only")
+        lines.append(f"note: base {spec.base} is composite; "
+                     "checking window vs. oracle only\n")
     for other, leg in legs[1:]:
         values = leg()
         diff = np.nonzero(window != values)[0]
         if diff.size:
             i = int(diff[0])
-            print(f"FAIL {spec} N={n}: window and {other} disagree at "
-                  f"n={i} ({int(window[i])} vs {int(values[i])})")
-            return EXIT_VERIFY
-    print(f"PASS {spec} N={n}: {', '.join(names)} agree")
-    return EXIT_OK
+            lines.append(f"FAIL {spec} N={n}: window and {other} disagree "
+                         f"at n={i} ({int(window[i])} vs {int(values[i])})\n")
+            return lines, EXIT_VERIFY
+    lines.append(f"PASS {spec} N={n}: {', '.join(names)} agree\n")
+    return lines, EXIT_OK
 
 
-def _cmd_blocks(cfg: RunConfig) -> int:
+def _cmd_blocks(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     prefix = generate(spec, cfg.count)
     is_type2 = classify_range(spec, prefix)  # raises on any violation
@@ -211,27 +213,24 @@ def _cmd_blocks(cfg: RunConfig) -> int:
                          scan_length=cfg.count,
                          evidence=(f"type1={n1}", f"type2={n2}"),
                          verdict="PASS")
-    _emit([report.format() + "\n"], cfg.output_path)
-    return EXIT_OK
+    return [report.format() + "\n"], EXIT_OK
 
 
-def _cmd_powers(cfg: RunConfig) -> int:
+def _cmd_powers(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = (default_scan_length(spec.base) if cfg.scan_length is None
          else cfg.scan_length)
-    reports = [
-        check_multiple_property(spec, n),
-        check_power_exclusions(spec, n),
-    ]
-    _emit([r.format() + "\n" for r in reports], cfg.output_path)
-    return EXIT_OK
+    reports = check_power_claims(spec, n)
+    for r in reports:
+        if r.verdict == "FAIL":
+            raise ClaimViolationError(r.detail)
+    return [r.format() + "\n" for r in reports], EXIT_OK
 
 
-def _cmd_series(cfg: RunConfig) -> int:
+def _cmd_series(cfg: RunConfig) -> tuple:
     reports = degree_evidence(cfg.spec(), cfg.order, seed=cfg.seed)
-    _emit([f"seed={cfg.seed}\n"] + [r.format() + "\n" for r in reports],
-          cfg.output_path)
-    return (EXIT_OK if all(r.verdict == "PASS" for r in reports)
+    return ([f"seed={cfg.seed}\n"] + [r.format() + "\n" for r in reports],
+            EXIT_OK if all(r.verdict == "PASS" for r in reports)
             else EXIT_VERIFY)
 
 
@@ -262,7 +261,7 @@ def bench_generators(spec: PatternSpec, n_terms: int) -> list:
     return records
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
+def _cmd_bench(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     records = bench_generators(spec, cfg.count)
     text = "\n".join(r.format() for r in records) + "\n"
@@ -273,8 +272,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
     else:
         ordered = by_name["window"].throughput > by_name["oracle"].throughput
     text += f"ordering window>=morphism>oracle: {'PASS' if ordered else 'FAIL'}\n"
-    _emit([text], cfg.output_path)
-    return EXIT_OK if ordered else EXIT_VERIFY
+    return [text], EXIT_OK if ordered else EXIT_VERIFY
 
 
 _HANDLERS = {
@@ -301,7 +299,9 @@ def run(cfg: RunConfig) -> int:
             print(f"error: subcommand {cfg.subcommand!r} requires a prime "
                   f"base, got {spec.base}", file=sys.stderr)
             return EXIT_USAGE
-        return _HANDLERS[cfg.subcommand](cfg)
+        chunks, code = _HANDLERS[cfg.subcommand](cfg)
+        _emit(chunks, cfg.output_path)
+        return code
     except (InvalidBaseError, InvalidPatternError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,9 +14,9 @@ class InvalidPatternError(BlockseqError):
 
 
 class ClaimViolationError(BlockseqError):
-    """A structural claim that the library treats as a hard contract
-    (block dichotomy, power-prefix exclusion, divisibility of power
-    lengths) was violated by generated data."""
+    """Generated data broke the block dichotomy, a hard contract, or a
+    power-prefix claim, whose check returns a FAIL record that only the
+    `powers` subcommand turns into this error."""
 
 
 class VerificationError(BlockseqError):

@@ -23,6 +23,7 @@ section 5, and Moore (1956).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,16 @@ class UniformMorphism:
     @property
     def alphabet_size(self) -> int:
         return len(self.substitution)
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(letters, codes), built once and read-only: the substitution as
+        an array, and coding[letters], the codes of every image."""
+        dtype = np.uint8 if self.alphabet_size <= 256 else np.int64
+        table = np.array(self.substitution, dtype=dtype)
+        coded = np.array(self.coding, np.min_scalar_type(self.width - 1))[table]
+        table.flags.writeable = coded.flags.writeable = False
+        return table, coded
 
 
 def _kmp_automaton(w: tuple, p: int) -> list:
@@ -207,15 +218,13 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     p = mu.width
-    dtype = np.uint8 if mu.alphabet_size <= 256 else np.int64
-    table = np.array(mu.substitution, dtype=dtype)
-    coded = np.array(mu.coding, dtype=np.min_scalar_type(p - 1))[table]
+    table, coded = mu._tables
     lengths = []  # ceil(n_terms / p^i), down to the first one <= p
     n = n_terms
     while n > p:
         n = -(-n // p)
         lengths.append(n)
-    seq = np.array([mu.start], dtype=dtype)
+    seq = np.array([mu.start], dtype=table.dtype)
     for n in reversed(lengths):
         seq = _substitute(table, seq, n)
     return _substitute(coded, seq, n_terms, np.uint8)

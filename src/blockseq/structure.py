@@ -54,8 +54,7 @@ __all__ = [
     "classify_range",
     "scan_power_prefixes",
     "tail_periods",
-    "check_multiple_property",
-    "check_power_exclusions",
+    "check_power_claims",
 ]
 
 
@@ -301,32 +300,13 @@ def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
 # claim checks
 # ---------------------------------------------------------------------------
 
-def check_multiple_property(spec: PatternSpec, n_terms: int) -> ClaimReport:
-    """Scan v^(p+1) prefixes and require every found length at least
-    2*p^|w| to be divisible by p^(|w|-1)."""
-    if not spec.modulus_is_prime:
-        raise InvalidPatternError("divisibility claim needs a prime base")
-    p = spec.base
-    found = scan_power_prefixes(generate(spec, n_terms), p + 1)
-    threshold = 2 * p ** spec.width
-    modulus = p ** (spec.width - 1)
-    offenders = [L for L in found if L >= threshold and L % modulus != 0]
-    if offenders:
-        raise ClaimViolationError(
-            f"power-prefix length {offenders[0]} (>= {threshold}) is not a "
-            f"multiple of {modulus} for {spec}")
-    return ClaimReport(
-        claim="power-length-multiple",
-        params=f"{spec} exponent={p + 1} threshold={threshold} modulus={modulus}",
-        scan_length=n_terms,
-        evidence=found,
-        verdict="PASS",
-        detail=f"all found lengths >= {threshold} divisible by {modulus}")
+def check_power_claims(spec: PatternSpec, n_terms: int) -> tuple:
+    """Scan the first n_terms terms once per distinct exponent and
+    return the records (power-length-multiple, exclusion); a claim that
+    a found block length breaks reads FAIL, naming the first such one.
 
-
-def check_power_exclusions(spec: PatternSpec, n_terms: int) -> ClaimReport:
-    """Dispatch to the exclusion bound matching (pattern, p) and enforce
-    it over the scanned prefix.
+    power-length-multiple: every v^(p+1) prefix length at least 2*p^|w|
+    is divisible by p^(|w|-1).  The exclusion matches (pattern, p):
 
     * pattern "0", p = 2: no square prefix with |v| >= 5;
     * pattern "0", p >= 3: no square prefix with |v| >= p^2;
@@ -337,53 +317,50 @@ def check_power_exclusions(spec: PatternSpec, n_terms: int) -> ClaimReport:
       the scan evidence is reported informationally.
     """
     if not spec.modulus_is_prime:
-        raise InvalidPatternError("power-exclusion claims need a prime base")
+        raise InvalidPatternError("power-prefix claims need a prime base")
     p = spec.base
-    w = spec.pattern
-    # squares for "0", p-powers for "10" (squares again at p = 2), else
-    # (p+1)-powers
-    exponent = 2 if w == (0,) else p if w == (1, 0) else p + 1
-    found = scan_power_prefixes(generate(spec, n_terms), exponent)
-
-    if w == (0,):
+    modulus = p ** (spec.width - 1)
+    if spec.pattern == (0,):
         bound = 5 if p == 2 else p * p
-        claim = "zero-pattern-square-bound"
-        offenders = [L for L in found if L >= bound]
+        claim, exponent = "zero-pattern-square-bound", 2
+        offends = lambda L: L >= bound
         detail = f"no square prefix with block length >= {bound}"
-    elif w == (1, 0) and p == 2:
-        claim = "one-zero-pattern-square-bound"
-        offenders = [L for L in found if L != 1]
+    elif spec.pattern == (1, 0) and p == 2:
+        claim, exponent = "one-zero-pattern-square-bound", 2
+        offends = lambda L: L != 1
         detail = "the only square prefix has block length 1"
-    elif w == (1, 0):
-        claim = "one-zero-pattern-power-bound"
-        offenders = [L for L in found if L > p * p]
+    elif spec.pattern == (1, 0):
+        claim, exponent = "one-zero-pattern-power-bound", p
+        offends = lambda L: L > p * p
         detail = f"no {p}-power prefix with block length > {p * p}"
     elif spec.width > 1:
-        modulus = p ** (spec.width - 1)
-        claim = "power-prefix-cap"
-        offenders = [L for L in found
-                     if L % modulus == 0 and L // modulus >= p + 1]
+        claim, exponent = "power-prefix-cap", p + 1
+        offends = lambda L: L % modulus == 0 and L // modulus >= p + 1
         detail = (f"no {p + 1}-power prefix with block length "
                   f"i*{modulus}, i >= {p + 1}")
     else:
         # single nonzero letter: the sequence has a pure presentation, so
         # no power-exclusion argument applies; report the scan as-is.
-        return ClaimReport(
-            claim="single-letter-pure",
-            params=f"{spec} exponent={exponent}",
-            scan_length=n_terms,
-            evidence=found,
-            verdict="PASS",
-            detail="no exclusion asserted; pure presentation exists")
+        claim, exponent = "single-letter-pure", p + 1
+        offends = lambda L: False
+        detail = "no exclusion asserted; pure presentation exists"
 
-    if offenders:
-        raise ClaimViolationError(
-            f"{claim} violated for {spec}: offending block length "
-            f"{offenders[0]} within {n_terms} terms")
-    return ClaimReport(
-        claim=claim,
-        params=f"{spec} exponent={exponent}",
-        scan_length=n_terms,
-        evidence=found,
-        verdict="PASS",
-        detail=detail)
+    x = generate(spec, n_terms)
+    found = {e: scan_power_prefixes(x, e)
+             for e in dict.fromkeys((p + 1, exponent))}
+    threshold = 2 * p ** spec.width
+    bad = [L for L in found[p + 1] if L >= threshold and L % modulus != 0]
+    multiple = ClaimReport(
+        claim="power-length-multiple", scan_length=n_terms,
+        params=f"{spec} exponent={p + 1} threshold={threshold} modulus={modulus}",
+        evidence=found[p + 1], verdict="FAIL" if bad else "PASS",
+        detail=(f"power-prefix length {bad[0]} (>= {threshold}) is not a "
+                f"multiple of {modulus} for {spec}" if bad else
+                f"all found lengths >= {threshold} divisible by {modulus}"))
+    bad = [L for L in found[exponent] if offends(L)]
+    exclusion = ClaimReport(
+        claim=claim, params=f"{spec} exponent={exponent}", scan_length=n_terms,
+        evidence=found[exponent], verdict="FAIL" if bad else "PASS",
+        detail=(f"{claim} violated for {spec}: offending block length "
+                f"{bad[0]} within {n_terms} terms" if bad else detail))
+    return multiple, exclusion

@@ -34,8 +34,7 @@ from blockseq import (
     PatternSpec,
     a_prefix,
     build_morphism,
-    check_multiple_property,
-    check_power_exclusions,
+    check_power_claims,
     classify_range,
     degree_evidence,
     expand_fixed_point,
@@ -255,8 +254,8 @@ def test_criterion_7_power_exclusions_odd_primes():
             f"p={p}: squares {list(zero_rep)}, "
             f"{p}-powers {list(ten_rep)} over {n} terms")
         # the dispatching checker must agree
-        assert check_power_exclusions(PatternSpec(p, "0"), n).verdict == "PASS"
-        assert check_power_exclusions(PatternSpec(p, "10"), n).verdict == "PASS"
+        assert check_power_claims(PatternSpec(p, "0"), n)[1].verdict == "PASS"
+        assert check_power_claims(PatternSpec(p, "10"), n)[1].verdict == "PASS"
     announce(7, "power-exclusions-odd-primes", ok, "; ".join(details))
     assert ok
 
@@ -269,9 +268,9 @@ def test_criterion_8_power_length_divisibility():
     n = 1 << 20
     t0 = time.perf_counter()
     for base, pat in GRID:
-        # raises on any found length >= 2 p^|w| not divisible by p^(|w|-1)
-        rep = check_multiple_property(PatternSpec(base, pat), n)
-        assert rep.verdict == "PASS"
+        # FAIL on any found length >= 2 p^|w| not divisible by p^(|w|-1)
+        rep = check_power_claims(PatternSpec(base, pat), n)[0]
+        assert rep.verdict == "PASS", rep.detail
     elapsed = time.perf_counter() - t0
     announce(8, "power-length-divisibility", True,
              f"{len(GRID)} patterns x {n} terms in {elapsed:.1f} s")

@@ -154,6 +154,34 @@ def test_verify_composite_drops_morphism_leg(capsys):
     assert "morphism" not in out.split("PASS")[1]
 
 
+@pytest.mark.parametrize("m, w", [("2", "11"), ("4", "11")])
+def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
+                                                  monkeypatch, capsys):
+    """With --out, the composite-base note and the PASS or FAIL line go
+    to the file, stdout stays empty, and the exit code is unchanged."""
+    import blockseq.cli
+
+    real = blockseq.cli.a_prefix
+
+    def wrong_oracle(spec, n):  # disagrees with the window at n = 0
+        values = real(spec, n)
+        values[0] = 1
+        return values
+
+    argv = ["verify", "-m", m, "-w", w, "-N", "1000"]
+    out = tmp_path / "verify.txt"
+    for code, last in [(0, "agree"), (1, "(0 vs 1)")]:
+        if code:
+            monkeypatch.setattr(blockseq.cli, "a_prefix", wrong_oracle)
+        assert main(argv) == code
+        expected = capsys.readouterr().out
+        assert expected.startswith("note:") == (m == "4")
+        assert expected.endswith(last + "\n")
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == expected
+
+
 def test_verify_prime_base_above_256(capsys):
     # coding digits up to 256 need more than uint8
     assert main(["verify", "-m", "257", "-w", "1", "-N", "2000"]) == 0
@@ -251,11 +279,67 @@ def test_powers_one_zero_pattern(capsys):
 
 def test_powers_zero_pattern_base2_reports_violation(capsys):
     # the genuine square prefix of block length 6 breaks the claimed bound
-    assert main(["powers", "-m", "2", "-w", "0",
-                 "--scan-length", "65536"]) == 1
-    err = capsys.readouterr().err
-    assert "zero-pattern-square-bound" in err
-    assert "6" in err
+    for n in ("32768", "65536"):
+        assert main(["powers", "-m", "2", "-w", "0", "--scan-length", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failure: zero-pattern-square-bound violated for "
+            f"m=2 w=0: offending block length 6 within {n} terms\n")
+
+
+@pytest.mark.parametrize("m, w, scans", [
+    ("5", "23", 1), ("3", "1", 1),   # both claims scan v^(p+1)
+    ("2", "0", 2), ("3", "10", 2),   # the exclusion scans another exponent
+])
+def test_powers_generates_once_and_scans_each_exponent_once(
+        m, w, scans, monkeypatch, capsys):
+    import blockseq.structure
+
+    calls = {"generate": [], "scan": []}
+    real_generate = blockseq.structure.generate
+    real_scan = blockseq.structure.scan_power_prefixes
+
+    def counted_generate(spec, n_terms):
+        calls["generate"].append(n_terms)
+        return real_generate(spec, n_terms)
+
+    def counted_scan(prefix, exponent):
+        calls["scan"].append(exponent)
+        return real_scan(prefix, exponent)
+
+    monkeypatch.setattr(blockseq.structure, "generate", counted_generate)
+    monkeypatch.setattr(blockseq.structure, "scan_power_prefixes",
+                        counted_scan)
+    main(["powers", "-m", m, "-w", w, "--scan-length", "4096"])
+    capsys.readouterr()
+    assert calls["generate"] == [4096]
+    assert len(calls["scan"]) == len(set(calls["scan"])) == scans
+
+
+def test_powers_reports_a_broken_multiple_claim(monkeypatch, capsys):
+    """A v^3 prefix of block length 9 >= 2 * 2^2 that 2 does not divide
+    breaks the divisibility claim for m=2 w=11: its record reads FAIL,
+    and `powers` turns it into exit 1 with the record's detail."""
+    import blockseq.structure
+    from blockseq import check_power_claims
+
+    real = blockseq.structure.scan_power_prefixes
+
+    def with_nine(prefix, exponent):
+        return tuple(sorted(set(real(prefix, exponent)) | {9}))
+
+    monkeypatch.setattr(blockseq.structure, "scan_power_prefixes", with_nine)
+    detail = ("power-prefix length 9 (>= 8) is not a multiple of 2 "
+              "for m=2 w=11")
+    multiple, cap = check_power_claims(PatternSpec(2, "11"), 4096)
+    assert (multiple.verdict, multiple.detail) == ("FAIL", detail)
+    assert cap.verdict == "PASS"  # 9 is no multiple of 2, so no cap applies
+    assert main(["powers", "-m", "2", "-w", "11",
+                 "--scan-length", "4096"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {detail}\n"
 
 
 def test_series_reports_first_nonzero_residual(monkeypatch, capsys):

@@ -189,6 +189,20 @@ def test_expand_fixed_point_peak_memory():
             f"p={p}: peak {peak / n:.2f} bytes per term"
 
 
+def test_expand_fixed_point_builds_its_tables_once():
+    """The letter and code tables are built on the first expansion and
+    reused, read-only; equality and hashing still see only the fields."""
+    spec = PatternSpec(257, "1")
+    mu = build_morphism(spec)
+    first = expand_fixed_point(mu, 1000)
+    table, coded = mu._tables
+    assert not (table.flags.writeable or coded.flags.writeable)
+    assert np.array_equal(expand_fixed_point(mu, 1000), first)
+    assert mu._tables[0] is table and mu._tables[1] is coded
+    fresh = build_morphism(spec)
+    assert mu == fresh and hash(mu) == hash(fresh)
+
+
 @pytest.mark.parametrize("w", ["1", "0", "1 0"])
 def test_expand_fixed_point_wide_alphabet_matches_oracle(w):
     """p = 257 takes the int64 letter table and the uint16 codes; the

@@ -9,8 +9,7 @@ from blockseq import (
     ClaimViolationError,
     InvalidPatternError,
     PatternSpec,
-    check_multiple_property,
-    check_power_exclusions,
+    check_power_claims,
     classify_range,
     generate,
     scan_power_prefixes,
@@ -433,74 +432,73 @@ def test_tail_periods_aperiodic_sequence():
 # ---------------------------------------------------------------------------
 
 def test_multiple_property_passes():
-    rep = check_multiple_property(PatternSpec(2, "11"), 1 << 14)
+    rep = check_power_claims(PatternSpec(2, "11"), 1 << 14)[0]
     assert rep.verdict == "PASS"
     assert rep.claim == "power-length-multiple"
-    rep = check_multiple_property(PatternSpec(3, "12"), 3 ** 8)
+    rep = check_power_claims(PatternSpec(3, "12"), 3 ** 8)[0]
     assert rep.verdict == "PASS"
 
 
 def test_multiple_property_vacuous_for_single_letters():
     # divisibility by p^0 holds trivially
-    rep = check_multiple_property(PatternSpec(2, "1"), 1 << 12)
+    rep = check_power_claims(PatternSpec(2, "1"), 1 << 12)[0]
     assert rep.verdict == "PASS"
 
 
-def test_multiple_property_rejects_composite():
-    with pytest.raises(InvalidPatternError):
-        check_multiple_property(PatternSpec(4, "11"), 1 << 10)
+def test_power_claims_reject_composite():
+    for spec in (PatternSpec(4, "11"), PatternSpec(6, "10")):
+        with pytest.raises(InvalidPatternError, match="prime base"):
+            check_power_claims(spec, 1 << 10)
 
 
 def test_power_exclusions_zero_pattern_base2_fails_honestly():
     """The claimed bound (no square past block length 4) is violated by
     the genuine length-6 square prefix, so the check must report it."""
-    with pytest.raises(ClaimViolationError) as err:
-        check_power_exclusions(PatternSpec(2, "0"), 1 << 16)
-    assert "6" in str(err.value)
+    multiple, rep = check_power_claims(PatternSpec(2, "0"), 1 << 16)
+    assert multiple.verdict == "PASS"
+    assert rep.verdict == "FAIL"
+    assert rep.claim == "zero-pattern-square-bound"
+    assert "offending block length 6 " in rep.detail
+    assert rep.evidence == (2, 6)
 
 
 def test_power_exclusions_zero_pattern_odd_primes_pass():
-    rep = check_power_exclusions(PatternSpec(3, "0"), 3 ** 10)
+    rep = check_power_claims(PatternSpec(3, "0"), 3 ** 10)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "zero-pattern-square-bound"
     assert all(L < 9 for L in rep.evidence)
 
-    rep = check_power_exclusions(PatternSpec(5, "0"), 5 ** 7)
+    rep = check_power_claims(PatternSpec(5, "0"), 5 ** 7)[1]
     assert rep.verdict == "PASS"
     assert all(L < 25 for L in rep.evidence)
     assert 5 in rep.evidence
 
 
 def test_power_exclusions_one_zero_patterns():
-    rep = check_power_exclusions(PatternSpec(2, "10"), 1 << 16)
+    rep = check_power_claims(PatternSpec(2, "10"), 1 << 16)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "one-zero-pattern-square-bound"
     assert rep.evidence == (1,)
 
-    rep = check_power_exclusions(PatternSpec(3, "10"), 3 ** 9)
+    rep = check_power_claims(PatternSpec(3, "10"), 3 ** 9)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "one-zero-pattern-power-bound"
 
 
 def test_power_exclusions_general_cap():
-    rep = check_power_exclusions(PatternSpec(2, "11"), 1 << 16)
+    rep = check_power_claims(PatternSpec(2, "11"), 1 << 16)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "power-prefix-cap"
 
 
 def test_power_exclusions_single_letter_informational():
-    rep = check_power_exclusions(PatternSpec(3, "1"), 3 ** 8)
+    rep = check_power_claims(PatternSpec(3, "1"), 3 ** 8)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "single-letter-pure"
 
 
-def test_power_exclusions_rejects_composite():
-    with pytest.raises(InvalidPatternError):
-        check_power_exclusions(PatternSpec(6, "10"), 1 << 10)
-
-
 def test_claim_report_format():
-    rep = check_multiple_property(PatternSpec(2, "11"), 1 << 12)
+    rep = check_power_claims(PatternSpec(2, "11"), 1 << 12)[0]
     line = rep.format()
     assert "claim=power-length-multiple" in line
     assert "verdict=PASS" in line
