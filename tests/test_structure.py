@@ -445,10 +445,9 @@ def test_multiple_property_vacuous_for_single_letters():
     assert rep.verdict == "PASS"
 
 
-def test_power_claims_reject_composite():
-    for spec in (PatternSpec(4, "11"), PatternSpec(6, "10")):
-        with pytest.raises(InvalidPatternError, match="prime base"):
-            check_power_claims(spec, 1 << 10)
+def test_multiple_property_rejects_composite():
+    with pytest.raises(InvalidPatternError, match="prime base"):
+        check_power_claims(PatternSpec(4, "11"), 1 << 10)
 
 
 def test_power_exclusions_zero_pattern_base2_fails_honestly():
@@ -495,6 +494,11 @@ def test_power_exclusions_single_letter_informational():
     rep = check_power_claims(PatternSpec(3, "1"), 3 ** 8)[1]
     assert rep.verdict == "PASS"
     assert rep.claim == "single-letter-pure"
+
+
+def test_power_exclusions_rejects_composite():
+    with pytest.raises(InvalidPatternError, match="prime base"):
+        check_power_claims(PatternSpec(6, "10"), 1 << 10)
 
 
 def test_claim_report_format():
