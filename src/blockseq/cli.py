@@ -22,10 +22,12 @@ term.  Digits of a base <= 10 are shifted to ASCII bytes in one
 operation.  Every other layout (`bfile`, `table`, base > 10) is rows of
 columns -- index, separator, value, newline -- that
 `words.decimal_digits` writes as right-aligned digits into uint8
-matrices; `words.render_rows` joins the columns and drops the pad bytes
-of unaligned numbers.  The text goes out in chunks of CHUNK_TERMS
-terms, so stdout and `--out` get the same bytes and hold one chunk of
-text at a time, not the whole output.
+matrices; `words.render_rows` copies the columns into one row matrix
+and drops pad bytes only where an unaligned column padded: in `bfile`
+for a base <= 10, only in a chunk whose indices change digit count.  The
+text goes out in chunks of CHUNK_TERMS terms, so stdout and `--out` get
+the same bytes and hold one chunk of text at a time, not the whole
+output.
 """
 
 from __future__ import annotations
@@ -119,23 +121,26 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     (after a header line for `table` and `report`)."""
     n = len(values)
     if fmt == "table":
-        width = len(str(n - 1))
+        width, sep = len(str(n - 1)), b"  "
         yield f"{'n':>{width}}  a(n)\n"
+    elif fmt == "bfile":
+        width, sep = None, b" "
     elif fmt == "report":
         yield (f"p={spec.base} w={digit_string(spec.pattern, spec.base)} "
                f"N={n}\n")
-    elif fmt not in ("plain", "bfile"):
+    elif fmt != "plain":
         raise InvalidPatternError(f"unknown output format {fmt!r}")
     between = " " if spec.base > 10 else ""
+    # indices in a narrow unsigned type: an int64 arange takes longer to
+    # build and narrow than `decimal_digits` takes for its digits
+    index_type = np.min_scalar_type(n)
     for lo in range(0, max(n, 1), CHUNK_TERMS):
         hi = min(lo + CHUNK_TERMS, n)
         part = values[lo:hi]
-        if fmt == "bfile":
-            yield render_rows(decimal_digits(np.arange(lo, hi)), b" ",
-                              decimal_digits(part), b"\n")
-        elif fmt == "table":
-            yield render_rows(decimal_digits(np.arange(lo, hi), width), b"  ",
-                              decimal_digits(part), b"\n")
+        if fmt in ("bfile", "table"):
+            yield render_rows(
+                decimal_digits(np.arange(lo, hi, dtype=index_type), width),
+                sep, decimal_digits(part), b"\n")
         else:
             yield digit_string(part, spec.base) + ("\n" if hi == n
                                                    else between)

@@ -19,7 +19,9 @@ The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's one text
 renderer lives here too: `digit_string`, and the digit matrices of
-`decimal_digits` joined by `render_rows`.
+`decimal_digits` (floor division in a narrow unsigned dtype, padding
+written only at positions some value lacks) joined by `render_rows`
+into one row matrix, which it compresses only if a column padded.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -60,43 +62,62 @@ _SKIP = 0xFF
 
 def decimal_digits(values, width: int | None = None) -> np.ndarray:
     """Non-negative integers as right-aligned ASCII decimal digits: a
-    (rows, width) uint8 matrix, one row per value.
+    (rows, width) uint8 matrix, one row per value.  It is the transpose
+    of a C-ordered (width, rows) array, so each digit position is one
+    contiguous row for `render_rows` to copy.
 
     Without `width` the matrix is as wide as the largest value and short
     values are padded on the left with a byte that `render_rows` drops,
     so they print unpadded.  With `width` (at least the largest value's
-    digit count) the padding is spaces, for aligned columns.
+    digit count) the padding is spaces, for aligned columns.  Padding is
+    written only at positions where the smallest value has no digit.
     """
     values = np.asarray(values)
+    low = int(values.min()) if values.size else 0
+    high = int(values.max()) if values.size else 0
     pad = ord(" ")
     if width is None:
         pad = _SKIP
-        width = len(str(int(values.max()))) if values.size else 0
-    # the narrowest unsigned type divides fastest; digits fill rows of
-    # the transposed matrix, which are contiguous
-    q = values.astype(np.min_scalar_type(10 ** width))
+        width = len(str(high)) if values.size else 0
+    # Digit k of v is (v // 10^k) - 10 * (v // 10^(k+1)), so it is also
+    # that difference of the quotients' low bytes, mod 256: one floor
+    # division per position in the narrowest unsigned type (see `_mod`),
+    # then one multiply-subtract per position on uint8 rows.
+    q = values.astype(np.min_scalar_type(high))
     out = np.empty((width, values.size), dtype=np.uint8)
     for col in reversed(range(width)):
-        leading = q == 0  # past the value's first digit: padding
-        np.remainder(q, 10, out=out[col], casting="unsafe")
-        out[col] += ord("0")
-        if col < width - 1:  # the units digit is written even for 0
-            out[col][leading] = pad
-        q //= 10
+        out[col] = q  # the low byte
+        if col:
+            q //= 10
+    for col in reversed(range(1, width)):
+        out[col] -= out[col - 1] * 10
+    out += ord("0")
+    for k in range(len(str(low)), width):  # positions past low's digits
+        np.copyto(out[width - 1 - k], pad, where=values < 10 ** k)
     return out.T
 
 
 def render_rows(*columns) -> str:
     """Lines of ASCII text, one per row of the digit matrices among
     `columns`.  A bytes column is written on every row; a matrix from
-    `decimal_digits` gives each row its digits.  The columns are joined
-    side by side in one uint8 matrix and its pad bytes dropped, so no
+    `decimal_digits` gives each row its digits.  The columns are copied
+    side by side into one uint8 matrix, one digit position at a time,
+    and its pad bytes dropped only if an unaligned column has any, so no
     Python string is built per row."""
     rows = next(c.shape[0] for c in columns if isinstance(c, np.ndarray))
-    matrix = np.concatenate(
-        [np.broadcast_to(np.frombuffer(c, dtype=np.uint8), (rows, len(c)))
-         if isinstance(c, bytes) else c for c in columns], axis=1).ravel()
-    return matrix[matrix != _SKIP].tobytes().decode("ascii")
+    # a bytes column is a single row, broadcast to every row
+    columns = [np.frombuffer(c, dtype=np.uint8)[None] if isinstance(c, bytes)
+               else c for c in columns]
+    matrix = np.empty((rows, sum(c.shape[1] for c in columns)), dtype=np.uint8)
+    at = 0
+    for c in columns:
+        for col in range(c.shape[1]):
+            matrix[:, at] = c[:, col]
+            at += 1
+    # a padded value is padded in its leading position
+    if any(_SKIP in c[:, :1] for c in columns):
+        matrix = matrix[matrix != _SKIP]
+    return str(matrix, "ascii")  # decodes the buffer, no bytes copy
 
 
 def digit_string(digits, base: int) -> str:

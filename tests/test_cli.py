@@ -135,6 +135,48 @@ def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
     assert out == format_sequence(generate(spec, n), spec, fmt)
 
 
+@pytest.mark.parametrize("n", [2 * CHUNK_TERMS + 3, 100_001])
+@pytest.mark.parametrize("base", [3, 13, 101])
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
+                                                             capsys):
+    """Chunk 1 holds indices 99999 and 100000, so it pads its index
+    column, and at 2 * CHUNK_TERMS + 3 the chunk after it does not.
+    Random values below the base give base 101 values of 1 to 3 digits."""
+    spec = PatternSpec(base, "1")
+    assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().out == \
+        reference_format(generate(spec, n), spec, fmt)
+    values = np.random.default_rng(n + base).integers(
+        0, base, n).astype(np.uint8)
+    assert format_sequence(values, spec, fmt) == \
+        reference_format(values, spec, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_chunked_output_peak_memory_does_not_grow_with_n(fmt):
+    """One chunk of text and its scratch at a time, never the whole
+    output: the same bound holds at 2 and at 8 chunks, where the whole
+    text alone takes over 70 * CHUNK_TERMS bytes."""
+    import collections
+    import tracemalloc
+
+    from blockseq.cli import _format_chunks
+
+    spec = PatternSpec(3, "12")
+    for n in (2 * CHUNK_TERMS, 8 * CHUNK_TERMS):
+        values = generate(spec, n)
+        tracemalloc.start()
+        try:
+            # consume the chunks, dropping each as soon as it is made
+            collections.deque(_format_chunks(values, spec, fmt), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * CHUNK_TERMS, (n, peak / CHUNK_TERMS)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
