@@ -23,11 +23,11 @@ operation.  Every other layout (`bfile`, `table`, base > 10) is rows of
 columns -- index, separator, value, newline -- that
 `words.decimal_digits` writes as right-aligned digits into uint8
 matrices; `words.render_rows` copies the columns into one row matrix
-and drops pad bytes only where an unaligned column padded: in `bfile`
-for a base <= 10, only in a chunk whose indices change digit count.  The
-text goes out in chunks of CHUNK_TERMS terms, so stdout and `--out` get
-the same bytes and hold one chunk of text at a time, not the whole
-output.
+and drops pad bytes only where an unaligned column padded.  A `bfile`
+chunk is cut where its indices gain a digit, so for a base <= 10 no
+chunk pads.  The text goes out in chunks of at most CHUNK_TERMS terms,
+so stdout and `--out` get the same bytes and hold one chunk of text at
+a time, not the whole output.
 """
 
 from __future__ import annotations
@@ -117,8 +117,10 @@ CHUNK_TERMS = 1 << 16
 
 
 def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
-    """The text of `fmt` for `values`, in chunks of CHUNK_TERMS terms
-    (after a header line for `table` and `report`)."""
+    """The text of `fmt` for `values`, in chunks of at most CHUNK_TERMS
+    terms (after a header line for `table` and `report`).  A `bfile`
+    chunk is also cut at each power of ten, so its indices share one
+    digit count and their column never pads."""
     n = len(values)
     if fmt == "table":
         width, sep = len(str(n - 1)), b"  "
@@ -134,8 +136,14 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     # indices in a narrow unsigned type: an int64 arange takes longer to
     # build and narrow than `decimal_digits` takes for its digits
     index_type = np.min_scalar_type(n)
-    for lo in range(0, max(n, 1), CHUNK_TERMS):
-        hi = min(lo + CHUNK_TERMS, n)
+    starts = list(range(0, max(n, 1), CHUNK_TERMS))
+    if fmt == "bfile":  # also cut where the indices gain a digit
+        power = 10
+        while power < n:
+            starts.append(power)
+            power *= 10
+        starts = sorted(set(starts))
+    for lo, hi in zip(starts, starts[1:] + [n]):
         part = values[lo:hi]
         if fmt in ("bfile", "table"):
             yield render_rows(
@@ -198,9 +206,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
                      "checking window vs. oracle only\n")
     for other, leg in legs[1:]:
         values = leg()
-        diff = np.nonzero(window != values)[0]
-        if diff.size:
-            i = int(diff[0])
+        if not np.array_equal(window, values):
+            i = int(np.nonzero(window != values)[0][0])
             lines.append(f"FAIL {spec} N={n}: window and {other} disagree "
                          f"at n={i} ({int(window[i])} vs {int(values[i])})\n")
             return lines, EXIT_VERIFY
@@ -212,8 +219,8 @@ def _cmd_blocks(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     prefix = generate(spec, cfg.count)
     is_type2 = classify_range(spec, prefix)  # raises on any violation
-    n2 = int(is_type2.sum())
-    n1 = int(is_type2.size - n2)
+    n2 = int(np.count_nonzero(is_type2))
+    n1 = is_type2.size - n2
     report = ClaimReport(claim="block-dichotomy", params=str(spec),
                          scan_length=cfg.count,
                          evidence=(f"type1={n1}", f"type2={n2}"),

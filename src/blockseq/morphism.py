@@ -18,6 +18,13 @@ partition by code) the letters are the classes of states that no digit
 string tells apart, numbered breadth-first from the start state with
 children in digit order.  See Allouche & Shallit, *Automatic Sequences*,
 section 5, and Moore (1956).
+
+`expand_fixed_point` gathers the rows of mu^d, the d-th power of the
+substitution, for the least d with p^d >= 4: the image of the start
+letter under mu^d begins with itself, so mu^d has the same fixed point
+as mu (Cobham, "Uniform tag sequences", 1972), and each gathered index
+yields p^d letters instead of p.  That is mu^2 for p = 2 and 3, and mu
+itself from p = 4 on.
 """
 
 from __future__ import annotations
@@ -76,10 +83,14 @@ class UniformMorphism:
 
     @cached_property
     def _tables(self) -> tuple:
-        """(letters, codes), built once and read-only: the substitution as
-        an array, and coding[letters], the codes of every image."""
+        """(letters, codes) of mu^d, for d the least power with p^d >= 4,
+        built once and read-only: the rows of mu^d as an array, p^d
+        letters each, and coding[letters], the codes of every image."""
         dtype = np.uint8 if self.alphabet_size <= 256 else np.int64
-        table = np.array(self.substitution, dtype=dtype)
+        rows = np.array(self.substitution, dtype=dtype)
+        table = rows
+        while table.shape[1] < 4:  # mu^(d+1)(s) is mu applied to mu^d(s)
+            table = rows[table].reshape(len(rows), -1)
         coded = np.array(self.coding, np.min_scalar_type(self.width - 1))[table]
         table.flags.writeable = coded.flags.writeable = False
         return table, coded
@@ -204,25 +215,29 @@ def _substitute(table: np.ndarray, seq: np.ndarray, n: int,
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     """First n_terms letters of the fixed point, coded.
 
-    Level d of the fixed point is the image of the start letter under
-    d substitutions, and each level is a prefix of the next.  The level
-    i steps before the output is cut to the ceil(n_terms / p^i) letters
-    that the levels after it read, so about n_terms * p / (p - 1)
-    letters are gathered in all, where expanding whole levels could
-    build up to p times n_terms in the last one alone.  Each level is
-    gathered from the one before by `_substitute`, a chunked np.take of
-    the substitution's rows; the last gather reads `coding[table]`, the
-    codes of every letter's image, and writes the coded terms directly
-    as uint8.
+    The start letter's image under mu begins with itself, so its image
+    under mu^d does too, and mu^d has the same fixed point: level i of
+    mu^d is level d*i of mu.  The expansion runs on the rows of mu^d
+    from `UniformMorphism._tables`, with d the least power such that
+    P = p^d >= 4 (mu^2 for p = 2 and 3, mu itself from p = 4 on), so
+    every gathered letter yields at least 4 letters of the next level.
+    Each level is a prefix of the next, and the level i steps before
+    the output is cut to the ceil(n_terms / P^i) letters that the levels
+    after it read, so about n_terms * P / (P - 1) letters are gathered
+    in all, where expanding whole levels could build up to P times
+    n_terms in the last one alone.  Each level is gathered from the one
+    before by `_substitute`, a chunked np.take of the rows; the last
+    gather reads the codes of every letter's image and writes the coded
+    terms directly as uint8.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    p = mu.width
     table, coded = mu._tables
-    lengths = []  # ceil(n_terms / p^i), down to the first one <= p
+    width = table.shape[1]  # P = p^d
+    lengths = []  # ceil(n_terms / P^i), down to the first one <= P
     n = n_terms
-    while n > p:
-        n = -(-n // p)
+    while n > width:
+        n = -(-n // width)
         lengths.append(n)
     seq = np.array([mu.start], dtype=table.dtype)
     for n in reversed(lengths):

@@ -11,10 +11,11 @@ paths are provided: a scalar one built on digit strings (`e_count`,
 `a_value`) and a vectorized one built on numpy digit windows.  Its
 `a_batch` takes arbitrary indices and walks each index's windows by
 carrying its quotient n // m^j in a narrow unsigned dtype; its
-`a_prefix` takes the first N indices, tests each window once per value
-of that quotient and adds every hit to the run of m^j consecutive
-indices that share it.  Both count a zero-led window only where it fits
-inside the expansion, and neither uses an automaton or the doubling.
+`a_prefix` takes the first N indices and fills them in ascending blocks
+by the digit recursion e(n) = [the lowest window of n is w] + e(n // m),
+testing only each index's lowest window.  Both count a zero-led window
+only where it fits inside the expansion, and neither uses an automaton
+or the doubling.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's one text
@@ -293,63 +294,53 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
-# Quotients per block in `a_prefix`.  A block's scratch is at most 16
-# bytes per quotient; the block size also sets the oracle's speed,
-# which criterion 11 ranks below the morphism leg's.
+# Terms per block in `a_prefix`.  A block's scratch is about 11
+# bytes per term (19 past 2^32 terms); the block size also sets the
+# oracle's speed, which criterion 11 ranks below the morphism leg's.
 PREFIX_CHUNK = 1 << 16
 
 
 def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    """First n_terms values of a_{m;w}, counted one quotient at a time.
+    """First n_terms values of a_{m;w}, by the digit recursion.
 
-    Window j of n depends only on the quotient q = n // m^j, and the
-    indices that share it form the run [q*m^j, (q+1)*m^j).  So each
-    window is tested once per quotient value, by the test `a_batch`
-    applies per index (q mod m^|w| == (w)_m, plus q >= m^(|w|-1) for a
-    zero-led window off the units digit), and each hit is added to its
-    whole run with a reshape and a broadcast add.  The quotients are
-    built PREFIX_CHUNK at a time as a uint32 arange (uint64 past 2^32),
-    so peak memory is the n_terms output bytes plus one block of
-    scratch.
+    The expansion of n >= m is that of n // m followed by the digit
+    n mod m, so e(n) = H(n) + e(n // m), where H(n) = 1 when the lowest
+    window of n is an occurrence: the test `a_batch` applies per index,
+    n mod m^|w| == (w)_m, plus n >= m^(|w|-1) for a zero-led w with
+    |w| > 1.  Below m, e(n) = H(n), which also gives a(0) by the
+    convention.  Hence a(n) = (H(n) + a(n // m)) mod m, and the output
+    is filled in ascending blocks [lo, hi) of at most PREFIX_CHUNK
+    terms with hi <= m * lo, so a block reads only entries already
+    written.  Each index is tested once, in a uint32 arange (uint64 past
+    2^32); its parents are read with one np.repeat, and the block is
+    reduced mod m in place, so peak memory is the n_terms output bytes
+    plus one block of scratch.
     """
-    counts = np.zeros(n_terms, dtype=np.uint8)
+    counts = np.empty(n_terms, dtype=np.uint8)
     m, k, wv = spec.base, spec.width, spec.value
     mk, lead = m ** k, m ** (k - 1)
+    fit_test = spec.is_zero_word and k > 1
     size = min(PREFIX_CHUNK, n_terms)
     dtype = np.uint32 if n_terms <= 2 ** 32 else np.uint64
     win = np.empty(size, dtype=dtype)
-    hit = np.empty(size, dtype=bool)
     fits = np.empty(size, dtype=bool)
-    run, j = 1, 0  # run = m^j
-    while True:
-        qmax = (n_terms - 1) // run
-        fit_test = spec.is_zero_word and j + k > 1
-        # the least quotient that can hit; quotients only shrink with j
-        if qmax < (wv + mk if fit_test else wv):
-            break
-        whole = n_terms // run  # quotients whose run ends inside the output
-        for lo in range(0, qmax + 1, PREFIX_CHUNK):
-            q = np.arange(lo, min(lo + PREFIX_CHUNK, qmax + 1), dtype=dtype)
-            h = hit[:q.size]
-            # once m^|w| > qmax (it may not fit the dtype) q is its own window
-            np.equal(q if mk > qmax else _mod(q, mk, win[:q.size]), wv, out=h)
-            if fit_test:
-                h &= np.greater_equal(q, lead, out=fits[:q.size])
-            h = h.view(np.uint8)
-            rows = min(q.size, whole - lo)
-            block = counts[lo * run:(lo + rows) * run].reshape(rows, run)
-            if run < 8:  # short rows: add column by column
-                for col in range(run):
-                    block[:, col] += h[:rows]
-            else:
-                block += h[:rows, None]
-            if rows < q.size:  # the last run, cut short by n_terms
-                counts[whole * run:] += h[rows]
-        run *= m
-        j += 1
-    if m < 64:  # a count stays below the 63 windows of an index
-        spare = hit.view(np.uint8)  # free once every level is counted
-        for lo in range(0, n_terms, PREFIX_CHUNK):
-            c = counts[lo:lo + PREFIX_CHUNK]
-            c[:] = _mod(c, m, spare[:c.size])
+    lo = 0
+    while lo < n_terms:
+        hi = min(n_terms, lo + PREFIX_CHUNK, m * lo if lo >= m else m)
+        q = np.arange(lo, hi, dtype=dtype)
+        c = counts[lo:hi]
+        h = c.view(bool)  # H is written straight into the output
+        # once m^|w| > hi - 1 (it may not fit the dtype) q is its own window
+        np.equal(q if mk >= hi else _mod(q, mk, win[:q.size]), wv, out=h)
+        if fit_test:
+            h &= np.greater_equal(q, lead, out=fits[:q.size])
+        if lo >= m:  # add a(n // m): each parent stands for m indices
+            parents = np.repeat(counts[lo // m:(hi - 1) // m + 1], m)
+            c += parents[lo % m:lo % m + c.size]
+            # a(n // m) < m, so c <= m, and c - m wraps above 192 in uint8
+            # for c < m and is 0 for c = m; a count stays below the 63
+            # windows of an index, so wide bases need no reduction
+            if m < 64:
+                np.minimum(c, c - m, out=c)
+        lo = hi
     return counts

@@ -154,6 +154,32 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
         reference_format(values, spec, fmt)
 
 
+@pytest.mark.parametrize("base", [2, 10])
+def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
+    """A `bfile` chunk is cut at each power of ten, so no index column
+    pads, and a base <= 10 has one-digit values: no chunk hands
+    `render_rows` a pad byte.  The cuts at 10 to 10^5 and at the chunk
+    boundaries leave the text as the reference writes it."""
+    import blockseq.cli
+    from blockseq.words import _SKIP
+
+    real = blockseq.cli.render_rows
+    padded = []
+
+    def render_rows(*columns):
+        padded.append(any(_SKIP in c[:, :1] for c in columns
+                          if isinstance(c, np.ndarray)))
+        return real(*columns)
+
+    monkeypatch.setattr(blockseq.cli, "render_rows", render_rows)
+    spec = PatternSpec(base, "1")
+    n = 2 * CHUNK_TERMS + 3
+    values = generate(spec, n)
+    assert format_sequence(values, spec, "bfile") == \
+        reference_format(values, spec, "bfile")
+    assert len(padded) == 3 + 5 and not any(padded)
+
+
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_chunked_output_peak_memory_does_not_grow_with_n(fmt):
     """One chunk of text and its scratch at a time, never the whole
@@ -222,6 +248,30 @@ def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
         assert main(argv + ["--out", str(out)]) == code
         assert capsys.readouterr().out == ""
         assert out.read_text() == expected
+
+
+def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
+    """A leg that differs at several indices is reported once, at the
+    least of them, with both values, and the legs after it do not run."""
+    import blockseq.cli
+
+    real = blockseq.cli.expand_fixed_point
+
+    def wrong_morphism(mu, n):
+        values = real(mu, n).copy()
+        values[[7, 500]] ^= 1
+        return values
+
+    def no_oracle(spec, n):
+        raise AssertionError("the oracle runs after a failed leg")
+
+    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", wrong_morphism)
+    monkeypatch.setattr(blockseq.cli, "a_prefix", no_oracle)
+    window = generate(PatternSpec(2, "11"), 1000)
+    assert main(["verify", "-m", "2", "-w", "11", "-N", "1000"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL m=2 w=11 N=1000: window and morphism disagree at n=7 "
+        f"({window[7]} vs {window[7] ^ 1})\n")
 
 
 def test_verify_prime_base_above_256(capsys):

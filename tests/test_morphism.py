@@ -14,8 +14,10 @@ from blockseq import (
     build_morphism,
     digit_string,
     expand_fixed_point,
+    generate,
     pure_single_letter_morphism,
 )
+from blockseq.morphism import TAKE_CHUNK
 
 
 def as_str(values) -> str:
@@ -201,6 +203,42 @@ def test_expand_fixed_point_builds_its_tables_once():
     assert mu._tables[0] is table and mu._tables[1] is coded
     fresh = build_morphism(spec)
     assert mu == fresh and hash(mu) == hash(fresh)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_square_of_the_morphism_expands_to_the_window_sequence(p):
+    """For p = 2 and 3 the expansion gathers rows of mu^2, p^2 letters
+    each.  Lengths 1, p, p^2 and p^2 + 1 cut inside or just past one row
+    of mu^2, and TAKE_CHUNK +- 1 just around one chunk of the gather;
+    every width-1 to width-3 pattern of the 60-pattern grid's base."""
+    sizes = (1, p, p * p, p * p + 1, TAKE_CHUNK - 1, TAKE_CHUNK + 1)
+    for _, w in all_patterns(p, 3):
+        spec = PatternSpec(p, w)
+        mu = build_morphism(spec)
+        want = generate(spec, max(sizes))
+        for n in sizes:
+            assert np.array_equal(expand_fixed_point(mu, n), want[:n]), (spec, n)
+
+
+@pytest.mark.parametrize("p, w", [(2, "11"), (3, "01"), (5, "123")])
+def test_power_tables_are_built_once_and_read_only(p, w):
+    """`_tables` holds mu^d for the least d with p^d >= 4: each row is
+    mu applied to the row of mu^(d-1), each code the coding of a letter,
+    built once on first use and never writable."""
+    mu = build_morphism(PatternSpec(p, w))
+    d = 1 if p >= 4 else 2
+    rows = [list(row) for row in mu.substitution]
+    for _ in range(d - 1):
+        rows = [[t for s in row for t in mu.substitution[s]] for row in rows]
+    table, coded = mu._tables
+    assert table.shape == (mu.alphabet_size, p ** d)
+    assert table.tolist() == rows
+    assert coded.tolist() == [[mu.coding[s] for s in row] for row in rows]
+    assert not (table.flags.writeable or coded.flags.writeable)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    expand_fixed_point(mu, 1000)
+    assert mu._tables[0] is table and mu._tables[1] is coded
 
 
 @pytest.mark.parametrize("w", ["1", "0", "1 0"])

@@ -349,6 +349,57 @@ def test_a_prefix_at_run_boundaries(m, monkeypatch):
             monkeypatch.undo()
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 65])
+def test_a_prefix_recursion_around_powers_of_the_base(m, monkeypatch):
+    """a(n) = (H(n) + a(n // m)) mod m reads the term one digit shorter;
+    at n = m^j - 1, m^j and m^j + 1 that term drops below or reaches a
+    power of m, and n = 0, 1 sit below the first parent.  Blocks of 1, 7
+    and 100 terms cut the output at other places than the default."""
+    limit = max(2000, m * m + 2)
+    spot = {0, 1}
+    power = m
+    while power + 1 < limit:
+        spot |= {power - 1, power, power + 1}
+        power *= m
+    for w in _boundary_patterns(m):
+        spec = PatternSpec(m, w)
+        want = a_batch(spec, np.arange(limit))
+        for chunk in (blockseq.words.PREFIX_CHUNK, 1, 7, 100):
+            monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", chunk)
+            got = a_prefix(spec, limit)
+            monkeypatch.undo()
+            assert np.array_equal(got, want), (spec, chunk)
+            assert [int(got[n]) for n in sorted(spot)] == \
+                [a_value(spec, n) for n in sorted(spot)], (spec, chunk)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 257])
+def test_a_prefix_zero_pattern_at_index_zero(m):
+    """The expansion of 0 is "0": one occurrence of w = "0" and none of
+    a longer zero word, which the recursion must not pass on to the
+    indices 1..m-1 whose parent is 0."""
+    zero = a_prefix(PatternSpec(m, "0"), m + 1)
+    assert zero[0] == 1 and not zero[1:m].any() and zero[m] == 1
+    for w in ([0, 0], [0, 1]):
+        assert a_prefix(PatternSpec(m, w), 1).tolist() == [0]
+    assert a_prefix(PatternSpec(m, "0"), 0).size == 0
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_prefix_shorter_than_the_pattern_window(m):
+    """Below m^|w| an index has at most |w| digits: a nonzero-led w
+    occurs only at n = (w)_m, and a zero-led one nowhere."""
+    for w in _boundary_patterns(m):
+        spec = PatternSpec(m, w)
+        if spec.width < 2:
+            continue
+        for n in (1, spec.value, spec.value + 1, m ** spec.width - 1):
+            want = np.zeros(n, dtype=np.uint8)
+            if not spec.is_zero_word and spec.value < n:
+                want[spec.value] = 1
+            assert np.array_equal(a_prefix(spec, n), want), (spec, n)
+
+
 @pytest.mark.parametrize("m, w, n", [
     (2, "11", 2 ** 20 + 1), (3, "02", 3 ** 12 + 1), (257, "1", 257 ** 2 + 1),
 ])
