@@ -45,6 +45,11 @@ Both start from L = den, where s[:m*den] already holds u_{-1}^m (x != 0)
 or w_{-1} = s[:den] u_{-1}^(m-1) (x = 0).  A level costs O(log m) numpy
 calls, and nothing past N is materialized, so the peak is N bytes.
 
+Those calls cost a few microseconds each whatever their length, so the
+short levels, up to SEED_TERMS terms, are built first as bytes objects
+by the same step (the window incremented by `bytes.translate`) and
+copied into s once; the numpy levels go on from there.
+
 The step and both assemblies are valid for composite m as well as
 prime m.
 """
@@ -86,6 +91,13 @@ def _wrap(seg: np.ndarray, m: int) -> None:
         np.minimum(c, c - m, out=c)
 
 
+# Levels up to this many terms are built as bytes objects: below about
+# 10^4 terms a numpy call's fixed overhead costs more than its work.  Of
+# 2^11, 2^12, 2^14 and 2^16, 2^14 gave the fastest base-2 and base-3
+# windows at 10^5 terms.
+SEED_TERMS = 1 << 14
+
+
 def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     """First n_terms values of (a_{m;w}(n)) as a uint8 array, written in
     place level by level (see the module docstring)."""
@@ -104,13 +116,33 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
         if m <= 64:
             _wrap(seg, m)
 
+    # digit c -> (c + 1) mod m; past m = 256 only c <= 63 is ever read
+    inc = bytes(range(1, min(m, 256))) + bytes(257 - min(m, 256))
+
+    def phi(u: bytes) -> bytes:
+        a, b = tail * len(u) // den, (tail + 1) * len(u) // den
+        return u[:a] + u[a:b].translate(inc) + u[b:]
+
     L = den
     if x:
+        if m * L <= SEED_TERMS:
+            u = bytes(L)  # u_{-1}
+            while L < n_terms and m * L <= SEED_TERMS:
+                u = u * x + phi(u) + u * (m - x - 1)
+                L *= m
+            s[:L] = np.frombuffer(u, np.uint8)[:n_terms]
         while L < n_terms:
             _repeat(s, 0, L, m * L)
             increment_window(x * L, L)
             L *= m
     else:
+        if m * m * L <= SEED_TERMS:
+            u, head = bytes(L), bytearray(s[:m * L])  # u_{-1}, s[:mL]
+            while m * L < n_terms and m * m * L <= SEED_TERMS:
+                u = phi(u) + u * (m - 1)
+                head += u * (m - 1)
+                L *= m
+            s[:len(head)] = np.frombuffer(head, np.uint8)[:n_terms]
         while m * L < n_terms:
             _repeat(s, L, m * L, 2 * m * L)
             increment_window(m * L, L)

@@ -140,9 +140,11 @@ def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
                                                              capsys):
-    """Chunk 1 holds indices 99999 and 100000, so it pads its index
-    column, and at 2 * CHUNK_TERMS + 3 the chunk after it does not.
-    Random values below the base give base 101 values of 1 to 3 digits."""
+    """Chunk 1 holds indices 99999 and 100000.  A `table` chunk pads
+    its index column there, and at 2 * CHUNK_TERMS + 3 the chunk after
+    it does not; a `bfile` chunk is cut at each power of ten, so only
+    `table` pads.  Random values below the base give base 101 values of
+    1 to 3 digits."""
     spec = PatternSpec(base, "1")
     assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
                  "--format", fmt]) == 0

@@ -192,17 +192,30 @@ def test_expand_fixed_point_peak_memory():
 
 
 def test_expand_fixed_point_builds_its_tables_once():
-    """The letter and code tables are built on the first expansion and
-    reused, read-only; equality and hashing still see only the fields."""
-    spec = PatternSpec(257, "1")
-    mu = build_morphism(spec)
-    first = expand_fixed_point(mu, 1000)
-    table, coded = mu._tables
-    assert not (table.flags.writeable or coded.flags.writeable)
-    assert np.array_equal(expand_fixed_point(mu, 1000), first)
-    assert mu._tables[0] is table and mu._tables[1] is coded
-    fresh = build_morphism(spec)
-    assert mu == fresh and hash(mu) == hash(fresh)
+    """`_tables` holds mu^d for the least d with p^d >= 4 (mu^2 for p = 2
+    and 3): each row is mu applied to the row of mu^(d-1), each code the
+    coding of its letter.  The tables are built on the first expansion
+    and reused, read-only; equality and hashing still see only the
+    fields."""
+    for p, w in [(2, "11"), (3, "01"), (5, "123"), (257, "1")]:
+        spec = PatternSpec(p, w)
+        mu = build_morphism(spec)
+        first = expand_fixed_point(mu, 1000)
+        table, coded = mu._tables
+        rows = [list(row) for row in mu.substitution]
+        if p < 4:  # mu^2: the images under mu of a row's letters
+            rows = [[t for s in row for t in mu.substitution[s]]
+                    for row in rows]
+        assert table.tolist() == rows, p
+        assert coded.tolist() == [[mu.coding[s] for s in row]
+                                  for row in rows], p
+        assert not (table.flags.writeable or coded.flags.writeable)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        assert np.array_equal(expand_fixed_point(mu, 1000), first)
+        assert mu._tables[0] is table and mu._tables[1] is coded
+        fresh = build_morphism(spec)
+        assert mu == fresh and hash(mu) == hash(fresh)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -218,27 +231,6 @@ def test_square_of_the_morphism_expands_to_the_window_sequence(p):
         want = generate(spec, max(sizes))
         for n in sizes:
             assert np.array_equal(expand_fixed_point(mu, n), want[:n]), (spec, n)
-
-
-@pytest.mark.parametrize("p, w", [(2, "11"), (3, "01"), (5, "123")])
-def test_power_tables_are_built_once_and_read_only(p, w):
-    """`_tables` holds mu^d for the least d with p^d >= 4: each row is
-    mu applied to the row of mu^(d-1), each code the coding of a letter,
-    built once on first use and never writable."""
-    mu = build_morphism(PatternSpec(p, w))
-    d = 1 if p >= 4 else 2
-    rows = [list(row) for row in mu.substitution]
-    for _ in range(d - 1):
-        rows = [[t for s in row for t in mu.substitution[s]] for row in rows]
-    table, coded = mu._tables
-    assert table.shape == (mu.alphabet_size, p ** d)
-    assert table.tolist() == rows
-    assert coded.tolist() == [[mu.coding[s] for s in row] for row in rows]
-    assert not (table.flags.writeable or coded.flags.writeable)
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
-    expand_fixed_point(mu, 1000)
-    assert mu._tables[0] is table and mu._tables[1] is coded
 
 
 @pytest.mark.parametrize("w", ["1", "0", "1 0"])

@@ -198,6 +198,23 @@ def test_generate_wraps_windows_longer_than_a_chunk(m, w):
     assert np.array_equal(generate(spec, n), a_prefix(spec, n))
 
 
+@pytest.mark.parametrize("seed_terms", [1, 7, 1 << 14, 1 << 20])
+@pytest.mark.parametrize("m, w", [(2, "1"), (2, "01"), (2, "0"), (3, "102"),
+                                  (3, "00"), (5, "4"), (6, "05"), (65, "1"),
+                                  (257, "0")])
+def test_generate_bytes_levels_hand_over_to_numpy(monkeypatch, seed_terms,
+                                                  m, w):
+    """The levels up to SEED_TERMS terms are built as bytes and the numpy
+    levels go on from the last of them: with no bytes level, with every
+    level as bytes and with cuts in between, each length on either side
+    of a cut gives the oracle's terms."""
+    monkeypatch.setattr(blockseq.windows, "SEED_TERMS", seed_terms)
+    spec = PatternSpec(m, w)
+    for n in (1, 2, m ** spec.width + 1, (1 << 14) - 1, (1 << 14) + 1,
+              3 * (1 << 14) + 5, 200_003):
+        assert np.array_equal(generate(spec, n), a_prefix(spec, n)), (spec, n)
+
+
 def test_generate_matches_oracle_wider_pattern():
     for m, w in [(2, "1101"), (3, "0012")]:
         spec = PatternSpec(m, w)
