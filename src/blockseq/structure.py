@@ -25,18 +25,16 @@ Power prefixes.  A prefix of shape v^e (e identical blocks) at block
 length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
 eventual-periodicity scan used by the series module) iff
 y[T:] == y[:|y|-T].  Both compare a shifted copy of the word with its
-start, so one primitive serves both.  Karp-Rabin prefix hashes modulo
-the prime 2^31 - 1 test every shift at once with a few vectorized
-passes; a hash can only err by a false match, so each candidate is then
-confirmed by direct comparison, and the results are exact.  Confirming
-a shift c also measures how far the prefix keeps period c; every
-multiple of c whose comparison fits inside that extent holds too and
-is marked without another comparison.  The cost is O(N) numpy work for
-the hashes, plus one comparison of at most N symbols for each hash
-collision (about one shift in 2^31) and for each match that is not a
-multiple of a smaller one.  For power prefixes those are the primitively
-rooted ones, O(log N) of them, so a run of one symbol costs a single
-comparison.
+start, so one exact primitive serves both: common-prefix doubling over
+the surviving shifts.  Every shift starts as a survivor if it matches
+the first symbol; each round compares every survivor's next span of
+symbols, at least as many as it has matched, as gathered rows of one
+view of the word, and drops the shifts that differ.  Symbols are
+compared in the input's own dtype.  A periodic word would keep most
+shifts alive, so when the least survivor c0 is short enough, one
+period extent E of c0 settles every multiple of c0 below E at once; a
+run of one symbol costs a single comparison.  Peak memory is a few
+bytes per term, and no comparison reads past a shift's own range.
 """
 
 from __future__ import annotations
@@ -174,116 +172,109 @@ def _diagnose(spec: PatternSpec, blocks: np.ndarray, ns: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# repetition scans: Karp-Rabin candidates, exact confirmation
+# repetition scans: common-prefix doubling over the surviving shifts
 # ---------------------------------------------------------------------------
 
-# Hash modulus (the Mersenne prime 2^31 - 1) and base (a primitive root
-# modulo it).  Residues stay below 2^31, so every product of two fits in
-# int64.  Read at call time, so a test can swap in a tiny modulus.
-_P = (1 << 31) - 1
-_B = 48271
+# Bytes of rows and indices one gather holds at most; a round with few
+# survivors compares spans that fill it.
+_GATHER_BYTES = 1 << 16
 
 
-def _reduce(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """a mod P, in place, with q (same shape) as scratch.  Floor division
-    by a scalar into a reused buffer is several times faster than
-    np.remainder."""
-    np.floor_divide(a, _P, out=q)
-    np.multiply(q, _P, out=q)
-    np.subtract(a, q, out=a)
-    return a
-
-
-def _hash_powers(size: int, q: np.ndarray) -> np.ndarray:
-    """B^j mod P for j < size, filled by doubling: log2(size) steps."""
-    pw = np.empty(size, dtype=np.int64)
-    pw[0] = 1
-    filled, step = 1, _B % _P  # step = B^filled mod P
-    while filled < size:
-        k = min(filled, size - filled)
-        chunk = pw[filled:filled + k]
-        np.multiply(pw[:k], step, out=chunk)
-        _reduce(chunk, q[:k])
-        filled += k
-        step = step * step % _P
-    return pw
-
-
-def _at(g: np.ndarray, a: int, b: int, cmax: int):
-    """g[a*c + b] for c = 1..cmax: a strided view, or a scalar if a == 0."""
-    return g[b] if a == 0 else g[a + b::a][:cmax]
-
-
-def _period_extent(x: np.ndarray, c: int, first: int, hi: int) -> int:
-    """Largest E <= hi such that x[:E] has period c, i.e. the first i in
-    [c, hi) with x[i] != x[i - c], or hi.  Compares `first` symbols,
-    then chunks of doubling size, and stops at the first mismatch."""
-    lo, step = c, max(first, 1)
+def _period_extent(x: np.ndarray, c: int, lo: int, hi: int) -> int:
+    """Largest E <= hi such that x[:E] has period c, given that x[:lo]
+    has it: the first i in [lo, hi) with x[i] != x[i - c], or hi.
+    Compares chunks of doubling size, from lo - c symbols on, and stops
+    at the first mismatch (lo > c)."""
+    step = lo - c
     while lo < hi:
         top = min(hi, lo + step)
-        bad = np.flatnonzero(x[lo:top] != x[lo - c:top - c])
-        if bad.size:
-            return lo + int(bad[0])
+        ne = x[lo:top] != x[lo - c:top - c]
+        if ne.any():
+            return lo + int(ne.argmax())
         lo, step = top, 2 * step
     return hi
 
 
+def _rows(x: np.ndarray, k: int) -> np.ndarray:
+    """A view of contiguous x whose item i is x[i:i+k] as one scalar: an
+    unsigned integer when it spans 1, 2, 4 or 8 bytes, else raw bytes.
+    Two items are equal iff their symbols are."""
+    size = k * x.itemsize
+    dtype = f"u{size}" if size in (1, 2, 4, 8) else f"V{size}"
+    return np.ndarray((x.size - k + 1,), dtype, x, strides=(x.itemsize,))
+
+
+def _same(rows: np.ndarray, c: np.ndarray, s) -> np.ndarray:
+    """rows[c + s] == rows[s] for every shift in c, with s one offset or
+    one per shift; gathers at most _GATHER_BYTES of rows and indices at
+    a time."""
+    out = np.empty(c.size, dtype=bool)
+    step = max(1, _GATHER_BYTES // (rows.itemsize + c.itemsize))
+    for i in range(0, c.size, step):
+        si = s if np.isscalar(s) else s[i:i + step]
+        out[i:i + step] = rows[c[i:i + step] + si] == rows[si]
+    return out
+
+
 def _shift_matches(x: np.ndarray, cmax: int, a: int, b: int) -> np.ndarray:
     """Every c in [1, cmax] with x[c:a*c+b] == x[:(a-1)*c+b], ascending
-    (a >= 0 and a*cmax + b <= len(x)).
+    (x contiguous, a = 0 or a >= 2, and a*cmax + b <= len(x)).
 
-    All c are tested at once with prefix hashes G[i] = sum_{j<i}
-    x[j] B^j mod P: the two sides match only if
-    G[a*c+b] - G[c] == G[(a-1)*c+b] * B^c (mod P).  Equal words always
-    pass, so a collision can only add a candidate, and every candidate
-    is confirmed by direct comparison.  A confirmed c with period extent
-    E also confirms each multiple k*c with a*k*c + b <= E (period c
-    implies period k*c), so a run of one symbol costs one comparison.
+    Shift c holds iff x and x[c:] share their first need(c) =
+    (a-1)*c + b symbols.  The survivors start as the c with x[c] ==
+    x[0].  Each round, every survivor has matched its first k symbols
+    and compares a span of s >= k more: as many as _GATHER_BYTES allows,
+    but no more than any survivor needs.  A survivor with need(c) <=
+    k + s compares the s symbols that end at need(c) instead, which
+    overlap only symbols already matched, and is settled.  If the least
+    survivor c0 is at most k, or is settled this round, x[:c0+k] has
+    period c0, and one period extent E settles every multiple c < E of
+    c0 first: x and x[c:] share exactly E - c symbols, or all of them if
+    E is the end of the range.  So a periodic word costs one extent.
     """
-    n = x.size
     if cmax < 1:
-        return np.zeros(0, dtype=np.int64)
-    q = np.empty(n + 1, dtype=np.int64)  # scratch for _reduce
-    pw = _hash_powers(n + 1, q)
-    g = np.zeros(n + 1, dtype=np.int64)
-    np.multiply(x, pw[:n], out=g[1:])
-    np.cumsum(_reduce(g[1:], q[1:]), out=g[1:])  # n < 2^32 terms below 2^31
-    _reduce(g, q)
-    lhs = _at(g, a, b, cmax) - g[1:cmax + 1]
-    rhs = pw[1:cmax + 1]
-    rhs *= _at(g, a - 1, b, cmax)
-    lhs -= _reduce(rhs, q[:cmax])
-    cands = np.flatnonzero(_reduce(lhs, q[:cmax]) == 0) + 1
-    del q, pw, g, lhs, rhs  # free the hash arrays before confirming
-
+        return np.zeros(0, dtype=np.intp)
+    if x.dtype.kind not in "biu":
+        raise TypeError(f"symbols must be integers, not {x.dtype}")
     hit = np.zeros(cmax + 1, dtype=bool)
-    i = 0
-    while i < cands.size:
-        c = int(cands[i])
-        i += 1
-        need = a * c + b
-        top = cmax - cmax % c  # largest multiple of c within range
-        extent = _period_extent(x, c, need - c, a * top + b)
-        if extent < need:
-            continue
-        hit[c] = True
-        multiples = np.arange(2 * c, top + 1, c)
-        multiples = multiples[a * multiples + b <= extent]
-        if multiples.size:
-            hit[multiples] = True
-            cands = cands[i:]
-            cands = cands[~hit[cands]]
-            i = 0
+    live = np.flatnonzero(x[1:cmax + 1] == x[0])
+    live += 1
+    hi = a * cmax + b
+    k = 1
+    while live.size:
+        least_need = min((a - 1) * int(live[0]), (a - 1) * int(live[-1])) + b
+        span = min(max(k, _GATHER_BYTES // (live.size * x.itemsize)),
+                   least_need)
+        top = k + span
+        c0 = int(live[0])
+        if c0 <= k or (a - 1) * c0 + b <= top:
+            extent = _period_extent(x, c0, c0 + k, hi)
+            j = np.searchsorted(live, extent)
+            multiple = live[:j] % c0 == 0
+            settled = live[:j][multiple]
+            hit[settled[a * settled + b <= extent]] = True
+            live = np.concatenate((live[:j][~multiple], live[j:]))
+        # the survivors with need(c) <= top: a prefix of live, or for
+        # a = 0 (need falling with c) a suffix
+        if a:
+            i = np.searchsorted(live, (top - b) // (a - 1), "right")
+            ends, live = live[:i], live[i:]
+        else:
+            i = np.searchsorted(live, b - top)
+            ends, live = live[i:], live[:i]
+        rows = _rows(x, span)
+        hit[ends[_same(rows, ends, (a - 1) * ends + b - span)]] = True
+        live = live[_same(rows, live, k)]
+        k = top
     return np.flatnonzero(hit)
 
 
 def scan_power_prefixes(prefix, exponent: int) -> tuple:
     """Every block length L, ascending, with prefix[0:exponent*L] equal
-    to exponent copies of prefix[0:L]: hashed candidates, each confirmed
-    exactly."""
+    to exponent copies of prefix[0:L]."""
     if exponent < 2:
         raise ValueError("exponent must be >= 2")
-    arr = np.asarray(prefix, dtype=np.uint8)
+    arr = np.ascontiguousarray(prefix)
     found = _shift_matches(arr, arr.size // exponent, exponent, 0)
     return tuple(found.tolist())
 
@@ -291,7 +282,7 @@ def scan_power_prefixes(prefix, exponent: int) -> tuple:
 def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
     """Period lengths T <= max_period for which x becomes T-periodic from
     index `preperiod` on: the tail y has period T iff y[T:] == y[:-T]."""
-    y = np.ascontiguousarray(x[preperiod:], dtype=np.uint8)
+    y = np.ascontiguousarray(x[preperiod:])
     found = _shift_matches(y, min(max_period, y.size - 1), 0, y.size)
     return tuple(found.tolist())
 

@@ -16,7 +16,7 @@ from blockseq import (
     tail_periods,
 )
 from blockseq import structure
-from blockseq.words import digit_string, is_prime
+from blockseq.words import digit_string
 
 
 def ref_type2(spec: PatternSpec, n: int) -> bool:
@@ -356,43 +356,92 @@ def test_exclusion_stability_under_longer_scans():
         assert small == tuple(L for L in large if L <= horizon)
 
 
-def test_hash_modulus_is_a_prime_below_2_31():
-    # residues below 2^31 keep every product of two inside int64
-    assert is_prime(structure._P)
-    assert structure._P < 1 << 31
+def test_scans_exact_on_dense_binary_words(monkeypatch):
+    """On binary words about half of all shifts survive each symbol, and
+    planted powers keep many alive for long.  With one row per gather
+    the scan compares one doubling span at a time; with the default
+    budget few survivors compare long spans.  Both must return precisely
+    the true matches."""
+    for gather_bytes in (1, structure._GATHER_BYTES):
+        monkeypatch.setattr(structure, "_GATHER_BYTES", gather_bytes)
+        rng = np.random.default_rng(53)
+        for trial in range(60):
+            e = int(rng.integers(2, 6))
+            tail = rng.integers(0, 2, size=int(rng.integers(0, 80))).astype(np.uint8)
+            if trial % 2:
+                block = rng.integers(0, 2, size=int(rng.integers(1, 12))).astype(np.uint8)
+                arr = np.concatenate([np.tile(block, e + int(rng.integers(0, 3))), tail])
+            else:
+                arr = tail
+            assert scan_power_prefixes(arr, e) == naive_powers(arr, e)
+            pre = int(rng.integers(0, 6))
+            for max_period in (len(arr) // 3, len(arr)):
+                periods = tail_periods(arr, max_period, pre)
+                assert periods == naive_tail_periods(arr, max_period, pre)
 
 
-def test_scans_exact_when_most_candidates_collide(monkeypatch):
-    """With modulus 3 most shifts hash alike; exact confirmation must
-    still return precisely the true matches."""
-    monkeypatch.setattr(structure, "_P", 3)
-    confirmations = []
+def test_scans_compare_wide_symbols_exactly():
+    """Symbols are compared in the input's own dtype, never cut to a
+    byte: 1 and 257 differ although they agree mod 256."""
+    assert scan_power_prefixes(np.array([1, 257]), 2) == ()
+    assert scan_power_prefixes([1, 257], 2) == ()
+    assert scan_power_prefixes([300, 300], 2) == (1,)
+    x = np.array([0, 256, 0, 256, 512, 0])
+    assert tail_periods(x, 3, 0) == ()
+    assert tail_periods(x.tolist(), 3, 0) == ()
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        block = rng.integers(0, 2, size=int(rng.integers(1, 9))) * 256
+        arr = np.concatenate([np.tile(block, int(rng.integers(2, 5))),
+                              rng.integers(0, 2, size=int(rng.integers(0, 20))) * 256])
+        for e in (2, 3):
+            assert scan_power_prefixes(arr, e) == naive_powers(arr, e)
+        for dtype in (np.int64, np.uint16):
+            assert (tail_periods(arr.astype(dtype), len(arr), 1)
+                    == naive_tail_periods(arr, len(arr), 1))
+    with pytest.raises(TypeError):
+        scan_power_prefixes([1 << 70, 1 << 70], 2)
+
+
+@pytest.mark.parametrize("m,w,e", [(5, "0", 2), (5, "23", 6)])
+def test_scan_power_prefixes_peak_memory(m, w, e):
+    """At most 12 bytes per term at the 2^22-term `powers` default
+    scan."""
+    import tracemalloc
+
+    x = generate(PatternSpec(m, w), 1 << 22)
+    tracemalloc.start()
+    try:
+        scan_power_prefixes(x, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * x.size, f"peak {peak / x.size:.2f} bytes per term"
+
+
+def test_periodic_inputs_take_one_period_extent(monkeypatch):
+    """On a periodic word one period extent settles every multiple of
+    the period at once, so the number of extents does not grow with the
+    word: without that a run of one symbol takes quadratic time."""
+    calls = []
     extent = structure._period_extent
 
     def counted(*args):
-        confirmations.append(args)
+        calls.append(args[1:])
         return extent(*args)
 
     monkeypatch.setattr(structure, "_period_extent", counted)
-    rng = np.random.default_rng(53)
-    hits = 0
-    for trial in range(60):
-        e = int(rng.integers(2, 6))
-        tail = rng.integers(0, 2, size=int(rng.integers(0, 80))).astype(np.uint8)
-        if trial % 2:
-            block = rng.integers(0, 2, size=int(rng.integers(1, 12))).astype(np.uint8)
-            arr = np.concatenate([np.tile(block, e + int(rng.integers(0, 3))), tail])
-        else:
-            arr = tail
-        found = scan_power_prefixes(arr, e)
-        assert found == naive_powers(arr, e)
-        pre = int(rng.integers(0, 6))
-        for max_period in (len(arr) // 3, len(arr)):
-            periods = tail_periods(arr, max_period, pre)
-            assert periods == naive_tail_periods(arr, max_period, pre)
-            hits += len(periods)
-        hits += len(found)
-    assert len(confirmations) > hits  # the false candidates were compared
+    n = 1 << 16
+    for block in ([0], [0, 1, 2]):
+        x = np.resize(np.array(block, dtype=np.uint8), n)
+        q = len(block)
+        for e in range(2, 6):
+            calls.clear()
+            assert scan_power_prefixes(x, e) == tuple(range(q, n // e + 1, q))
+            assert len(calls) == 1, (block, e, calls)
+        calls.clear()
+        assert tail_periods(x, max_period=n, preperiod=0) == tuple(range(q, n, q))
+        assert len(calls) == 1, (block, calls)
 
 
 def test_scans_of_a_constant_run():
