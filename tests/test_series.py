@@ -288,6 +288,26 @@ def test_degree_evidence_zero_word_scan_length_artifact():
     assert ev.evidence == ("residual_zero=True", "periods=[]")
 
 
+def test_degree_evidence_large_base_window_artifact():
+    """The tail [order/4, order) of a degree-evidence scan can sit where
+    the sequence really is periodic.  At order 10^4, m257 w1 reads
+    a(n) = [n mod 257 == 1] on two-digit n, and m7 w0 lies in [7^4,
+    7^5).  Orders past that digit length clear both, until the tail
+    fits inside the next one (m7 w0 at 10^5 lies in [7^5, 7^6))."""
+    for m, w, order, periods in [
+            (257, "1", 10_000, list(range(257, 2500, 257))),
+            (257, "1", 66_049, list(range(257, 16_513, 257))),
+            (257, "1", 66_050, []),
+            (257, "1", 1 << 17, []),
+            (7, "0", 10_000, [2401]),
+            (7, "0", 1 << 15, []),
+            (7, "0", 100_000, [16807])]:
+        equation, ev = degree_evidence(PatternSpec(m, w), order, seed=1)
+        assert equation.verdict == "PASS"
+        assert ev.evidence == ("residual_zero=True", f"periods={periods}")
+        assert ev.verdict == ("FAIL" if periods else "PASS")
+
+
 def test_degree_evidence_format():
     equation, ev = degree_evidence(PatternSpec(2, "11"), 4096, seed=1)
     assert equation.format() == ("claim=functional-equation params=[m=2 w=11] "

@@ -266,7 +266,7 @@ def test_classify_range_pattern_wider_than_int64():
 
 @pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
 def test_classify_range_peak_memory(m, w):
-    """No int64 copy of the prefix: one uint8 copy and one bool diff."""
+    """No int64 copy of the prefix: the flags plus chunk-sized scratch."""
     import tracemalloc
 
     spec = PatternSpec(m, w)
@@ -280,6 +280,95 @@ def test_classify_range_peak_memory(m, w):
         tracemalloc.stop()
     assert flags.size == n // m
     assert peak <= 3 * n, f"peak {peak / n:.2f} bytes per term"
+
+
+@pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
+@pytest.mark.parametrize("n", [2 ** 21 + 1, 2 ** 23 + 1])
+def test_classify_range_scratch_does_not_grow(m, w, n):
+    """Beyond the n // p flag bytes, a clean uint8 prefix needs at most
+    1 MiB of scratch at any length."""
+    import tracemalloc
+
+    spec = PatternSpec(m, w)
+    x = generate(spec, n)
+    tracemalloc.start()
+    try:
+        flags = classify_range(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags.size == n // m
+    scratch = peak - n // m
+    assert scratch <= 1 << 20, f"scratch {scratch / 2**20:.2f} MiB"
+
+
+def _chunk_sizes(spec: PatternSpec) -> tuple:
+    """BLOCK_CHUNK values to patch in: one period p^|w|, three periods,
+    and one less than a period, which is no multiple of it, so each
+    chunk holds at most one deviating digit."""
+    period = spec.base ** spec.width
+    return period, 3 * period, period - 1
+
+
+@pytest.mark.parametrize("m,w", [(2, "01"), (2, "11"), (3, "120"), (5, "23"),
+                                 (257, "5 0")])
+def test_classify_range_matches_reference_at_chunk_boundaries(
+        monkeypatch, m, w):
+    """Set each term within p of a chunk boundary to every other digit,
+    to p and to 255: the same flags, or the same error and message, as
+    the reference classifier, for every patched chunk size.  At p = 257
+    the terms are the first two and the last of each block there, set
+    to 0, t + 1 and 255.  m2 w01 has lo = s + step, so block s = 0 must
+    not be stepped in chunk 0."""
+    spec = PatternSpec(m, w)
+    period = m ** spec.width
+    for chunk in _chunk_sizes(spec):
+        monkeypatch.setattr(structure, "BLOCK_CHUNK", chunk)
+        unit = period if chunk >= period else m
+        size = max(1, chunk // unit) * unit
+        edges = 1 if m > 5 else 3
+        clean = generate(spec, edges * size + 5 * m)
+        assert outcome(classify_range, spec, clean) == outcome(
+            ref_classify_range, spec, clean)
+        raised = 0
+        for edge in range(size, edges * size + 1, size):
+            terms = (range(edge - m, edge + m + 1) if m <= 5 else
+                     [edge + d for d in (-m, 1 - m, -1, 0, 1, m - 1, m)])
+            for i in terms:
+                t = int(clean[i])
+                values = ([*range(m), m, 255] if m <= 5 else
+                          [0, (t + 1) % 256, 255])
+                for v in values:
+                    if v == t:
+                        continue
+                    x = clean.copy()
+                    x[i] = v
+                    want = outcome(ref_classify_range, spec, x)
+                    assert outcome(classify_range, spec, x) == want, (
+                        chunk, i, v)
+                    raised += isinstance(want, tuple)
+        assert raised > 0
+
+
+def test_classify_range_chunking_leaves_the_grid_unchanged(monkeypatch):
+    """Every pattern of the acceptance grid classifies as the reference
+    does: each prefix up to two periods p^|w| long (a zero-led
+    pattern's unpredicted block s may lie past the end), and a longer
+    clean prefix under the default and each patched chunk size."""
+    from test_acceptance import GRID
+
+    for m, w in GRID:
+        spec = PatternSpec(m, w)
+        period = m ** spec.width
+        x = generate(spec, 20 * period + 3 * m + 1)
+        for n in range(2 * period + m):
+            assert outcome(classify_range, spec, x[:n]) == outcome(
+                ref_classify_range, spec, x[:n]), (spec, n)
+        want = ref_classify_range(spec, x).tolist()
+        for chunk in (structure.BLOCK_CHUNK, *_chunk_sizes(spec)):
+            monkeypatch.setattr(structure, "BLOCK_CHUNK", chunk)
+            assert classify_range(spec, x).tolist() == want, (spec, chunk)
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
