@@ -124,18 +124,13 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     state, children in digit order.
     """
     p, w, k = spec.base, spec.pattern, spec.width
-    delta = _kmp_automaton(w, p)
+    nxt = np.array(_kmp_automaton(w, p))  # KMP state after each digit
     start = (k + 1) * p
-
-    def step(s: int, d: int) -> int:
-        if s == start:
-            if d == 0:
-                return start
-            s = 0
-        q = delta[s // p][d]
-        return q * p + (s % p + (q == k)) % p
-
-    trans = [[step(s, d) for d in range(p)] for s in range(start + 1)]
+    # state q*p + c goes on digit d to nxt[q, d]*p + (c + [nxt[q, d] == k]) % p
+    c = np.arange(p)[:, None]
+    trans = (nxt[:, None] * p + (c + (nxt[:, None] == k)) % p).reshape(-1, p)
+    # the start state reads a nonzero digit as state 0 (q = 0, c = 0) does
+    trans = [*trans.tolist(), [start, *trans[0, 1:].tolist()]]
     # the expansion of 0 is the single digit "0", so a(0) = 1 only for w = "0"
     code = [s % p for s in range(start)] + [int(w == (0,))]
 

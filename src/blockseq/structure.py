@@ -16,15 +16,16 @@ one strided slice of the sequence, from lo*p + i0 with step p^(q+1).
 Stepping each of those digits back by one, mod p, turns every block
 that obeys both the dichotomy and the predicate into a constant one, and
 no other block with digits in [0, p): so the whole claim is one test
-that every block of the stepped sequence is constant.  A uint8 sequence
-is stepped and tested in chunks of about 2^16 terms, in reused scratch.
-When the period p^(q+1) fits in a chunk, each chunk holds whole
-periods, so its steps are one fixed deviation row, subtracted from it
-in one pass; a longer period leaves at most one deviating digit per
-chunk.  So the check holds chunk-sized scratch at any length.  The
-library treats the dichotomy as a hard contract: a block matching
-neither shape, or a type-2 verdict disagreeing with the suffix
-predicate, raises ClaimViolationError.
+that every block of the stepped sequence is constant.  Any integer
+sequence is stepped and tested in chunks of about 2^16 terms, in reused
+scratch of the narrowest unsigned dtype that holds p - 1 (a stepped 0
+wraps past p - 1 and is clipped to it).  Each chunk holds whole periods
+p^(q+1), whose steps are one fixed deviation row, or, for a longer
+period, at most one deviating digit.  So the check holds chunk-sized
+scratch at any length and for any input dtype.  The library treats the
+dichotomy as a hard contract: a block matching neither shape, or a
+type-2 verdict disagreeing with the suffix predicate, raises
+ClaimViolationError.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
 length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
@@ -86,8 +87,8 @@ class ClaimReport:
 # block dichotomy
 # ---------------------------------------------------------------------------
 
-# Terms per chunk of the uint8 block check: a whole number of periods
-# p^|w| when one fits, else of blocks.
+# Terms per chunk of the block check: a whole number of periods p^|w|
+# when one fits, else of blocks.
 BLOCK_CHUNK = 1 << 16
 
 
@@ -95,13 +96,13 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
     """Classify every complete block in the prefix at once; returns a
     boolean array (True = type 2) of length floor(len(prefix)/p).
 
+    The prefix is any integer array (other input is read as int64).
     The flags are the predicted ones, built by one strided assignment
-    (see the module docstring).  A uint8 prefix is checked without
-    widening, in chunks of about BLOCK_CHUNK terms (_suspect_blocks):
-    each chunk, less the deviation row, obeys the dichotomy and the
-    predicate exactly when each of its blocks is constant.  Only blocks
-    that fail that test, hold a digit outside [0, p), or come from an
-    input of another dtype are classified one by one.
+    (see the module docstring).  The prefix is checked in chunks of
+    about BLOCK_CHUNK terms (_suspect_blocks): each chunk, less the
+    deviation row, obeys the dichotomy and the predicate exactly when
+    each of its blocks is constant.  Only blocks that fail that test or
+    hold a digit outside [0, p) are classified one by one.
 
     Raises ClaimViolationError on the first block violating the two-shape
     dichotomy, else on the first contradicting the suffix predicate.
@@ -115,15 +116,12 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
     lo = s if q == 0 or s >= p ** (q - 1) else s + step
     flags = np.zeros(nb, dtype=bool)
     flags[lo::step] = True
-
-    x = prefix[:nb * p]
-    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8 and x.ndim == 1):
-        blocks = np.asarray(x, dtype=np.int64).reshape(nb, p)
-        _diagnose(spec, blocks, np.arange(nb), flags)
-        return flags
-
     if nb == 0:
         return flags
+
+    x = np.asarray(prefix[:nb * p])
+    if x.dtype.kind not in "iu":
+        x = x.astype(np.int64)
     ns = _suspect_blocks(x, p, lo * p + i0, step * p)
     if ns.size:
         _diagnose(spec, x.reshape(nb, p)[ns].astype(np.int64), ns, flags[ns])
@@ -132,60 +130,65 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
 
 def _suspect_blocks(x: np.ndarray, p: int, first: int,
                     period: int) -> np.ndarray:
-    """Ascending indices of the p-blocks of uint8 x (length a multiple
+    """Ascending indices of the p-blocks of integer x (length a multiple
     of p) that may break the dichotomy or the predicate, given that the
     predicted deviating digits are first, first + period, ...
 
-    Each chunk of x is stepped back by one, mod p, at those digits into
-    reused scratch, and its blocks are tested for being constant.  When
-    the period fits in a chunk, the chunks are whole periods, so the
-    steps are one fixed row subtracted from every chunk; else each
-    chunk holds at most one deviating digit.  The suspects are the
-    blocks that are not constant after the step, hold a digit >= p, or
-    (p > 256) step a 0, which needs t = p - 1 past uint8.
+    Each chunk of x, less a deviation row, is written to reused scratch
+    of the narrowest unsigned dtype that holds p - 1, and its blocks are
+    tested for being constant.  When the period fits in a chunk, the
+    chunks are whole periods and the row is fixed; else each chunk holds
+    at most one deviating digit, set in the (zero) row for that chunk
+    alone.  The suspects are the blocks not constant after the step or
+    holding a digit outside [0, p).
     """
     n = x.size
+    # read unsigned, a negative digit is at least 2^(bits-1): every digit
+    # outside [0, p) reads >= lim, and none does if lim exceeds the dtype
+    bits = 8 * x.itemsize
+    lim = min(p, 1 << bits - (x.dtype.kind == "i"))
+    checked = lim < 1 << bits
+    u = x.view(f"u{x.itemsize}")
     rows = period <= BLOCK_CHUNK  # the steps repeat within a chunk
     unit = period if rows else p
     size = min(n, max(1, BLOCK_CHUNK // unit) * unit)
     r = first % period
+    dt = np.min_scalar_type(p - 1)
+    dev = np.zeros(size, dtype=dt)
     if rows:
-        dev = np.zeros(size, dtype=np.uint8)
         dev[r::period] = 1
     inside = np.ones(size - 1, dtype=bool)
     inside[p - 1::p] = False  # pairs that straddle two blocks
-    cap = np.full(size, p - 1, dtype=np.uint8) if p <= 256 else None
-    y = np.empty(size, dtype=np.uint8)
+    cap = np.full(size, p - 1, dtype=dt)
+    y = np.empty(size, dtype=dt)
     diff = np.empty(size - 1, dtype=bool)
     found = []
     for a in range(0, n, size):
         k = min(size, n - a)
-        xc, yc, dc = x[a:a + k], y[:k], diff[:k - 1]
-        at = max(first - a, (r - a) % period)  # first deviating digit
-        if rows:
-            np.subtract(xc, dev[:k], out=yc)
-            if first > r and a == 0:
-                # lo = s + step: block s is not predicted
-                yc[r:r + 1] = xc[r:r + 1]
-        else:
-            np.copyto(yc, xc)
-            yc[at:at + 1] -= 1  # a slice, so a 0 wraps silently
-        if p <= 256:  # a stepped 0 wrapped to 255; make it p - 1
-            # cap is an array: numpy 2.4 runs a scalar operand 11-21x slower
-            np.minimum(yc, cap[:k], out=yc)
+        xc, yc, dc = u[a:a + k], y[:k], diff[:k - 1]
+        # the one digit this chunk steps unlike the row: the deviating
+        # digit of a period longer than the chunk, or, in chunk 0 with
+        # lo = s + step, the digit r of block s, which is not predicted
+        at = max(first - a, (r - a) % period)
+        flip = at if not rows else r if at > r else k
+        if flip < k:
+            dev[flip] ^= 1
+        # in the scratch dtype: a wider digit keeps only its low bits,
+        # which alters only digits outside [0, p), found below
+        np.subtract(xc, dev[:k], out=yc, dtype=dt, casting="unsafe")
+        if flip < k:
+            dev[flip] ^= 1
+        # a stepped 0 wrapped past p - 1; make it p - 1.  cap is an
+        # array: numpy 2.4 runs a scalar operand 11-21x slower
+        np.minimum(yc, cap[:k], out=yc)
         np.not_equal(yc[1:], yc[:-1], out=dc)
         dc &= inside[:k - 1]
-        out_of_range = p < 256 and int(xc.max()) >= p
-        # p > 256: a stepped 0 is a violation (t = p - 1 is past uint8),
-        # yet the 255 it wraps to may match t
-        zeros = np.flatnonzero(xc[at::period] == 0) if p > 256 else ()
-        if not (dc.any() or out_of_range or len(zeros)):
+        out_of_range = checked and int(xc.max()) >= lim
+        if not (dc.any() or out_of_range):
             continue
         parts = [np.flatnonzero(dc) // p]
         if out_of_range:
-            parts.append(np.flatnonzero(xc >= p) // p)
-        if len(zeros):  # the stepped digits are at, at + period, ...
-            parts.append((at + min(period, k) * zeros) // p)
+            parts.append(np.flatnonzero(xc >= lim) // p)
         found.append(a // p + np.concatenate(parts))
     return np.unique(np.concatenate(found)) if found else np.zeros(0, np.intp)
 

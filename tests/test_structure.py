@@ -63,6 +63,8 @@ def ref_classify_range(spec: PatternSpec, prefix) -> np.ndarray:
     ns = np.arange(nb, dtype=np.int64)
     if q == 0:
         predicted = np.ones(nb, dtype=bool)
+    elif p ** (q - 1) >= nb:  # no block index has q digits
+        predicted = np.zeros(nb, dtype=bool)
     else:
         s = 0
         for d in spec.pattern[:-1]:
@@ -264,6 +266,24 @@ def test_classify_range_pattern_wider_than_int64():
     assert not classify_range(spec, generate(spec, 4096)).any()
 
 
+def test_classify_range_matches_reference_past_int64():
+    """p^(|w|-1) = 257^8 is past int64: a clean 300-block prefix, and
+    the same with a block made type 2 against the predicate or made
+    neither shape, classify as the reference does, as uint8 and int64."""
+    spec = PatternSpec(257, "1 1 1 1 1 1 1 1 1")
+    clean = generate(spec, 300 * 257)
+    cases = [clean, clean.astype(np.int64)]
+    for i, v in ((7 * 257 + 1, 1), (7 * 257 + 3, 2), (299 * 257 + 1, 255)):
+        x = clean.copy()
+        x[i] = v
+        cases += [x, x.astype(np.int64)]
+    outcomes = [outcome(ref_classify_range, spec, x) for x in cases]
+    assert outcomes[0] == [False] * 300
+    assert all(isinstance(want, tuple) for want in outcomes[2:])
+    for x, want in zip(cases, outcomes):
+        assert outcome(classify_range, spec, x) == want
+
+
 @pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
 def test_classify_range_peak_memory(m, w):
     """No int64 copy of the prefix: the flags plus chunk-sized scratch."""
@@ -302,6 +322,26 @@ def test_classify_range_scratch_does_not_grow(m, w, n):
     assert scratch <= 1 << 20, f"scratch {scratch / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
+def test_classify_range_int64_scratch_does_not_grow(m, w):
+    """An int64 prefix is read in place, never widened or copied: beyond
+    the n // p flag bytes, at most 1 MiB of scratch."""
+    import tracemalloc
+
+    spec = PatternSpec(m, w)
+    n = 2 ** 21 + 1
+    x = generate(spec, n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        flags = classify_range(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags.size == n // m
+    scratch = peak - n // m
+    assert scratch <= 1 << 20, f"scratch {scratch / 2**20:.2f} MiB"
+
+
 def _chunk_sizes(spec: PatternSpec) -> tuple:
     """BLOCK_CHUNK values to patch in: one period p^|w|, three periods,
     and one less than a period, which is no multiple of it, so each
@@ -318,8 +358,9 @@ def test_classify_range_matches_reference_at_chunk_boundaries(
     to p and to 255: the same flags, or the same error and message, as
     the reference classifier, for every patched chunk size.  At p = 257
     the terms are the first two and the last of each block there, set
-    to 0, t + 1 and 255.  m2 w01 has lo = s + step, so block s = 0 must
-    not be stepped in chunk 0."""
+    to 0, t + 1 and 255.  Each case also runs as an int64 prefix, which
+    sets the term to -1, p, 256 and 2^40 as well.  m2 w01 has lo = s +
+    step, so block s = 0 must not be stepped in chunk 0."""
     spec = PatternSpec(m, w)
     period = m ** spec.width
     for chunk in _chunk_sizes(spec):
@@ -338,16 +379,47 @@ def test_classify_range_matches_reference_at_chunk_boundaries(
                 t = int(clean[i])
                 values = ([*range(m), m, 255] if m <= 5 else
                           [0, (t + 1) % 256, 255])
-                for v in values:
+                wide = dict.fromkeys([*values, -1, m, 256, 2 ** 40])
+                for v, dtype in [*((v, np.uint8) for v in values),
+                                 *((v, np.int64) for v in wide)]:
                     if v == t:
                         continue
-                    x = clean.copy()
+                    x = clean.astype(dtype)
                     x[i] = v
                     want = outcome(ref_classify_range, spec, x)
                     assert outcome(classify_range, spec, x) == want, (
-                        chunk, i, v)
+                        chunk, i, v, dtype)
                     raised += isinstance(want, tuple)
         assert raised > 0
+
+
+@pytest.mark.parametrize("m,w", [(256, "1"), (256, "3 255"), (65537, "1"),
+                                 (65537, "0")])
+def test_classify_range_matches_reference_at_scratch_dtype_edges(m, w):
+    """p - 1 is uint8's largest value at p = 256, and needs uint32
+    scratch at p = 65537.  A clean prefix of a few blocks, and one
+    predicted type-2 block made t = p - 1 around a stepped 0 or t = p - 2
+    around p - 1 (both valid), or t = p - 2 around 0 (a violation),
+    classify as the reference does, as int64 and as the narrowest
+    dtypes that hold p - 1.  At p = 256 an int8 copy reads p - 2 and
+    p - 1 as -2 and -1, digits out of range."""
+    spec = PatternSpec(m, w)
+    clean = generate(spec, 4 * m + 1)
+    n = int(np.argmax(ref_classify_range(spec, clean)))
+    assert ref_type2(spec, n)
+    i0 = spec.pattern[-1]
+    for block in (None, (m - 1, 0), (m - 2, m - 1), (m - 2, 0)):
+        x = clean.astype(np.int64)
+        if block is not None:
+            x[n * m:(n + 1) * m], x[n * m + i0] = block
+        want = outcome(ref_classify_range, spec, x)
+        assert isinstance(want, tuple) == (block == (m - 2, 0))
+        narrow = (np.uint8, np.int8) if m <= 256 else (np.uint32,)
+        for dtype in (*narrow, np.int64):
+            y = x.astype(dtype)
+            expected = (want if np.array_equal(y, x)
+                        else outcome(ref_classify_range, spec, y))
+            assert outcome(classify_range, spec, y) == expected, (dtype, block)
 
 
 def test_classify_range_chunking_leaves_the_grid_unchanged(monkeypatch):
