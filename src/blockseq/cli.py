@@ -19,15 +19,15 @@ and compare only the window generator with the oracle there.
 
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
-operation.  Every other layout (`bfile`, `table`, base > 10) is rows of
-columns -- index, separator, value, newline -- that
-`words.decimal_digits` writes as right-aligned digits into uint8
-matrices; `words.render_rows` copies the columns into one row matrix
-and drops pad bytes only where an unaligned column padded.  A `bfile`
-chunk is cut where its indices gain a digit, so for a base <= 10 no
-chunk pads.  The text goes out in chunks of at most CHUNK_TERMS terms,
-so stdout and `--out` get the same bytes and hold one chunk of text at
-a time, not the whole output.
+operation; for a base > 10, `words.render_rows` joins the value digits
+of `words.decimal_digits` with separators.  A `bfile` or `table` chunk
+is cut where its indices gain a digit, so its indices share one digit
+count, and `words.indexed_rows` copies its rows (index, separator,
+newline) in blocks from a template of 10^4 index rows, then writes each
+block's high index digits and the value digits over them.  The text
+goes out in chunks of at most CHUNK_TERMS terms, so stdout and `--out`
+get the same bytes and hold one chunk of text at a time, not the whole
+output.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from .morphism import build_morphism, expand_fixed_point
 from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
-from .words import (PatternSpec, a_prefix, decimal_digits, digit_string,
-                    render_rows)
+from .words import PatternSpec, a_prefix, digit_string, indexed_rows
 
 __all__ = [
     "RunConfig",
@@ -118,9 +117,9 @@ CHUNK_TERMS = 1 << 16
 
 def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     """The text of `fmt` for `values`, in chunks of at most CHUNK_TERMS
-    terms (after a header line for `table` and `report`).  A `bfile`
-    chunk is also cut at each power of ten, so its indices share one
-    digit count and their column never pads."""
+    terms (after a header line for `table` and `report`).  A `bfile` or
+    `table` chunk is also cut at each power of ten, so its indices share
+    one digit count, as `indexed_rows` needs."""
     n = len(values)
     if fmt == "table":
         width, sep = len(str(n - 1)), b"  "
@@ -132,26 +131,19 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
                f"N={n}\n")
     elif fmt != "plain":
         raise InvalidPatternError(f"unknown output format {fmt!r}")
+    if fmt in ("bfile", "table"):
+        starts = sorted({*range(0, n, CHUNK_TERMS),
+                         *(10 ** k for k in range(1, len(str(n)))
+                           if 10 ** k < n)})
+        templates = {}
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            yield indexed_rows(lo, values[lo:hi], width, sep, templates)
+        return
     between = " " if spec.base > 10 else ""
-    # indices in a narrow unsigned type: an int64 arange takes longer to
-    # build and narrow than `decimal_digits` takes for its digits
-    index_type = np.min_scalar_type(n)
-    starts = list(range(0, max(n, 1), CHUNK_TERMS))
-    if fmt == "bfile":  # also cut where the indices gain a digit
-        power = 10
-        while power < n:
-            starts.append(power)
-            power *= 10
-        starts = sorted(set(starts))
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        part = values[lo:hi]
-        if fmt in ("bfile", "table"):
-            yield render_rows(
-                decimal_digits(np.arange(lo, hi, dtype=index_type), width),
-                sep, decimal_digits(part), b"\n")
-        else:
-            yield digit_string(part, spec.base) + ("\n" if hi == n
-                                                   else between)
+    for lo in range(0, max(n, 1), CHUNK_TERMS):
+        hi = min(n, lo + CHUNK_TERMS)
+        yield digit_string(values[lo:hi], spec.base) + ("\n" if hi == n
+                                                        else between)
 
 
 def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:

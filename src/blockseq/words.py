@@ -18,11 +18,14 @@ only where it fits inside the expansion, and neither uses an automaton
 or the doubling.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
-is the independent check of `a_prefix`.  The package's one text
-renderer lives here too: `digit_string`, and the digit matrices of
-`decimal_digits` (floor division in a narrow unsigned dtype, padding
-written only at positions some value lacks) joined by `render_rows`
-into one row matrix, which it compresses only if a column padded.
+is the independent check of `a_prefix`.  The package's text renderers
+live here too.  `decimal_digits` writes values as digit matrices
+(floor division in a narrow unsigned dtype, padding written only at
+positions some value lacks).  `render_rows` joins such matrices into
+one row matrix for `digit_string`.  `indexed_rows` writes "index value"
+lines by copying blocks of a cached template of 10^4 index rows,
+writing over them only each block's high index digits and the values.
+Either drops pad bytes only if a value padded.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -61,25 +64,19 @@ def is_prime(n: int) -> bool:
 _SKIP = 0xFF
 
 
-def decimal_digits(values, width: int | None = None) -> np.ndarray:
+def decimal_digits(values) -> np.ndarray:
     """Non-negative integers as right-aligned ASCII decimal digits: a
-    (rows, width) uint8 matrix, one row per value.  It is the transpose
-    of a C-ordered (width, rows) array, so each digit position is one
-    contiguous row for `render_rows` to copy.
-
-    Without `width` the matrix is as wide as the largest value and short
-    values are padded on the left with a byte that `render_rows` drops,
-    so they print unpadded.  With `width` (at least the largest value's
-    digit count) the padding is spaces, for aligned columns.  Padding is
-    written only at positions where the smallest value has no digit.
+    (rows, width) uint8 matrix, one row per value, as wide as the largest
+    value.  It is the transpose of a C-ordered (width, rows) array, so
+    each digit position is one contiguous row to copy.  Short values are
+    padded on the left with a byte that `render_rows` and `indexed_rows`
+    drop, so they print unpadded; padding is written only at positions
+    where the smallest value has no digit.
     """
     values = np.asarray(values)
     low = int(values.min()) if values.size else 0
     high = int(values.max()) if values.size else 0
-    pad = ord(" ")
-    if width is None:
-        pad = _SKIP
-        width = len(str(high)) if values.size else 0
+    width = len(str(high)) if values.size else 0
     # Digit k of v is (v // 10^k) - 10 * (v // 10^(k+1)), so it is also
     # that difference of the quotients' low bytes, mod 256: one floor
     # division per position in the narrowest unsigned type (see `_mod`),
@@ -94,8 +91,68 @@ def decimal_digits(values, width: int | None = None) -> np.ndarray:
         out[col] -= out[col - 1] * 10
     out += ord("0")
     for k in range(len(str(low)), width):  # positions past low's digits
-        np.copyto(out[width - 1 - k], pad, where=values < 10 ** k)
+        np.copyto(out[width - 1 - k], _SKIP, where=values < 10 ** k)
     return out.T
+
+
+# An index template holds the low digits of 10^TEMPLATE_DIGITS indices.
+TEMPLATE_DIGITS = 4
+
+
+def indexed_rows(lo: int, values, width: int | None, sep: bytes,
+                 templates: dict) -> str:
+    """Lines "index sep value", one per term of `values`, for the indices
+    lo, lo + 1, ..., which must share one digit count d.  The index is
+    right-aligned in `width` columns, or unpadded when width is None.
+
+    Each row is copied from a template of 10^k rows, k = min(d,
+    TEMPLATE_DIGITS), cached in `templates` (a dict the caller keeps
+    across the chunks of one layout).  Template row i holds i's low k
+    digits zero-padded (those of 10^k + i without the leading 1), the
+    leading spaces, `sep` and the newline, so each 10^k-aligned block of
+    rows is one contiguous copy of a template slice.  Only the block's
+    high index digits, one column at a time, and the value digits are
+    written after it, and pad bytes are dropped only if a value padded.
+    The row matrix lives only inside this call.
+    """
+    n = len(values)
+    d = len(str(lo + n - 1))
+    if len(str(lo)) != d:
+        raise ValueError(f"indices {lo}..{lo + n - 1} differ in digit count")
+    digits = decimal_digits(values)
+    low = min(d, TEMPLATE_DIGITS)
+    high_at = (width or d) - d  # the index's first column
+    value_at = high_at + d + len(sep)
+    key = (d, digits.shape[1], width, sep)
+    if key not in templates:
+        block = 10 ** low
+        template = np.empty((block, value_at + digits.shape[1] + 1),
+                            dtype=np.uint8)
+        template[:, :high_at] = ord(" ")
+        template[:, high_at + d - low:high_at + d] = \
+            decimal_digits(np.arange(block, 2 * block))[:, 1:]
+        template[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
+        template[:, -1] = ord("\n")
+        templates.clear()
+        templates[key] = template
+    template = templates[key]
+    block = template.shape[0]
+    rows = np.empty((n, template.shape[1]), dtype=np.uint8)
+    start = lo
+    while start < lo + n:
+        stop = min(lo + n, (start // block + 1) * block)
+        at = start % block
+        rows[start - lo:stop - lo] = template[at:at + stop - start]
+        # high digits one column at a time: one (rows, k) slice is slower
+        for col, digit in enumerate(str(start // block) if d > low else ""):
+            rows[start - lo:stop - lo, high_at + col] = ord(digit)
+        start = stop
+    for col in range(digits.shape[1]):
+        rows[:, value_at + col] = digits[:, col]
+    # a padded value is padded in its leading position
+    if _SKIP in digits[:, :1]:
+        rows = rows[rows != _SKIP]
+    return str(rows, "ascii")  # decodes the buffer, no bytes copy
 
 
 def render_rows(*columns) -> str:

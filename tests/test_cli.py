@@ -140,11 +140,11 @@ def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
                                                              capsys):
-    """Chunk 1 holds indices 99999 and 100000.  A `table` chunk pads
-    its index column there, and at 2 * CHUNK_TERMS + 3 the chunk after
-    it does not; a `bfile` chunk is cut at each power of ten, so only
-    `table` pads.  Random values below the base give base 101 values of
-    1 to 3 digits."""
+    """Chunk 1 holds indices 99999 and 100000, and both layouts cut it
+    at 10^5, so the index column changes width between two chunks; at
+    2 * CHUNK_TERMS + 3 the chunk after it starts inside a 10^4 block.
+    Random values below the base give base 101 values of 1 to 3
+    digits."""
     spec = PatternSpec(base, "1")
     assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
                  "--format", fmt]) == 0
@@ -158,28 +158,117 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
 
 @pytest.mark.parametrize("base", [2, 10])
 def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
-    """A `bfile` chunk is cut at each power of ten, so no index column
-    pads, and a base <= 10 has one-digit values: no chunk hands
-    `render_rows` a pad byte.  The cuts at 10 to 10^5 and at the chunk
-    boundaries leave the text as the reference writes it."""
+    """A `bfile` chunk is cut at each power of ten, so its indices share
+    one digit count, and a base <= 10 has one-digit values: no chunk
+    hands `indexed_rows` a padded value, so none drops a pad byte.  The
+    cuts at 10 to 10^5 and at the chunk boundaries leave the text as the
+    reference writes it."""
     import blockseq.cli
+    import blockseq.words
     from blockseq.words import _SKIP
 
-    real = blockseq.cli.render_rows
-    padded = []
+    real_rows = blockseq.cli.indexed_rows
+    real_digits = blockseq.words.decimal_digits
+    chunks, padded = [], []
 
-    def render_rows(*columns):
-        padded.append(any(_SKIP in c[:, :1] for c in columns
-                          if isinstance(c, np.ndarray)))
-        return real(*columns)
+    def indexed_rows(*args):
+        chunks.append(args[0])
+        return real_rows(*args)
 
-    monkeypatch.setattr(blockseq.cli, "render_rows", render_rows)
+    def decimal_digits(values):
+        digits = real_digits(values)
+        padded.append(_SKIP in digits[:, :1])
+        return digits
+
+    monkeypatch.setattr(blockseq.cli, "indexed_rows", indexed_rows)
+    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
     spec = PatternSpec(base, "1")
     n = 2 * CHUNK_TERMS + 3
     values = generate(spec, n)
     assert format_sequence(values, spec, "bfile") == \
         reference_format(values, spec, "bfile")
-    assert len(padded) == 3 + 5 and not any(padded)
+    assert len(chunks) == 3 + 5 and padded and not any(padded)
+
+
+def reference_prefixes(values, spec, fmt, ns):
+    """reference_format(values[:n], spec, fmt) for each n in ns.  Past
+    n = 100 the text is cut from one reference text per index-column
+    width: a longer text with the same width (always, for `bfile`)
+    starts with the same lines."""
+    texts, expected = {}, {}
+    for n in sorted(ns, reverse=True):
+        if n <= 100:
+            expected[n] = reference_format(values[:n], spec, fmt)
+            continue
+        key = len(str(n - 1)) if fmt == "table" else None
+        if key not in texts:
+            text = reference_format(values[:n], spec, fmt)
+            ends = np.flatnonzero(np.frombuffer(text.encode("ascii"),
+                                                dtype=np.uint8) == ord("\n"))
+            texts[key] = text, ends
+        text, ends = texts[key]
+        header = fmt == "table"
+        expected[n] = text[:ends[n - 1 + header] + 1]
+    return expected
+
+
+def first_difference(got, text):
+    """The first line at which two texts differ, with both versions, or
+    their lengths if one is a prefix of the other."""
+    for i, (a, b) in enumerate(zip(got.splitlines(), text.splitlines())):
+        if a != b:
+            return i, a, b
+    return len(got), len(text)
+
+
+# Every index digit count, each side of each power of ten, and both
+# chunk starts off a 10^4 boundary (65,536 and 131,072).
+TEMPLATE_SIZES = sorted({0, 1, 2 * CHUNK_TERMS + 1}
+                        | {10 ** k + d for k in range(1, 6) for d in (-1, 0, 1)})
+# Past 10^6 an index has 7 digits: three high digits per 10^4 block
+# (one base only, as the reference takes about a second per 10^6 lines).
+WIDE_TEMPLATE_SIZES = [10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1, 1_234_567]
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+@pytest.mark.parametrize("base", [3, 10, 13, 101, 257])
+def test_index_template_rows_match_reference(fmt, base):
+    """The rows copied from the index template, with each block's high
+    digits written over them, read as the reference writes them on both
+    sides of every power of ten, across chunks that start inside a 10^4
+    block, and for 0 and 1 terms.  Random values below the base pad
+    from base 13 on (1 to 3 digits at base 101 and 257)."""
+    sizes = TEMPLATE_SIZES + (WIDE_TEMPLATE_SIZES if base == 257 else [])
+    spec = PatternSpec(base, "1")
+    values = np.random.default_rng(base).integers(
+        0, base, max(sizes)).astype(np.uint16)
+    for n, text in reference_prefixes(values, spec, fmt, sizes).items():
+        got = format_sequence(values[:n], spec, fmt)
+        # a failure names the first line that differs: a diff of two
+        # texts of a million lines would take minutes
+        same = got == text
+        assert same, (n, first_difference(got, text))
+
+
+def test_kept_chunks_peak_memory_beyond_their_text():
+    """A consumer that keeps every chunk, as the benchmark's sink does,
+    holds the text; the renderer's own memory on top of it stays below
+    one chunk's row matrix and a few columns, since each chunk's matrix
+    is freed before the next chunk is built."""
+    import tracemalloc
+
+    from blockseq.cli import _format_chunks
+
+    spec = PatternSpec(3, "12")
+    values = generate(spec, 8 * CHUNK_TERMS)
+    tracemalloc.start()
+    try:
+        chunks = list(_format_chunks(values, spec, "table"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(len(chunk) for chunk in chunks)
+    assert peak - text <= 14 * CHUNK_TERMS, (peak - text) / CHUNK_TERMS
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])

@@ -20,7 +20,7 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import _SKIP, decimal_digits, render_rows
+from blockseq.words import _SKIP, decimal_digits, indexed_rows, render_rows
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -107,31 +107,23 @@ DIGIT_EDGES = sorted({0, 9, 10, 99, 100, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_decimal_digits_rows_are_the_decimal_strings(dtype):
-    """Each row is str(v): right-aligned, padded with the pad byte that
-    `render_rows` drops, or with spaces to an explicit width."""
+    """Each row is str(v), right-aligned and padded with the pad byte
+    that `render_rows` and `indexed_rows` drop."""
     values = [v for v in DIGIT_EDGES if v <= np.iinfo(dtype).max]
     widest = len(str(max(values)))
-    width = widest + 2
     got = decimal_digits(np.array(values, dtype=dtype))
     assert got.shape == (len(values), widest) and got.dtype == np.uint8
     for v, row in zip(values, got):
         s = str(v).encode("ascii")
         assert row.tobytes() == bytes([_SKIP]) * (widest - len(s)) + s, v
-    got = decimal_digits(np.array(values, dtype=dtype), width)
-    assert got.shape == (len(values), width)
-    for v, row in zip(values, got):
-        assert row.tobytes() == str(v).rjust(width).encode("ascii"), v
     for v in values:  # alone, a value needs no padding
         one = np.array([v], dtype=dtype)
         assert decimal_digits(one).tobytes() == str(v).encode("ascii")
-        assert decimal_digits(one, width).tobytes() == \
-            str(v).rjust(width).encode("ascii")
 
 
 def test_decimal_digits_empty_input():
     empty = np.zeros(0, dtype=np.int64)
     assert decimal_digits(empty).shape == (0, 0)
-    assert decimal_digits(empty, 3).shape == (0, 3)
 
 
 def test_render_rows_drops_pad_bytes_only_where_a_column_padded():
@@ -143,10 +135,21 @@ def test_render_rows_drops_pad_bytes_only_where_a_column_padded():
     assert render_rows(decimal_digits(even), b" ", decimal_digits(short),
                        b"\n") == "100 5\n200 10\n300 123\n999 7\n"
     # no pad byte anywhere: spaces are text and stay
-    assert render_rows(decimal_digits(even), b":", decimal_digits(short, 4),
-                       b"\n") == "100:   5\n200:  10\n300: 123\n999:   7\n"
+    assert render_rows(decimal_digits(even), b":  ", decimal_digits(even),
+                       b"\n") == "100:  100\n200:  200\n300:  300\n999:  999\n"
     assert render_rows(decimal_digits(np.zeros(0, dtype=np.int64)),
                        b"\n") == ""
+
+
+def test_indexed_rows_needs_one_index_digit_count():
+    """The template holds one digit count's rows, so a chunk whose
+    indices cross a power of ten is refused, not misprinted."""
+    values = np.ones(3, dtype=np.uint8)
+    assert indexed_rows(7, values, None, b" ", {}) == "7 1\n8 1\n9 1\n"
+    assert indexed_rows(7, values, 3, b"  ", {}) == \
+        "  7  1\n  8  1\n  9  1\n"
+    with pytest.raises(ValueError):
+        indexed_rows(8, values, None, b" ", {})
 
 
 # ---------------------------------------------------------------------------
