@@ -17,6 +17,11 @@ memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
 base, the paper's setting.  `verify` and `bench` accept composite bases
 and compare only the window generator with the oracle there.
 
+`verify` frees each leg's output before the next leg runs, and compares
+it with the window output CHUNK_TERMS terms at a time, so it holds the
+window output and one other leg at a time: about 2 bytes per term, plus
+the oracle's fixed block scratch.
+
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
 operation; for a base > 10, `words.render_rows` joins the value digits
@@ -186,6 +191,18 @@ def _generator_legs(spec: PatternSpec, n: int) -> list:
     return legs
 
 
+def _first_difference(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The least index where two arrays of one length differ, or None.
+    They are compared CHUNK_TERMS terms at a time, so the comparison's
+    temporaries stay one chunk long, and it stops at the first chunk
+    that differs."""
+    for lo in range(0, a.size, CHUNK_TERMS):
+        x, y = a[lo:lo + CHUNK_TERMS], b[lo:lo + CHUNK_TERMS]
+        if not np.array_equal(x, y):
+            return lo + int(np.flatnonzero(x != y)[0])
+    return None
+
+
 def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
@@ -198,11 +215,12 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
                      "checking window vs. oracle only\n")
     for other, leg in legs[1:]:
         values = leg()
-        if not np.array_equal(window, values):
-            i = int(np.nonzero(window != values)[0][0])
+        i = _first_difference(window, values)
+        if i is not None:
             lines.append(f"FAIL {spec} N={n}: window and {other} disagree "
                          f"at n={i} ({int(window[i])} vs {int(values[i])})\n")
             return lines, EXIT_VERIFY
+        del values  # freed before the next leg runs
     lines.append(f"PASS {spec} N={n}: {', '.join(names)} agree\n")
     return lines, EXIT_OK
 

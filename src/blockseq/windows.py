@@ -29,11 +29,12 @@ in [0]_m = "0" forces w_{-1} = u_0.  (Stating the exception as "w_{-1} =
 u_0 whenever the pattern is all zeros" overcounts at n = 0 for lengths
 >= 2; the oracle-equivalence tests pin the version implemented here.)
 
-Both assemblies are written level by level into one zeroed output
-buffer s of N terms, which is never grown or concatenated; a(0) = 1 is
-set first for the pattern "0".  Each level copies terms already written
-forward in chunks of doubling length, then increments one window in
-place, every write clipped at N:
+Both assemblies are written level by level into one output buffer s
+of N terms, which is never grown or concatenated.  Only its first m*den
+terms are zeroed, since every later term is written before it is read;
+a(0) = 1 is set first for the pattern "0".  Each level copies terms
+already written forward in chunks of doubling length, then increments
+one window in place, every write clipped at N:
 
 * x != 0: u_k is s[:L].  Repeating it through s[:mL] and incrementing
   the window of the copy at xL leaves u_{k+1} = s[:mL].
@@ -106,7 +107,10 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     m, x = spec.base, spec.pattern[0]
     den = m ** (spec.width - 1)
     tail = spec.value - x * den
-    s = np.zeros(n_terms, dtype=np.uint8)
+    # s[:m * den], u_{-1}^m (x != 0) or w_{-1} (x = 0), is the only part
+    # read before it is written
+    s = np.empty(n_terms, dtype=np.uint8)
+    s[:m * den] = 0
     s[0] = spec.pattern == (0,)
 
     def increment_window(start: int, length: int) -> None:

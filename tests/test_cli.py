@@ -103,6 +103,19 @@ def reference_format(values, spec, fmt):
     raise AssertionError(fmt)
 
 
+def assert_same_text(got, text, *context):
+    """got == text.  A failure names `context`, then the first line that
+    differs with both versions, or both lengths if one text is a prefix
+    of the other: pytest's own diff of two texts of 10^5 lines or more
+    would take minutes."""
+    if got == text:
+        return
+    for i, (a, b) in enumerate(zip(got.splitlines(), text.splitlines())):
+        if a != b:
+            raise AssertionError((*context, i, a, b))
+    raise AssertionError((*context, len(got), len(text)))
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("base", [2, 3, 5, 10, 11, 13, 101])
 def test_format_sequence_matches_reference(base, fmt):
@@ -113,11 +126,11 @@ def test_format_sequence_matches_reference(base, fmt):
         # values up to m - 1, so base > 10 prints multi-digit values
         values = rng.integers(0, base, n).astype(np.uint8)
         values[-1] = base - 1
-        assert format_sequence(values, spec, fmt) == \
-            reference_format(values, spec, fmt), n
+        assert_same_text(format_sequence(values, spec, fmt),
+                         reference_format(values, spec, fmt), n)
     empty = np.zeros(0, dtype=np.uint8)
-    assert format_sequence(empty, spec, fmt) == \
-        reference_format(empty, spec, fmt)
+    assert_same_text(format_sequence(empty, spec, fmt),
+                     reference_format(empty, spec, fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -130,9 +143,9 @@ def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
     target = tmp_path / "seq.txt"
     assert main(argv + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
-    assert target.read_bytes() == out.encode("ascii")
+    assert_same_text(target.read_bytes().decode("ascii"), out)
     spec = PatternSpec(3, "12")
-    assert out == format_sequence(generate(spec, n), spec, fmt)
+    assert_same_text(out, format_sequence(generate(spec, n), spec, fmt))
 
 
 @pytest.mark.parametrize("n", [2 * CHUNK_TERMS + 3, 100_001])
@@ -148,12 +161,12 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
     spec = PatternSpec(base, "1")
     assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
                  "--format", fmt]) == 0
-    assert capsys.readouterr().out == \
-        reference_format(generate(spec, n), spec, fmt)
+    assert_same_text(capsys.readouterr().out,
+                     reference_format(generate(spec, n), spec, fmt))
     values = np.random.default_rng(n + base).integers(
         0, base, n).astype(np.uint8)
-    assert format_sequence(values, spec, fmt) == \
-        reference_format(values, spec, fmt)
+    assert_same_text(format_sequence(values, spec, fmt),
+                     reference_format(values, spec, fmt))
 
 
 @pytest.mark.parametrize("base", [2, 10])
@@ -185,8 +198,8 @@ def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
     spec = PatternSpec(base, "1")
     n = 2 * CHUNK_TERMS + 3
     values = generate(spec, n)
-    assert format_sequence(values, spec, "bfile") == \
-        reference_format(values, spec, "bfile")
+    assert_same_text(format_sequence(values, spec, "bfile"),
+                     reference_format(values, spec, "bfile"))
     assert len(chunks) == 3 + 5 and padded and not any(padded)
 
 
@@ -212,15 +225,6 @@ def reference_prefixes(values, spec, fmt, ns):
     return expected
 
 
-def first_difference(got, text):
-    """The first line at which two texts differ, with both versions, or
-    their lengths if one is a prefix of the other."""
-    for i, (a, b) in enumerate(zip(got.splitlines(), text.splitlines())):
-        if a != b:
-            return i, a, b
-    return len(got), len(text)
-
-
 # Every index digit count, each side of each power of ten, and both
 # chunk starts off a 10^4 boundary (65,536 and 131,072).
 TEMPLATE_SIZES = sorted({0, 1, 2 * CHUNK_TERMS + 1}
@@ -243,11 +247,7 @@ def test_index_template_rows_match_reference(fmt, base):
     values = np.random.default_rng(base).integers(
         0, base, max(sizes)).astype(np.uint16)
     for n, text in reference_prefixes(values, spec, fmt, sizes).items():
-        got = format_sequence(values[:n], spec, fmt)
-        # a failure names the first line that differs: a diff of two
-        # texts of a million lines would take minutes
-        same = got == text
-        assert same, (n, first_difference(got, text))
+        assert_same_text(format_sequence(values[:n], spec, fmt), text, n)
 
 
 def test_kept_chunks_peak_memory_beyond_their_text():
@@ -363,6 +363,83 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "FAIL m=2 w=11 N=1000: window and morphism disagree at n=7 "
         f"({window[7]} vs {window[7] ^ 1})\n")
+
+
+VERIFY_N = 2 * CHUNK_TERMS + 5
+
+
+@pytest.mark.parametrize("first", [0, CHUNK_TERMS - 1, CHUNK_TERMS,
+                                   VERIFY_N - 1])
+def test_verify_fail_line_names_the_least_index_across_chunks(first,
+                                                               monkeypatch,
+                                                               capsys):
+    """The legs are compared a chunk at a time, and the FAIL line still
+    names the least differing index: at either end of the output, and
+    on either side of a chunk boundary, with a later difference in the
+    same chunk and in the last one."""
+    import blockseq.cli
+
+    real = blockseq.cli.expand_fixed_point
+    later = [i for i in {first + 1, first + CHUNK_TERMS // 2, VERIFY_N - 1}
+             if first < i < VERIFY_N]
+
+    def wrong_morphism(mu, n):
+        values = real(mu, n)
+        values[[first, *later]] ^= 1
+        return values
+
+    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", wrong_morphism)
+    window = generate(PatternSpec(2, "11"), VERIFY_N)
+    assert main(["verify", "-m", "2", "-w", "11", "-N", str(VERIFY_N)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL m=2 w=11 N={VERIFY_N}: window and morphism disagree at "
+        f"n={first} ({window[first]} vs {window[first] ^ 1})\n")
+
+
+@pytest.mark.parametrize("m, w, note", [
+    ("2", "11", ""),
+    ("6", "05", "note: base 6 is composite; checking window vs. oracle only\n"),
+])
+def test_verify_reports_an_oracle_only_disagreement(m, w, note, monkeypatch,
+                                                    capsys):
+    """When the window and morphism legs agree and only the oracle
+    differs, the FAIL line names the oracle, after the composite-base
+    note where there is one."""
+    import blockseq.cli
+
+    real = blockseq.cli.a_prefix
+    bad = CHUNK_TERMS + 17
+
+    def wrong_oracle(spec, n):
+        values = real(spec, n)
+        values[bad] = 9
+        return values
+
+    monkeypatch.setattr(blockseq.cli, "a_prefix", wrong_oracle)
+    window = generate(PatternSpec(int(m), w), VERIFY_N)
+    assert main(["verify", "-m", m, "-w", w, "-N", str(VERIFY_N)]) == 1
+    assert capsys.readouterr().out == note + (
+        f"FAIL m={m} w={w} N={VERIFY_N}: window and oracle disagree at "
+        f"n={bad} ({window[bad]} vs 9)\n")
+
+
+@pytest.mark.parametrize("m, w", [(2, "11"), (6, "05")])
+def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
+    """Each leg's output is freed before the next leg runs, and the
+    comparison's temporaries stay one chunk long, so the peak is the
+    window output and one other leg (about 2 bytes per term) plus the
+    oracle's fixed block scratch, with no N-byte comparison mask."""
+    import tracemalloc
+
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        code = run(RunConfig("verify", m, w, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "PASS" in capsys.readouterr().out
+    assert peak < 2 * n + (1 << 20), f"peak {peak / n:.2f} bytes per term"
 
 
 def test_verify_prime_base_above_256(capsys):

@@ -215,6 +215,25 @@ def test_generate_bytes_levels_hand_over_to_numpy(monkeypatch, seed_terms,
         assert np.array_equal(generate(spec, n), a_prefix(spec, n)), (spec, n)
 
 
+@pytest.mark.parametrize("m, w, sizes", [
+    (2, "11", (3, 5000)),  # x != 0, levels from bytes
+    (3, "00", (5, 5000)),  # x = 0, levels from bytes
+    (2, "1" + "0" * 15, (100, 40_000, 200_000)),  # x != 0, m^|w| > SEED_TERMS
+    (2, "0" + "1" * 15, (100, 40_000, 200_000)),  # x = 0, m^|w| > SEED_TERMS
+    (10, "00000", (500, 50_000, 300_000)),
+])
+def test_generate_on_a_dirty_heap_matches_oracle(m, w, sizes):
+    """The output buffer is not zeroed beyond its first m^|w| terms, so
+    every later term must be written before it is read.  Freed arrays
+    of 0xFF bytes and the output's size first make the allocator hand
+    back dirty memory, both short of m^|w| and past it."""
+    spec = PatternSpec(m, w)
+    for n in sizes:
+        for _ in range(2):
+            np.full(n, 0xFF, dtype=np.uint8)
+        assert np.array_equal(generate(spec, n), a_prefix(spec, n)), n
+
+
 def test_generate_matches_oracle_wider_pattern():
     for m, w in [(2, "1101"), (3, "0012")]:
         spec = PatternSpec(m, w)
