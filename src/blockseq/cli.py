@@ -20,7 +20,10 @@ and compare only the window generator with the oracle there.
 `verify` frees each leg's output before the next leg runs, and compares
 it with the window output CHUNK_TERMS terms at a time, so it holds the
 window output and one other leg at a time: about 2 bytes per term, plus
-the oracle's fixed block scratch.
+the oracle's fixed block scratch.  `blocks` holds its prefix and the
+block check's fixed chunk scratch, and nothing per block: the verified
+type-2 blocks come back as one range, and it prints their count.
+`bench` frees each output before the next timed call allocates its own.
 
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
@@ -228,9 +231,9 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
 def _cmd_blocks(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     prefix = generate(spec, cfg.count)
-    is_type2 = classify_range(spec, prefix)  # raises on any violation
-    n2 = int(np.count_nonzero(is_type2))
-    n1 = is_type2.size - n2
+    type2 = classify_range(spec, prefix)  # raises on any violation
+    n2 = len(type2)
+    n1 = len(prefix) // spec.base - n2
     report = ClaimReport(claim="block-dichotomy", params=str(spec),
                          scan_length=cfg.count,
                          evidence=(f"type1={n1}", f"type2={n2}"),
@@ -261,14 +264,16 @@ def bench_generators(spec: PatternSpec, n_terms: int) -> list:
     must agree across generators."""
     records = []
     for name, fn in _generator_legs(spec, n_terms):
+        out = None  # the previous leg's output, freed before the warm-up
         fn()  # warm-up (page faults, allocator)
         times = []
         for _ in range(5):
+            out = None  # freed before the next call allocates its own
             t0 = time.perf_counter()
             out = fn()
             times.append(time.perf_counter() - t0)
         wall = statistics.median(times)
-        digest = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        digest = hashlib.sha256(np.ascontiguousarray(out)).hexdigest()
         records.append(BenchRecord(
             generator=name,
             params=(spec.base, digit_string(spec.pattern, spec.base), n_terms),

@@ -25,7 +25,9 @@ period, at most one deviating digit.  So the check holds chunk-sized
 scratch at any length and for any input dtype.  The library treats the
 dichotomy as a hard contract: a block matching neither shape, or a
 type-2 verdict disagreeing with the suffix predicate, raises
-ClaimViolationError.
+ClaimViolationError.  So a check that passes has verified the predicted
+progression itself, and classify_range returns it as a range; nothing
+is stored per block.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
 length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
@@ -92,17 +94,19 @@ class ClaimReport:
 BLOCK_CHUNK = 1 << 16
 
 
-def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
-    """Classify every complete block in the prefix at once; returns a
-    boolean array (True = type 2) of length floor(len(prefix)/p).
+def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
+    """Check every complete block in the prefix at once; returns the
+    type-2 block indices, verified, as range(lo, nb, step) with nb =
+    floor(len(prefix)/p).
 
     The prefix is any integer array (other input is read as int64).
-    The flags are the predicted ones, built by one strided assignment
-    (see the module docstring).  The prefix is checked in chunks of
-    about BLOCK_CHUNK terms (_suspect_blocks): each chunk, less the
-    deviation row, obeys the dichotomy and the predicate exactly when
-    each of its blocks is constant.  Only blocks that fail that test or
-    hold a digit outside [0, p) are classified one by one.
+    The type-2 blocks are the predicted ones, one arithmetic progression
+    (see the module docstring), so nothing is stored per block.  The
+    prefix is checked in chunks of about BLOCK_CHUNK terms
+    (_suspect_blocks): each chunk, less the deviation row, obeys the
+    dichotomy and the predicate exactly when each of its blocks is
+    constant.  Only blocks that fail that test or hold a digit outside
+    [0, p) are classified one by one, against their predicted flags.
 
     Raises ClaimViolationError on the first block violating the two-shape
     dichotomy, else on the first contradicting the suffix predicate.
@@ -114,18 +118,21 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> np.ndarray:
     step = p ** q
     s = from_base(spec.pattern[:-1], p)
     lo = s if q == 0 or s >= p ** (q - 1) else s + step
-    flags = np.zeros(nb, dtype=bool)
-    flags[lo::step] = True
+    type2 = range(lo, nb, step)
     if nb == 0:
-        return flags
+        return type2
 
     x = np.asarray(prefix[:nb * p])
     if x.dtype.kind not in "iu":
         x = x.astype(np.int64)
     ns = _suspect_blocks(x, p, lo * p + i0, step * p)
     if ns.size:
-        _diagnose(spec, x.reshape(nb, p)[ns].astype(np.int64), ns, flags[ns])
-    return flags
+        # one index in range at most once step >= nb; step and lo may
+        # then be past int64
+        predicted = (ns == lo if step >= nb
+                     else (ns >= lo) & ((ns - lo) % step == 0))
+        _diagnose(spec, x.reshape(nb, p)[ns].astype(np.int64), ns, predicted)
+    return type2
 
 
 def _suspect_blocks(x: np.ndarray, p: int, first: int,

@@ -46,6 +46,11 @@ Both start from L = den, where s[:m*den] already holds u_{-1}^m (x != 0)
 or w_{-1} = s[:den] u_{-1}^(m-1) (x = 0).  A level costs O(log m) numpy
 calls, and nothing past N is materialized, so the peak is N bytes.
 
+For m = 2, (c + 1) mod 2 is c ^ 1, so a level writes each term once:
+the incremented copy is the source's window xor 1 and plain copies of
+the rest (x != 0: s[L:2L] = phi(s[:L]); x = 0: s[2L:3L] = phi(s[L:2L])
+and s[3L:4L] = s[L:2L]).
+
 Those calls cost a few microseconds each whatever their length, so the
 short levels, up to SEED_TERMS terms, are built first as bytes objects
 by the same step (the window incremented by `bytes.translate`) and
@@ -73,6 +78,18 @@ def _repeat(s: np.ndarray, lo: int, filled: int, hi: int) -> None:
         k = min(filled - lo, hi - filled)
         s[filled:filled + k] = s[lo:lo + k]
         filled += k
+
+
+def _flip_copy(s: np.ndarray, src: int, dst: int, length: int, a: int,
+               b: int) -> None:
+    """s[dst:dst + length] = s[src:src + length] with its terms [a, b)
+    xor 1, clipped at the end of s (src + length <= dst): a base-2 step
+    in one pass, since (c + 1) mod 2 is c ^ 1."""
+    end = max(0, min(length, s.size - dst))
+    a, b = min(a, end), min(b, end)
+    s[dst:dst + a] = s[src:src + a]
+    np.bitwise_xor(s[src + a:src + b], 1, out=s[dst + a:dst + b])
+    s[dst + b:dst + end] = s[src + b:src + end]
 
 
 # Terms per chunk in `_wrap`: its one temporary is this long.
@@ -113,8 +130,13 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     s[:m * den] = 0
     s[0] = spec.pattern == (0,)
 
+    def window(length: int) -> tuple:
+        """The window [a, b) of a word of this length."""
+        return tail * length // den, (tail + 1) * length // den
+
     def increment_window(start: int, length: int) -> None:
-        seg = s[start + tail * length // den:start + (tail + 1) * length // den]
+        a, b = window(length)
+        seg = s[start + a:start + b]
         seg += 1
         # a(n) <= 63 < m past m = 64, so only small bases wrap
         if m <= 64:
@@ -124,7 +146,7 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     inc = bytes(range(1, min(m, 256))) + bytes(257 - min(m, 256))
 
     def phi(u: bytes) -> bytes:
-        a, b = tail * len(u) // den, (tail + 1) * len(u) // den
+        a, b = window(len(u))
         return u[:a] + u[a:b].translate(inc) + u[b:]
 
     L = den
@@ -136,8 +158,11 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
                 L *= m
             s[:L] = np.frombuffer(u, np.uint8)[:n_terms]
         while L < n_terms:
-            _repeat(s, 0, L, m * L)
-            increment_window(x * L, L)
+            if m == 2:  # u_{k+1} = u_k phi(u_k)
+                _flip_copy(s, 0, L, L, *window(L))
+            else:
+                _repeat(s, 0, L, m * L)
+                increment_window(x * L, L)
             L *= m
     else:
         if m * m * L <= SEED_TERMS:
@@ -148,8 +173,12 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
                 L *= m
             s[:len(head)] = np.frombuffer(head, np.uint8)[:n_terms]
         while m * L < n_terms:
-            _repeat(s, L, m * L, 2 * m * L)
-            increment_window(m * L, L)
-            _repeat(s, m * L, 2 * m * L, m * m * L)
+            if m == 2:  # w_{k+1} = u_{k+1} = phi(u_k) u_k
+                _flip_copy(s, L, 2 * L, L, *window(L))
+                _flip_copy(s, L, 3 * L, L, 0, 0)
+            else:
+                _repeat(s, L, m * L, 2 * m * L)
+                increment_window(m * L, L)
+                _repeat(s, m * L, 2 * m * L, m * m * L)
             L *= m
     return s

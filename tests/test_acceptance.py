@@ -190,8 +190,8 @@ def test_criterion_5_block_dichotomy():
         spec = PatternSpec(base, pat)
         prefix = generate(spec, base * blocks)
         # classify_range raises on any shape or predicate violation
-        flags = classify_range(spec, prefix)
-        counts[str(spec)] = int(flags.sum())
+        type2 = classify_range(spec, prefix)
+        counts[str(spec)] = len(type2)
     ok = len(counts) == len(GRID)
     announce(5, "block-dichotomy", ok,
              f"{len(GRID)} patterns x {blocks} blocks, zero violations")

@@ -676,6 +676,74 @@ def test_bench_composite_base_has_two_legs():
     assert len({r.checksum for r in records}) == 1
 
 
+def test_bench_holds_one_output_at_a_time():
+    """Each output is freed before the next timed call allocates its
+    own, and the last one is hashed in place, so the peak is one output
+    plus the oracle's block scratch."""
+    import tracemalloc
+
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        bench_generators(PatternSpec(2, "11"), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * n, f"peak {peak / n:.2f} bytes per term"
+
+
+@pytest.mark.parametrize("m, w, n", [(2, "11", 200_000), (257, "1", 2000),
+                                     (4, "10", 100_000)])
+def test_bench_lines_hash_the_generated_terms(m, w, n, capsys):
+    """With the timing fields and the timing-dependent verdict masked,
+    `bench` prints one fixed line per leg: the sha256 of the terms."""
+    import hashlib
+    import re
+
+    spec = PatternSpec(m, w)
+    digest = hashlib.sha256(generate(spec, n).tobytes()).hexdigest()[:16]
+    legs = ["window", "morphism", "oracle"] if m != 4 else ["window",
+                                                            "oracle"]
+    main(["bench", "-m", str(m), "-w", w, "-N", str(n)])
+    out = re.sub(r"median_s=\S+ terms_per_s=\S+", "TIMING",
+                 capsys.readouterr().out)
+    out = re.sub(r": (PASS|FAIL)$", ": VERDICT", out, flags=re.M)
+    assert out == "".join(
+        f"bench generator={leg} m={m} w={w} N={n} TIMING sha256={digest}\n"
+        for leg in legs) + "ordering window>=morphism>oracle: VERDICT\n"
+
+
+# (config, ceiling in bytes) at N = 2^21 terms, written to a file:
+# `blocks` holds its prefix and at most 0.5 MiB more; the other ceilings
+# are the peaks measured at this code plus 25%
+PEAK_N = 1 << 21
+SUBCOMMAND_PEAKS = [
+    (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 2_382_984),
+    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 5_117_655),
+    (RunConfig("blocks", 2, "0", PEAK_N), PEAK_N + (1 << 19)),
+    (RunConfig("powers", 2, "11", PEAK_N, scan_length=PEAK_N),
+     1.25 * 8_408_206),
+    (RunConfig("series", 2, "11", PEAK_N, order=1 << 14), 1.25 * 1_249_331),
+]
+
+
+@pytest.mark.parametrize("cfg, ceiling", SUBCOMMAND_PEAKS,
+                         ids=[cfg.subcommand for cfg, _ in SUBCOMMAND_PEAKS])
+def test_subcommand_peak_memory_budget(cfg, ceiling, tmp_path):
+    import dataclasses
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = run(dataclasses.replace(cfg, output_path=str(tmp_path / "o")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= ceiling, (f"peak {peak} > {ceiling:.0f} bytes "
+                             f"({peak / PEAK_N:.3f} bytes per term)")
+
+
 # ---------------------------------------------------------------------------
 # misc plumbing
 # ---------------------------------------------------------------------------

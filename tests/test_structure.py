@@ -80,11 +80,23 @@ def ref_classify_range(spec: PatternSpec, prefix) -> np.ndarray:
     return is_type2
 
 
+def flags_of(type2: range, nb: int) -> np.ndarray:
+    """The bool array (True = type 2) over nb blocks that a type-2
+    range from classify_range marks; an index past nb raises."""
+    flags = np.zeros(nb, dtype=bool)
+    flags[list(type2)] = True
+    return flags
+
+
 def outcome(classify, spec: PatternSpec, prefix):
-    """The flags a classifier returns, or the type and text of what it
+    """The flags a classifier returns (rebuilt from a range over the
+    prefix's complete blocks), or the type and text of what it
     raises."""
     try:
-        return classify(spec, prefix).tolist()
+        result = classify(spec, prefix)
+        if isinstance(result, range):
+            result = flags_of(result, len(prefix) // spec.base)
+        return result.tolist()
     except Exception as exc:  # noqa: BLE001 - compared, not handled
         return type(exc), str(exc)
 
@@ -94,7 +106,7 @@ def outcome(classify, spec: PatternSpec, prefix):
 # ---------------------------------------------------------------------------
 
 def type2_at(spec: PatternSpec, n: int) -> bool:
-    return bool(classify_range(spec, generate(spec, spec.base * (n + 1)))[n])
+    return n in classify_range(spec, generate(spec, spec.base * (n + 1)))
 
 
 def test_expected_type2_examples():
@@ -120,9 +132,9 @@ def test_expected_type2_against_reference():
                  (3, "00"), (5, "23")]:
         spec = PatternSpec(m, w)
         ns = list(range(300)) + [rng.randrange(10 ** 6) for _ in range(200)]
-        flags = classify_range(spec, generate(spec, m * (max(ns) + 1)))
+        type2 = classify_range(spec, generate(spec, m * (max(ns) + 1)))
         want = [ref_type2(spec, n) for n in ns]
-        assert flags[ns].tolist() == want, spec
+        assert [n in type2 for n in ns] == want, spec
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +143,12 @@ def test_expected_type2_against_reference():
 
 def test_classify_block_examples():
     spec = PatternSpec(2, "11")
-    flags = classify_range(spec, generate(spec, 32))
+    type2 = classify_range(spec, generate(spec, 32))
 
-    assert not flags[0]  # block 0 is constant
-    assert flags[1]      # block 1 is 01: type 2
+    assert 0 not in type2  # block 0 is constant
+    assert 1 in type2      # block 1 is 01: type 2
     # the expansion "110" of 6 does not end in "1", so the block stays flat
-    assert not flags[6]
+    assert 6 not in type2
 
 
 def test_classify_block_detects_corruption():
@@ -157,9 +169,10 @@ def test_classify_range_matches_scalar():
     for m, w in [(2, "11"), (2, "0"), (3, "02"), (3, "120"), (5, "23")]:
         spec = PatternSpec(m, w)
         prefix = generate(spec, m * 700)
-        flags = classify_range(spec, prefix)
-        assert flags.shape == (700,)
-        assert flags.tolist() == [ref_type2(spec, n) for n in range(700)]
+        type2 = classify_range(spec, prefix)
+        assert type2.stop == 700
+        assert flags_of(type2, 700).tolist() == [ref_type2(spec, n)
+                                                 for n in range(700)]
 
 
 def test_classify_range_full_grid_never_errors():
@@ -246,7 +259,7 @@ def test_classify_range_wide_bases(m, w):
     """At p = 257 a deviating 0 steps back to 256, past uint8."""
     spec = PatternSpec(m, w)
     x = generate(spec, 2000 * m)
-    flags = classify_range(spec, x)
+    flags = flags_of(classify_range(spec, x), 2000)
     assert flags.tolist() == [ref_type2(spec, n) for n in range(2000)]
     i0 = spec.pattern[-1]
     for n in (int(np.argmax(flags)), int(np.argmin(flags))):
@@ -263,7 +276,7 @@ def test_classify_range_wide_bases(m, w):
 def test_classify_range_pattern_wider_than_int64():
     """p^(|w|-1) past 2^63 predicts no type-2 block in any prefix."""
     spec = PatternSpec(2, "1" * 70)
-    assert not classify_range(spec, generate(spec, 4096)).any()
+    assert len(classify_range(spec, generate(spec, 4096))) == 0
 
 
 def test_classify_range_matches_reference_past_int64():
@@ -286,7 +299,8 @@ def test_classify_range_matches_reference_past_int64():
 
 @pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
 def test_classify_range_peak_memory(m, w):
-    """No int64 copy of the prefix: the flags plus chunk-sized scratch."""
+    """No int64 copy of the prefix and nothing per block: chunk-sized
+    scratch."""
     import tracemalloc
 
     spec = PatternSpec(m, w)
@@ -294,38 +308,37 @@ def test_classify_range_peak_memory(m, w):
     x = generate(spec, n)
     tracemalloc.start()
     try:
-        flags = classify_range(spec, x)
+        type2 = classify_range(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert flags.size == n // m
+    assert type2.stop == n // m
     assert peak <= 3 * n, f"peak {peak / n:.2f} bytes per term"
 
 
 @pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
 @pytest.mark.parametrize("n", [2 ** 21 + 1, 2 ** 23 + 1])
 def test_classify_range_scratch_does_not_grow(m, w, n):
-    """Beyond the n // p flag bytes, a clean uint8 prefix needs at most
-    1 MiB of scratch at any length."""
+    """A clean uint8 prefix needs at most 1 MiB of scratch at any length,
+    and nothing per block."""
     import tracemalloc
 
     spec = PatternSpec(m, w)
     x = generate(spec, n)
     tracemalloc.start()
     try:
-        flags = classify_range(spec, x)
+        type2 = classify_range(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert flags.size == n // m
-    scratch = peak - n // m
-    assert scratch <= 1 << 20, f"scratch {scratch / 2**20:.2f} MiB"
+    assert type2.stop == n // m
+    assert peak <= 1 << 20, f"scratch {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("m,w", [(2, "0"), (5, "10")])
 def test_classify_range_int64_scratch_does_not_grow(m, w):
-    """An int64 prefix is read in place, never widened or copied: beyond
-    the n // p flag bytes, at most 1 MiB of scratch."""
+    """An int64 prefix is read in place, never widened or copied: at
+    most 1 MiB of scratch, and nothing per block."""
     import tracemalloc
 
     spec = PatternSpec(m, w)
@@ -333,13 +346,12 @@ def test_classify_range_int64_scratch_does_not_grow(m, w):
     x = generate(spec, n).astype(np.int64)
     tracemalloc.start()
     try:
-        flags = classify_range(spec, x)
+        type2 = classify_range(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert flags.size == n // m
-    scratch = peak - n // m
-    assert scratch <= 1 << 20, f"scratch {scratch / 2**20:.2f} MiB"
+    assert type2.stop == n // m
+    assert peak <= 1 << 20, f"scratch {peak / 2**20:.2f} MiB"
 
 
 def _chunk_sizes(spec: PatternSpec) -> tuple:
@@ -439,7 +451,8 @@ def test_classify_range_chunking_leaves_the_grid_unchanged(monkeypatch):
         want = ref_classify_range(spec, x).tolist()
         for chunk in (structure.BLOCK_CHUNK, *_chunk_sizes(spec)):
             monkeypatch.setattr(structure, "BLOCK_CHUNK", chunk)
-            assert classify_range(spec, x).tolist() == want, (spec, chunk)
+            assert flags_of(classify_range(spec, x), x.size // m).tolist() \
+                == want, (spec, chunk)
         monkeypatch.undo()
 
 
@@ -717,3 +730,103 @@ def test_claim_report_format():
     assert "claim=power-length-multiple" in line
     assert "verdict=PASS" in line
     assert "scan=4096" in line
+
+
+def type2_indices(classify, spec: PatternSpec, prefix):
+    """The type-2 block indices a classifier returns, or the type and
+    text of what it raises.  A range must be range(lo, nb, p^(|w|-1))
+    over the prefix's nb complete blocks."""
+    try:
+        result = classify(spec, prefix)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    if isinstance(result, range):
+        assert result.stop == len(prefix) // spec.base
+        assert result.step == spec.base ** (spec.width - 1)
+        return list(result)
+    return np.flatnonzero(result).tolist()
+
+
+def injected_violations(spec: PatternSpec, clean: np.ndarray) -> list:
+    """int64 copies of a prefix of at least two blocks, each with one
+    violation: a block of neither shape (p >= 3 only: every 2-block
+    has one of the two), the last predicted type-2 block made type 1
+    and the last predicted type-1 block made type 2, and a deviating
+    digit p or -1."""
+    p, i0 = spec.base, spec.pattern[-1]
+    x = clean.astype(np.int64)
+    cases = []
+    if p >= 3:
+        y = x.copy()
+        y[:3] = (0, 1, 2)
+        cases.append(y)
+    type2 = ref_classify_range(spec, clean)
+    for flag in (True, False):
+        found = np.flatnonzero(type2 == flag)
+        if found.size:
+            y = x.copy()
+            j = int(found[-1]) * p + i0
+            y[j] = (y[j] + (-1 if flag else 1)) % p
+            cases.append(y)
+    # at i0, never t or (t + 1) % p for an in-range t
+    for i, v in (((x.size // p - 1) * p + i0, p), (p + i0, -1)):
+        y = x.copy()
+        y[i] = v
+        cases.append(y)
+    return cases
+
+
+def negative_type2(spec: PatternSpec, clean: np.ndarray) -> list:
+    """An int64 copy with the last type-2 block made -1 around a
+    deviating 0: digits out of [0, p), yet type 2 to the reference,
+    since (-1 + 1) mod p = 0 (none without a type-2 block)."""
+    found = np.flatnonzero(ref_classify_range(spec, clean))
+    if not found.size:
+        return []
+    n, p = int(found[-1]), spec.base
+    x = clean.astype(np.int64)
+    x[n * p:(n + 1) * p] = -1
+    x[n * p + spec.pattern[-1]] = 0
+    return [x]
+
+
+# (m, w, N): N not a multiple of p; N < p (nb = 0); q = 0 (step 1);
+# lo = s + step, with s = 0 and s > 0; step >= nb with one type-2
+# block; p^q past int64 with none, and at p = 257
+RANGE_EDGES = [
+    (2, "11", 101), (5, "23", 4), (3, "2", 150), (2, "01", 80),
+    (3, "021", 122), (3, "120", 24), (2, "1" * 70, 4096),
+    (257, "1 1 1 1 1 1 1 1 1", 300 * 257),
+]
+
+
+@pytest.mark.parametrize("m,w,n", RANGE_EDGES)
+def test_classify_range_returns_the_reference_type2_indices(m, w, n):
+    """classify_range returns a range holding exactly the reference's
+    type-2 blocks, or raises the reference's error type and text, at
+    the edges of the progression and under injected violations."""
+    spec = PatternSpec(m, w)
+    clean = generate(spec, n)
+    assert isinstance(classify_range(spec, clean), range)
+    valid = [clean, clean.astype(np.int64), *negative_type2(spec, clean)]
+    bad = injected_violations(spec, clean) if n >= 2 * m else []
+    for i, x in enumerate(valid + bad):
+        want = type2_indices(ref_classify_range, spec, x)
+        assert isinstance(want, tuple) == (i >= len(valid)), i
+        assert type2_indices(classify_range, spec, x) == want, i
+
+
+def test_classify_range_returns_the_reference_type2_indices_on_the_grid():
+    """The same over the acceptance grid: a clean prefix of five periods
+    p^|w| and p - 1 terms, its negative type-2 block and each injected
+    violation."""
+    from test_acceptance import GRID
+
+    for m, w in GRID:
+        spec = PatternSpec(m, w)
+        clean = generate(spec, 5 * m ** spec.width + m - 1)
+        valid = [clean, *negative_type2(spec, clean)]
+        for i, x in enumerate(valid + injected_violations(spec, clean)):
+            want = type2_indices(ref_classify_range, spec, x)
+            assert isinstance(want, tuple) == (i >= len(valid)), (spec, i)
+            assert type2_indices(classify_range, spec, x) == want, (spec, i)

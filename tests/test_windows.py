@@ -297,3 +297,24 @@ def test_zero_word_high_block_invariance():
 def test_generate_rejects_bad_count():
     with pytest.raises(ValueError):
         generate(PatternSpec(2, "11"), 0)
+
+
+@pytest.mark.parametrize("seed_terms", [1, blockseq.windows.SEED_TERMS])
+def test_base2_one_pass_levels_on_a_dirty_heap_match_oracle(monkeypatch,
+                                                            seed_terms):
+    """Base-2 levels write the incremented copy in one pass (the window
+    xor 1, the rest copied).  Every base-2 pattern of width <= 3, at
+    2^K - 1, 2^K and 2^K + 1 for 2^K = SEED_TERMS, 2 * SEED_TERMS and
+    2^20, after freed 0xFF arrays of the output's size, gives the
+    oracle's terms, with the numpy levels starting at m^(|w|-1) or
+    after the bytes levels."""
+    k = blockseq.windows.SEED_TERMS
+    sizes = [s + d for s in (k, 2 * k, 1 << 20) for d in (-1, 0, 1)]
+    monkeypatch.setattr(blockseq.windows, "SEED_TERMS", seed_terms)
+    for pat in all_patterns(2, 3):
+        spec = PatternSpec(2, pat)
+        for n in sizes:
+            want = a_prefix(spec, n)
+            for _ in range(2):
+                np.full(n, 0xFF, dtype=np.uint8)
+            assert np.array_equal(generate(spec, n), want), (spec, n)
