@@ -27,10 +27,10 @@ type-2 blocks come back as one range, and it prints their count.
 
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
-operation; for a base > 10, `words.render_rows` joins the value digits
-of `words.decimal_digits` with separators.  A `bfile` or `table` chunk
-is cut where its indices gain a digit, so its indices share one digit
-count, and `words.indexed_rows` copies its rows (index, separator,
+operation; for a base > 10, `words.digit_string` writes the value
+digits of `words.decimal_digits` with separators.  A `bfile` or `table`
+chunk is cut where its indices gain a digit, so its indices share one
+digit count, and `words.indexed_rows` copies its rows (index, separator,
 newline) in blocks from a template of 10^4 index rows, then writes each
 block's high index digits and the value digits over them.  The text
 goes out in chunks of at most CHUNK_TERMS terms, so stdout and `--out`

@@ -13,11 +13,32 @@ it loops on 0 (leading zeros do not change n) and its code is a(0).
 Reading one more digit j maps the block of values a(s*p^d + v),
 0 <= v < p^d, onto its j-th sub-block, so the automaton's transitions
 are a p-uniform substitution, its outputs a coding, and the start
-letter's image begins with itself.  After Moore minimization (initial
-partition by code) the letters are the classes of states that no digit
-string tells apart, numbered breadth-first from the start state with
-children in digit order.  See Allouche & Shallit, *Automatic Sequences*,
-section 5, and Moore (1956).
+letter's image begins with itself.
+
+The minimal automaton is known in closed form (Knuth, Morris & Pratt,
+1977; Allouche & Shallit, *Automatic Sequences*, ch. 5): the states
+(q, c) for KMP states q < |w|, plus the start state only when w_0 = 0,
+so |w|*p + [w_0 = 0] letters, numbered breadth-first from the start
+state with children in digit order.  The code of (q, c) is c.
+
+* The full-match state (|w|, c) has the transitions and code of
+  (fail, c), fail being the KMP state after w[1:], so it folds into it.
+* (q, c) and (q', c') with c != c' differ on the empty word.
+* For (q, c) and (q', c) with q != q', take the shortest word that
+  tells q from q' in the KMP automaton of the words ending in w.  The
+  counts agree on every proper prefix of it, and only one side completes
+  a match at its last digit, so the counts differ by 1, which is nonzero
+  mod any p >= 2.
+* If w_0 != 0, the start state is (0, 0).  Otherwise it loops on 0 and
+  reads a nonzero digit as (0, 0) does.  Against a (q, c) with its code,
+  the word 0^(|w|-q), for w = 0^|w|, or 0^|w| w[z:], for w with z < |w|
+  leading zeros (after 0^|w| every (q, c) sits at (z, c), and w[z:] is
+  too short to match from (0, 0)), completes one match from (q, c) and
+  none from the start.
+* Every state is reachable: the start reaches (0, 0) on a digit d != 0
+  or is (0, 0).  For a digit d != w_0, w d^|w| takes (0, c) to
+  (0, c + 1), because w cannot overlap a run of d's, and w[:q] takes
+  (0, c) to (q, c).
 
 `expand_fixed_point` gathers the rows of mu^d, the d-th power of the
 substitution, for the least d with p^d >= 4: the image of the start
@@ -96,67 +117,54 @@ class UniformMorphism:
         return table, coded
 
 
-def _kmp_automaton(w: tuple, p: int) -> list:
-    """The Knuth-Morris-Pratt automaton of w over digits [0, p):
-    delta[q][d], for 0 <= q <= |w|, is the length of the longest prefix
-    of w that is a suffix of w[:q] followed by d."""
+def _kmp_automaton(w: tuple, p: int) -> tuple:
+    """(delta, fail): delta[q][d], for 0 <= q < |w|, is the length of the
+    longest prefix of w that is a suffix of w[:q] followed by d, and fail
+    is the state after reading w[1:], whose row state |w| would repeat."""
     k = len(w)
-    delta = [[0] * p for _ in range(k + 1)]
+    delta = [[0] * p for _ in range(k)]
     delta[0][w[0]] = 1
-    restart = 0  # the state reached by reading w[1:q]
-    for q in range(1, k + 1):
-        delta[q] = list(delta[restart])
-        if q < k:
-            delta[q][w[q]] = q + 1
-            restart = delta[restart][w[q]]
-    return delta
+    fail = 0  # the state reached by reading w[1:q]
+    for q in range(1, k):
+        delta[q] = list(delta[fail])
+        delta[q][w[q]] = q + 1
+        fail = delta[fail][w[q]]
+    return delta, fail
 
 
 def build_morphism(spec: PatternSpec) -> UniformMorphism:
     """Build the p-uniform morphism + coding whose coded fixed point is
     (a_{p;w}(n)): the minimal automaton of the sequence, constructed from
-    the pattern alone.
-
-    States are (KMP state q, occurrence count c mod p), numbered q*p + c,
-    plus a start state that stays put on the leading zeros of n = 0.
-    Moore's refinement merges the states no digit string tells apart,
-    and the classes are numbered in breadth-first order from the start
-    state, children in digit order.
+    the pattern alone.  State (q, c) is numbered q*p + c, and the start
+    state of a zero-led w is |w|*p.
     """
     p, w, k = spec.base, spec.pattern, spec.width
-    nxt = np.array(_kmp_automaton(w, p))  # KMP state after each digit
-    start = (k + 1) * p
-    # state q*p + c goes on digit d to nxt[q, d]*p + (c + [nxt[q, d] == k]) % p
+    delta, fail = _kmp_automaton(w, p)
+    nxt = np.array(delta)  # KMP state after each digit
+    hit = nxt == k         # the digit completes a match
+    # state q*p + c goes on digit d to nxt[q, d]*p + c, or to
+    # fail*p + (c + 1) % p where the digit completes a match
     c = np.arange(p)[:, None]
-    trans = (nxt[:, None] * p + (c + (nxt[:, None] == k)) % p).reshape(-1, p)
-    # the start state reads a nonzero digit as state 0 (q = 0, c = 0) does
-    trans = [*trans.tolist(), [start, *trans[0, 1:].tolist()]]
-    # the expansion of 0 is the single digit "0", so a(0) = 1 only for w = "0"
-    code = [s % p for s in range(start)] + [int(w == (0,))]
+    trans = (np.where(hit, fail, nxt)[:, None] * p
+             + (c + hit[:, None]) % p).reshape(-1, p).tolist()
+    code = [s % p for s in range(k * p)]
+    start = 0
+    if w[0] == 0:
+        # the start state reads a nonzero digit as state 0 (q = 0, c = 0)
+        # does; the expansion of 0 is "0", so a(0) = 1 only for w = "0"
+        start = k * p
+        trans.append([start, *trans[0][1:]])
+        code.append(int(w == (0,)))
 
-    # Moore: refine the partition by code until no class splits
-    block, classes = code, len(set(code))
-    while True:
-        keys = {}
-        block = [keys.setdefault((block[s], *(block[t] for t in trans[s])),
-                                 len(keys))
-                 for s in range(start + 1)]
-        if len(keys) == classes:
-            break
-        classes = len(keys)
-
-    letter = {block[start]: 0}
-    reps = [start]   # one state per letter; the loop below visits appended ones
-    substitution = []
-    for s in reps:
-        row = []
+    letter = {start: 0}
+    order = [start]  # the state of each letter; the loop visits appended ones
+    for s in order:
         for t in trans[s]:
-            if block[t] not in letter:
-                letter[block[t]] = len(reps)
-                reps.append(t)
-            row.append(letter[block[t]])
-        substitution.append(row)
-    return UniformMorphism(p, substitution, [code[s] for s in reps], start=0)
+            if t not in letter:
+                letter[t] = len(order)
+                order.append(t)
+    substitution = [[letter[t] for t in trans[s]] for s in order]
+    return UniformMorphism(p, substitution, [code[s] for s in order], start=0)
 
 
 def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:

@@ -21,9 +21,9 @@ the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
 live here too.  `decimal_digits` writes values as digit matrices
 (floor division in a narrow unsigned dtype, padding written only at
-positions some value lacks).  `render_rows` joins such matrices into
-one row matrix for `digit_string`.  `indexed_rows` writes "index value"
-lines by copying blocks of a cached template of 10^4 index rows,
+positions some value lacks).  `digit_string` writes such a matrix as
+space-separated rows for a base > 10.  `indexed_rows` writes "index
+value" lines by copying blocks of a cached template of 10^4 index rows,
 writing over them only each block's high index digits and the values.
 Either drops pad bytes only if a value padded.
 
@@ -69,7 +69,7 @@ def decimal_digits(values) -> np.ndarray:
     (rows, width) uint8 matrix, one row per value, as wide as the largest
     value.  It is the transpose of a C-ordered (width, rows) array, so
     each digit position is one contiguous row to copy.  Short values are
-    padded on the left with a byte that `render_rows` and `indexed_rows`
+    padded on the left with a byte that `digit_string` and `indexed_rows`
     drop, so they print unpadded; padding is written only at positions
     where the smallest value has no digit.
     """
@@ -155,37 +155,25 @@ def indexed_rows(lo: int, values, width: int | None, sep: bytes,
     return str(rows, "ascii")  # decodes the buffer, no bytes copy
 
 
-def render_rows(*columns) -> str:
-    """Lines of ASCII text, one per row of the digit matrices among
-    `columns`.  A bytes column is written on every row; a matrix from
-    `decimal_digits` gives each row its digits.  The columns are copied
-    side by side into one uint8 matrix, one digit position at a time,
-    and its pad bytes dropped only if an unaligned column has any, so no
-    Python string is built per row."""
-    rows = next(c.shape[0] for c in columns if isinstance(c, np.ndarray))
-    # a bytes column is a single row, broadcast to every row
-    columns = [np.frombuffer(c, dtype=np.uint8)[None] if isinstance(c, bytes)
-               else c for c in columns]
-    matrix = np.empty((rows, sum(c.shape[1] for c in columns)), dtype=np.uint8)
-    at = 0
-    for c in columns:
-        for col in range(c.shape[1]):
-            matrix[:, at] = c[:, col]
-            at += 1
-    # a padded value is padded in its leading position
-    if any(_SKIP in c[:, :1] for c in columns):
-        matrix = matrix[matrix != _SKIP]
-    return str(matrix, "ascii")  # decodes the buffer, no bytes copy
-
-
 def digit_string(digits, base: int) -> str:
     """Render a digit vector: concatenated for base <= 10, else
     space-separated.  Digits below 10 are shifted to ASCII in one numpy
-    operation; wider digits go through `render_rows`."""
+    operation.  Wider digits are written as the rows "digits " of one
+    uint8 matrix, one column of `decimal_digits` at a time, and its pad
+    bytes dropped only if a value padded, so no Python string is built
+    per value."""
     if base <= 10:
         ascii_digits = np.asarray(digits, dtype=np.uint8) + ord("0")
         return ascii_digits.tobytes().decode("ascii")
-    return render_rows(decimal_digits(digits), b" ")[:-1]
+    columns = decimal_digits(digits)
+    rows = np.empty((columns.shape[0], columns.shape[1] + 1), dtype=np.uint8)
+    for col in range(columns.shape[1]):
+        rows[:, col] = columns[:, col]
+    rows[:, -1] = ord(" ")
+    # a padded value is padded in its leading position
+    if _SKIP in columns[:, :1]:
+        rows = rows[rows != _SKIP]
+    return str(rows, "ascii")[:-1]  # decodes the buffer, no bytes copy
 
 
 @dataclass(frozen=True)

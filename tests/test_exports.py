@@ -65,8 +65,9 @@ def test_module_imports_are_used(path):
 UNREFERENCED_EXPORTS = {
     # the scalar oracle the tests judge every generator against
     "a_value",
-    # the explicit pure presentation of a single nonzero letter, kept for
-    # the uniform-purity decision planned in ROADMAP.md
+    # the explicit pure presentation of a single nonzero letter: the tests
+    # check that build_morphism returns exactly it, and it is kept for the
+    # uniform-purity decision planned in ROADMAP.md
     "pure_single_letter_morphism",
     # called by the benchmark's set-up snippet and the README tour
     "functional_equation_residual",

@@ -114,16 +114,91 @@ def test_pure_single_letter_rejects_zero():
         pure_single_letter_morphism(3, 0)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
 def test_pure_and_inferred_presentations_agree(p):
-    """For single nonzero letters the constructed morphism and the
-    explicit pure one expand to the same sequence."""
+    """For a single nonzero letter x the minimal automaton is the explicit
+    pure presentation itself: the count c mod p is the only state, so the
+    breadth-first numbering gives letter c and the identity coding."""
     for x in range(1, p):
         spec = PatternSpec(p, (x,))
-        built = expand_fixed_point(build_morphism(spec), 10 ** 4)
-        pure = expand_fixed_point(pure_single_letter_morphism(p, x), 10 ** 4)
-        assert np.array_equal(built, pure)
-        assert np.array_equal(built, a_prefix(spec, 10 ** 4))
+        pure = pure_single_letter_morphism(p, x)
+        assert build_morphism(spec) == pure, x
+    # and the last of them expands to the oracle's terms
+    assert np.array_equal(expand_fixed_point(pure, 10 ** 4),
+                          a_prefix(spec, 10 ** 4))
+
+
+def reference_morphism(spec: PatternSpec) -> UniformMorphism:
+    """The KMP x count product automaton, with its full-match state and a
+    start state for every w, minimized by Moore's partition refinement
+    (initial partition by code) and numbered breadth-first from the start
+    state, children in digit order.  Its KMP transitions come from the
+    definition, the longest prefix of w that is a suffix of w[:q]
+    followed by d, not from the failure function."""
+    p, w, k = spec.base, spec.pattern, spec.width
+
+    def kmp(q, d):
+        s = w[:q] + (d,)
+        return next(n for n in range(min(k, len(s)), -1, -1)
+                    if s[len(s) - n:] == w[:n])
+
+    nxt = [[kmp(q, d) for d in range(p)] for q in range(k + 1)]
+    start = (k + 1) * p
+    trans = [[t * p + (c + (t == k)) % p for t in nxt[q]]
+             for q in range(k + 1) for c in range(p)]
+    trans.append([start, *trans[0][1:]])
+    code = [s % p for s in range(start)] + [int(w == (0,))]
+
+    block, classes = code, len(set(code))
+    while True:
+        keys = {}
+        block = [keys.setdefault((block[s], *(block[t] for t in trans[s])),
+                                 len(keys))
+                 for s in range(start + 1)]
+        if len(keys) == classes:
+            break
+        classes = len(keys)
+
+    letter = {block[start]: 0}
+    reps = [start]
+    substitution = []
+    for s in reps:
+        row = []
+        for t in trans[s]:
+            if block[t] not in letter:
+                letter[block[t]] = len(reps)
+                reps.append(t)
+            row.append(letter[block[t]])
+        substitution.append(row)
+    return UniformMorphism(p, substitution, [code[s] for s in reps], start=0)
+
+
+# Wide bases: nonzero-led, zero-led, 0^k and self-overlapping patterns.
+WIDE_BASE_SAMPLE = [
+    (16, "15"), (16, "0"), (16, "1 0"), (16, "0 0"), (16, "3 3 3"),
+    (16, "0 15 0"), (65, "64"), (65, "0 1"), (65, "7 7"), (65, "1 0 1"),
+    (101, "1"), (101, "0 0"), (101, "100 0"), (101, "5 0 5"),
+    (251, "250"), (251, "0"), (251, "5 0 7"), (256, "255"), (256, "0 0"),
+    (256, "1 0"), (257, "1"), (257, "0"), (257, "1 0"), (257, "0 1"),
+]
+
+
+@pytest.mark.parametrize("cases", [
+    [*all_patterns(2, 6),
+     *(pat for m in range(3, 8) for pat in all_patterns(m, 3)),
+     *(pat for m in range(8, 14) for pat in all_patterns(m, 2))],
+    [(2, (1,) * 70), *WIDE_BASE_SAMPLE],
+], ids=["grid", "wide"])
+def test_closed_form_equals_the_moore_reference(cases):
+    """The closed form is the minimal automaton: the same letters,
+    numbering, coding and hash as Moore's refinement of the whole
+    product, and |w|*p letters plus the start state for a zero-led w."""
+    for m, w in cases:
+        spec = PatternSpec(m, w)
+        mu = build_morphism(spec)
+        ref = reference_morphism(spec)
+        assert mu == ref and hash(mu) == hash(ref), spec
+        assert mu.alphabet_size == spec.width * m + (spec.pattern[0] == 0), spec
 
 
 # ---------------------------------------------------------------------------

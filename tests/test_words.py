@@ -20,7 +20,7 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import _SKIP, decimal_digits, indexed_rows, render_rows
+from blockseq.words import _SKIP, decimal_digits, indexed_rows
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -108,7 +108,7 @@ DIGIT_EDGES = sorted({0, 9, 10, 99, 100, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_decimal_digits_rows_are_the_decimal_strings(dtype):
     """Each row is str(v), right-aligned and padded with the pad byte
-    that `render_rows` and `indexed_rows` drop."""
+    that `digit_string` and `indexed_rows` drop."""
     values = [v for v in DIGIT_EDGES if v <= np.iinfo(dtype).max]
     widest = len(str(max(values)))
     got = decimal_digits(np.array(values, dtype=dtype))
@@ -126,19 +126,15 @@ def test_decimal_digits_empty_input():
     assert decimal_digits(empty).shape == (0, 0)
 
 
-def test_render_rows_drops_pad_bytes_only_where_a_column_padded():
-    short = np.array([5, 10, 123, 7])  # pads, unaligned
-    even = np.array([100, 200, 300, 999])  # no value is padded
-    assert render_rows(decimal_digits(short), b" ", decimal_digits(even),
-                       b"\n") == "5 100\n10 200\n123 300\n7 999\n"
-    # the padded column second, so its pads are seen wherever it sits
-    assert render_rows(decimal_digits(even), b" ", decimal_digits(short),
-                       b"\n") == "100 5\n200 10\n300 123\n999 7\n"
-    # no pad byte anywhere: spaces are text and stay
-    assert render_rows(decimal_digits(even), b":  ", decimal_digits(even),
-                       b"\n") == "100:  100\n200:  200\n300:  300\n999:  999\n"
-    assert render_rows(decimal_digits(np.zeros(0, dtype=np.int64)),
-                       b"\n") == ""
+def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
+    """A base > 10 writes `decimal_digits` rows: a padded input loses its
+    pad bytes, an even-width one has none to lose."""
+    assert digit_string(np.array([5, 10, 123, 7]), 256) == "5 10 123 7"
+    assert digit_string(np.array([10, 20, 30]), 101) == "10 20 30"
+    assert digit_string(np.array([100, 200, 300, 999]), 1000) == \
+        "100 200 300 999"
+    assert digit_string(np.array([7]), 11) == "7"
+    assert digit_string(np.zeros(0, dtype=np.int64), 11) == ""
 
 
 def test_indexed_rows_needs_one_index_digit_count():
