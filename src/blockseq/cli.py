@@ -17,6 +17,13 @@ memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
 base, the paper's setting.  `verify` and `bench` accept composite bases
 and compare only the window generator with the oracle there.
 
+`bench`'s ordering verdict compares the median of five timed passes of
+each leg, so it reports timing, not correctness (the checksums are that
+check).  Where two legs take about the same time it is noise: at small
+N the window and morphism legs can tie, and `bench -m 3 -w 011 -N 20000`
+(0.03 to 0.05 ms per leg) prints `ordering ...: FAIL` and exits 1 on
+working code in some runs.
+
 `verify` frees each leg's output before the next leg runs, and compares
 it with the window output CHUNK_TERMS terms at a time, so it holds the
 window output and one other leg at a time: about 2 bytes per term, plus

@@ -3,7 +3,8 @@
 For every base p >= 2, prime or not, the sequence (a_{p;w}(n)) is
 p-automatic, so it arises as a coding of the fixed point of a p-uniform
 substitution.  This module constructs that presentation exactly, from
-the pattern alone.
+the pattern alone, and holds it as read-only numpy arrays: the S x p
+letters of the substitution and the S codes of its coding.
 
 Read the digits of n most-significant first through the
 Knuth-Morris-Pratt automaton of w while counting completed matches mod
@@ -66,37 +67,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformMorphism:
     """A width-p substitution over abstract letters 0..S-1 with an output
     coding and a start letter whose image begins with itself."""
 
     width: int
-    substitution: tuple  # S rows, each a tuple of `width` letters
-    coding: tuple        # S digits in [0, width)
+    substitution: np.ndarray  # S x width letters, uint8 if S <= 256 else int64
+    coding: np.ndarray        # S digits in [0, width), least dtype for width-1
     start: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "substitution",
-            tuple(tuple(int(x) for x in row) for row in self.substitution))
-        object.__setattr__(self, "coding", tuple(int(c) for c in self.coding))
-        s = len(self.substitution)
-        if len(self.coding) != s:
+        rows, codes = np.asarray(self.substitution), np.asarray(self.coding)
+        if rows.dtype.kind not in "iu" or codes.dtype.kind not in "iu":
+            raise ValueError("letters and codes must be integers")
+        if rows.ndim != 2 or rows.shape[1] != self.width:
+            raise ValueError("substitution is not uniform")
+        s = len(rows)
+        if codes.shape != (s,):
             raise ValueError("coding and substitution disagree on alphabet size")
-        for row in self.substitution:
-            if len(row) != self.width:
-                raise ValueError("substitution is not uniform")
-            for letter in row:
-                if not 0 <= letter < s:
-                    raise ValueError(f"letter {letter} outside alphabet")
-        for c in self.coding:
-            if not 0 <= c < self.width:
-                raise ValueError(f"coding digit {c} outside [0, {self.width})")
-        if not 0 <= self.start < s:
-            raise ValueError("start letter outside alphabet")
-        if self.substitution[self.start][0] != self.start:
-            raise ValueError("morphism is not prolongable from its start letter")
+        if not 0 <= self.start < s or rows[self.start, 0] != self.start:
+            raise ValueError("start letter outside alphabet or not prolongable")
+        # cast to uint64, a negative value wraps past the bound
+        if rows.astype(np.uint64).max() >= s:
+            raise ValueError(f"letter outside alphabet [0, {s})")
+        if codes.astype(np.uint64).max() >= self.width:
+            raise ValueError(f"coding digit outside [0, {self.width})")
+        rows = rows.astype(np.uint8 if s <= 256 else np.int64)
+        codes = codes.astype(np.min_scalar_type(self.width - 1))
+        rows.flags.writeable = codes.flags.writeable = False
+        object.__setattr__(self, "substitution", rows)
+        object.__setattr__(self, "coding", codes)
 
     @property
     def alphabet_size(self) -> int:
@@ -105,14 +106,12 @@ class UniformMorphism:
     @cached_property
     def _tables(self) -> tuple:
         """(letters, codes) of mu^d, for d the least power with p^d >= 4,
-        built once and read-only: the rows of mu^d as an array, p^d
-        letters each, and coding[letters], the codes of every image."""
-        dtype = np.uint8 if self.alphabet_size <= 256 else np.int64
-        rows = np.array(self.substitution, dtype=dtype)
-        table = rows
+        built once and read-only: the rows of mu^d, p^d letters each (mu's
+        own from p = 4 on), and coding[letters], the codes of every image."""
+        rows = table = self.substitution
         while table.shape[1] < 4:  # mu^(d+1)(s) is mu applied to mu^d(s)
             table = rows[table].reshape(len(rows), -1)
-        coded = np.array(self.coding, np.min_scalar_type(self.width - 1))[table]
+        coded = self.coding[table]
         table.flags.writeable = coded.flags.writeable = False
         return table, coded
 
@@ -146,25 +145,26 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     # fail*p + (c + 1) % p where the digit completes a match
     c = np.arange(p)[:, None]
     trans = (np.where(hit, fail, nxt)[:, None] * p
-             + (c + hit[:, None]) % p).reshape(-1, p).tolist()
-    code = [s % p for s in range(k * p)]
+             + (c + hit[:, None]) % p).reshape(-1, p)
     start = 0
     if w[0] == 0:
-        # the start state reads a nonzero digit as state 0 (q = 0, c = 0)
-        # does; the expansion of 0 is "0", so a(0) = 1 only for w = "0"
+        # a start state: it reads digits as state (0, 0) does, but loops on 0
         start = k * p
-        trans.append([start, *trans[0][1:]])
-        code.append(int(w == (0,)))
+        trans = np.concatenate([trans, trans[:1]])
+        trans[start, 0] = start
 
-    letter = {start: 0}
+    rows = trans.tolist()
+    letter = [-1] * len(rows)
+    letter[start] = 0
     order = [start]  # the state of each letter; the loop visits appended ones
     for s in order:
-        for t in trans[s]:
-            if t not in letter:
+        for t in rows[s]:
+            if letter[t] < 0:
                 letter[t] = len(order)
                 order.append(t)
-    substitution = [[letter[t] for t in trans[s]] for s in order]
-    return UniformMorphism(p, substitution, [code[s] for s in order], start=0)
+    coding = np.array(order) % p  # state q*p + c codes its count c
+    coding[0] = w == (0,)  # letter 0, the start, codes a(0) = [w = "0"]
+    return UniformMorphism(p, np.array(letter)[trans[order]], coding, 0)
 
 
 def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:
@@ -174,9 +174,9 @@ def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:
     if not 1 <= x <= p - 1:
         raise InvalidPatternError(
             f"single-letter pure morphism needs 1 <= x <= {p - 1}, got {x}")
-    substitution = tuple(
-        tuple((i + 1) % p if k == x else i for k in range(p)) for i in range(p))
-    return UniformMorphism(p, substitution, tuple(range(p)), start=0)
+    letters = np.arange(p)
+    substitution = np.add.outer(letters, letters == x) % p
+    return UniformMorphism(p, substitution, letters, start=0)
 
 
 # Terms per np.take gather in `expand_fixed_point`.  np.take copies its

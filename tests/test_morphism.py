@@ -24,6 +24,12 @@ def as_str(values) -> str:
     return digit_string(values, 10)
 
 
+def as_lists(mu: UniformMorphism) -> tuple:
+    """Width, start letter, letters and codes of a morphism, as plain
+    Python values: two presentations are the same when these are."""
+    return (mu.width, mu.start, mu.substitution.tolist(), mu.coding.tolist())
+
+
 # Presentations pinned from the earlier fingerprint-inference builder,
 # which identified states by oracle value trees: the exact construction
 # must reproduce them letter for letter.
@@ -59,14 +65,14 @@ def all_patterns(m: int, max_width: int):
 def test_build_morphism_thue_morse_exact():
     mu = build_morphism(PatternSpec(2, "1"))
     assert mu.width == 2
-    assert mu.substitution == ((0, 1), (1, 0))
-    assert mu.coding == (0, 1)
+    assert mu.substitution.tolist() == [[0, 1], [1, 0]]
+    assert mu.coding.tolist() == [0, 1]
     assert mu.start == 0
 
 
 def test_build_morphism_goldens():
     for (m, w), mu in MORPHISM_GOLDENS.items():
-        assert build_morphism(PatternSpec(m, w)) == mu
+        assert as_lists(build_morphism(PatternSpec(m, w))) == as_lists(mu)
 
 
 def test_build_morphism_rudin_shapiro_shape():
@@ -78,8 +84,8 @@ def test_build_morphism_rudin_shapiro_shape():
 
 def test_build_morphism_single_letter_is_pure_form():
     mu = build_morphism(PatternSpec(3, "2"))
-    assert mu.substitution == ((0, 0, 1), (1, 1, 2), (2, 2, 0))
-    assert mu.coding == (0, 1, 2)
+    assert mu.substitution.tolist() == [[0, 0, 1], [1, 1, 2], [2, 2, 0]]
+    assert mu.coding.tolist() == [0, 1, 2]
 
 
 def test_build_morphism_zero_pattern_alphabet():
@@ -88,7 +94,7 @@ def test_build_morphism_zero_pattern_alphabet():
     # presentation.
     mu = build_morphism(PatternSpec(2, "0"))
     assert mu.alphabet_size == 3
-    assert mu.coding == (1, 0, 1)
+    assert mu.coding.tolist() == [1, 0, 1]
 
 
 def test_build_morphism_composite_base_matches_oracle():
@@ -103,10 +109,10 @@ def test_build_morphism_composite_base_matches_oracle():
 
 def test_pure_single_letter_examples():
     mu = pure_single_letter_morphism(3, 1)
-    assert mu.substitution == ((0, 1, 0), (1, 2, 1), (2, 0, 2))
-    assert mu.coding == (0, 1, 2)
+    assert mu.substitution.tolist() == [[0, 1, 0], [1, 2, 1], [2, 0, 2]]
+    assert mu.coding.tolist() == [0, 1, 2]
     mu = pure_single_letter_morphism(5, 4)
-    assert mu.substitution[0] == (0, 0, 0, 0, 1)
+    assert mu.substitution[0].tolist() == [0, 0, 0, 0, 1]
 
 
 def test_pure_single_letter_rejects_zero():
@@ -122,7 +128,7 @@ def test_pure_and_inferred_presentations_agree(p):
     for x in range(1, p):
         spec = PatternSpec(p, (x,))
         pure = pure_single_letter_morphism(p, x)
-        assert build_morphism(spec) == pure, x
+        assert as_lists(build_morphism(spec)) == as_lists(pure), x
     # and the last of them expands to the oracle's terms
     assert np.array_equal(expand_fixed_point(pure, 10 ** 4),
                           a_prefix(spec, 10 ** 4))
@@ -191,13 +197,13 @@ WIDE_BASE_SAMPLE = [
 ], ids=["grid", "wide"])
 def test_closed_form_equals_the_moore_reference(cases):
     """The closed form is the minimal automaton: the same letters,
-    numbering, coding and hash as Moore's refinement of the whole
-    product, and |w|*p letters plus the start state for a zero-led w."""
+    numbering, coding and start letter as Moore's refinement of the
+    whole product, and |w|*p letters plus the start state for a zero-led
+    w."""
     for m, w in cases:
         spec = PatternSpec(m, w)
         mu = build_morphism(spec)
-        ref = reference_morphism(spec)
-        assert mu == ref and hash(mu) == hash(ref), spec
+        assert as_lists(mu) == as_lists(reference_morphism(spec)), spec
         assert mu.alphabet_size == spec.width * m + (spec.pattern[0] == 0), spec
 
 
@@ -270,27 +276,26 @@ def test_expand_fixed_point_builds_its_tables_once():
     """`_tables` holds mu^d for the least d with p^d >= 4 (mu^2 for p = 2
     and 3): each row is mu applied to the row of mu^(d-1), each code the
     coding of its letter.  The tables are built on the first expansion
-    and reused, read-only; equality and hashing still see only the
-    fields."""
+    and reused, read-only, and so are the substitution and coding; the
+    expansion leaves them as they were built."""
     for p, w in [(2, "11"), (3, "01"), (5, "123"), (257, "1")]:
         spec = PatternSpec(p, w)
         mu = build_morphism(spec)
         first = expand_fixed_point(mu, 1000)
         table, coded = mu._tables
-        rows = [list(row) for row in mu.substitution]
+        letters, codes = mu.substitution.tolist(), mu.coding.tolist()
+        rows = letters
         if p < 4:  # mu^2: the images under mu of a row's letters
-            rows = [[t for s in row for t in mu.substitution[s]]
-                    for row in rows]
+            rows = [[t for s in row for t in letters[s]] for row in rows]
         assert table.tolist() == rows, p
-        assert coded.tolist() == [[mu.coding[s] for s in row]
-                                  for row in rows], p
-        assert not (table.flags.writeable or coded.flags.writeable)
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
+        assert coded.tolist() == [[codes[s] for s in row] for row in rows], p
+        for array in (table, coded, mu.substitution, mu.coding):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
         assert np.array_equal(expand_fixed_point(mu, 1000), first)
         assert mu._tables[0] is table and mu._tables[1] is coded
-        fresh = build_morphism(spec)
-        assert mu == fresh and hash(mu) == hash(fresh)
+        assert as_lists(mu) == as_lists(build_morphism(spec))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -373,7 +378,7 @@ def test_build_morphism_does_not_consult_the_oracle(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, oracle_called)
     for (m, w), mu in MORPHISM_GOLDENS.items():
-        assert build_morphism(PatternSpec(m, w)) == mu
+        assert as_lists(build_morphism(PatternSpec(m, w))) == as_lists(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +396,16 @@ def test_uniform_morphism_validation():
         UniformMorphism(2, ((0, 1), (1, 0)), (0, 2), 0)  # coding digit too big
     with pytest.raises(ValueError):
         UniformMorphism(2, ((1, 0), (1, 0)), (0, 1), 0)  # not prolongable
+    with pytest.raises(ValueError):
+        UniformMorphism(2, ((0, 1.7), (1, 0)), (0, 1), 0)  # fractional letter
+    with pytest.raises(ValueError):
+        UniformMorphism(2, ((0, 1), (1, 0)), (0, 0.9), 0)  # fractional digit
+    with pytest.raises(ValueError):
+        UniformMorphism(2, ((0, 1), (1, 0)), (0, -1), 0)  # negative digit
+    # letters are checked before they are stored as uint8, so 300 and -1
+    # raise instead of wrapping to 44 and 255, which are letters here
+    for bad in (300, -1):
+        rows = [[s, s] for s in range(256)]
+        rows[1][1] = bad
+        with pytest.raises(ValueError):
+            UniformMorphism(2, rows, [0] * 256, 0)
