@@ -19,8 +19,11 @@ letter's image begins with itself.
 The minimal automaton is known in closed form (Knuth, Morris & Pratt,
 1977; Allouche & Shallit, *Automatic Sequences*, ch. 5): the states
 (q, c) for KMP states q < |w|, plus the start state only when w_0 = 0,
-so |w|*p + [w_0 = 0] letters, numbered breadth-first from the start
-state with children in digit order.  The code of (q, c) is c.
+so |w|*p + [w_0 = 0] letters.  The letters are the states themselves:
+letter q*p + c is (q, c) and codes c, so every letter but a zero-led
+w's start has KMP state letter // p and count letter % p.  The start
+letter is 0, the state (0, 0), when w_0 != 0, and |w|*p, the last
+letter, when w_0 = 0.
 
 * The full-match state (|w|, c) has the transitions and code of
   (fail, c), fail being the KMP state after w[1:], so it folds into it.
@@ -134,8 +137,8 @@ def _kmp_automaton(w: tuple, p: int) -> tuple:
 def build_morphism(spec: PatternSpec) -> UniformMorphism:
     """Build the p-uniform morphism + coding whose coded fixed point is
     (a_{p;w}(n)): the minimal automaton of the sequence, constructed from
-    the pattern alone.  State (q, c) is numbered q*p + c, and the start
-    state of a zero-led w is |w|*p.
+    the pattern alone.  Letter q*p + c is the state (q, c) and codes c;
+    the start letter is 0 for a nonzero-led w and |w|*p for a zero-led w.
     """
     p, w, k = spec.base, spec.pattern, spec.width
     delta, fail = _kmp_automaton(w, p)
@@ -152,19 +155,9 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
         start = k * p
         trans = np.concatenate([trans, trans[:1]])
         trans[start, 0] = start
-
-    rows = trans.tolist()
-    letter = [-1] * len(rows)
-    letter[start] = 0
-    order = [start]  # the state of each letter; the loop visits appended ones
-    for s in order:
-        for t in rows[s]:
-            if letter[t] < 0:
-                letter[t] = len(order)
-                order.append(t)
-    coding = np.array(order) % p  # state q*p + c codes its count c
-    coding[0] = w == (0,)  # letter 0, the start, codes a(0) = [w = "0"]
-    return UniformMorphism(p, np.array(letter)[trans[order]], coding, 0)
+    coding = np.arange(len(trans)) % p  # state q*p + c codes its count c
+    coding[start] = w == (0,)  # the start codes a(0) = [w = "0"]
+    return UniformMorphism(p, trans, coding, start)
 
 
 def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:

@@ -99,7 +99,8 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
     type-2 block indices, verified, as range(lo, nb, step) with nb =
     floor(len(prefix)/p).
 
-    The prefix is any integer array (other input is read as int64).
+    The prefix is any integer or bool array, or a list of ints; other
+    input that is not empty raises TypeError, never truncates.
     The type-2 blocks are the predicted ones, one arithmetic progression
     (see the module docstring), so nothing is stored per block.  The
     prefix is checked in chunks of about BLOCK_CHUNK terms
@@ -119,12 +120,15 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
     s = from_base(spec.pattern[:-1], p)
     lo = s if q == 0 or s >= p ** (q - 1) else s + step
     type2 = range(lo, nb, step)
+    x = np.asarray(prefix)
+    if x.dtype.kind == "b":
+        x = x.astype(np.uint8)
+    elif x.size and x.dtype.kind not in "iu":
+        raise TypeError(f"symbols must be integers, not {x.dtype}")
     if nb == 0:
         return type2
 
-    x = np.asarray(prefix[:nb * p])
-    if x.dtype.kind not in "iu":
-        x = x.astype(np.int64)
+    x = x[:nb * p]
     ns = _suspect_blocks(x, p, lo * p + i0, step * p)
     if ns.size:
         # one index in range at most once step >= nb; step and lo may

@@ -37,6 +37,7 @@ Conventions, fixed deliberately and relied on throughout:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,31 +181,39 @@ def digit_string(digits, base: int) -> str:
 class PatternSpec:
     """The pair (base m, pattern word w); the universal parameter object.
 
-    `pattern` accepts a digit sequence or a digit string and is
-    normalized to a tuple.  The empty pattern is rejected.
+    `base` is normalized to an int and `pattern`, a digit sequence or a
+    digit string, to a tuple of ints.  A base or digit that is not an
+    integer (2.5, or a digit of 1.9) is rejected, never truncated, and so
+    is the empty pattern.
     """
 
     base: int
     pattern: tuple = field()
 
     def __post_init__(self):
-        if self.base < 2:
-            raise InvalidBaseError(f"base must be >= 2, got {self.base}")
+        try:
+            base = operator.index(self.base)
+        except TypeError as exc:
+            raise InvalidBaseError(
+                f"base must be an integer, got {self.base!r}") from exc
+        if base < 2:
+            raise InvalidBaseError(f"base must be >= 2, got {base}")
+        object.__setattr__(self, "base", base)
         p = self.pattern
         try:
             if isinstance(p, str):
-                p = tuple(int(c) for c in (p if self.base <= 10 else p.split()))
+                p = tuple(int(c) for c in (p if base <= 10 else p.split()))
             else:
-                p = tuple(int(d) for d in p)
+                p = tuple(operator.index(d) for d in p)
         except (TypeError, ValueError) as exc:
             raise InvalidPatternError(
                 f"pattern {self.pattern!r} is not a digit sequence") from exc
         if len(p) == 0:
             raise InvalidPatternError("empty pattern is not allowed")
         for d in p:
-            if not 0 <= d < self.base:
+            if not 0 <= d < base:
                 raise InvalidPatternError(
-                    f"pattern digit {d} out of range for base {self.base}")
+                    f"pattern digit {d} out of range for base {base}")
         object.__setattr__(self, "pattern", p)
 
     @property
@@ -301,10 +310,15 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     q >= m^(|w|-1), except that the units digit of every n fits, so the
     single "0" of n = 0 is counted.  Counts stay below the 63 windows of
     an index, so they are kept in uint8 and reduced mod m only for m < 64.
+    Indices that are not integers (2.7) raise ValueError, never truncate.
     """
-    ns = np.ascontiguousarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
     if ns.size == 0:
         return np.zeros(0, dtype=np.uint8)
+    if ns.dtype.kind not in "biu":
+        raise ValueError(
+            f"indices must be integers below 2^62, not {ns.dtype}")
+    ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.min() < 0:
         raise ValueError("indices must be non-negative")
     m = spec.base

@@ -16,8 +16,10 @@ from blockseq import (
     expand_fixed_point,
     generate,
     pure_single_letter_morphism,
+    to_base,
 )
 from blockseq.morphism import TAKE_CHUNK
+from test_acceptance import GRID
 
 
 def as_str(values) -> str:
@@ -30,9 +32,29 @@ def as_lists(mu: UniformMorphism) -> tuple:
     return (mu.width, mu.start, mu.substitution.tolist(), mu.coding.tolist())
 
 
+def breadth_first(mu: UniformMorphism) -> UniformMorphism:
+    """mu with its letters renamed in breadth-first order from the start
+    letter, children in digit order, so the start becomes letter 0.  Two
+    morphisms whose letters all reach from the start are the same up to
+    renaming exactly when these forms are equal; a letter left unreached
+    fails the assertion."""
+    rows = mu.substitution.tolist()
+    letter = {mu.start: 0}
+    order = [mu.start]  # the letter renamed to each index; the loop grows it
+    for s in order:
+        for t in rows[s]:
+            if t not in letter:
+                letter[t] = len(order)
+                order.append(t)
+    assert len(order) == len(rows), "a letter is unreachable from the start"
+    renamed = [[letter[t] for t in rows[s]] for s in order]
+    return UniformMorphism(mu.width, renamed, mu.coding[order], start=0)
+
+
 # Presentations pinned from the earlier fingerprint-inference builder,
-# which identified states by oracle value trees: the exact construction
-# must reproduce them letter for letter.
+# which identified states by oracle value trees and numbered them
+# breadth-first: the exact construction must reproduce them up to
+# renaming, letter for letter in its breadth-first form.
 MORPHISM_GOLDENS = {
     (2, "1"): UniformMorphism(2, ((0, 1), (1, 0)), (0, 1), start=0),
     (2, "11"): UniformMorphism(
@@ -72,7 +94,8 @@ def test_build_morphism_thue_morse_exact():
 
 def test_build_morphism_goldens():
     for (m, w), mu in MORPHISM_GOLDENS.items():
-        assert as_lists(build_morphism(PatternSpec(m, w))) == as_lists(mu)
+        got = breadth_first(build_morphism(PatternSpec(m, w)))
+        assert as_lists(got) == as_lists(mu)
 
 
 def test_build_morphism_rudin_shapiro_shape():
@@ -91,10 +114,12 @@ def test_build_morphism_single_letter_is_pure_form():
 def test_build_morphism_zero_pattern_alphabet():
     # Base 2 pattern "0" needs one letter more than the output alphabet:
     # the coding is non-identity, matching the impossibility of a pure
-    # presentation.
+    # presentation.  The start state is the last letter, 2, and codes
+    # a(0) = 1; breadth-first from it, it is letter 0.
     mu = build_morphism(PatternSpec(2, "0"))
     assert mu.alphabet_size == 3
-    assert mu.coding.tolist() == [1, 0, 1]
+    assert mu.coding.tolist() == [0, 1, 1] and mu.start == 2
+    assert breadth_first(mu).coding.tolist() == [1, 0, 1]
 
 
 def test_build_morphism_composite_base_matches_oracle():
@@ -105,6 +130,40 @@ def test_build_morphism_composite_base_matches_oracle():
             n = 5 * m ** 3
             assert np.array_equal(expand_fixed_point(build_morphism(spec), n),
                                   a_prefix(spec, n)), spec
+
+
+def test_breadth_first_form_needs_every_letter_reached():
+    mu = UniformMorphism(2, ((0, 2), (1, 1), (0, 2)), (0, 1, 1), start=0)
+    with pytest.raises(AssertionError, match="unreachable"):
+        breadth_first(mu)
+    renamed = breadth_first(UniformMorphism(2, ((0, 1), (1, 0)), (0, 1), 1))
+    assert as_lists(renamed) == (2, 0, [[0, 1], [1, 0]], [1, 0])
+
+
+@pytest.mark.parametrize("m, w", [*GRID, (257, "1"), (257, "0 1")])
+def test_a_letter_is_its_kmp_state_and_count(m, w):
+    """Reading [n]_p from the start letter through the substitution
+    reaches letter q*p + c, where c = a(n) and q is the length of the
+    longest proper prefix of w that is a suffix of [n]_p, found by brute
+    force on digit tuples: for every n >= 1 below max(5000, p^2)."""
+    spec = PatternSpec(m, w)
+    mu = build_morphism(spec)
+    n_terms = max(5000, m * m)
+    letters = np.empty(n_terms, dtype=np.int64)
+    letters[0] = mu.start
+    lo = 1
+    while lo < n_terms:  # the n with as many digits as lo
+        ns = np.arange(lo, min(lo * m, n_terms))
+        letters[ns] = mu.substitution[letters[ns // m], ns % m]
+        lo *= m
+    assert np.array_equal(letters[1:] % m, a_prefix(spec, n_terms)[1:]), spec
+    states = []
+    for n in range(1, n_terms):
+        digits = to_base(n, m)
+        top = min(spec.width - 1, len(digits))
+        states.append(next(q for q in range(top, -1, -1)
+                           if digits[len(digits) - q:] == spec.pattern[:q]))
+    assert (letters[1:] // m).tolist() == states, spec
 
 
 def test_pure_single_letter_examples():
@@ -123,8 +182,9 @@ def test_pure_single_letter_rejects_zero():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
 def test_pure_and_inferred_presentations_agree(p):
     """For a single nonzero letter x the minimal automaton is the explicit
-    pure presentation itself: the count c mod p is the only state, so the
-    breadth-first numbering gives letter c and the identity coding."""
+    pure presentation itself, with no renaming: the KMP state is always
+    0, so letter c is the count c mod p, with the identity coding and
+    start letter 0."""
     for x in range(1, p):
         spec = PatternSpec(p, (x,))
         pure = pure_single_letter_morphism(p, x)
@@ -137,10 +197,9 @@ def test_pure_and_inferred_presentations_agree(p):
 def reference_morphism(spec: PatternSpec) -> UniformMorphism:
     """The KMP x count product automaton, with its full-match state and a
     start state for every w, minimized by Moore's partition refinement
-    (initial partition by code) and numbered breadth-first from the start
-    state, children in digit order.  Its KMP transitions come from the
-    definition, the longest prefix of w that is a suffix of w[:q]
-    followed by d, not from the failure function."""
+    (initial partition by code), in its breadth-first form.  Its KMP
+    transitions come from the definition, the longest prefix of w that
+    is a suffix of w[:q] followed by d, not from the failure function."""
     p, w, k = spec.base, spec.pattern, spec.width
 
     def kmp(q, d):
@@ -165,18 +224,10 @@ def reference_morphism(spec: PatternSpec) -> UniformMorphism:
             break
         classes = len(keys)
 
-    letter = {block[start]: 0}
-    reps = [start]
-    substitution = []
-    for s in reps:
-        row = []
-        for t in trans[s]:
-            if block[t] not in letter:
-                letter[block[t]] = len(reps)
-                reps.append(t)
-            row.append(letter[block[t]])
-        substitution.append(row)
-    return UniformMorphism(p, substitution, [code[s] for s in reps], start=0)
+    reps = [block.index(b) for b in range(classes)]  # a state of each class
+    quotient = UniformMorphism(p, [[block[t] for t in trans[s]] for s in reps],
+                               [code[s] for s in reps], start=block[start])
+    return breadth_first(quotient)
 
 
 # Wide bases: nonzero-led, zero-led, 0^k and self-overlapping patterns.
@@ -196,14 +247,14 @@ WIDE_BASE_SAMPLE = [
     [(2, (1,) * 70), *WIDE_BASE_SAMPLE],
 ], ids=["grid", "wide"])
 def test_closed_form_equals_the_moore_reference(cases):
-    """The closed form is the minimal automaton: the same letters,
-    numbering, coding and start letter as Moore's refinement of the
-    whole product, and |w|*p letters plus the start state for a zero-led
-    w."""
+    """The closed form is the minimal automaton: up to renaming, the same
+    letters, coding and start letter as Moore's refinement of the whole
+    product, and |w|*p letters plus the start state for a zero-led w."""
     for m, w in cases:
         spec = PatternSpec(m, w)
         mu = build_morphism(spec)
-        assert as_lists(mu) == as_lists(reference_morphism(spec)), spec
+        want = reference_morphism(spec)
+        assert as_lists(breadth_first(mu)) == as_lists(want), spec
         assert mu.alphabet_size == spec.width * m + (spec.pattern[0] == 0), spec
 
 
@@ -378,7 +429,8 @@ def test_build_morphism_does_not_consult_the_oracle(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, oracle_called)
     for (m, w), mu in MORPHISM_GOLDENS.items():
-        assert as_lists(build_morphism(PatternSpec(m, w))) == as_lists(mu)
+        got = breadth_first(build_morphism(PatternSpec(m, w)))
+        assert as_lists(got) == as_lists(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,24 @@ def test_classify_range_matches_reference_on_odd_inputs():
                 ref_classify_range, spec, case)
 
 
+def test_classify_range_rejects_non_integer_symbols():
+    """A float prefix raises, as the power and period scans do, rather
+    than truncating 1.5 to a clean 1; integer lists, bool arrays and
+    empty input of any dtype still classify."""
+    spec = PatternSpec(2, "1")
+    x = generate(spec, 16)
+    bad = x.astype(float)
+    bad[3] += 0.5
+    for case in (bad, x.astype(float), x[:1].astype(float), [0.0, 1.0]):
+        with pytest.raises(TypeError, match="integers"):
+            classify_range(spec, case)
+    assert classify_range(spec, x.tolist()) == classify_range(spec, x) \
+        == range(0, 8)
+    assert classify_range(spec, x.astype(bool)) == range(0, 8)
+    for empty in ([], np.array([]), x[:0]):
+        assert classify_range(spec, empty) == range(0, 0)
+
+
 @pytest.mark.parametrize("m", [251, 257])
 @pytest.mark.parametrize("w", ["1", "0", "5 0"])
 def test_classify_range_wide_bases(m, w):

@@ -295,6 +295,20 @@ def test_a_batch_rejects_negative_and_oversized():
         a_batch(spec, np.array([2 ** 62]))
 
 
+def test_a_batch_rejects_non_integer_indices():
+    """Fractional indices raise rather than truncate to a(2) and a(3);
+    integer lists, bool arrays and empty input of any dtype still work."""
+    spec = PatternSpec(2, "1")
+    for bad in ([2.7, 3.2], np.array([2.0, 3.0]), np.array([1 + 0j]),
+                [2 ** 70]):
+        with pytest.raises(ValueError, match="integers"):
+            a_batch(spec, bad)
+    assert a_batch(spec, [2, 3]).tolist() == [1, 0]
+    assert a_batch(spec, np.array([True, False])).tolist() == [1, 0]
+    for empty in ([], np.array([]), np.zeros(0, dtype=np.int64)):
+        assert a_batch(spec, empty).size == 0
+
+
 def test_a_prefix_equals_batch_over_range():
     for m, w in [(2, "11"), (3, "02"), (4, "3")]:
         spec = PatternSpec(m, w)
@@ -449,3 +463,18 @@ def test_pattern_spec_rejects_bad_input():
         PatternSpec(1, "0")
     with pytest.raises(InvalidPatternError):
         PatternSpec(2, "1x")
+
+
+def test_pattern_spec_rejects_non_integers():
+    """A fractional base or digit raises rather than truncating; numpy
+    integers are integers, and the base is stored as an int."""
+    for base in (2.5, 3.0, "3", None):
+        with pytest.raises(InvalidBaseError):
+            PatternSpec(base, "1")
+    for pattern in ((1.9,), [1, 0.0], np.array([1.0])):
+        with pytest.raises(InvalidPatternError):
+            PatternSpec(2, pattern)
+    spec = PatternSpec(np.int64(3), "12")
+    assert spec == PatternSpec(3, "12") and type(spec.base) is int
+    assert PatternSpec(3, np.array([1, 2])).pattern == (1, 2)
+    assert PatternSpec(np.uint8(2), (np.int64(1),)).pattern == (1,)
