@@ -330,9 +330,8 @@ def run(cfg: RunConfig) -> int:
             raise InvalidPatternError("scan length must be >= 1")
         spec = cfg.spec()  # validates base and digits
         if cfg.subcommand in PRIME_ONLY and not spec.modulus_is_prime:
-            print(f"error: subcommand {cfg.subcommand!r} requires a prime "
-                  f"base, got {spec.base}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidPatternError(f"subcommand {cfg.subcommand!r} "
+                                      f"requires a prime base, got {spec.base}")
         chunks, code = _HANDLERS[cfg.subcommand](cfg)
         _emit(chunks, cfg.output_path)
         return code

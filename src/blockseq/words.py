@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import InvalidBaseError, InvalidPatternError
 
-# Indices of the vectorized oracle are read as int64; below 2^62 an index
-# has at most 62 digits, so its window counts fit in uint8.
+# Indices of the vectorized oracle stay below 2^62: such an index has at
+# most 62 digits, so its window counts fit in uint8.
 MAX_INDEX = 2 ** 62
 
 
@@ -182,7 +182,8 @@ class PatternSpec:
     """The pair (base m, pattern word w); the universal parameter object.
 
     `base` is normalized to an int and `pattern`, a digit sequence or a
-    digit string, to a tuple of ints.  A base or digit that is not an
+    digit string (ASCII digits, or above base 10 decimal numbers
+    separated by ASCII whitespace), to a tuple of ints.  A base or digit that is not an
     integer (2.5, or a digit of 1.9) is rejected, never truncated, and so
     is the empty pattern.
     """
@@ -202,7 +203,11 @@ class PatternSpec:
         p = self.pattern
         try:
             if isinstance(p, str):
-                p = tuple(int(c) for c in (p if base <= 10 else p.split()))
+                tokens = p if base <= 10 else p.split()
+                # int() alone also takes "1_0", "+5" and non-ASCII digits
+                if not (p.isascii() and all(t.isdigit() for t in tokens)):
+                    raise ValueError(p)
+                p = tuple(int(t) for t in tokens)
             else:
                 p = tuple(operator.index(d) for d in p)
         except (TypeError, ValueError) as exc:
@@ -318,8 +323,9 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     if ns.dtype.kind not in "biu":
         raise ValueError(
             f"indices must be integers below 2^62, not {ns.dtype}")
-    ns = np.ascontiguousarray(ns, dtype=np.int64)
-    if ns.min() < 0:
+    # bounds are checked in the caller's dtype, so a uint64 index past
+    # 2^63 reads as too large, not as negative
+    if ns.dtype.kind == "i" and ns.min() < 0:
         raise ValueError("indices must be non-negative")
     m = spec.base
     k = spec.width

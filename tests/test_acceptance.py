@@ -5,25 +5,8 @@ Each test prints exactly one line "ACCEPTANCE <n> <name>: PASS|FAIL"
 scoreboard.  Criteria are checked at their stated sizes and tolerances;
 nothing is downscaled.
 
-The shared pattern grid (``GRID``, 60 entries) is: every pattern of
-width <= 3 over base 2 (14) and base 3 (39), plus a documented 7-pattern
-base-5 sample -- the four nonzero single letters, the zero-led pair
-"10", the generic pair "23", and the generic triple "123".  The full
-width-<=3 base-5 family would add 155 patterns of the same shapes at
-~25x the scan cost; the sample keeps a representative of each remaining
-structural case (single letter, zero-led, nonzero-led multi-letter).
-
-The base-5 all-zero patterns are deliberately not in the shared grid:
-the degree-evidence period scan at 2^16 terms would report a spurious
-period 5^6 = 15625 for them.  Over [5^k, 5^(k+1)) the zero-counting
-sequence is four identical copies of one block, and 2^16 = 65536 ends
-inside [5^6, 5^7), so the scan tail never leaves one such zone; the
-"period" breaks at 5^7 = 78125, just past the window, and a 2^17-term
-scan finds no period at all (pinned as a unit test in test_series.py).
-Base-5 zero-word coverage lives in the dedicated power-exclusion
-criterion (2^22-term scans) and throughout the unit suites; the
-base-2 and base-3 zero words stay in the grid, where 2^16 crosses a
-zone boundary and the scan is sound.
+Criteria that sweep patterns use the 60-pattern grid ``GRID`` of
+support.py, where its choice is documented.
 """
 
 import time
@@ -43,35 +26,8 @@ from blockseq import (
     scan_power_prefixes,
 )
 from blockseq.cli import bench_generators, default_scan_length
-
-RS_S3 = "00010010000111010001001011100010"
-ZW_S0 = "0100"
-ZW_S1 = "01110100"
-ZW_S2 = "0111101101110100"
-ZW_S3 = "01111011100010110111101101110100"
-ZW_PREFIX64 = "0000" + ZW_S0 + ZW_S1 + ZW_S2 + ZW_S3
-
-
-def _patterns(base, max_width):
-    out = []
-    for width in range(1, max_width + 1):
-        for v in range(base ** width):
-            digits = []
-            x = v
-            for _ in range(width):
-                digits.append(x % base)
-                x //= base
-            out.append(tuple(reversed(digits)))
-    return out
-
-
-GRID = (
-    [(2, w) for w in _patterns(2, 3)]
-    + [(3, w) for w in _patterns(3, 3)]
-    + [(5, (1,)), (5, (2,)), (5, (3,)), (5, (4,)),
-       (5, (1, 0)), (5, (2, 3)), (5, (1, 2, 3))]
-)
-assert len(GRID) == 60
+from support import (GRID, RS_S3, ZW_PREFIX64, ZW_S0, ZW_S1, ZW_S2, ZW_S3,
+                     as_str, patterns)
 
 
 # Lines land here as criteria run; conftest.py replays them in the
@@ -90,10 +46,6 @@ def announce(num: int, name: str, ok: bool, detail: str = "") -> str:
         line += f" ({detail})"
     _echo(line)
     return line
-
-
-def as_str(values) -> str:
-    return "".join(str(int(v)) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +118,7 @@ def test_criterion_4_composite_base_window():
     n = 10 ** 4
     bad = []
     for m in (4, 6):
-        for pat in _patterns(m, 2):
+        for pat in patterns(m, 2):
             spec = PatternSpec(m, pat)
             oracle = a_prefix(spec, n)
             if not (np.array_equal(generate(spec, n), oracle) and np.array_equal(

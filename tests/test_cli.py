@@ -15,7 +15,6 @@ from blockseq import (
 )
 from blockseq.cli import (
     CHUNK_TERMS,
-    BenchRecord,
     RunConfig,
     bench_generators,
     default_scan_length,
@@ -23,8 +22,7 @@ from blockseq.cli import (
     main,
     run,
 )
-
-RS_S3 = "00010010000111010001001011100010"
+from support import RS_S3, peak_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +253,12 @@ def test_kept_chunks_peak_memory_beyond_their_text():
     holds the text; the renderer's own memory on top of it stays below
     one chunk's row matrix and a few columns, since each chunk's matrix
     is freed before the next chunk is built."""
-    import tracemalloc
-
     from blockseq.cli import _format_chunks
 
     spec = PatternSpec(3, "12")
     values = generate(spec, 8 * CHUNK_TERMS)
-    tracemalloc.start()
-    try:
-        chunks = list(_format_chunks(values, spec, "table"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    chunks, peak = peak_bytes(
+        lambda: list(_format_chunks(values, spec, "table")))
     text = sum(len(chunk) for chunk in chunks)
     assert peak - text <= 14 * CHUNK_TERMS, (peak - text) / CHUNK_TERMS
 
@@ -277,20 +269,15 @@ def test_chunked_output_peak_memory_does_not_grow_with_n(fmt):
     output: the same bound holds at 2 and at 8 chunks, where the whole
     text alone takes over 70 * CHUNK_TERMS bytes."""
     import collections
-    import tracemalloc
 
     from blockseq.cli import _format_chunks
 
     spec = PatternSpec(3, "12")
     for n in (2 * CHUNK_TERMS, 8 * CHUNK_TERMS):
         values = generate(spec, n)
-        tracemalloc.start()
-        try:
-            # consume the chunks, dropping each as soon as it is made
-            collections.deque(_format_chunks(values, spec, fmt), maxlen=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # consume the chunks, dropping each as soon as it is made
+        _, peak = peak_bytes(lambda: collections.deque(
+            _format_chunks(values, spec, fmt), maxlen=0))
         assert peak <= 40 * CHUNK_TERMS, (n, peak / CHUNK_TERMS)
 
 
@@ -429,15 +416,8 @@ def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     comparison's temporaries stay one chunk long, so the peak is the
     window output and one other leg (about 2 bytes per term) plus the
     oracle's fixed block scratch, with no N-byte comparison mask."""
-    import tracemalloc
-
     n = 1 << 20
-    tracemalloc.start()
-    try:
-        code = run(RunConfig("verify", m, w, n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))
     assert code == 0 and "PASS" in capsys.readouterr().out
     assert peak < 2 * n + (1 << 20), f"peak {peak / n:.2f} bytes per term"
 
@@ -456,7 +436,8 @@ def test_verify_prime_base_above_256(capsys):
 @pytest.mark.parametrize("sub", ["blocks", "powers", "series"])
 def test_prime_only_subcommands_reject_composite(sub, capsys):
     assert main([sub, "-m", "4", "-w", "11", "-N", "100"]) == 2
-    assert "prime" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: subcommand {sub!r} requires a prime base, got 4\n"
 
 
 def test_invalid_pattern_digit_is_usage_error(capsys):
@@ -466,6 +447,12 @@ def test_invalid_pattern_digit_is_usage_error(capsys):
 
 def test_nonnumeric_pattern_is_usage_error():
     assert main(["generate", "-m", "2", "-w", "1x", "-N", "10"]) == 2
+
+
+def test_underscored_pattern_is_usage_error(capsys):
+    assert main(["generate", "-m", "16", "-w", "1_0", "-N", "12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: pattern '1_0' is not a digit sequence\n")
 
 
 def test_bad_count_is_usage_error():
@@ -680,15 +667,8 @@ def test_bench_holds_one_output_at_a_time():
     """Each output is freed before the next timed call allocates its
     own, and the last one is hashed in place, so the peak is one output
     plus the oracle's block scratch."""
-    import tracemalloc
-
     n = 1 << 20
-    tracemalloc.start()
-    try:
-        bench_generators(PatternSpec(2, "11"), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(bench_generators, PatternSpec(2, "11"), n)
     assert peak < 2.1 * n, f"peak {peak / n:.2f} bytes per term"
 
 
@@ -731,14 +711,9 @@ SUBCOMMAND_PEAKS = [
                          ids=[cfg.subcommand for cfg, _ in SUBCOMMAND_PEAKS])
 def test_subcommand_peak_memory_budget(cfg, ceiling, tmp_path):
     import dataclasses
-    import tracemalloc
 
-    tracemalloc.start()
-    try:
-        code = run(dataclasses.replace(cfg, output_path=str(tmp_path / "o")))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_bytes(lambda: run(
+        dataclasses.replace(cfg, output_path=str(tmp_path / "o"))))
     assert code == 0
     assert peak <= ceiling, (f"peak {peak} > {ceiling:.0f} bytes "
                              f"({peak / PEAK_N:.3f} bytes per term)")

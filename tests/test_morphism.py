@@ -1,6 +1,5 @@
 """Unit tests for the uniform-morphism presentation."""
 
-import itertools
 import sys
 
 import numpy as np
@@ -12,18 +11,13 @@ from blockseq import (
     UniformMorphism,
     a_prefix,
     build_morphism,
-    digit_string,
     expand_fixed_point,
     generate,
     pure_single_letter_morphism,
     to_base,
 )
 from blockseq.morphism import TAKE_CHUNK
-from test_acceptance import GRID
-
-
-def as_str(values) -> str:
-    return digit_string(values, 10)
+from support import GRID, as_str, patterns, peak_bytes
 
 
 def as_lists(mu: UniformMorphism) -> tuple:
@@ -72,12 +66,6 @@ MORPHISM_GOLDENS = {
 
 ALPHABET_SIZES = {(2, "11"): 4, (3, "12"): 6, (5, "123"): 15, (2, "0"): 3,
                   (3, "01"): 7, (5, "23"): 10}
-
-
-def all_patterns(m: int, max_width: int):
-    for k in range(1, max_width + 1):
-        for w in itertools.product(range(m), repeat=k):
-            yield m, w
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +229,9 @@ WIDE_BASE_SAMPLE = [
 
 
 @pytest.mark.parametrize("cases", [
-    [*all_patterns(2, 6),
-     *(pat for m in range(3, 8) for pat in all_patterns(m, 3)),
-     *(pat for m in range(8, 14) for pat in all_patterns(m, 2))],
+    [*((2, w) for w in patterns(2, 6)),
+     *((m, w) for m in range(3, 8) for w in patterns(m, 3)),
+     *((m, w) for m in range(8, 14) for w in patterns(m, 2))],
     [(2, (1,) * 70), *WIDE_BASE_SAMPLE],
 ], ids=["grid", "wide"])
 def test_closed_form_equals_the_moore_reference(cases):
@@ -303,8 +291,6 @@ def test_expand_fixed_point_peak_memory():
     indices to int64 a chunk at a time, and p = 257, whose alphabet
     needs int64 letters and uint16 codes, narrows its codes a chunk at
     a time."""
-    import tracemalloc
-
     for (p, w), n in [((2, "11"), 2 ** 20 + 1), ((3, "12"), 3 ** 12 + 1),
                       ((257, "1"), 4 * 257 ** 2)]:
         mu = build_morphism(PatternSpec(p, w))
@@ -312,12 +298,7 @@ def test_expand_fixed_point_peak_memory():
         code_bytes = 1 if p <= 256 else 2
         # letters and their codes
         table_bytes = (letter_bytes + code_bytes) * mu.alphabet_size * p
-        tracemalloc.start()
-        try:
-            out = expand_fixed_point(mu, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = peak_bytes(expand_fixed_point, mu, n)
         assert out.size == n
         assert peak <= 2 * n + table_bytes, \
             f"p={p}: peak {peak / n:.2f} bytes per term"
@@ -356,7 +337,7 @@ def test_square_of_the_morphism_expands_to_the_window_sequence(p):
     of mu^2, and TAKE_CHUNK +- 1 just around one chunk of the gather;
     every width-1 to width-3 pattern of the 60-pattern grid's base."""
     sizes = (1, p, p * p, p * p + 1, TAKE_CHUNK - 1, TAKE_CHUNK + 1)
-    for _, w in all_patterns(p, 3):
+    for w in patterns(p, 3):
         spec = PatternSpec(p, w)
         mu = build_morphism(spec)
         want = generate(spec, max(sizes))
@@ -403,8 +384,9 @@ def test_expand_fixed_point_refuses_digits_past_uint8():
 
 
 def test_coded_fixed_point_matches_oracle():
-    cases = [*all_patterns(2, 4), *all_patterns(3, 3), *all_patterns(5, 2),
-             (5, "123"), *all_patterns(7, 2)]
+    cases = [*((m, w) for m, k in [(2, 4), (3, 3), (5, 2)]
+               for w in patterns(m, k)),
+             (5, "123"), *((7, w) for w in patterns(7, 2))]
     for m, w in cases:
         spec = PatternSpec(m, w)
         mu = build_morphism(spec)

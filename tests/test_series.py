@@ -1,7 +1,5 @@
 """Unit tests for the series of the sequence and the functional equation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from blockseq import (
     rhs_series,
     series_from_sequence,
 )
+from support import patterns, peak_bytes
 
 
 def residual_of(monkeypatch, spec, f):
@@ -127,12 +126,7 @@ def test_residual_memory_is_linear_in_order(monkeypatch):
     repeating all n of them p times would take 8*p bytes per term."""
     p, order = 251, 50_000
     f = np.random.default_rng(3).integers(0, p, size=order).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        residual_of(monkeypatch, PatternSpec(p, "1"), f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(residual_of, monkeypatch, PatternSpec(p, "1"), f)
     assert peak < 64 * order  # a few int64 arrays of length order
 
 
@@ -156,26 +150,13 @@ def test_rhs_series_is_exact_past_uint8():
     assert rhs_series(PatternSpec(257, "1"), 10)[1] == 256
 
 
-def all_patterns(p, max_width):
-    pats = []
-    for width in range(1, max_width + 1):
-        for v in range(p ** width):
-            digits = []
-            x = v
-            for _ in range(width):
-                digits.append(x % p)
-                x //= p
-            pats.append(tuple(reversed(digits)))
-    return pats
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rhs_series_agrees_with_long_division(p):
     """The closed-form expansion r of t^s / (t^M - 1), M = p^k, is the
     long-division quotient: multiplying back, (t^M - 1) r = t^s, i.e.
     r[n - M] - r[n] = [n = s] for every n below the order."""
     order = 512
-    for pat in all_patterns(p, 2):
+    for pat in patterns(p, 2):
         spec = PatternSpec(p, pat)
         M = p ** spec.width
         s = spec.value + (M if spec.is_zero_word else 0)
@@ -190,7 +171,7 @@ def test_rhs_series_agrees_with_long_division(p):
 
 def test_rhs_series_sign_sanity():
     for p in (2, 3, 5):
-        for pat in all_patterns(p, 2):
+        for pat in patterns(p, 2):
             spec = PatternSpec(p, pat)
             out = rhs_series(spec, 2 * p ** 3 + 4)
             start = spec.value + (p ** spec.width if spec.is_zero_word else 0)

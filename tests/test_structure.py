@@ -17,6 +17,7 @@ from blockseq import (
 )
 from blockseq import structure
 from blockseq.words import digit_string
+from support import GRID, peak_bytes
 
 
 def ref_type2(spec: PatternSpec, n: int) -> bool:
@@ -319,17 +320,10 @@ def test_classify_range_matches_reference_past_int64():
 def test_classify_range_peak_memory(m, w):
     """No int64 copy of the prefix and nothing per block: chunk-sized
     scratch."""
-    import tracemalloc
-
     spec = PatternSpec(m, w)
     n = 2 ** 21 + 1
     x = generate(spec, n)
-    tracemalloc.start()
-    try:
-        type2 = classify_range(spec, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    type2, peak = peak_bytes(classify_range, spec, x)
     assert type2.stop == n // m
     assert peak <= 3 * n, f"peak {peak / n:.2f} bytes per term"
 
@@ -339,16 +333,9 @@ def test_classify_range_peak_memory(m, w):
 def test_classify_range_scratch_does_not_grow(m, w, n):
     """A clean uint8 prefix needs at most 1 MiB of scratch at any length,
     and nothing per block."""
-    import tracemalloc
-
     spec = PatternSpec(m, w)
     x = generate(spec, n)
-    tracemalloc.start()
-    try:
-        type2 = classify_range(spec, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    type2, peak = peak_bytes(classify_range, spec, x)
     assert type2.stop == n // m
     assert peak <= 1 << 20, f"scratch {peak / 2**20:.2f} MiB"
 
@@ -357,17 +344,10 @@ def test_classify_range_scratch_does_not_grow(m, w, n):
 def test_classify_range_int64_scratch_does_not_grow(m, w):
     """An int64 prefix is read in place, never widened or copied: at
     most 1 MiB of scratch, and nothing per block."""
-    import tracemalloc
-
     spec = PatternSpec(m, w)
     n = 2 ** 21 + 1
     x = generate(spec, n).astype(np.int64)
-    tracemalloc.start()
-    try:
-        type2 = classify_range(spec, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    type2, peak = peak_bytes(classify_range, spec, x)
     assert type2.stop == n // m
     assert peak <= 1 << 20, f"scratch {peak / 2**20:.2f} MiB"
 
@@ -457,8 +437,6 @@ def test_classify_range_chunking_leaves_the_grid_unchanged(monkeypatch):
     does: each prefix up to two periods p^|w| long (a zero-led
     pattern's unpredicted block s may lie past the end), and a longer
     clean prefix under the default and each patched chunk size."""
-    from test_acceptance import GRID
-
     for m, w in GRID:
         spec = PatternSpec(m, w)
         period = m ** spec.width
@@ -599,15 +577,8 @@ def test_scans_compare_wide_symbols_exactly():
 def test_scan_power_prefixes_peak_memory(m, w, e):
     """At most 12 bytes per term at the 2^22-term `powers` default
     scan."""
-    import tracemalloc
-
     x = generate(PatternSpec(m, w), 1 << 22)
-    tracemalloc.start()
-    try:
-        scan_power_prefixes(x, e)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(scan_power_prefixes, x, e)
     assert peak <= 12 * x.size, f"peak {peak / x.size:.2f} bytes per term"
 
 
@@ -838,8 +809,6 @@ def test_classify_range_returns_the_reference_type2_indices_on_the_grid():
     """The same over the acceptance grid: a clean prefix of five periods
     p^|w| and p - 1 terms, its negative type-2 block and each injected
     violation."""
-    from test_acceptance import GRID
-
     for m, w in GRID:
         spec = PatternSpec(m, w)
         clean = generate(spec, 5 * m ** spec.width + m - 1)

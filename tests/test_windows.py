@@ -4,22 +4,9 @@ import numpy as np
 import pytest
 
 import blockseq.windows
-from blockseq import PatternSpec, a_prefix, digit_string, generate
-
-# Hand-checked expansion chunks for the two classic base-2 sequences.
-RS_S1 = "00010010"
-RS_S2 = "0001001000011101"
-RS_S3 = "00010010000111010001001011100010"
-
-ZW_S0 = "0100"
-ZW_S1 = "01110100"
-ZW_S2 = "0111101101110100"
-ZW_S3 = "01111011100010110111101101110100"
-ZW_PREFIX64 = "0000" + ZW_S0 + ZW_S1 + ZW_S2 + ZW_S3
-
-
-def as_str(values) -> str:
-    return digit_string(values, 10)
+from blockseq import PatternSpec, a_prefix, generate
+from support import (RS_S1, RS_S2, RS_S3, ZW_PREFIX64, ZW_S0, ZW_S1, ZW_S2,
+                     as_str, patterns, peak_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +91,12 @@ def test_generate_short_requests_and_edge_lengths():
 # oracle equivalence
 # ---------------------------------------------------------------------------
 
-def all_patterns(m, max_width):
-    pats = []
-    for width in range(1, max_width + 1):
-        for v in range(m ** width):
-            digits = []
-            x = v
-            for _ in range(width):
-                digits.append(x % m)
-                x //= m
-            pats.append(tuple(reversed(digits)))
-    return pats
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_generate_matches_oracle(m):
     """The doubling generator and the counting oracle agree for every
     pattern of width <= 3, prime base or not."""
     n = 2500
-    for pat in all_patterns(m, 3):
+    for pat in patterns(m, 3):
         spec = PatternSpec(m, pat)
         got = generate(spec, n)
         want = a_prefix(spec, n)
@@ -140,7 +114,7 @@ def test_generate_up_to_seed_length_matches_oracle(m):
     """Lengths on both sides of the level boundaries m^(|w|-1), m^|w|
     and m^(|w|+1), where the in-place levels start, and past the first
     clipped level; short requests take the same loop as long ones."""
-    pats = all_patterns(m, 3) if m <= 5 else WIDE_BASE_PATTERNS[m]
+    pats = patterns(m, 3) if m <= 5 else WIDE_BASE_PATTERNS[m]
     for pat in pats:
         spec = PatternSpec(m, pat)
         den, seed = m ** (spec.width - 1), m ** spec.width
@@ -152,15 +126,8 @@ def test_generate_up_to_seed_length_matches_oracle(m):
 
 
 def test_generate_short_request_allocates_no_seed():
-    import tracemalloc
-
     spec = PatternSpec(10, "01234567")  # the seed would be 10^8 bytes
-    tracemalloc.start()
-    try:
-        out = generate(spec, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(generate, spec, 1000)
     assert not out.any()
     assert peak < 1 << 20
 
@@ -175,15 +142,8 @@ def test_generate_peak_memory_is_linear(m, w, n):
     block past N, no copy per level and no mask.  Single letters of
     bases that are not powers of two wrap the longest windows, N/m
     terms, in chunks whose scratch must stay fixed."""
-    import tracemalloc
-
     spec = PatternSpec(m, w)
-    tracemalloc.start()
-    try:
-        out = generate(spec, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(generate, spec, n)
     assert out.size == n
     assert peak <= 1.1 * n + (64 << 10), f"peak {peak / n:.2f} bytes per term"
 
@@ -311,7 +271,7 @@ def test_base2_one_pass_levels_on_a_dirty_heap_match_oracle(monkeypatch,
     k = blockseq.windows.SEED_TERMS
     sizes = [s + d for s in (k, 2 * k, 1 << 20) for d in (-1, 0, 1)]
     monkeypatch.setattr(blockseq.windows, "SEED_TERMS", seed_terms)
-    for pat in all_patterns(2, 3):
+    for pat in patterns(2, 3):
         spec = PatternSpec(2, pat)
         for n in sizes:
             want = a_prefix(spec, n)

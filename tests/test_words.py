@@ -21,6 +21,7 @@ from blockseq import (
     to_base,
 )
 from blockseq.words import _SKIP, decimal_digits, indexed_rows
+from support import peak_bytes
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -309,6 +310,20 @@ def test_a_batch_rejects_non_integer_indices():
         assert a_batch(spec, empty).size == 0
 
 
+def test_a_batch_checks_bounds_in_the_callers_dtype():
+    """A uint64 index past 2^63 is too large, not negative, and every
+    integer dtype reads its indices as the scalar oracle does."""
+    spec = PatternSpec(2, "1")
+    with pytest.raises(ValueError, match="too large"):
+        a_batch(spec, np.array([2 ** 63 + 5], dtype=np.uint64))
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        ns = [n for n in (0, 127, 2 ** 32 - 1, 2 ** 32, 2 ** 62 - 1)
+              if n <= np.iinfo(dtype).max]
+        assert a_batch(spec, np.array(ns, dtype=dtype)).tolist() == \
+            [a_value(spec, n) for n in ns], dtype
+
+
 def test_a_prefix_equals_batch_over_range():
     for m, w in [(2, "11"), (3, "02"), (4, "3")]:
         spec = PatternSpec(m, w)
@@ -419,16 +434,9 @@ def test_a_prefix_shorter_than_the_pattern_window(m):
 def test_a_prefix_peak_memory(m, w, n):
     """The output plus one block of quotients: no array of n int64
     indices or n quotients, which took about 20 bytes per term."""
-    import tracemalloc
-
     spec = PatternSpec(m, w)
     scratch = 16 * blockseq.words.PREFIX_CHUNK  # quotients and their tests
-    tracemalloc.start()
-    try:
-        out = a_prefix(spec, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(a_prefix, spec, n)
     assert out.size == n
     assert peak <= 3 * n + scratch, f"peak {peak / n:.2f} bytes per term"
 
@@ -478,3 +486,19 @@ def test_pattern_spec_rejects_non_integers():
     assert spec == PatternSpec(3, "12") and type(spec.base) is int
     assert PatternSpec(3, np.array([1, 2])).pattern == (1, 2)
     assert PatternSpec(np.uint8(2), (np.int64(1),)).pattern == (1,)
+
+
+def test_pattern_spec_takes_only_ascii_digits():
+    """int() would read an underscore separator, a sign, an Arabic-Indic
+    or a fullwidth digit, or split on an ideographic space; the digit
+    forms still parse."""
+    for m, w in [(16, "1_0"), (10, "1_0"), (16, "+5 -0"), (2, "\u0661"),
+                 (3, "\uff112"), (16, "1\u30002")]:
+        with pytest.raises(InvalidPatternError,
+                           match="is not a digit sequence"):
+            PatternSpec(m, w)
+    assert PatternSpec(2, "011").pattern == (0, 1, 1)
+    assert PatternSpec(16, " 1  2 ").pattern == (1, 2)
+    assert PatternSpec(257, "256 0").pattern == (256, 0)
+    assert PatternSpec(3, (1, 2)).pattern == (1, 2)
+    assert PatternSpec(5, (np.int64(3), np.uint8(0))).pattern == (3, 0)
