@@ -35,14 +35,16 @@ type-2 blocks come back as one range, and it prints their count.
 `generate` renders its terms in numpy, never one Python string per
 term.  Digits of a base <= 10 are shifted to ASCII bytes in one
 operation; for a base > 10, `words.digit_string` writes the value
-digits of `words.decimal_digits` with separators.  A `bfile` or `table`
-chunk is cut where its indices gain a digit, so its indices share one
-digit count, and `words.indexed_rows` copies its rows (index, separator,
-newline) in blocks from a template of 10^4 index rows, then writes each
-block's high index digits and the value digits over them.  The text
-goes out in chunks of at most CHUNK_TERMS terms, so stdout and `--out`
-get the same bytes and hold one chunk of text at a time, not the whole
-output.
+digits of `words.decimal_digits` with separators.  The text goes out
+in chunks, so stdout and `--out` get the same bytes and hold one chunk
+of text at a time, not the whole output: `plain` and `report` chunks of
+at most CHUNK_TERMS terms, and `bfile` and `table` chunks of at most
+ROW_CHUNK rows, cut where the indices gain a digit and every ROW_CHUNK
+rows after that, so from 10^4 on each starts on a multiple of 10^4.
+`words.indexed_rows` keeps one row matrix (index, separator, value,
+newline) per layout across a call's chunks, fills it once from a
+template of 10^4 index rows, and for each later chunk writes over it
+only the changed high index digits and the value digits.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from .morphism import build_morphism, expand_fixed_point
 from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
-from .words import PatternSpec, a_prefix, digit_string, indexed_rows
+from .words import (TEMPLATE_DIGITS, PatternSpec, a_prefix, digit_string,
+                    indexed_rows)
 
 __all__ = [
     "RunConfig",
@@ -126,15 +129,23 @@ def default_scan_length(p: int) -> int:
 # output formatting
 # ---------------------------------------------------------------------------
 
-# Terms rendered per chunk of output text.
+# Terms rendered per chunk of `plain` and `report` text.
 CHUNK_TERMS = 1 << 16
+
+# Rows per `bfile` or `table` chunk: whole blocks of the 10^4-row index
+# template, so every chunk from index 10^4 on starts on a block boundary.
+ROW_CHUNK = 2 * 10 ** TEMPLATE_DIGITS
 
 
 def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
-    """The text of `fmt` for `values`, in chunks of at most CHUNK_TERMS
-    terms (after a header line for `table` and `report`).  A `bfile` or
-    `table` chunk is also cut at each power of ten, so its indices share
-    one digit count, as `indexed_rows` needs."""
+    """The text of `fmt` for `values` in chunks (after a header line for
+    `table` and `report`).  A `plain` or `report` chunk holds at most
+    CHUNK_TERMS terms.  A `bfile` or `table` chunk holds the indices of
+    one digit count, as `indexed_rows` needs, and at most ROW_CHUNK of
+    them: each digit count's indices are cut every ROW_CHUNK from its
+    first, so from 10^4 on every chunk starts on a multiple of 10^4 and
+    only the last chunk of a digit count is shorter, which lets
+    `indexed_rows` fill its row matrix once per layout."""
     n = len(values)
     if fmt == "table":
         width, sep = len(str(n - 1)), b"  "
@@ -147,9 +158,9 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     elif fmt != "plain":
         raise InvalidPatternError(f"unknown output format {fmt!r}")
     if fmt in ("bfile", "table"):
-        starts = sorted({*range(0, n, CHUNK_TERMS),
-                         *(10 ** k for k in range(1, len(str(n)))
-                           if 10 ** k < n)})
+        firsts = [0] + [10 ** k for k in range(1, len(str(n))) if 10 ** k < n]
+        starts = [lo for first, end in zip(firsts, firsts[1:] + [n])
+                  for lo in range(first, end, ROW_CHUNK)]
         templates = {}
         for lo, hi in zip(starts, starts[1:] + [n]):
             yield indexed_rows(lo, values[lo:hi], width, sep, templates)

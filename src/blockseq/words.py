@@ -19,13 +19,16 @@ or the doubling.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
-live here too.  `decimal_digits` writes values as digit matrices
-(floor division in a narrow unsigned dtype, padding written only at
-positions some value lacks).  `digit_string` writes such a matrix as
-space-separated rows for a base > 10.  `indexed_rows` writes "index
-value" lines by copying blocks of a cached template of 10^4 index rows,
-writing over them only each block's high index digits and the values.
-Either drops pad bytes only if a value padded.
+live here too.  `decimal_digits` writes values as digit matrices (one
+add for values below 10, else floor division in a narrow unsigned
+dtype, padding written only at positions some value lacks).
+`digit_string` writes such a matrix as space-separated rows for a base
+> 10.  `indexed_rows` writes "index value" lines into one row matrix per
+layout, kept across the chunks of one call and filled once from a
+template of 10^4 index rows tiled from the ten digits; a later chunk
+that starts on a 10^4 boundary writes over it only the high index
+digits that changed and the values.  Either drops pad bytes only if a
+value padded.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -69,15 +72,23 @@ def decimal_digits(values) -> np.ndarray:
     """Non-negative integers as right-aligned ASCII decimal digits: a
     (rows, width) uint8 matrix, one row per value, as wide as the largest
     value.  It is the transpose of a C-ordered (width, rows) array, so
-    each digit position is one contiguous row to copy.  Short values are
-    padded on the left with a byte that `digit_string` and `indexed_rows`
-    drop, so they print unpadded; padding is written only at positions
-    where the smallest value has no digit.
+    each digit position is one contiguous row to copy.  Values below 10,
+    as every value of a base <= 10, are shifted to ASCII in one add.
+    Wider short values are padded on the left with a byte that
+    `digit_string` and `indexed_rows` drop, so they print unpadded;
+    padding is written only at positions where the smallest value has no
+    digit.
     """
     values = np.asarray(values)
-    low = int(values.min()) if values.size else 0
-    high = int(values.max()) if values.size else 0
-    width = len(str(high)) if values.size else 0
+    if not values.size:
+        return np.empty((0, 0), dtype=np.uint8)
+    high = int(values.max())
+    if high < 10:
+        out = np.empty((1, values.size), dtype=np.uint8)
+        np.add(values, ord("0"), out=out[0], casting="unsafe")
+        return out.T
+    low = int(values.min())
+    width = len(str(high))
     # Digit k of v is (v // 10^k) - 10 * (v // 10^(k+1)), so it is also
     # that difference of the quotients' low bytes, mod 256: one floor
     # division per position in the narrowest unsigned type (see `_mod`),
@@ -100,21 +111,47 @@ def decimal_digits(values) -> np.ndarray:
 TEMPLATE_DIGITS = 4
 
 
+def _low_digits(k: int) -> np.ndarray:
+    """The k low decimal digits of 0, 1, ..., 10^k - 1, zero-padded, as a
+    (10^k, k) ASCII matrix: column c repeats each of the ten digits
+    10^(k-1-c) times and tiles that run 10^c times."""
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    out = np.empty((k, 10 ** k), dtype=np.uint8)
+    for c in range(k):
+        out[c] = np.tile(np.repeat(ten, 10 ** (k - 1 - c)), 10 ** c)
+    return out.T
+
+
+class _Layout:
+    """One layout's index template and the row matrix its chunks reuse:
+    row r of `rows` holds template row (phase + r) mod 10^k, and `held`
+    the high index digits last written in each block slot of it."""
+
+    def __init__(self, template: np.ndarray):
+        self.template = template
+        self.rows = template[:0]
+        self.phase = 0
+        self.held = []
+
+
 def indexed_rows(lo: int, values, width: int | None, sep: bytes,
                  templates: dict) -> str:
     """Lines "index sep value", one per term of `values`, for the indices
     lo, lo + 1, ..., which must share one digit count d.  The index is
     right-aligned in `width` columns, or unpadded when width is None.
 
-    Each row is copied from a template of 10^k rows, k = min(d,
-    TEMPLATE_DIGITS), cached in `templates` (a dict the caller keeps
-    across the chunks of one layout).  Template row i holds i's low k
-    digits zero-padded (those of 10^k + i without the leading 1), the
-    leading spaces, `sep` and the newline, so each 10^k-aligned block of
-    rows is one contiguous copy of a template slice.  Only the block's
-    high index digits, one column at a time, and the value digits are
-    written after it, and pad bytes are dropped only if a value padded.
-    The row matrix lives only inside this call.
+    Rows come from a template of 10^k rows, k = min(d, TEMPLATE_DIGITS):
+    template row i holds i's low k digits zero-padded, the leading
+    spaces, `sep` and the newline.  `templates`, a dict the caller keeps
+    across the chunks of one call, holds per layout (digit count, value
+    width, `width` and `sep`) the template and one row matrix; a new
+    digit count drops the others.  The matrix is filled from the
+    template, one contiguous copy per 10^k-aligned block, only when it
+    is new, shorter than the chunk, or its rows start at another offset
+    in a block than the chunk's.  Otherwise the last chunk's rows stay,
+    and only the value digits and those high index digits of each block
+    that differ from the ones its rows hold are written over them.
+    Pad bytes are dropped only if a value padded.
     """
     n = len(values)
     d = len(str(lo + n - 1))
@@ -122,38 +159,56 @@ def indexed_rows(lo: int, values, width: int | None, sep: bytes,
         raise ValueError(f"indices {lo}..{lo + n - 1} differ in digit count")
     digits = decimal_digits(values)
     low = min(d, TEMPLATE_DIGITS)
+    block = 10 ** low
     high_at = (width or d) - d  # the index's first column
     value_at = high_at + d + len(sep)
     key = (d, digits.shape[1], width, sep)
-    if key not in templates:
-        block = 10 ** low
+    layout = templates.get(key)
+    if layout is None:
+        if any(other[0] != d for other in templates):
+            templates.clear()  # a call's chunks go up: no digit count recurs
         template = np.empty((block, value_at + digits.shape[1] + 1),
                             dtype=np.uint8)
         template[:, :high_at] = ord(" ")
-        template[:, high_at + d - low:high_at + d] = \
-            decimal_digits(np.arange(block, 2 * block))[:, 1:]
+        # one column at a time: one (rows, k) slice is slower
+        for col, column in enumerate(_low_digits(low).T, high_at + d - low):
+            template[:, col] = column
         template[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
         template[:, -1] = ord("\n")
-        templates.clear()
-        templates[key] = template
-    template = templates[key]
-    block = template.shape[0]
-    rows = np.empty((n, template.shape[1]), dtype=np.uint8)
+        layout = templates[key] = _Layout(template)
+    phase = lo % block
+    fill = len(layout.rows) < n or layout.phase != phase
+    if fill:
+        layout.rows = np.empty((n, layout.template.shape[1]), dtype=np.uint8)
+        layout.phase = phase
+        layout.held = [None] * ((phase + n - 1) // block + 1)
+    rows, held = layout.rows, layout.held
     start = lo
     while start < lo + n:
         stop = min(lo + n, (start // block + 1) * block)
-        at = start % block
-        rows[start - lo:stop - lo] = template[at:at + stop - start]
-        # high digits one column at a time: one (rows, k) slice is slower
-        for col, digit in enumerate(str(start // block) if d > low else ""):
-            rows[start - lo:stop - lo, high_at + col] = ord(digit)
+        if fill:
+            at = start % block
+            rows[start - lo:stop - lo] = layout.template[at:at + stop - start]
+        if d > low:
+            # high digits one column at a time, over every kept row of
+            # the block (also rows past this chunk), so `held` is true
+            # of all of them
+            slot = start // block - lo // block
+            a = max(0, slot * block - phase)
+            b = min(len(rows), (slot + 1) * block - phase)
+            high, was = str(start // block), held[slot]
+            for col, digit in enumerate(high):
+                if was is None or was[col] != digit:
+                    rows[a:b, high_at + col] = ord(digit)
+            held[slot] = high
         start = stop
     for col in range(digits.shape[1]):
-        rows[:, value_at + col] = digits[:, col]
+        rows[:n, value_at + col] = digits[:, col]
+    text = rows[:n]
     # a padded value is padded in its leading position
     if _SKIP in digits[:, :1]:
-        rows = rows[rows != _SKIP]
-    return str(rows, "ascii")  # decodes the buffer, no bytes copy
+        text = text[text != _SKIP]
+    return str(text, "ascii")  # decodes the buffer, no bytes copy
 
 
 def digit_string(digits, base: int) -> str:
@@ -183,7 +238,8 @@ class PatternSpec:
 
     `base` is normalized to an int and `pattern`, a digit sequence or a
     digit string (ASCII digits, or above base 10 decimal numbers
-    separated by ASCII whitespace), to a tuple of ints.  A base or digit that is not an
+    separated by ASCII space, tab, newline, carriage return, vertical
+    tab or form feed), to a tuple of ints.  A base or digit that is not an
     integer (2.5, or a digit of 1.9) is rejected, never truncated, and so
     is the empty pattern.
     """
@@ -203,9 +259,13 @@ class PatternSpec:
         p = self.pattern
         try:
             if isinstance(p, str):
-                tokens = p if base <= 10 else p.split()
+                if not p.isascii():
+                    raise ValueError(p)
+                # bytes.split() cuts only at ASCII space, \t, \n, \r, \v
+                # and \f; str.split() also cuts at \x1c-\x1f
+                tokens = p if base <= 10 else p.encode("ascii").split()
                 # int() alone also takes "1_0", "+5" and non-ASCII digits
-                if not (p.isascii() and all(t.isdigit() for t in tokens)):
+                if not all(t.isdigit() for t in tokens):
                     raise ValueError(p)
                 p = tuple(int(t) for t in tokens)
             else:

@@ -15,6 +15,7 @@ from blockseq import (
 )
 from blockseq.cli import (
     CHUNK_TERMS,
+    ROW_CHUNK,
     RunConfig,
     bench_generators,
     default_scan_length,
@@ -22,6 +23,7 @@ from blockseq.cli import (
     main,
     run,
 )
+from blockseq.words import _SKIP
 from support import RS_S3, peak_bytes
 
 
@@ -151,11 +153,11 @@ def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
                                                              capsys):
-    """Chunk 1 holds indices 99999 and 100000, and both layouts cut it
-    at 10^5, so the index column changes width between two chunks; at
-    2 * CHUNK_TERMS + 3 the chunk after it starts inside a 10^4 block.
-    Random values below the base give base 101 values of 1 to 3
-    digits."""
+    """Both layouts cut a chunk at 10^5, so the index column changes
+    width between two chunks; at 2 * CHUNK_TERMS + 3 the last chunk,
+    from 120,000, is shorter than the one before it and ends inside a
+    10^4 block.  Random values below the base give base 101 values of 1
+    to 3 digits."""
     spec = PatternSpec(base, "1")
     assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
                  "--format", fmt]) == 0
@@ -172,11 +174,10 @@ def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
     """A `bfile` chunk is cut at each power of ten, so its indices share
     one digit count, and a base <= 10 has one-digit values: no chunk
     hands `indexed_rows` a padded value, so none drops a pad byte.  The
-    cuts at 10 to 10^5 and at the chunk boundaries leave the text as the
-    reference writes it."""
+    cuts at 10 to 10^5 and every ROW_CHUNK rows after them leave the
+    text as the reference writes it."""
     import blockseq.cli
     import blockseq.words
-    from blockseq.words import _SKIP
 
     real_rows = blockseq.cli.indexed_rows
     real_digits = blockseq.words.decimal_digits
@@ -198,7 +199,8 @@ def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
     values = generate(spec, n)
     assert_same_text(format_sequence(values, spec, "bfile"),
                      reference_format(values, spec, "bfile"))
-    assert len(chunks) == 3 + 5 and padded and not any(padded)
+    # 0, 10, 100 and 1000; 10^4 + 2 * 10^4 * (0..4); 10^5 and 120,000
+    assert len(chunks) == 4 + 5 + 2 and padded and not any(padded)
 
 
 def reference_prefixes(values, spec, fmt, ns):
@@ -223,8 +225,8 @@ def reference_prefixes(values, spec, fmt, ns):
     return expected
 
 
-# Every index digit count, each side of each power of ten, and both
-# chunk starts off a 10^4 boundary (65,536 and 131,072).
+# Every index digit count, each side of each power of ten, and a last
+# chunk that ends inside a 10^4 block (120,000 to 131,072).
 TEMPLATE_SIZES = sorted({0, 1, 2 * CHUNK_TERMS + 1}
                         | {10 ** k + d for k in range(1, 6) for d in (-1, 0, 1)})
 # Past 10^6 an index has 7 digits: three high digits per 10^4 block
@@ -237,8 +239,8 @@ WIDE_TEMPLATE_SIZES = [10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1, 1_234_567]
 def test_index_template_rows_match_reference(fmt, base):
     """The rows copied from the index template, with each block's high
     digits written over them, read as the reference writes them on both
-    sides of every power of ten, across chunks that start inside a 10^4
-    block, and for 0 and 1 terms.  Random values below the base pad
+    sides of every power of ten, across a last chunk that ends inside a
+    10^4 block, and for 0 and 1 terms.  Random values below the base pad
     from base 13 on (1 to 3 digits at base 101 and 257)."""
     sizes = TEMPLATE_SIZES + (WIDE_TEMPLATE_SIZES if base == 257 else [])
     spec = PatternSpec(base, "1")
@@ -248,11 +250,112 @@ def test_index_template_rows_match_reference(fmt, base):
         assert_same_text(format_sequence(values[:n], spec, fmt), text, n)
 
 
+def chunk_starts(monkeypatch, n, fmt):
+    """The first index of each chunk `format_sequence` hands to
+    `indexed_rows` for n terms (the rows themselves are not built)."""
+    import blockseq.cli
+
+    starts = []
+
+    def indexed_rows(lo, values, *rest):
+        assert 0 < len(values) <= ROW_CHUNK
+        assert len(str(lo)) == len(str(lo + len(values) - 1))
+        starts.append(lo)
+        return ""
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blockseq.cli, "indexed_rows", indexed_rows)
+        format_sequence(np.zeros(n, dtype=np.uint8), PatternSpec(2, "1"), fmt)
+    return starts
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_chunks_past_ten_thousand_start_on_template_blocks(fmt, monkeypatch):
+    """The row matrix `indexed_rows` reuses holds whole 10^4-row template
+    blocks, so every chunk at or past index 10^4 starts at a multiple of
+    10^4; chunks tile [0, n) with at most ROW_CHUNK rows of one index
+    digit count each."""
+    for n in (1, 10, 11, 10 ** 4, 10 ** 4 + 1, 29_999, 30_001, 10 ** 5 + 1,
+              131_075, 10 ** 6 + 1, 1_234_567):
+        starts = chunk_starts(monkeypatch, n, fmt)
+        assert starts[0] == 0 and starts == sorted(set(starts)), n
+        assert all(lo % 10 ** 4 == 0 for lo in starts if lo >= 10 ** 4), n
+        assert {10 ** k for k in range(1, 7) if 10 ** k < n} <= set(starts)
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+@pytest.mark.parametrize("base", [101, 257])
+def test_reused_rows_alternate_padded_and_unpadded_chunks(fmt, base,
+                                                         monkeypatch):
+    """Chunks alternate between padded values (1 to 3 digits), one-digit
+    values and unpadded three-digit values, so each layout's row matrix
+    is left and taken up again, and a padded chunk's pad bytes lie in
+    the rows a later unpadded chunk of the same width reuses."""
+    import blockseq.words
+
+    n = 200_003
+    starts = chunk_starts(monkeypatch, n, fmt)
+    rng = np.random.default_rng(base)
+    values = np.empty(n, dtype=np.uint16)
+    for j, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        low, high = [(0, base), (0, 10), (100, base)][j % 3]
+        values[lo:hi] = rng.integers(low, high, hi - lo)
+        if j % 3 == 0:  # one-digit and three-digit values: padded
+            values[lo], values[hi - 1] = 0, base - 1
+    real_digits = blockseq.words.decimal_digits
+    padded = []
+
+    def decimal_digits(chunk):
+        digits = real_digits(chunk)
+        padded.append(_SKIP in digits[:, :1])
+        return digits
+
+    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
+    spec = PatternSpec(base, "1")
+    assert_same_text(format_sequence(values, spec, fmt),
+                     reference_format(values, spec, fmt))
+    assert padded == [j % 3 == 0 for j in range(len(starts))]
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_reused_rows_across_high_digit_carries(fmt):
+    """A chunk writes over the reused rows only the high index digits
+    that differ from the ones its rows hold.  Around a carry in one
+    high digit (109999 -> 110000), in two (199999 -> 200000, 1099999 ->
+    1100000) and a new index digit (999999 -> 1000000), the lines two
+    chunks either side read as the reference writes them."""
+    n = 1_100_003
+    spec = PatternSpec(13, "1")
+    values = np.random.default_rng(13).integers(0, 13, n).astype(np.uint8)
+    lines = format_sequence(values, spec, fmt).splitlines()
+    header = fmt == "table"
+    assert len(lines) == n + header
+    width = len(str(n - 1)) if fmt == "table" else 0
+    sep = "  " if fmt == "table" else " "
+    for carry in (110_000, 200_000, 10 ** 6, 1_100_000):
+        for i in range(carry - 2 * ROW_CHUNK, min(n, carry + 2 * ROW_CHUNK)):
+            assert lines[i + header] == f"{i:>{width}}{sep}{values[i]}", i
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_format_sequence_calls_share_no_rows(fmt):
+    """Each call keeps its own row matrices: a padded call, an unpadded
+    call of another length and the padded call again all read as the
+    reference writes them."""
+    spec = PatternSpec(101, "1")
+    rng = np.random.default_rng(101)
+    padded = rng.integers(0, 101, 150_001).astype(np.uint8)
+    one_digit = rng.integers(0, 10, 130_007).astype(np.uint8)
+    for values in (padded, one_digit, padded):
+        assert_same_text(format_sequence(values, spec, fmt),
+                         reference_format(values, spec, fmt), len(values))
+
+
 def test_kept_chunks_peak_memory_beyond_their_text():
     """A consumer that keeps every chunk, as the benchmark's sink does,
     holds the text; the renderer's own memory on top of it stays below
-    one chunk's row matrix and a few columns, since each chunk's matrix
-    is freed before the next chunk is built."""
+    one layout's row matrix, its template and a few columns, since the
+    chunks of a digit count reuse one matrix."""
     from blockseq.cli import _format_chunks
 
     spec = PatternSpec(3, "12")
@@ -453,6 +556,15 @@ def test_underscored_pattern_is_usage_error(capsys):
     assert main(["generate", "-m", "16", "-w", "1_0", "-N", "12"]) == 2
     assert capsys.readouterr() == (
         "", "error: pattern '1_0' is not a digit sequence\n")
+
+
+def test_control_character_separated_pattern_is_usage_error(capsys):
+    """0x1c-0x1f are not separators, though str.split() cuts at them."""
+    assert main(["generate", "-m", "16", "-w", "1\x1c2", "-N", "12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: pattern '1\\x1c2' is not a digit sequence\n")
+    assert main(["generate", "-m", "16", "-w", "1\t2", "-N", "3"]) == 0
+    assert capsys.readouterr().out == "0 0 0\n"
 
 
 def test_bad_count_is_usage_error():

@@ -20,7 +20,7 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import _SKIP, decimal_digits, indexed_rows
+from blockseq.words import _SKIP, _low_digits, decimal_digits, indexed_rows
 from support import peak_bytes
 
 
@@ -127,6 +127,37 @@ def test_decimal_digits_empty_input():
     assert decimal_digits(empty).shape == (0, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_decimal_digits_one_digit_values_match_the_general_path(dtype):
+    """Values below 10 take one add; appending a two-digit value sends
+    the same values through the general path, whose rows are the pad
+    byte and then the same digit.  Either is the transpose of a C-ordered
+    array of uint8."""
+    rng = np.random.default_rng(7)
+    for values in (np.zeros(0, dtype=dtype), np.zeros(5, dtype=dtype),
+                   np.full(5, 9, dtype=dtype),
+                   rng.integers(0, 10, 1000).astype(dtype)):
+        got = decimal_digits(values)
+        general = decimal_digits(np.append(values, dtype(10)))[:-1]
+        assert got.dtype == np.uint8 and got.T.flags.c_contiguous
+        if values.size:
+            assert got.shape == (values.size, 1)
+            assert (general[:, 0] == _SKIP).all()
+            assert got.tobytes() == general[:, 1:].tobytes()
+        else:
+            assert got.shape == (0, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_low_digits_tile_the_ten_digits(k):
+    """The index template's low digits, tiled from the ten ASCII digits,
+    are 10^k + i's digits without the leading 1."""
+    expected = decimal_digits(np.arange(10 ** k, 2 * 10 ** k))[:, 1:]
+    got = _low_digits(k)
+    assert got.shape == (10 ** k, k) and got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
 def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
     """A base > 10 writes `decimal_digits` rows: a padded input loses its
     pad bytes, an even-width one has none to lose."""
@@ -147,6 +178,32 @@ def test_indexed_rows_needs_one_index_digit_count():
         "  7  1\n  8  1\n  9  1\n"
     with pytest.raises(ValueError):
         indexed_rows(8, values, None, b" ", {})
+
+
+@pytest.mark.parametrize("width, sep", [(None, b" "), (7, b"  ")])
+def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
+    """Chunks of one digit count at any index and of any length, sharing
+    one `templates` dict, each read as one f-string per row.  A chunk
+    longer than the kept rows, or at another offset in a 10^4 block,
+    refills them; a shorter one reuses them, so after 140,000-154,999
+    the rows of 255,000-259,999 still hold 13's high digits, and the
+    "5" that 240,000 shares with 150,000 must be written there too.
+    Value widths of 1, 2 and 3 digits, padded or not, come in turn."""
+    rng = np.random.default_rng(5)
+    calls = [(120_000, 20_000, 257), (140_000, 15_000, 257),
+             (240_000, 20_000, 257), (260_000, 20_000, 10),
+             (280_000, 7, 100), (280_007, 19_993, 257),
+             (300_000, 20_000, 10), (320_000, 35_000, 257),
+             (360_001, 9_999, 257), (370_000, 1, 100),
+             (380_000, 30_000, 257), (999_990, 10, 10)]
+    templates = {}
+    for lo, size, modulus in calls:
+        values = rng.integers(0, modulus, size).astype(np.uint16)
+        lines = indexed_rows(lo, values, width, sep, templates).splitlines()
+        assert len(lines) == size
+        for i, (line, v) in enumerate(zip(lines, values), lo):
+            assert line == f"{i:>{width or 0}}{sep.decode()}{v}", i
+    assert len({key[1] for key in templates}) > 1  # kept per value width
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +556,18 @@ def test_pattern_spec_takes_only_ascii_digits():
             PatternSpec(m, w)
     assert PatternSpec(2, "011").pattern == (0, 1, 1)
     assert PatternSpec(16, " 1  2 ").pattern == (1, 2)
+    assert PatternSpec(16, "1 \t\n\r\v\f2").pattern == (1, 2)
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f",
+                                       "\x00", ",", "\x85", "\xa0"])
+def test_pattern_spec_separates_numbers_only_by_ascii_spacing(separator):
+    """Above base 10 numbers are separated by ASCII space, tab, newline,
+    carriage return, vertical tab or form feed; str.split() would also
+    cut at the control characters 0x1c-0x1f (and at two non-ASCII
+    spaces)."""
+    with pytest.raises(InvalidPatternError, match="is not a digit sequence"):
+        PatternSpec(16, f"1{separator}2")
     assert PatternSpec(257, "256 0").pattern == (256, 0)
     assert PatternSpec(3, (1, 2)).pattern == (1, 2)
     assert PatternSpec(5, (np.int64(3), np.uint8(0))).pattern == (3, 0)
