@@ -10,8 +10,7 @@ functional equation their generating series satisfies over F_p.
 
 from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
                      InvalidPatternError, VerificationError)
-from .morphism import (UniformMorphism, build_morphism, expand_fixed_point,
-                       pure_single_letter_morphism)
+from .morphism import UniformMorphism, build_morphism, expand_fixed_point
 from .series import (degree_evidence, functional_equation_residual,
                      origin_correction, rhs_series, series_from_sequence)
 from .structure import (ClaimReport, check_power_claims, classify_range,

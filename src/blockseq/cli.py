@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (a claim that fails, a
 FAIL ordering from `bench`, or generators that disagree; `powers` then
 prints only its first FAIL record's detail, on stderr), 2 usage error
-(a bad base, pattern or size, or a size whose output does not fit in
-memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
+(a bad base, pattern, size or seed, or a size whose output does not fit
+in memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
 base, the paper's setting.  `verify` and `bench` accept composite bases
 and compare only the window generator with the oracle there.
 
@@ -33,18 +33,11 @@ type-2 blocks come back as one range, and it prints their count.
 `bench` frees each output before the next timed call allocates its own.
 
 `generate` renders its terms in numpy, never one Python string per
-term.  Digits of a base <= 10 are shifted to ASCII bytes in one
-operation; for a base > 10, `words.digit_string` writes the value
-digits of `words.decimal_digits` with separators.  The text goes out
-in chunks, so stdout and `--out` get the same bytes and hold one chunk
-of text at a time, not the whole output: `plain` and `report` chunks of
-at most CHUNK_TERMS terms, and `bfile` and `table` chunks of at most
-ROW_CHUNK rows, cut where the indices gain a digit and every ROW_CHUNK
-rows after that, so from 10^4 on each starts on a multiple of 10^4.
-`words.indexed_rows` keeps one row matrix (index, separator, value,
-newline) per layout across a call's chunks, fills it once from a
-template of 10^4 index rows, and for each later chunk writes over it
-only the changed high index digits and the value digits.
+term, and writes the text in chunks, so stdout and `--out` get the same
+bytes and hold one chunk of text at a time, not the whole output.
+`plain` and `report` chunks hold at most CHUNK_TERMS terms, written by
+`words.digit_string`; `bfile` and `table` chunks are cut and written by
+`words.indexed_rows`.
 """
 
 from __future__ import annotations
@@ -64,8 +57,7 @@ from .morphism import build_morphism, expand_fixed_point
 from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
-from .words import (TEMPLATE_DIGITS, PatternSpec, a_prefix, digit_string,
-                    indexed_rows)
+from .words import PatternSpec, a_prefix, digit_string, indexed_rows
 
 __all__ = [
     "RunConfig",
@@ -132,20 +124,12 @@ def default_scan_length(p: int) -> int:
 # Terms rendered per chunk of `plain` and `report` text.
 CHUNK_TERMS = 1 << 16
 
-# Rows per `bfile` or `table` chunk: whole blocks of the 10^4-row index
-# template, so every chunk from index 10^4 on starts on a block boundary.
-ROW_CHUNK = 2 * 10 ** TEMPLATE_DIGITS
-
 
 def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     """The text of `fmt` for `values` in chunks (after a header line for
-    `table` and `report`).  A `plain` or `report` chunk holds at most
-    CHUNK_TERMS terms.  A `bfile` or `table` chunk holds the indices of
-    one digit count, as `indexed_rows` needs, and at most ROW_CHUNK of
-    them: each digit count's indices are cut every ROW_CHUNK from its
-    first, so from 10^4 on every chunk starts on a multiple of 10^4 and
-    only the last chunk of a digit count is shorter, which lets
-    `indexed_rows` fill its row matrix once per layout."""
+    `table` and `report`): at most CHUNK_TERMS terms per `plain` or
+    `report` chunk, and the chunks of `indexed_rows` for `bfile` and
+    `table`."""
     n = len(values)
     if fmt == "table":
         width, sep = len(str(n - 1)), b"  "
@@ -158,12 +142,7 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     elif fmt != "plain":
         raise InvalidPatternError(f"unknown output format {fmt!r}")
     if fmt in ("bfile", "table"):
-        firsts = [0] + [10 ** k for k in range(1, len(str(n))) if 10 ** k < n]
-        starts = [lo for first, end in zip(firsts, firsts[1:] + [n])
-                  for lo in range(first, end, ROW_CHUNK)]
-        templates = {}
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            yield indexed_rows(lo, values[lo:hi], width, sep, templates)
+        yield from indexed_rows(values, width, sep)
         return
     between = " " if spec.base > 10 else ""
     for lo in range(0, max(n, 1), CHUNK_TERMS):
@@ -174,7 +153,8 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
 
 def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
     """The whole text of `fmt` for `values`: the chunks `generate`
-    writes, joined."""
+    writes, joined.  It holds every chunk and the joined text at once
+    (about twice the text), where `generate` streams them."""
     return "".join(_format_chunks(values, spec, fmt))
 
 
@@ -339,6 +319,8 @@ def run(cfg: RunConfig) -> int:
             raise InvalidPatternError("order must be >= 1")
         if cfg.scan_length is not None and cfg.scan_length < 1:
             raise InvalidPatternError("scan length must be >= 1")
+        if cfg.seed < 0:
+            raise InvalidPatternError("seed must be >= 0")
         spec = cfg.spec()  # validates base and digits
         if cfg.subcommand in PRIME_ONLY and not spec.modulus_is_prime:
             raise InvalidPatternError(f"subcommand {cfg.subcommand!r} "

@@ -59,13 +59,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPatternError
 from .words import PatternSpec
 
 __all__ = [
     "UniformMorphism",
     "build_morphism",
-    "pure_single_letter_morphism",
     "expand_fixed_point",
 ]
 
@@ -158,18 +156,6 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     coding = np.arange(len(trans)) % p  # state q*p + c codes its count c
     coding[start] = w == (0,)  # the start codes a(0) = [w = "0"]
     return UniformMorphism(p, trans, coding, start)
-
-
-def pure_single_letter_morphism(p: int, x: int) -> UniformMorphism:
-    """The explicit pure presentation for a single nonzero letter x:
-    alphabet [0, p), identity coding, and the image of i equal to i
-    everywhere except position x, which holds i+1 mod p."""
-    if not 1 <= x <= p - 1:
-        raise InvalidPatternError(
-            f"single-letter pure morphism needs 1 <= x <= {p - 1}, got {x}")
-    letters = np.arange(p)
-    substitution = np.add.outer(letters, letters == x) % p
-    return UniformMorphism(p, substitution, letters, start=0)
 
 
 # Terms per np.take gather in `expand_fixed_point`.  np.take copies its

@@ -23,12 +23,14 @@ live here too.  `decimal_digits` writes values as digit matrices (one
 add for values below 10, else floor division in a narrow unsigned
 dtype, padding written only at positions some value lacks).
 `digit_string` writes such a matrix as space-separated rows for a base
-> 10.  `indexed_rows` writes "index value" lines into one row matrix per
-layout, kept across the chunks of one call and filled once from a
-template of 10^4 index rows tiled from the ten digits; a later chunk
-that starts on a 10^4 boundary writes over it only the high index
-digits that changed and the values.  Either drops pad bytes only if a
-value padded.
+> 10.  `indexed_rows` yields the "index value" lines of a whole sequence in
+chunks it cuts itself, at each new index digit count and every
+ROW_CHUNK rows after it, so from 10^4 on each chunk starts on a
+multiple of 10^4.  Per digit count and value width it fills one row
+matrix once from a template of 10^4 index rows tiled from the ten
+digits, and each later chunk writes over it only the high index digits
+that changed and the values.  Either drops pad bytes only if a value
+padded.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -110,6 +112,10 @@ def decimal_digits(values) -> np.ndarray:
 # An index template holds the low digits of 10^TEMPLATE_DIGITS indices.
 TEMPLATE_DIGITS = 4
 
+# Rows per `bfile` or `table` chunk: whole blocks of the 10^4-row index
+# template, so every chunk from index 10^4 on starts on a block boundary.
+ROW_CHUNK = 2 * 10 ** TEMPLATE_DIGITS
+
 
 def _low_digits(k: int) -> np.ndarray:
     """The k low decimal digits of 0, 1, ..., 10^k - 1, zero-padded, as a
@@ -122,93 +128,83 @@ def _low_digits(k: int) -> np.ndarray:
     return out.T
 
 
-class _Layout:
-    """One layout's index template and the row matrix its chunks reuse:
-    row r of `rows` holds template row (phase + r) mod 10^k, and `held`
-    the high index digits last written in each block slot of it."""
-
-    def __init__(self, template: np.ndarray):
-        self.template = template
-        self.rows = template[:0]
-        self.phase = 0
-        self.held = []
-
-
-def indexed_rows(lo: int, values, width: int | None, sep: bytes,
-                 templates: dict) -> str:
-    """Lines "index sep value", one per term of `values`, for the indices
-    lo, lo + 1, ..., which must share one digit count d.  The index is
-    right-aligned in `width` columns, or unpadded when width is None.
-
-    Rows come from a template of 10^k rows, k = min(d, TEMPLATE_DIGITS):
-    template row i holds i's low k digits zero-padded, the leading
-    spaces, `sep` and the newline.  `templates`, a dict the caller keeps
-    across the chunks of one call, holds per layout (digit count, value
-    width, `width` and `sep`) the template and one row matrix; a new
-    digit count drops the others.  The matrix is filled from the
-    template, one contiguous copy per 10^k-aligned block, only when it
-    is new, shorter than the chunk, or its rows start at another offset
-    in a block than the chunk's.  Otherwise the last chunk's rows stay,
-    and only the value digits and those high index digits of each block
-    that differ from the ones its rows hold are written over them.
-    Pad bytes are dropped only if a value padded.
-    """
-    n = len(values)
-    d = len(str(lo + n - 1))
-    if len(str(lo)) != d:
-        raise ValueError(f"indices {lo}..{lo + n - 1} differ in digit count")
-    digits = decimal_digits(values)
+def _index_rows(lo: int, hi: int, width: int | None, sep: bytes,
+                value_width: int) -> np.ndarray:
+    """Rows "index sep value" for the indices lo, ..., hi - 1 of one
+    digit count d, all but the high index digits and the value: each
+    holds the leading spaces, its index's k = min(d, TEMPLATE_DIGITS) low
+    digits, `sep` and the newline.  They are copied from a template of
+    the 10^k rows of k low digits, one contiguous copy per 10^k-aligned
+    block."""
+    d = len(str(hi - 1))
     low = min(d, TEMPLATE_DIGITS)
     block = 10 ** low
     high_at = (width or d) - d  # the index's first column
     value_at = high_at + d + len(sep)
-    key = (d, digits.shape[1], width, sep)
-    layout = templates.get(key)
-    if layout is None:
-        if any(other[0] != d for other in templates):
-            templates.clear()  # a call's chunks go up: no digit count recurs
-        template = np.empty((block, value_at + digits.shape[1] + 1),
-                            dtype=np.uint8)
-        template[:, :high_at] = ord(" ")
-        # one column at a time: one (rows, k) slice is slower
-        for col, column in enumerate(_low_digits(low).T, high_at + d - low):
-            template[:, col] = column
-        template[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
-        template[:, -1] = ord("\n")
-        layout = templates[key] = _Layout(template)
-    phase = lo % block
-    fill = len(layout.rows) < n or layout.phase != phase
-    if fill:
-        layout.rows = np.empty((n, layout.template.shape[1]), dtype=np.uint8)
-        layout.phase = phase
-        layout.held = [None] * ((phase + n - 1) // block + 1)
-    rows, held = layout.rows, layout.held
-    start = lo
-    while start < lo + n:
-        stop = min(lo + n, (start // block + 1) * block)
-        if fill:
-            at = start % block
-            rows[start - lo:stop - lo] = layout.template[at:at + stop - start]
-        if d > low:
-            # high digits one column at a time, over every kept row of
-            # the block (also rows past this chunk), so `held` is true
-            # of all of them
-            slot = start // block - lo // block
-            a = max(0, slot * block - phase)
-            b = min(len(rows), (slot + 1) * block - phase)
-            high, was = str(start // block), held[slot]
-            for col, digit in enumerate(high):
-                if was is None or was[col] != digit:
-                    rows[a:b, high_at + col] = ord(digit)
-            held[slot] = high
-        start = stop
-    for col in range(digits.shape[1]):
-        rows[:n, value_at + col] = digits[:, col]
-    text = rows[:n]
-    # a padded value is padded in its leading position
-    if _SKIP in digits[:, :1]:
-        text = text[text != _SKIP]
-    return str(text, "ascii")  # decodes the buffer, no bytes copy
+    template = np.empty((block, value_at + value_width + 1), dtype=np.uint8)
+    template[:, :high_at] = ord(" ")
+    # one column at a time: one (rows, k) slice is slower
+    for col, column in enumerate(_low_digits(low).T, high_at + d - low):
+        template[:, col] = column
+    template[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
+    template[:, -1] = ord("\n")
+    rows = np.empty((hi - lo, template.shape[1]), dtype=np.uint8)
+    for start in range(lo, hi, block):
+        at = start % block
+        stop = min(hi, start - at + block)
+        rows[start - lo:stop - lo] = template[at:at + stop - start]
+    return rows
+
+
+def indexed_rows(values, width: int | None, sep: bytes):
+    """The lines "index sep value" for the indices 0, 1, ...,
+    len(values) - 1, yielded as text chunks.  The index is right-aligned
+    in `width` columns, or unpadded when width is None.
+
+    Each index digit count d is cut every ROW_CHUNK rows from its first
+    index, so below 10^4 it is one chunk of at most 9,000 rows, from 10^4
+    on every chunk starts on a multiple of 10^4, and only a digit count's
+    last chunk is shorter than ROW_CHUNK.  So the first chunk of each
+    value width in a digit count fills a row matrix (`_index_rows`) that
+    is long enough for every later chunk of that width.  A later chunk
+    writes over those rows only the value digits and, per 10^4-row
+    block, those high index digits that differ from the ones the block's
+    rows hold.  Pad bytes are dropped only if a value padded.
+    """
+    n = len(values)
+    first, d = 0, 1
+    while first < n:
+        end = min(n, 10 ** d)
+        block = 10 ** min(d, TEMPLATE_DIGITS)
+        high_at = (width or d) - d  # the index's first column
+        value_at = high_at + d + len(sep)
+        layouts = {}  # value width -> (rows, high digits held per block)
+        for lo in range(first, end, ROW_CHUNK):
+            hi = min(end, lo + ROW_CHUNK)
+            digits = decimal_digits(values[lo:hi])
+            if digits.shape[1] not in layouts:
+                layouts[digits.shape[1]] = (
+                    _index_rows(lo, hi, width, sep, digits.shape[1]),
+                    [None] * ((hi - lo - 1) // block + 1))
+            rows, held = layouts[digits.shape[1]]
+            if d > TEMPLATE_DIGITS:
+                # high digits one column at a time, over every kept row of
+                # the block, so `held` is true of all of them
+                for slot, start in enumerate(range(lo, hi, block)):
+                    high, was = str(start // block), held[slot]
+                    for col, digit in enumerate(high):
+                        if was is None or was[col] != digit:
+                            rows[slot * block:(slot + 1) * block,
+                                 high_at + col] = ord(digit)
+                    held[slot] = high
+            for col in range(digits.shape[1]):
+                rows[:hi - lo, value_at + col] = digits[:, col]
+            text = rows[:hi - lo]
+            # a padded value is padded in its leading position
+            if _SKIP in digits[:, :1]:
+                text = text[text != _SKIP]
+            yield str(text, "ascii")  # decodes the buffer, no bytes copy
+        first, d = end, d + 1
 
 
 def digit_string(digits, base: int) -> str:

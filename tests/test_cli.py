@@ -15,7 +15,6 @@ from blockseq import (
 )
 from blockseq.cli import (
     CHUNK_TERMS,
-    ROW_CHUNK,
     RunConfig,
     bench_generators,
     default_scan_length,
@@ -23,7 +22,7 @@ from blockseq.cli import (
     main,
     run,
 )
-from blockseq.words import _SKIP
+from blockseq.words import _SKIP, ROW_CHUNK, indexed_rows
 from support import RS_S3, peak_bytes
 
 
@@ -173,26 +172,19 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
 def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
     """A `bfile` chunk is cut at each power of ten, so its indices share
     one digit count, and a base <= 10 has one-digit values: no chunk
-    hands `indexed_rows` a padded value, so none drops a pad byte.  The
-    cuts at 10 to 10^5 and every ROW_CHUNK rows after them leave the
-    text as the reference writes it."""
-    import blockseq.cli
+    hands `decimal_digits` (called once per chunk) a padded value, so
+    none drops a pad byte.  The cuts at 10 to 10^5 and every ROW_CHUNK
+    rows after them leave the text as the reference writes it."""
     import blockseq.words
 
-    real_rows = blockseq.cli.indexed_rows
     real_digits = blockseq.words.decimal_digits
-    chunks, padded = [], []
-
-    def indexed_rows(*args):
-        chunks.append(args[0])
-        return real_rows(*args)
+    padded = []
 
     def decimal_digits(values):
         digits = real_digits(values)
         padded.append(_SKIP in digits[:, :1])
         return digits
 
-    monkeypatch.setattr(blockseq.cli, "indexed_rows", indexed_rows)
     monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
     spec = PatternSpec(base, "1")
     n = 2 * CHUNK_TERMS + 3
@@ -200,7 +192,7 @@ def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
     assert_same_text(format_sequence(values, spec, "bfile"),
                      reference_format(values, spec, "bfile"))
     # 0, 10, 100 and 1000; 10^4 + 2 * 10^4 * (0..4); 10^5 and 120,000
-    assert len(chunks) == 4 + 5 + 2 and padded and not any(padded)
+    assert len(padded) == 4 + 5 + 2 and not any(padded)
 
 
 def reference_prefixes(values, spec, fmt, ns):
@@ -250,34 +242,30 @@ def test_index_template_rows_match_reference(fmt, base):
         assert_same_text(format_sequence(values[:n], spec, fmt), text, n)
 
 
-def chunk_starts(monkeypatch, n, fmt):
-    """The first index of each chunk `format_sequence` hands to
-    `indexed_rows` for n terms (the rows themselves are not built)."""
-    import blockseq.cli
-
-    starts = []
-
-    def indexed_rows(lo, values, *rest):
-        assert 0 < len(values) <= ROW_CHUNK
-        assert len(str(lo)) == len(str(lo + len(values) - 1))
+def chunk_starts(n, fmt):
+    """The first index of each chunk `indexed_rows` yields for n terms
+    in the layout of `fmt`, from the chunks' cumulative line counts."""
+    width, sep = (None, b" ") if fmt == "bfile" else (len(str(n - 1)), b"  ")
+    starts, lo = [], 0
+    for chunk in indexed_rows(np.zeros(n, dtype=np.uint8), width, sep):
+        size = chunk.count("\n")
+        assert 0 < size <= ROW_CHUNK
+        assert len(str(lo)) == len(str(lo + size - 1))
         starts.append(lo)
-        return ""
-
-    with monkeypatch.context() as patch:
-        patch.setattr(blockseq.cli, "indexed_rows", indexed_rows)
-        format_sequence(np.zeros(n, dtype=np.uint8), PatternSpec(2, "1"), fmt)
+        lo += size
+    assert lo == n
     return starts
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
-def test_chunks_past_ten_thousand_start_on_template_blocks(fmt, monkeypatch):
+def test_chunks_past_ten_thousand_start_on_template_blocks(fmt):
     """The row matrix `indexed_rows` reuses holds whole 10^4-row template
     blocks, so every chunk at or past index 10^4 starts at a multiple of
     10^4; chunks tile [0, n) with at most ROW_CHUNK rows of one index
     digit count each."""
     for n in (1, 10, 11, 10 ** 4, 10 ** 4 + 1, 29_999, 30_001, 10 ** 5 + 1,
               131_075, 10 ** 6 + 1, 1_234_567):
-        starts = chunk_starts(monkeypatch, n, fmt)
+        starts = chunk_starts(n, fmt)
         assert starts[0] == 0 and starts == sorted(set(starts)), n
         assert all(lo % 10 ** 4 == 0 for lo in starts if lo >= 10 ** 4), n
         assert {10 ** k for k in range(1, 7) if 10 ** k < n} <= set(starts)
@@ -294,7 +282,7 @@ def test_reused_rows_alternate_padded_and_unpadded_chunks(fmt, base,
     import blockseq.words
 
     n = 200_003
-    starts = chunk_starts(monkeypatch, n, fmt)
+    starts = chunk_starts(n, fmt)
     rng = np.random.default_rng(base)
     values = np.empty(n, dtype=np.uint16)
     for j, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
@@ -576,6 +564,7 @@ def test_bad_count_is_usage_error():
     ["series", "-m", "2", "-w", "11", "--order", "-3"],
     ["powers", "-m", "2", "-w", "11", "--scan-length", "-5"],
     ["powers", "-m", "2", "-w", "11", "--scan-length", "0"],
+    ["series", "-m", "2", "-w", "11", "--seed", "-1"],
 ])
 def test_bad_sizes_are_usage_errors(argv, capsys):
     assert main(argv) == 2

@@ -65,10 +65,6 @@ def test_module_imports_are_used(path):
 UNREFERENCED_EXPORTS = {
     # the scalar oracle the tests judge every generator against
     "a_value",
-    # the explicit pure presentation of a single nonzero letter: the tests
-    # check that build_morphism returns exactly it, and it is kept for the
-    # uniform-purity decision planned in ROADMAP.md
-    "pure_single_letter_morphism",
     # called by the benchmark's set-up snippet and the README tour
     "functional_equation_residual",
 }
@@ -93,3 +89,30 @@ def test_every_reexport_has_a_caller_in_the_package():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert exported - referenced == UNREFERENCED_EXPORTS
+
+
+# Names of the `bfile`/`table` chunk cut, which `words.indexed_rows` owns.
+CUT_NAMES = {"TEMPLATE_DIGITS", "ROW_CHUNK"}
+
+
+def test_only_words_names_the_row_chunk_cut():
+    """No module but `words` names TEMPLATE_DIGITS or ROW_CHUNK, as a
+    name, an attribute or an import, so the cut that `indexed_rows`
+    makes is decided in one place."""
+    package = Path(blockseq.__file__).parent
+    named = set()
+    for path in package.glob("*.py"):
+        if path.name == "words.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            if name in CUT_NAMES:
+                named.add(f"{path.name}:{node.lineno}: {name}")
+    assert named == set()

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from blockseq import (
-    InvalidPatternError,
     PatternSpec,
     UniformMorphism,
     a_prefix,
     build_morphism,
     expand_fixed_point,
     generate,
-    pure_single_letter_morphism,
     to_base,
 )
 from blockseq.morphism import TAKE_CHUNK
@@ -154,17 +152,21 @@ def test_a_letter_is_its_kmp_state_and_count(m, w):
     assert (letters[1:] // m).tolist() == states, spec
 
 
+def pure_single_letter(p: int, x: int) -> UniformMorphism:
+    """The explicit pure presentation for a single nonzero letter x:
+    alphabet [0, p), identity coding, start letter 0, and the image of i
+    equal to i everywhere except position x, which holds i + 1 mod p."""
+    letters = np.arange(p)
+    return UniformMorphism(p, np.add.outer(letters, letters == x) % p,
+                           letters, start=0)
+
+
 def test_pure_single_letter_examples():
-    mu = pure_single_letter_morphism(3, 1)
+    mu = build_morphism(PatternSpec(3, (1,)))
     assert mu.substitution.tolist() == [[0, 1, 0], [1, 2, 1], [2, 0, 2]]
-    assert mu.coding.tolist() == [0, 1, 2]
-    mu = pure_single_letter_morphism(5, 4)
+    assert mu.coding.tolist() == [0, 1, 2] and mu.start == 0
+    mu = build_morphism(PatternSpec(5, (4,)))
     assert mu.substitution[0].tolist() == [0, 0, 0, 0, 1]
-
-
-def test_pure_single_letter_rejects_zero():
-    with pytest.raises(InvalidPatternError):
-        pure_single_letter_morphism(3, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
@@ -175,7 +177,7 @@ def test_pure_and_inferred_presentations_agree(p):
     start letter 0."""
     for x in range(1, p):
         spec = PatternSpec(p, (x,))
-        pure = pure_single_letter_morphism(p, x)
+        pure = pure_single_letter(p, x)
         assert as_lists(build_morphism(spec)) == as_lists(pure), x
     # and the last of them expands to the oracle's terms
     assert np.array_equal(expand_fixed_point(pure, 10 ** 4),

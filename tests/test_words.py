@@ -20,7 +20,8 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import _SKIP, _low_digits, decimal_digits, indexed_rows
+from blockseq.words import (_SKIP, ROW_CHUNK, _low_digits, decimal_digits,
+                            indexed_rows)
 from support import peak_bytes
 
 
@@ -170,40 +171,52 @@ def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
 
 
 def test_indexed_rows_needs_one_index_digit_count():
-    """The template holds one digit count's rows, so a chunk whose
-    indices cross a power of ten is refused, not misprinted."""
-    values = np.ones(3, dtype=np.uint8)
-    assert indexed_rows(7, values, None, b" ", {}) == "7 1\n8 1\n9 1\n"
-    assert indexed_rows(7, values, 3, b"  ", {}) == \
-        "  7  1\n  8  1\n  9  1\n"
-    with pytest.raises(ValueError):
-        indexed_rows(8, values, None, b" ", {})
+    """The template holds one digit count's rows, so the indices 0-9 and
+    10-11 come in two chunks, in either layout."""
+    values = np.ones(12, dtype=np.uint8)
+    assert list(indexed_rows(values[:3], None, b" ")) == ["0 1\n1 1\n2 1\n"]
+    assert list(indexed_rows(values, None, b" ")) == [
+        "".join(f"{i} 1\n" for i in range(10)), "10 1\n11 1\n"]
+    assert list(indexed_rows(values, 3, b"  ")) == [
+        "".join(f"{i:>3}  1\n" for i in range(10)), " 10  1\n 11  1\n"]
+    assert list(indexed_rows(values[:0], None, b" ")) == []
 
 
 @pytest.mark.parametrize("width, sep", [(None, b" "), (7, b"  ")])
-def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
-    """Chunks of one digit count at any index and of any length, sharing
-    one `templates` dict, each read as one f-string per row.  A chunk
-    longer than the kept rows, or at another offset in a 10^4 block,
-    refills them; a shorter one reuses them, so after 140,000-154,999
-    the rows of 255,000-259,999 still hold 13's high digits, and the
-    "5" that 240,000 shares with 150,000 must be written there too.
-    Value widths of 1, 2 and 3 digits, padded or not, come in turn."""
+def test_indexed_rows_reuse_rows_across_any_chunks(width, sep, monkeypatch):
+    """Each chunk reads as one f-string per row while its value width
+    (1, 2 or 3 digits, the 3-digit one padded) changes from chunk to
+    chunk, so each width's row matrix is left and taken up again, on
+    both sides of 10^5 and across the high-digit carries at 10^5 + 10^4
+    and 2 * 10^5."""
+    n = 230_001
     rng = np.random.default_rng(5)
-    calls = [(120_000, 20_000, 257), (140_000, 15_000, 257),
-             (240_000, 20_000, 257), (260_000, 20_000, 10),
-             (280_000, 7, 100), (280_007, 19_993, 257),
-             (300_000, 20_000, 10), (320_000, 35_000, 257),
-             (360_001, 9_999, 257), (370_000, 1, 100),
-             (380_000, 30_000, 257), (999_990, 10, 10)]
-    templates = {}
-    for lo, size, modulus in calls:
-        values = rng.integers(0, modulus, size).astype(np.uint16)
-        lines = indexed_rows(lo, values, width, sep, templates).splitlines()
-        assert len(lines) == size
-        for i, (line, v) in enumerate(zip(lines, values), lo):
-            assert line == f"{i:>{width or 0}}{sep.decode()}{v}", i
-    assert len({key[1] for key in templates}) > 1  # kept per value width
+    values = np.empty(n, dtype=np.uint16)
+    starts = sorted({0, 10, 100, 1000}
+                    | set(range(10 ** 4, 10 ** 5, ROW_CHUNK))
+                    | set(range(10 ** 5, n, ROW_CHUNK)))
+    widths = []
+    for j, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
+        low, high = [(0, 10), (10, 100), (0, 257)][j % 3]
+        values[lo:hi] = rng.integers(low, high, hi - lo)
+        values[hi - 1] = high - 1
+        widths.append(len(str(high - 1)))
+    real_digits = blockseq.words.decimal_digits
+    seen = []
+
+    def decimal_digits(chunk):
+        digits = real_digits(chunk)
+        seen.append(digits.shape[1])
+        return digits
+
+    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
+    lo = 0
+    for chunk in indexed_rows(values, width, sep):
+        lines = chunk.splitlines()
+        for i, line in enumerate(lines, lo):
+            assert line == f"{i:>{width or 0}}{sep.decode()}{values[i]}", i
+        lo += len(lines)
+    assert lo == n and seen == widths
 
 
 # ---------------------------------------------------------------------------
