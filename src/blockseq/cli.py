@@ -33,8 +33,10 @@ type-2 blocks come back as one range, and it prints their count.
 `bench` frees each output before the next timed call allocates its own.
 
 `generate` renders its terms in numpy, never one Python string per
-term, and writes the text in chunks, so stdout and `--out` get the same
-bytes and hold one chunk of text at a time, not the whole output.
+term, for every N up to p^9: each of those terms is one digit, and a
+chunk that holds a wider one is written line by line.  It writes the
+text in chunks, so stdout and `--out` get the same bytes and hold one
+chunk of text at a time, not the whole output.
 `plain` and `report` chunks hold at most CHUNK_TERMS terms, written by
 `words.digit_string`; `bfile` and `table` chunks are cut and written by
 `words.indexed_rows`.

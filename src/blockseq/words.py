@@ -19,18 +19,18 @@ or the doubling.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
-live here too.  `decimal_digits` writes values as digit matrices (one
-add for values below 10, else floor division in a narrow unsigned
-dtype, padding written only at positions some value lacks).
-`digit_string` writes such a matrix as space-separated rows for a base
-> 10.  `indexed_rows` yields the "index value" lines of a whole sequence in
-chunks it cuts itself, at each new index digit count and every
-ROW_CHUNK rows after it, so from 10^4 on each chunk starts on a
-multiple of 10^4.  Per digit count and value width it fills one row
-matrix once from a template of 10^4 index rows tiled from the ten
-digits, and each later chunk writes over it only the high index digits
-that changed and the values.  Either drops pad bytes only if a value
-padded.
+live here too.  They render in numpy only what a sequence value can
+be: a(n) is at most the number of digits of n, so every value is one
+decimal digit for m <= 10, and for any m at every n below m^9.
+`digit_string` writes one-digit values into one uint8 row each (the
+digit, and a space above base 10) in one add.  `indexed_rows` yields
+the "index value" lines of a whole sequence in chunks it cuts itself,
+at each new index digit count and every ROW_CHUNK rows after it, so
+from 10^4 on each chunk starts on a multiple of 10^4.  Per digit count
+it fills one row matrix once from a template of 10^4 index rows tiled
+from the ten digits, and each later chunk writes over it only the high
+index digits that changed and the values.  Either writes a call or
+chunk that holds a value of 10 or more line by line in Python.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -66,49 +66,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Pad byte of unaligned decimal columns; not ASCII, so never real text.
-_SKIP = 0xFF
-
-
-def decimal_digits(values) -> np.ndarray:
-    """Non-negative integers as right-aligned ASCII decimal digits: a
-    (rows, width) uint8 matrix, one row per value, as wide as the largest
-    value.  It is the transpose of a C-ordered (width, rows) array, so
-    each digit position is one contiguous row to copy.  Values below 10,
-    as every value of a base <= 10, are shifted to ASCII in one add.
-    Wider short values are padded on the left with a byte that
-    `digit_string` and `indexed_rows` drop, so they print unpadded;
-    padding is written only at positions where the smallest value has no
-    digit.
-    """
-    values = np.asarray(values)
-    if not values.size:
-        return np.empty((0, 0), dtype=np.uint8)
-    high = int(values.max())
-    if high < 10:
-        out = np.empty((1, values.size), dtype=np.uint8)
-        np.add(values, ord("0"), out=out[0], casting="unsafe")
-        return out.T
-    low = int(values.min())
-    width = len(str(high))
-    # Digit k of v is (v // 10^k) - 10 * (v // 10^(k+1)), so it is also
-    # that difference of the quotients' low bytes, mod 256: one floor
-    # division per position in the narrowest unsigned type (see `_mod`),
-    # then one multiply-subtract per position on uint8 rows.
-    q = values.astype(np.min_scalar_type(high))
-    out = np.empty((width, values.size), dtype=np.uint8)
-    for col in reversed(range(width)):
-        out[col] = q  # the low byte
-        if col:
-            q //= 10
-    for col in reversed(range(1, width)):
-        out[col] -= out[col - 1] * 10
-    out += ord("0")
-    for k in range(len(str(low)), width):  # positions past low's digits
-        np.copyto(out[width - 1 - k], _SKIP, where=values < 10 ** k)
-    return out.T
-
-
 # An index template holds the low digits of 10^TEMPLATE_DIGITS indices.
 TEMPLATE_DIGITS = 4
 
@@ -128,20 +85,20 @@ def _low_digits(k: int) -> np.ndarray:
     return out.T
 
 
-def _index_rows(lo: int, hi: int, width: int | None, sep: bytes,
-                value_width: int) -> np.ndarray:
+def _index_rows(lo: int, hi: int, width: int | None,
+                sep: bytes) -> np.ndarray:
     """Rows "index sep value" for the indices lo, ..., hi - 1 of one
-    digit count d, all but the high index digits and the value: each
-    holds the leading spaces, its index's k = min(d, TEMPLATE_DIGITS) low
-    digits, `sep` and the newline.  They are copied from a template of
-    the 10^k rows of k low digits, one contiguous copy per 10^k-aligned
-    block."""
+    digit count d and one-digit values, all but the high index digits
+    and the value: each holds the leading spaces, its index's
+    k = min(d, TEMPLATE_DIGITS) low digits, `sep` and the newline.  They
+    are copied from a template of the 10^k rows of k low digits, one
+    contiguous copy per 10^k-aligned block."""
     d = len(str(hi - 1))
     low = min(d, TEMPLATE_DIGITS)
     block = 10 ** low
     high_at = (width or d) - d  # the index's first column
     value_at = high_at + d + len(sep)
-    template = np.empty((block, value_at + value_width + 1), dtype=np.uint8)
+    template = np.empty((block, value_at + 2), dtype=np.uint8)
     template[:, :high_at] = ord(" ")
     # one column at a time: one (rows, k) slice is slower
     for col, column in enumerate(_low_digits(low).T, high_at + d - low):
@@ -164,29 +121,34 @@ def indexed_rows(values, width: int | None, sep: bytes):
     Each index digit count d is cut every ROW_CHUNK rows from its first
     index, so below 10^4 it is one chunk of at most 9,000 rows, from 10^4
     on every chunk starts on a multiple of 10^4, and only a digit count's
-    last chunk is shorter than ROW_CHUNK.  So the first chunk of each
-    value width in a digit count fills a row matrix (`_index_rows`) that
-    is long enough for every later chunk of that width.  A later chunk
-    writes over those rows only the value digits and, per 10^4-row
-    block, those high index digits that differ from the ones the block's
-    rows hold.  Pad bytes are dropped only if a value padded.
+    last chunk is shorter than ROW_CHUNK.  A chunk of one-digit values
+    takes the numpy path, as every chunk of a sequence a_{m;w} does for
+    m <= 10, and below m^9 terms for any m (a(n) is at most the number
+    of digits of n).  The first such chunk of a digit count fills a row
+    matrix (`_index_rows`) that is long enough for every later chunk of
+    that digit count, and each later one writes over those rows only
+    its values and, per 10^4-row block, those high index digits that
+    differ from the ones the block's rows hold.  A chunk holding a value
+    of 10 or more is written line by line instead.
     """
     n = len(values)
+    line = f"{{:>{width or 0}}}{sep.decode()}{{}}\n".format
     first, d = 0, 1
     while first < n:
         end = min(n, 10 ** d)
         block = 10 ** min(d, TEMPLATE_DIGITS)
         high_at = (width or d) - d  # the index's first column
         value_at = high_at + d + len(sep)
-        layouts = {}  # value width -> (rows, high digits held per block)
+        rows = held = None  # the row matrix, its high digits per block
         for lo in range(first, end, ROW_CHUNK):
             hi = min(end, lo + ROW_CHUNK)
-            digits = decimal_digits(values[lo:hi])
-            if digits.shape[1] not in layouts:
-                layouts[digits.shape[1]] = (
-                    _index_rows(lo, hi, width, sep, digits.shape[1]),
-                    [None] * ((hi - lo - 1) // block + 1))
-            rows, held = layouts[digits.shape[1]]
+            chunk = values[lo:hi]
+            if chunk.max() >= 10:
+                yield "".join(map(line, range(lo, hi), chunk.tolist()))
+                continue
+            if rows is None:
+                rows = _index_rows(lo, hi, width, sep)
+                held = [None] * ((hi - lo - 1) // block + 1)
             if d > TEMPLATE_DIGITS:
                 # high digits one column at a time, over every kept row of
                 # the block, so `held` is true of all of them
@@ -197,35 +159,32 @@ def indexed_rows(values, width: int | None, sep: bytes):
                             rows[slot * block:(slot + 1) * block,
                                  high_at + col] = ord(digit)
                     held[slot] = high
-            for col in range(digits.shape[1]):
-                rows[:hi - lo, value_at + col] = digits[:, col]
-            text = rows[:hi - lo]
-            # a padded value is padded in its leading position
-            if _SKIP in digits[:, :1]:
-                text = text[text != _SKIP]
-            yield str(text, "ascii")  # decodes the buffer, no bytes copy
+            np.add(chunk, ord("0"), out=rows[:hi - lo, value_at],
+                   casting="unsafe")
+            # decodes the buffer, no bytes copy
+            yield str(rows[:hi - lo], "ascii")
         first, d = end, d + 1
 
 
 def digit_string(digits, base: int) -> str:
     """Render a digit vector: concatenated for base <= 10, else
-    space-separated.  Digits below 10 are shifted to ASCII in one numpy
-    operation.  Wider digits are written as the rows "digits " of one
-    uint8 matrix, one column of `decimal_digits` at a time, and its pad
-    bytes dropped only if a value padded, so no Python string is built
-    per value."""
-    if base <= 10:
-        ascii_digits = np.asarray(digits, dtype=np.uint8) + ord("0")
-        return ascii_digits.tobytes().decode("ascii")
-    columns = decimal_digits(digits)
-    rows = np.empty((columns.shape[0], columns.shape[1] + 1), dtype=np.uint8)
-    for col in range(columns.shape[1]):
-        rows[:, col] = columns[:, col]
-    rows[:, -1] = ord(" ")
-    # a padded value is padded in its leading position
-    if _SKIP in columns[:, :1]:
-        rows = rows[rows != _SKIP]
-    return str(rows, "ascii")[:-1]  # decodes the buffer, no bytes copy
+    space-separated.  A digit outside [0, base) raises ValueError.
+    One-digit values are written into one uint8 row per value, in one
+    numpy add, so no Python string is built per value; a vector holding
+    a wider one is written value by value."""
+    digits = np.asarray(digits)
+    high = int(digits.max()) if digits.size else 0
+    # checked before the cast to uint8, where 256 would read as 0
+    if high >= base or (digits.size and digits.dtype.kind not in "bu"
+                        and digits.min() < 0):
+        raise ValueError(f"digits must lie in [0, {base})")
+    sep = " " if base > 10 else ""
+    if high >= 10:
+        return sep.join(map(str, digits.tolist()))
+    rows = np.empty((digits.size, 1 + len(sep)), dtype=np.uint8)
+    np.add(digits, ord("0"), out=rows[:, 0], casting="unsafe")
+    rows[:, 1:] = ord(" ")
+    return str(rows, "ascii")[:rows.size - len(sep)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared test toolkit: the pattern enumerator, the 60-pattern grid, the
-golden prefixes, a pure-Python digit string and a peak-memory meter.
+golden prefixes, a pure-Python digit string, a peak-memory meter and a
+probe of the path each rendered chunk takes.
 
 Each shared thing is defined here once; test modules import it from
 here and never from one another (`test_toolkit.py` checks both).
@@ -8,6 +9,8 @@ pytest does not collect this module, since its name is not test_*.py.
 
 import itertools
 import tracemalloc
+
+import numpy as np
 
 
 def patterns(base, max_width):
@@ -75,3 +78,29 @@ def peak_bytes(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+class _Watched(np.ndarray):
+    """Values whose slices share one list, `read`, to which every
+    `tolist` call on any of them appends the slice's length."""
+
+    def __array_finalize__(self, obj):
+        self.read = getattr(obj, "read", None)
+
+    def tolist(self):
+        self.read.append(len(self))
+        return super().tolist()
+
+
+def line_path_chunks(render, values):
+    """(the chunks render(values) yields, for each whether it was written
+    line by line): that path reads a chunk's values as Python ints with
+    `tolist`, and the numpy path never does."""
+    watched = np.asarray(values).view(_Watched)
+    watched.read = []
+    chunks, by_line = [], []
+    for chunk in render(watched):
+        chunks.append(chunk)
+        by_line.append(bool(watched.read))
+        watched.read.clear()
+    return chunks, by_line

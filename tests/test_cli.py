@@ -22,8 +22,8 @@ from blockseq.cli import (
     main,
     run,
 )
-from blockseq.words import _SKIP, ROW_CHUNK, indexed_rows
-from support import RS_S3, peak_bytes
+from blockseq.words import ROW_CHUNK, indexed_rows
+from support import RS_S3, line_path_chunks, peak_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,32 @@ def test_format_sequence_matches_reference(base, fmt):
                      reference_format(empty, spec, fmt))
 
 
+def test_sequence_values_are_one_digit_below_base_to_the_ninth():
+    """The renderers write one-digit values in numpy and wider ones line
+    by line, since a(n) is at most the number of digits of n: every
+    value is one digit below p^9 terms, and the first wider one of
+    a_{11;1} is a((1111111111)_11) = 10, which renders as the reference
+    writes it when spliced into a generated prefix."""
+    from blockseq import a_value, to_base
+
+    for p in (11, 13, 101, 257):
+        for w in [(0,), (p - 1,), (0, p - 1), (p - 1, 0)]:
+            assert generate(PatternSpec(p, w), 10 ** 6).max() < 10, (p, w)
+    spec = PatternSpec(11, "1")
+    assert a_value(spec, 2_593_742_460) == 10
+    assert a_value(spec, 2_593_742_459) < 10
+    rng = np.random.default_rng(11)
+    for p in (11, 13, 101, 257):
+        for w in [(0,), (1,), (0, 0), (1, 1)]:
+            for n in rng.integers(0, 2 ** 62, 50).tolist():
+                assert a_value(PatternSpec(p, w), n) <= len(to_base(n, p))
+    values = generate(spec, 2 * CHUNK_TERMS + 3)
+    values[10 ** 5 + 1] = 10
+    for fmt in FORMATS:
+        assert_same_text(format_sequence(values, spec, fmt),
+                         reference_format(values, spec, fmt), fmt)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_chunked_output_is_identical_on_stdout_and_file(fmt, tmp_path,
                                                         capsys):
@@ -156,43 +182,36 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
     width between two chunks; at 2 * CHUNK_TERMS + 3 the last chunk,
     from 120,000, is shorter than the one before it and ends inside a
     10^4 block.  Random values below the base give base 101 values of 1
-    to 3 digits."""
+    to 3 digits, and random values below 10 one digit at every base."""
     spec = PatternSpec(base, "1")
     assert main(["generate", "-m", str(base), "-w", "1", "-N", str(n),
                  "--format", fmt]) == 0
     assert_same_text(capsys.readouterr().out,
                      reference_format(generate(spec, n), spec, fmt))
-    values = np.random.default_rng(n + base).integers(
-        0, base, n).astype(np.uint8)
-    assert_same_text(format_sequence(values, spec, fmt),
-                     reference_format(values, spec, fmt))
+    rng = np.random.default_rng(n + base)
+    for high in sorted({min(base, 10), base}):
+        values = rng.integers(0, high, n).astype(np.uint8)
+        assert_same_text(format_sequence(values, spec, fmt),
+                         reference_format(values, spec, fmt), high)
 
 
 @pytest.mark.parametrize("base", [2, 10])
-def test_bfile_chunks_of_small_bases_never_pad(base, monkeypatch):
+def test_bfile_chunks_of_small_bases_never_pad(base):
     """A `bfile` chunk is cut at each power of ten, so its indices share
-    one digit count, and a base <= 10 has one-digit values: no chunk
-    hands `decimal_digits` (called once per chunk) a padded value, so
-    none drops a pad byte.  The cuts at 10 to 10^5 and every ROW_CHUNK
-    rows after them leave the text as the reference writes it."""
-    import blockseq.words
+    one digit count, and a base <= 10 has one-digit values: every chunk
+    is written in numpy, none line by line.  The cuts at 10 to 10^5 and
+    every ROW_CHUNK rows after them leave the text as the reference
+    writes it."""
+    from blockseq.cli import _format_chunks
 
-    real_digits = blockseq.words.decimal_digits
-    padded = []
-
-    def decimal_digits(values):
-        digits = real_digits(values)
-        padded.append(_SKIP in digits[:, :1])
-        return digits
-
-    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
     spec = PatternSpec(base, "1")
     n = 2 * CHUNK_TERMS + 3
     values = generate(spec, n)
-    assert_same_text(format_sequence(values, spec, "bfile"),
-                     reference_format(values, spec, "bfile"))
+    chunks, by_line = line_path_chunks(
+        lambda v: _format_chunks(v, spec, "bfile"), values)
+    assert_same_text("".join(chunks), reference_format(values, spec, "bfile"))
     # 0, 10, 100 and 1000; 10^4 + 2 * 10^4 * (0..4); 10^5 and 120,000
-    assert len(padded) == 4 + 5 + 2 and not any(padded)
+    assert len(by_line) == 4 + 5 + 2 and not any(by_line)
 
 
 def reference_prefixes(values, spec, fmt, ns):
@@ -232,14 +251,17 @@ def test_index_template_rows_match_reference(fmt, base):
     """The rows copied from the index template, with each block's high
     digits written over them, read as the reference writes them on both
     sides of every power of ten, across a last chunk that ends inside a
-    10^4 block, and for 0 and 1 terms.  Random values below the base pad
-    from base 13 on (1 to 3 digits at base 101 and 257)."""
+    10^4 block, and for 0 and 1 terms.  Random values below the base are
+    written line by line from base 13 on (1 to 3 digits at base 101 and
+    257), and random values below 10 in the row matrix at every base."""
     sizes = TEMPLATE_SIZES + (WIDE_TEMPLATE_SIZES if base == 257 else [])
     spec = PatternSpec(base, "1")
-    values = np.random.default_rng(base).integers(
-        0, base, max(sizes)).astype(np.uint16)
-    for n, text in reference_prefixes(values, spec, fmt, sizes).items():
-        assert_same_text(format_sequence(values[:n], spec, fmt), text, n)
+    rng = np.random.default_rng(base)
+    for high in sorted({min(base, 10), base}):
+        values = rng.integers(0, high, max(sizes)).astype(np.uint16)
+        for n, text in reference_prefixes(values, spec, fmt, sizes).items():
+            assert_same_text(format_sequence(values[:n], spec, fmt), text,
+                             high, n)
 
 
 def chunk_starts(n, fmt):
@@ -273,13 +295,13 @@ def test_chunks_past_ten_thousand_start_on_template_blocks(fmt):
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 @pytest.mark.parametrize("base", [101, 257])
-def test_reused_rows_alternate_padded_and_unpadded_chunks(fmt, base,
-                                                         monkeypatch):
-    """Chunks alternate between padded values (1 to 3 digits), one-digit
-    values and unpadded three-digit values, so each layout's row matrix
-    is left and taken up again, and a padded chunk's pad bytes lie in
-    the rows a later unpadded chunk of the same width reuses."""
-    import blockseq.words
+def test_reused_rows_alternate_padded_and_unpadded_chunks(fmt, base):
+    """Chunks alternate between values of 1 to 3 digits, one-digit
+    values and three-digit values, so the chunks of one-digit values
+    fill the row matrix, leave it to chunks written line by line and
+    take it up again, with the high index digits of 10^5 to 2 * 10^5
+    written over it."""
+    from blockseq.cli import _format_chunks
 
     n = 200_003
     starts = chunk_starts(n, fmt)
@@ -288,21 +310,14 @@ def test_reused_rows_alternate_padded_and_unpadded_chunks(fmt, base,
     for j, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
         low, high = [(0, base), (0, 10), (100, base)][j % 3]
         values[lo:hi] = rng.integers(low, high, hi - lo)
-        if j % 3 == 0:  # one-digit and three-digit values: padded
+        if j % 3 == 0:  # one-digit and three-digit values
             values[lo], values[hi - 1] = 0, base - 1
-    real_digits = blockseq.words.decimal_digits
-    padded = []
-
-    def decimal_digits(chunk):
-        digits = real_digits(chunk)
-        padded.append(_SKIP in digits[:, :1])
-        return digits
-
-    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
     spec = PatternSpec(base, "1")
-    assert_same_text(format_sequence(values, spec, fmt),
-                     reference_format(values, spec, fmt))
-    assert padded == [j % 3 == 0 for j in range(len(starts))]
+    chunks, by_line = line_path_chunks(
+        lambda v: _format_chunks(v, spec, fmt), values)
+    assert_same_text("".join(chunks), reference_format(values, spec, fmt))
+    header = fmt == "table"
+    assert by_line[header:] == [j % 3 != 1 for j in range(len(starts))]
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
@@ -311,30 +326,36 @@ def test_reused_rows_across_high_digit_carries(fmt):
     that differ from the ones its rows hold.  Around a carry in one
     high digit (109999 -> 110000), in two (199999 -> 200000, 1099999 ->
     1100000) and a new index digit (999999 -> 1000000), the lines two
-    chunks either side read as the reference writes them."""
+    chunks either side read as the reference writes them, for values
+    below 10 (the row matrix) and below 13 (line by line)."""
     n = 1_100_003
     spec = PatternSpec(13, "1")
-    values = np.random.default_rng(13).integers(0, 13, n).astype(np.uint8)
-    lines = format_sequence(values, spec, fmt).splitlines()
+    rng = np.random.default_rng(13)
     header = fmt == "table"
-    assert len(lines) == n + header
     width = len(str(n - 1)) if fmt == "table" else 0
     sep = "  " if fmt == "table" else " "
-    for carry in (110_000, 200_000, 10 ** 6, 1_100_000):
-        for i in range(carry - 2 * ROW_CHUNK, min(n, carry + 2 * ROW_CHUNK)):
-            assert lines[i + header] == f"{i:>{width}}{sep}{values[i]}", i
+    for high in (10, 13):
+        values = rng.integers(0, high, n).astype(np.uint8)
+        lines = format_sequence(values, spec, fmt).splitlines()
+        assert len(lines) == n + header
+        for carry in (110_000, 200_000, 10 ** 6, 1_100_000):
+            for i in range(carry - 2 * ROW_CHUNK,
+                           min(n, carry + 2 * ROW_CHUNK)):
+                assert lines[i + header] == \
+                    f"{i:>{width}}{sep}{values[i]}", (high, i)
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_format_sequence_calls_share_no_rows(fmt):
-    """Each call keeps its own row matrices: a padded call, an unpadded
-    call of another length and the padded call again all read as the
-    reference writes them."""
+    """Each call keeps its own row matrices: a call of one-digit values,
+    one of another length and the first again all read as the reference
+    writes them, and so do calls of 1- to 3-digit values between them."""
     spec = PatternSpec(101, "1")
     rng = np.random.default_rng(101)
     padded = rng.integers(0, 101, 150_001).astype(np.uint8)
     one_digit = rng.integers(0, 10, 130_007).astype(np.uint8)
-    for values in (padded, one_digit, padded):
+    longer = rng.integers(0, 10, 150_001).astype(np.uint8)
+    for values in (padded, one_digit, padded, longer, one_digit, longer):
         assert_same_text(format_sequence(values, spec, fmt),
                          reference_format(values, spec, fmt), len(values))
 
@@ -750,6 +771,31 @@ def test_bench_generators_smoke():
         assert r.throughput > 0
         line = r.format()
         assert "sha256=" in line and "terms_per_s=" in line
+
+
+def test_bench_disagreeing_checksums_are_a_verification_failure(
+        monkeypatch, capsys):
+    """A leg whose terms hash differently makes `bench` exit 1 with the
+    three checksums on stderr and print no bench line."""
+    import re
+
+    import blockseq.cli
+
+    real = blockseq.cli.expand_fixed_point
+
+    def wrong_morphism(mu, n):
+        values = real(mu, n)
+        values[3] ^= 1
+        return values
+
+    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", wrong_morphism)
+    assert main(["bench", "-m", "2", "-w", "11", "-N", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"verification failure: generator outputs disagree for m=2 w=11: "
+        r"window=([0-9a-f]{12}), morphism=(?!\1)[0-9a-f]{12}, oracle=\1\n",
+        captured.err), captured.err
 
 
 def test_bench_prime_base_above_256():

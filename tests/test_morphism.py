@@ -424,6 +424,10 @@ def test_build_morphism_does_not_consult_the_oracle(monkeypatch):
 def test_uniform_morphism_validation():
     with pytest.raises(ValueError):
         UniformMorphism(2, ((0, 1), (1,)), (0, 1), 0)  # ragged row
+    with pytest.raises(ValueError, match="not uniform"):
+        UniformMorphism(2, (0, 1), (0, 1), 0)  # one row, not a table
+    with pytest.raises(ValueError, match="not uniform"):
+        UniformMorphism(2, ((0, 1, 1), (1, 0, 0)), (0, 1), 0)  # width 3
     with pytest.raises(ValueError):
         UniformMorphism(2, ((0, 1), (1, 0)), (0,), 0)  # short coding
     with pytest.raises(ValueError):

@@ -61,10 +61,13 @@ def test_series_from_sequence_spot_check_catches_corruption(monkeypatch):
 
 
 def test_series_from_sequence_rejects_composite():
+    """Both sides of the functional equation need a prime base."""
     from blockseq import InvalidPatternError
 
     with pytest.raises(InvalidPatternError):
         series_from_sequence(PatternSpec(4, "1"), 64)
+    with pytest.raises(InvalidPatternError, match="prime base"):
+        rhs_series(PatternSpec(4, "1"), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import (_SKIP, ROW_CHUNK, _low_digits, decimal_digits,
-                            indexed_rows)
-from support import peak_bytes
+from blockseq.words import ROW_CHUNK, _low_digits, indexed_rows
+from support import line_path_chunks, peak_bytes
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -100,74 +99,43 @@ def test_digit_string_wide_base_uses_separators():
     assert digit_string(np.array([100, 7, 255], dtype=np.uint8), 256) == \
         "100 7 255"
     assert digit_string((), 16) == digit_string((), 2) == ""
-
-
-DIGIT_EDGES = sorted({0, 9, 10, 99, 100, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
-                      2 ** 62 - 1}
-                     | {10 ** k + d for k in range(1, 19) for d in (-1, 1)})
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
-def test_decimal_digits_rows_are_the_decimal_strings(dtype):
-    """Each row is str(v), right-aligned and padded with the pad byte
-    that `digit_string` and `indexed_rows` drop."""
-    values = [v for v in DIGIT_EDGES if v <= np.iinfo(dtype).max]
-    widest = len(str(max(values)))
-    got = decimal_digits(np.array(values, dtype=dtype))
-    assert got.shape == (len(values), widest) and got.dtype == np.uint8
-    for v, row in zip(values, got):
-        s = str(v).encode("ascii")
-        assert row.tobytes() == bytes([_SKIP]) * (widest - len(s)) + s, v
-    for v in values:  # alone, a value needs no padding
-        one = np.array([v], dtype=dtype)
-        assert decimal_digits(one).tobytes() == str(v).encode("ascii")
-
-
-def test_decimal_digits_empty_input():
-    empty = np.zeros(0, dtype=np.int64)
-    assert decimal_digits(empty).shape == (0, 0)
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
-def test_decimal_digits_one_digit_values_match_the_general_path(dtype):
-    """Values below 10 take one add; appending a two-digit value sends
-    the same values through the general path, whose rows are the pad
-    byte and then the same digit.  Either is the transpose of a C-ordered
-    array of uint8."""
-    rng = np.random.default_rng(7)
-    for values in (np.zeros(0, dtype=dtype), np.zeros(5, dtype=dtype),
-                   np.full(5, 9, dtype=dtype),
-                   rng.integers(0, 10, 1000).astype(dtype)):
-        got = decimal_digits(values)
-        general = decimal_digits(np.append(values, dtype(10)))[:-1]
-        assert got.dtype == np.uint8 and got.T.flags.c_contiguous
-        if values.size:
-            assert got.shape == (values.size, 1)
-            assert (general[:, 0] == _SKIP).all()
-            assert got.tobytes() == general[:, 1:].tobytes()
-        else:
-            assert got.shape == (0, 0)
+    # a digit outside [0, base) is refused, never written as another byte
+    for digits, base in [((1, 12), 10), ((1, -1), 16), ((2,), 2),
+                         (np.array([256], dtype=np.uint16), 256),
+                         (np.array([1, -1], dtype=np.int8), 11)]:
+        with pytest.raises(ValueError, match=f"\\[0, {base}\\)"):
+            digit_string(digits, base)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_low_digits_tile_the_ten_digits(k):
     """The index template's low digits, tiled from the ten ASCII digits,
-    are 10^k + i's digits without the leading 1."""
-    expected = decimal_digits(np.arange(10 ** k, 2 * 10 ** k))[:, 1:]
+    are each i < 10^k zero-padded to k digits."""
     got = _low_digits(k)
     assert got.shape == (10 ** k, k) and got.dtype == np.uint8
-    assert np.array_equal(got, expected)
+    assert got.tobytes() == "".join(
+        f"{i:0{k}d}" for i in range(10 ** k)).encode("ascii")
 
 
 def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
-    """A base > 10 writes `decimal_digits` rows: a padded input loses its
-    pad bytes, an even-width one has none to lose."""
+    """A base > 10 prints each value unpadded, whether the values share
+    one width or not; random one-digit values, and values of 1 to 3
+    digits, read as str() of each value joined, in every dtype."""
     assert digit_string(np.array([5, 10, 123, 7]), 256) == "5 10 123 7"
     assert digit_string(np.array([10, 20, 30]), 101) == "10 20 30"
     assert digit_string(np.array([100, 200, 300, 999]), 1000) == \
         "100 200 300 999"
     assert digit_string(np.array([7]), 11) == "7"
     assert digit_string(np.zeros(0, dtype=np.int64), 11) == ""
+    rng = np.random.default_rng(7)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        for base in (2, 10, 11, 101, 256):
+            sep = " " if base > 10 else ""
+            for high in sorted({min(base, 10), base}):
+                for n in (1, 2, 1000):
+                    values = rng.integers(0, high, n).astype(dtype)
+                    assert digit_string(values, base) == sep.join(
+                        str(v) for v in values.tolist()), (dtype, base, n)
 
 
 def test_indexed_rows_needs_one_index_digit_count():
@@ -183,12 +151,13 @@ def test_indexed_rows_needs_one_index_digit_count():
 
 
 @pytest.mark.parametrize("width, sep", [(None, b" "), (7, b"  ")])
-def test_indexed_rows_reuse_rows_across_any_chunks(width, sep, monkeypatch):
-    """Each chunk reads as one f-string per row while its value width
-    (1, 2 or 3 digits, the 3-digit one padded) changes from chunk to
-    chunk, so each width's row matrix is left and taken up again, on
-    both sides of 10^5 and across the high-digit carries at 10^5 + 10^4
-    and 2 * 10^5."""
+def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
+    """Each chunk reads as one f-string per row while its values' width
+    (1, 2 or 1 to 3 digits) changes from chunk to chunk, so the chunks
+    of one-digit values fill the row matrix of their digit count, leave
+    it to the chunks written line by line, and take it up again, on both
+    sides of 10^5 and across the high-digit carries at 10^5 + 10^4 and
+    2 * 10^5."""
     n = 230_001
     rng = np.random.default_rng(5)
     values = np.empty(n, dtype=np.uint16)
@@ -201,22 +170,16 @@ def test_indexed_rows_reuse_rows_across_any_chunks(width, sep, monkeypatch):
         values[lo:hi] = rng.integers(low, high, hi - lo)
         values[hi - 1] = high - 1
         widths.append(len(str(high - 1)))
-    real_digits = blockseq.words.decimal_digits
-    seen = []
-
-    def decimal_digits(chunk):
-        digits = real_digits(chunk)
-        seen.append(digits.shape[1])
-        return digits
-
-    monkeypatch.setattr(blockseq.words, "decimal_digits", decimal_digits)
+    chunks, by_line = line_path_chunks(
+        lambda v: indexed_rows(v, width, sep), values)
     lo = 0
-    for chunk in indexed_rows(values, width, sep):
+    for chunk in chunks:
         lines = chunk.splitlines()
         for i, line in enumerate(lines, lo):
             assert line == f"{i:>{width or 0}}{sep.decode()}{values[i]}", i
         lo += len(lines)
-    assert lo == n and seen == widths
+    assert lo == n and by_line == [w > 1 for w in widths]
+    assert len(chunks) == 4 + 5 + 7
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +190,8 @@ def test_count_occurrences_examples():
     assert count_occurrences((1, 1, 1), (1, 1)) == 2
     assert count_occurrences((0, 0, 1, 0, 1, 1, 0), (0, 1)) == 2
     assert count_occurrences((1, 0), (1, 0, 1)) == 0
+    with pytest.raises(InvalidPatternError, match="non-empty pattern"):
+        count_occurrences((1, 0), ())
 
 
 def test_count_occurrences_overlapping_runs():
