@@ -24,10 +24,18 @@ N the window and morphism legs can tie, and `bench -m 3 -w 011 -N 20000`
 (0.03 to 0.05 ms per leg) prints `ordering ...: FAIL` and exits 1 on
 working code in some runs.
 
-`verify` frees each leg's output before the next leg runs, and compares
-it with the window output CHUNK_TERMS terms at a time, so it holds the
-window output and one other leg at a time: about 2 bytes per term, plus
-the oracle's fixed block scratch.  `blocks` holds its prefix and the
+`verify` holds the window output and never a second N-term output: it
+compares each other leg with the window as the leg makes it, chunk by
+chunk, and stops at the first chunk that differs.  The morphism leg is
+the last gather of `expand_fixed_point`, one chunk at a time
+(`morphism.fixed_point_chunks`), from the level before it, about N/4
+letters at most.  The oracle leg is the oracle's own digit recursion
+with each parent a(n // m) read from the window
+(`words.recursion_blocks`), block by block: by strong induction it
+passes iff the window is the sequence, and the least index where it
+fails is the least wrong one, where it yields a(n).  So `verify` holds
+about 1 byte per term, plus the oracle's fixed block scratch (under
+1 MiB).  `blocks` holds its prefix and the
 block check's fixed chunk scratch, and nothing per block: the verified
 type-2 blocks come back as one range, and it prints their count.
 `bench` frees each output before the next timed call allocates its own.
@@ -55,11 +63,12 @@ import numpy as np
 
 from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
                      InvalidPatternError, VerificationError)
-from .morphism import build_morphism, expand_fixed_point
+from .morphism import build_morphism, expand_fixed_point, fixed_point_chunks
 from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
-from .words import PatternSpec, a_prefix, digit_string, indexed_rows
+from .words import (PatternSpec, a_prefix, digit_string, indexed_rows,
+                    recursion_blocks)
 
 __all__ = [
     "RunConfig",
@@ -183,9 +192,9 @@ def _cmd_generate(cfg: RunConfig) -> tuple:
 
 
 def _generator_legs(spec: PatternSpec, n: int) -> list:
-    """(name, thunk) for each generator `verify` and `bench` run: the
-    window, then the morphism for a prime base (built here, so a timed
-    thunk only expands it), then the oracle."""
+    """(name, thunk) for each generator `bench` times: the window, then
+    the morphism for a prime base (built here, so a timed thunk only
+    expands it), then the oracle."""
     legs = [("window", lambda: generate(spec, n))]
     if spec.modulus_is_prime:
         mu = build_morphism(spec)
@@ -194,36 +203,44 @@ def _generator_legs(spec: PatternSpec, n: int) -> list:
     return legs
 
 
-def _first_difference(a: np.ndarray, b: np.ndarray) -> int | None:
-    """The least index where two arrays of one length differ, or None.
-    They are compared CHUNK_TERMS terms at a time, so the comparison's
-    temporaries stay one chunk long, and it stops at the first chunk
-    that differs."""
-    for lo in range(0, a.size, CHUNK_TERMS):
-        x, y = a[lo:lo + CHUNK_TERMS], b[lo:lo + CHUNK_TERMS]
-        if not np.array_equal(x, y):
-            return lo + int(np.flatnonzero(x != y)[0])
+def _first_difference(window: np.ndarray, chunks) -> tuple | None:
+    """(the least index where `chunks`, laid end to end from index 0,
+    differ from `window`, the chunk's value there), or None.  Each chunk
+    is compared as it comes, and the next one is asked for only if it
+    agrees."""
+    lo = 0
+    for chunk in chunks:
+        got = window[lo:lo + chunk.size]
+        if not np.array_equal(got, chunk):
+            i = int(np.flatnonzero(got != chunk)[0])
+            return lo + i, int(chunk[i])
+        lo += chunk.size
     return None
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
-    legs = _generator_legs(spec, n)
-    names = [name for name, _ in legs]
-    window = legs[0][1]()
+    # (name, thunk of its chunks) for each leg checked against the window
+    checks = []
     lines = []
-    if "morphism" not in names:
+    if spec.modulus_is_prime:
+        mu = build_morphism(spec)
+        checks.append(("morphism", lambda: fixed_point_chunks(mu, n)))
+    else:
         lines.append(f"note: base {spec.base} is composite; "
                      "checking window vs. oracle only\n")
-    for other, leg in legs[1:]:
-        values = leg()
-        i = _first_difference(window, values)
-        if i is not None:
+    window = generate(spec, n)
+    # the oracle's recursion, reading each parent a(n // m) from the window
+    checks.append(("oracle", lambda: recursion_blocks(spec, window)))
+    for other, chunks in checks:
+        diff = _first_difference(window, chunks())
+        if diff is not None:
+            i, value = diff
             lines.append(f"FAIL {spec} N={n}: window and {other} disagree "
-                         f"at n={i} ({int(window[i])} vs {int(values[i])})\n")
+                         f"at n={i} ({int(window[i])} vs {value})\n")
             return lines, EXIT_VERIFY
-        del values  # freed before the next leg runs
+    names = ["window"] + [name for name, _ in checks]
     lines.append(f"PASS {spec} N={n}: {', '.join(names)} agree\n")
     return lines, EXIT_OK
 

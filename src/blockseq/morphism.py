@@ -49,7 +49,11 @@ substitution, for the least d with p^d >= 4: the image of the start
 letter under mu^d begins with itself, so mu^d has the same fixed point
 as mu (Cobham, "Uniform tag sequences", 1972), and each gathered index
 yields p^d letters instead of p.  That is mu^2 for p = 2 and 3, and mu
-itself from p = 4 on.
+itself from p = 4 on.  Its last gather, which codes the letters, is one
+routine that writes its chunks either into the whole output or, for
+`fixed_point_chunks`, into one reused chunk that it yields: `verify`
+compares each chunk with the window as it is made, so it holds only the
+level before the last gather and one chunk, never a second output.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ __all__ = [
     "UniformMorphism",
     "build_morphism",
     "expand_fixed_point",
+    "fixed_point_chunks",
 ]
 
 
@@ -158,40 +163,84 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     return UniformMorphism(p, trans, coding, start)
 
 
-# Terms per np.take gather in `expand_fixed_point`.  np.take copies its
-# indices to int64, so gathering a whole level at once would need 8
-# scratch bytes per letter read.
+# Terms per np.take gather in `_gather`.  np.take copies its indices to
+# int64, so gathering a whole level at once would need 8 scratch bytes
+# per letter read.
 TAKE_CHUNK = 1 << 15
 
 
-def _substitute(table: np.ndarray, seq: np.ndarray, n: int,
-                dtype=None) -> np.ndarray:
-    """The first n terms of the rows of `table` that `seq` selects,
-    concatenated (n > (seq.size - 1) * p): the row gather table[seq],
-    written by np.take into one buffer about TAKE_CHUNK terms at a time.
-    With a narrower `dtype` than the table's, each gathered slice is
-    checked to hold no value above 255 before it is narrowed."""
+def _gather(table: np.ndarray, seq: np.ndarray, n: int, dtype,
+            out: np.ndarray | None = None):
+    """Yield the first n terms of the rows of `table` that `seq` selects,
+    concatenated (n > (seq.size - 1) * p), in consecutive chunks: the row
+    gather table[seq], written by np.take about TAKE_CHUNK terms at a
+    time.  Each chunk is written into `out`, at its own offset, when
+    `out` holds seq.size * p terms, and otherwise into one buffer that
+    every chunk reuses, so it is valid only until the next one.  With a
+    narrower `dtype` than the table's, each gathered chunk is checked to
+    hold no value above 255 before it is narrowed."""
     p = table.shape[1]
-    out = np.empty(seq.size * p, dtype=dtype or table.dtype)
     step = max(1, TAKE_CHUNK // p)
-    narrow = out.dtype != table.dtype
-    scratch = np.empty((min(step, seq.size), p), table.dtype) if narrow else None
+    size = min(step, seq.size) * p
+    reuse = out is None
+    if reuse:
+        out = np.empty(size, dtype=dtype)
+    scratch = np.empty(size, table.dtype) if table.dtype != dtype else None
     for lo in range(0, seq.size, step):
         rows = seq[lo:lo + step]
-        dest = out[lo * p:(lo + rows.size) * p]
+        at = 0 if reuse else lo * p
+        dest = out[at:at + rows.size * p]
         # every letter is a valid row, and "clip" skips the bounds check
-        # and the buffering of `out` that the default mode needs
-        if not narrow:
+        # and the buffering of `dest` that the default mode needs
+        if scratch is None:
             np.take(table, rows, axis=0, out=dest.reshape(-1, p), mode="clip")
+            yield dest[:n - lo * p]
             continue
-        wide = np.take(table, rows, axis=0, out=scratch[:rows.size],
+        wide = np.take(table, rows, axis=0,
+                       out=scratch[:dest.size].reshape(-1, p),
                        mode="clip").reshape(-1)[:n - lo * p]
         # a(n) counts at most the 63 windows of n, but a morphism built
         # elsewhere may code a reachable letter past 255: refuse, never wrap
         if wide.max() > 255:
             raise ValueError("coded fixed point holds a digit above 255")
         dest[:wide.size] = wide
-    return out[:n]
+        yield dest[:wide.size]
+
+
+def _next_to_last_level(mu: UniformMorphism, n_terms: int) -> np.ndarray:
+    """The letters of the fixed point that the last gather reads for its
+    first n_terms coded terms: ceil(n_terms / P) of them, for P = p^d
+    the width of `UniformMorphism._tables`, or just the start letter
+    when n_terms <= P.  Each level is gathered whole from the one before
+    and cut to the letters the levels after it read."""
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    table = mu._tables[0]
+    width = table.shape[1]  # P = p^d
+    lengths = []  # ceil(n_terms / P^i), down to the first one <= P
+    n = n_terms
+    while n > width:
+        n = -(-n // width)
+        lengths.append(n)
+    seq = np.array([mu.start], dtype=table.dtype)
+    for n in reversed(lengths):
+        level = np.empty(seq.size * width, dtype=table.dtype)
+        for _ in _gather(table, seq, n, table.dtype, level):
+            pass
+        seq = level[:n]
+    return seq
+
+
+def fixed_point_chunks(mu: UniformMorphism, n_terms: int):
+    """The first n_terms letters of the fixed point, coded, as an
+    iterator of consecutive uint8 chunks of about TAKE_CHUNK terms: the
+    last gather of `expand_fixed_point`.  It holds the level that gather
+    reads and one chunk, which the next chunk overwrites, so a caller
+    keeps what it needs of a chunk before it asks for the next one.  The
+    levels are expanded here, before the first chunk is asked for, so a
+    bad n_terms raises at once."""
+    seq = _next_to_last_level(mu, n_terms)
+    return _gather(mu._tables[1], seq, n_terms, np.uint8)
 
 
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
@@ -208,20 +257,14 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     after it read, so about n_terms * P / (P - 1) letters are gathered
     in all, where expanding whole levels could build up to P times
     n_terms in the last one alone.  Each level is gathered from the one
-    before by `_substitute`, a chunked np.take of the rows; the last
-    gather reads the codes of every letter's image and writes the coded
-    terms directly as uint8.
+    before by `_gather`, a chunked np.take of the rows; the last gather
+    reads the codes of every letter's image and writes the coded terms
+    directly into the uint8 output, by the same routine that yields
+    them chunk by chunk in `fixed_point_chunks`.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    table, coded = mu._tables
-    width = table.shape[1]  # P = p^d
-    lengths = []  # ceil(n_terms / P^i), down to the first one <= P
-    n = n_terms
-    while n > width:
-        n = -(-n // width)
-        lengths.append(n)
-    seq = np.array([mu.start], dtype=table.dtype)
-    for n in reversed(lengths):
-        seq = _substitute(table, seq, n)
-    return _substitute(coded, seq, n_terms, np.uint8)
+    seq = _next_to_last_level(mu, n_terms)
+    coded = mu._tables[1]
+    out = np.empty(seq.size * coded.shape[1], dtype=np.uint8)
+    for _ in _gather(coded, seq, n_terms, np.uint8, out):
+        pass
+    return out[:n_terms]

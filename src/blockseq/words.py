@@ -15,7 +15,13 @@ carrying its quotient n // m^j in a narrow unsigned dtype; its
 by the digit recursion e(n) = [the lowest window of n is w] + e(n // m),
 testing only each index's lowest window.  Both count a zero-led window
 only where it fits inside the expansion, and neither uses an automaton
-or the doubling.
+or the doubling.  The recursion's blocks come from one kernel,
+`recursion_blocks`, which reads each parent a(n // m) from an array it
+is given: `a_prefix` gives it its own output, and `verify` gives it
+another generator's output x, so it checks x without building a second
+output.  By strong induction x is a exactly when every block equals x,
+and the least index where a block differs from x is the least index
+where x is wrong, where the block holds the true a(n).
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
@@ -129,9 +135,13 @@ def indexed_rows(values, width: int | None, sep: bytes):
     that digit count, and each later one writes over those rows only
     its values and, per 10^4-row block, those high index digits that
     differ from the ones the block's rows hold.  A chunk holding a value
-    of 10 or more is written line by line instead.
+    of 10 or more is written line by line instead.  A negative value
+    raises ValueError, before any chunk is yielded.
     """
     n = len(values)
+    # checked before the unsafe cast to uint8, where -1 would read as "/"
+    if n and values.dtype.kind not in "bu" and values.min() < 0:
+        raise ValueError("values must be non-negative")
     line = f"{{:>{width or 0}}}{sep.decode()}{{}}\n".format
     first, d = 0, 1
     while first < n:
@@ -380,23 +390,33 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
 PREFIX_CHUNK = 1 << 16
 
 
-def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    """First n_terms values of a_{m;w}, by the digit recursion.
+def recursion_blocks(spec: PatternSpec, parents: np.ndarray,
+                     out: np.ndarray | None = None):
+    """Yield, for the indices n < len(parents) in ascending blocks, the
+    digit recursion of a_{m;w} applied to `parents`:
+    (H(n) + parents[n // m]) mod m, and H(n) for n < m.
 
     The expansion of n >= m is that of n // m followed by the digit
     n mod m, so e(n) = H(n) + e(n // m), where H(n) = 1 when the lowest
     window of n is an occurrence: the test `a_batch` applies per index,
     n mod m^|w| == (w)_m, plus n >= m^(|w|-1) for a zero-led w with
     |w| > 1.  Below m, e(n) = H(n), which also gives a(0) by the
-    convention.  Hence a(n) = (H(n) + a(n // m)) mod m, and the output
-    is filled in ascending blocks [lo, hi) of at most PREFIX_CHUNK
-    terms with hi <= m * lo, so a block reads only entries already
-    written.  Each index is tested once, in a uint32 arange (uint64 past
-    2^32); its parents are read with one np.repeat, and the block is
-    reduced mod m in place, so peak memory is the n_terms output bytes
-    plus one block of scratch.
+    convention.  Hence a(n) = (H(n) + a(n // m)) mod m.  The blocks
+    [lo, hi) hold at most PREFIX_CHUNK indices and hi <= m * lo, so a
+    block reads only parents[:lo].  Each index is tested once, in a
+    uint32 arange (uint64 past 2^32); its parents are read with one
+    np.repeat, and the block is reduced mod m in place.
+
+    A block is written into out[lo:hi] when `out` is given, and
+    otherwise into one uint8 buffer that every block reuses, so it is
+    valid only until the next one.  With out = parents the blocks fill
+    `a_prefix`'s output.  With out = None and parents = a candidate
+    prefix x of a, the blocks check x: by strong induction x = a on
+    [0, N) iff every block equals x[lo:hi], and the least n where a
+    block differs from x is the least n with x(n) != a(n), where the
+    block holds a(n), since its parent n // m < n is already right.
     """
-    counts = np.empty(n_terms, dtype=np.uint8)
+    n_terms = len(parents)
     m, k, wv = spec.base, spec.width, spec.value
     mk, lead = m ** k, m ** (k - 1)
     fit_test = spec.is_zero_word and k > 1
@@ -404,23 +424,39 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     dtype = np.uint32 if n_terms <= 2 ** 32 else np.uint64
     win = np.empty(size, dtype=dtype)
     fits = np.empty(size, dtype=bool)
+    reuse = out is None
+    if reuse:
+        out = np.empty(size, dtype=np.uint8)
     lo = 0
     while lo < n_terms:
         hi = min(n_terms, lo + PREFIX_CHUNK, m * lo if lo >= m else m)
         q = np.arange(lo, hi, dtype=dtype)
-        c = counts[lo:hi]
-        h = c.view(bool)  # H is written straight into the output
+        at = 0 if reuse else lo
+        c = out[at:at + hi - lo]
+        h = c.view(bool)  # H is written straight into the block
         # once m^|w| > hi - 1 (it may not fit the dtype) q is its own window
         np.equal(q if mk >= hi else _mod(q, mk, win[:q.size]), wv, out=h)
         if fit_test:
             h &= np.greater_equal(q, lead, out=fits[:q.size])
         if lo >= m:  # add a(n // m): each parent stands for m indices
-            parents = np.repeat(counts[lo // m:(hi - 1) // m + 1], m)
-            c += parents[lo % m:lo % m + c.size]
+            above = np.repeat(parents[lo // m:(hi - 1) // m + 1], m)
+            c += above[lo % m:lo % m + c.size]
             # a(n // m) < m, so c <= m, and c - m wraps above 192 in uint8
             # for c < m and is 0 for c = m; a count stays below the 63
             # windows of an index, so wide bases need no reduction
             if m < 64:
                 np.minimum(c, c - m, out=c)
+        yield c
         lo = hi
+
+
+def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
+    """First n_terms values of a_{m;w}, by the digit recursion: the
+    blocks of `recursion_blocks` written into the output, each reading
+    its parents from the blocks before it.  Peak memory is the n_terms
+    output bytes plus one block of scratch.
+    """
+    counts = np.empty(n_terms, dtype=np.uint8)
+    for _ in recursion_blocks(spec, counts, counts):
+        pass
     return counts

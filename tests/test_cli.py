@@ -22,7 +22,9 @@ from blockseq.cli import (
     main,
     run,
 )
-from blockseq.words import ROW_CHUNK, indexed_rows
+from blockseq.morphism import TAKE_CHUNK
+from blockseq.words import (PREFIX_CHUNK, ROW_CHUNK, a_prefix, indexed_rows,
+                            recursion_blocks)
 from support import RS_S3, line_path_chunks, peak_bytes
 
 
@@ -72,6 +74,22 @@ def test_format_sequence_rejects_unknown():
 
     with pytest.raises(InvalidPatternError):
         format_sequence(np.zeros(4, dtype=np.uint8), PatternSpec(2, "1"), "json")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("fmt", ["bfile", "table"])
+def test_indexed_formats_refuse_negative_values(fmt, dtype):
+    """A negative value is refused, as `plain` refuses it, never written
+    as the byte the uint8 cast makes of it (-1 read as "/"), whether it
+    sits in a one-digit chunk or one that holds a wider value; signed
+    input that is all non-negative renders as before."""
+    spec = PatternSpec(11, "1")
+    for values in ([3, -1, 2], [3, 12, -5], [0] * (ROW_CHUNK + 1) + [-1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            format_sequence(np.array(values, dtype=dtype), spec, fmt)
+    values = np.array([3, 12, 2], dtype=dtype)
+    assert format_sequence(values, spec, fmt) == \
+        reference_format(values, spec, fmt)
 
 
 FORMATS = ("plain", "bfile", "table", "report")
@@ -412,6 +430,19 @@ def test_verify_composite_drops_morphism_leg(capsys):
     assert "morphism" not in out.split("PASS")[1]
 
 
+def corrupted(chunks, at, change):
+    """The chunks of a verify leg as they come, each value at an index in
+    `at` (counted from the first chunk's start) replaced by
+    change(value)."""
+    lo = 0
+    for chunk in chunks:
+        for i in at:
+            if lo <= i < lo + chunk.size:
+                chunk[i - lo] = change(int(chunk[i - lo]))
+        lo += chunk.size
+        yield chunk
+
+
 @pytest.mark.parametrize("m, w", [("2", "11"), ("4", "11")])
 def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
                                                   monkeypatch, capsys):
@@ -419,18 +450,16 @@ def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
     to the file, stdout stays empty, and the exit code is unchanged."""
     import blockseq.cli
 
-    real = blockseq.cli.a_prefix
+    real = blockseq.cli.recursion_blocks
 
-    def wrong_oracle(spec, n):  # disagrees with the window at n = 0
-        values = real(spec, n)
-        values[0] = 1
-        return values
+    def wrong_oracle(spec, parents):  # disagrees with the window at n = 0
+        return corrupted(real(spec, parents), [0], lambda v: 1)
 
     argv = ["verify", "-m", m, "-w", w, "-N", "1000"]
     out = tmp_path / "verify.txt"
     for code, last in [(0, "agree"), (1, "(0 vs 1)")]:
         if code:
-            monkeypatch.setattr(blockseq.cli, "a_prefix", wrong_oracle)
+            monkeypatch.setattr(blockseq.cli, "recursion_blocks", wrong_oracle)
         assert main(argv) == code
         expected = capsys.readouterr().out
         assert expected.startswith("note:") == (m == "4")
@@ -445,18 +474,16 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
     least of them, with both values, and the legs after it do not run."""
     import blockseq.cli
 
-    real = blockseq.cli.expand_fixed_point
+    real = blockseq.cli.fixed_point_chunks
 
     def wrong_morphism(mu, n):
-        values = real(mu, n).copy()
-        values[[7, 500]] ^= 1
-        return values
+        return corrupted(real(mu, n), [7, 500], lambda v: v ^ 1)
 
-    def no_oracle(spec, n):
+    def no_oracle(spec, parents):
         raise AssertionError("the oracle runs after a failed leg")
 
-    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", wrong_morphism)
-    monkeypatch.setattr(blockseq.cli, "a_prefix", no_oracle)
+    monkeypatch.setattr(blockseq.cli, "fixed_point_chunks", wrong_morphism)
+    monkeypatch.setattr(blockseq.cli, "recursion_blocks", no_oracle)
     window = generate(PatternSpec(2, "11"), 1000)
     assert main(["verify", "-m", "2", "-w", "11", "-N", "1000"]) == 1
     assert capsys.readouterr().out == (
@@ -464,35 +491,43 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
         f"({window[7]} vs {window[7] ^ 1})\n")
 
 
-VERIFY_N = 2 * CHUNK_TERMS + 5
+# Four of the morphism's gather chunks for m = 2 (TAKE_CHUNK terms each,
+# the rows of mu^2 being 4 letters wide) and 5 terms of a fifth.
+VERIFY_N = 4 * TAKE_CHUNK + 5
 
 
-@pytest.mark.parametrize("first", [0, CHUNK_TERMS - 1, CHUNK_TERMS,
+@pytest.mark.parametrize("first", [0, TAKE_CHUNK - 1, TAKE_CHUNK,
+                                   2 * TAKE_CHUNK - 1, 2 * TAKE_CHUNK,
                                    VERIFY_N - 1])
 def test_verify_fail_line_names_the_least_index_across_chunks(first,
                                                                monkeypatch,
                                                                capsys):
-    """The legs are compared a chunk at a time, and the FAIL line still
-    names the least differing index: at either end of the output, and
-    on either side of a chunk boundary, with a later difference in the
-    same chunk and in the last one."""
+    """The morphism leg is compared a gather chunk at a time, and the
+    FAIL line still names the least differing index: at either end of
+    the output, and on either side of a chunk boundary, with a later
+    difference in the same chunk and in the last one."""
     import blockseq.cli
 
-    real = blockseq.cli.expand_fixed_point
-    later = [i for i in {first + 1, first + CHUNK_TERMS // 2, VERIFY_N - 1}
+    real = blockseq.cli.fixed_point_chunks
+    later = [i for i in {first + 1, first + TAKE_CHUNK, VERIFY_N - 1}
              if first < i < VERIFY_N]
 
     def wrong_morphism(mu, n):
-        values = real(mu, n)
-        values[[first, *later]] ^= 1
-        return values
+        return corrupted(real(mu, n), [first, *later], lambda v: v ^ 1)
 
-    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", wrong_morphism)
+    monkeypatch.setattr(blockseq.cli, "fixed_point_chunks", wrong_morphism)
     window = generate(PatternSpec(2, "11"), VERIFY_N)
     assert main(["verify", "-m", "2", "-w", "11", "-N", str(VERIFY_N)]) == 1
     assert capsys.readouterr().out == (
         f"FAIL m=2 w=11 N={VERIFY_N}: window and morphism disagree at "
         f"n={first} ({window[first]} vs {window[first] ^ 1})\n")
+
+
+def block_starts(spec, n):
+    """Where each of the oracle's blocks over n terms starts, after the
+    first."""
+    blocks = recursion_blocks(spec, generate(spec, n))
+    return np.cumsum([block.size for block in blocks])[:-1].tolist()
 
 
 @pytest.mark.parametrize("m, w, note", [
@@ -503,35 +538,97 @@ def test_verify_reports_an_oracle_only_disagreement(m, w, note, monkeypatch,
                                                     capsys):
     """When the window and morphism legs agree and only the oracle
     differs, the FAIL line names the oracle, after the composite-base
-    note where there is one."""
+    note where there is one: inside a block, and on either side of each
+    boundary between its blocks."""
     import blockseq.cli
 
-    real = blockseq.cli.a_prefix
-    bad = CHUNK_TERMS + 17
+    real = blockseq.cli.recursion_blocks
+    spec = PatternSpec(int(m), w)
+    window = generate(spec, VERIFY_N)
+    starts = block_starts(spec, VERIFY_N)
+    # blocks end at powers of m while m * lo is the nearer cut, and then
+    # every PREFIX_CHUNK terms
+    assert int(m) ** 2 in starts
+    assert PREFIX_CHUNK in np.diff(starts)
+    edges = sorted({i for start in starts for i in (start - 1, start)})
+    for bad in [CHUNK_TERMS + 17, *edges]:
+        monkeypatch.setattr(blockseq.cli, "recursion_blocks",
+                            lambda spec, parents: corrupted(
+                                real(spec, parents), [bad], lambda v: 9))
+        assert main(["verify", "-m", m, "-w", w, "-N", str(VERIFY_N)]) == 1
+        assert capsys.readouterr().out == note + (
+            f"FAIL m={m} w={w} N={VERIFY_N}: window and oracle disagree at "
+            f"n={bad} ({window[bad]} vs 9)\n"), bad
 
-    def wrong_oracle(spec, n):
-        values = real(spec, n)
-        values[bad] = 9
-        return values
 
-    monkeypatch.setattr(blockseq.cli, "a_prefix", wrong_oracle)
-    window = generate(PatternSpec(int(m), w), VERIFY_N)
-    assert main(["verify", "-m", m, "-w", w, "-N", str(VERIFY_N)]) == 1
-    assert capsys.readouterr().out == note + (
-        f"FAIL m={m} w={w} N={VERIFY_N}: window and oracle disagree at "
-        f"n={bad} ({window[bad]} vs 9)\n")
+# Where a corrupted m6 w05 window is checked: the first index, the last
+# one below m and the first one with a parent, PREFIX_CHUNK - 1 and
+# PREFIX_CHUNK, either side of the end of the last block cut at a power
+# of 6 (6^6) and of the first PREFIX_CHUNK-term block, and the last
+# index.
+CORRUPT_AT = [0, 5, 6, PREFIX_CHUNK - 1, PREFIX_CHUNK, 6 ** 6 - 1, 6 ** 6,
+              6 ** 6 + PREFIX_CHUNK - 1, 6 ** 6 + PREFIX_CHUNK, VERIFY_N - 1]
+
+
+@pytest.mark.parametrize("i", CORRUPT_AT)
+def test_verify_checks_the_window_against_the_recursion(i, monkeypatch,
+                                                        capsys):
+    """For a composite base the window is checked by the oracle's own
+    recursion, each parent a(i // m) read from the window.  A window
+    wrong at i, by a value inside or outside [0, m), fails at i with
+    a(i); so does one also wrong at the child i * m + 1, whose parent is
+    the wrong i, since the check names the least index that fails."""
+    import blockseq.cli
+
+    real = blockseq.cli.generate
+    spec = PatternSpec(6, "05")
+    want = a_prefix(spec, VERIFY_N)
+    note = "note: base 6 is composite; checking window vs. oracle only\n"
+    for bad in [(int(want[i]) + 1) % 6, 9, 255]:
+        for at in ([i], [i, i * 6 + 1]):
+            def wrong_window(spec, n):
+                values = real(spec, n)
+                values[[j for j in at if j < n]] = bad
+                return values
+
+            monkeypatch.setattr(blockseq.cli, "generate", wrong_window)
+            assert main(["verify", "-m", "6", "-w", "05",
+                         "-N", str(VERIFY_N)]) == 1
+            assert capsys.readouterr().out == note + (
+                f"FAIL m=6 w=05 N={VERIFY_N}: window and oracle disagree "
+                f"at n={i} ({bad} vs {want[i]})\n"), (at, bad)
+
+
+@pytest.mark.parametrize("m, w", [("2", "11"), ("257", "1 0"), ("6", "05")])
+def test_verify_builds_no_second_output(m, w, monkeypatch, capsys):
+    """`verify` checks the morphism's chunks and the oracle's recursion
+    against the window as they are made: it never calls the functions
+    that build a whole second output."""
+    import blockseq.cli
+
+    def whole_output(*args):
+        raise AssertionError("verify built a second whole output")
+
+    monkeypatch.setattr(blockseq.cli, "a_prefix", whole_output)
+    monkeypatch.setattr(blockseq.cli, "expand_fixed_point", whole_output)
+    assert main(["verify", "-m", m, "-w", w, "-N", str(VERIFY_N)]) == 0
+    assert capsys.readouterr().out.endswith(f"N={VERIFY_N}: " + (
+        "window, oracle agree\n" if m == "6"
+        else "window, morphism, oracle agree\n"))
 
 
 @pytest.mark.parametrize("m, w", [(2, "11"), (6, "05")])
 def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
-    """Each leg's output is freed before the next leg runs, and the
-    comparison's temporaries stay one chunk long, so the peak is the
-    window output and one other leg (about 2 bytes per term) plus the
-    oracle's fixed block scratch, with no N-byte comparison mask."""
+    """No leg builds a second N-term output: the morphism leg holds the
+    window, the next-to-last level (N / 4 letters for m = 2) and one
+    gather chunk, and the oracle leg the window and one block of the
+    recursion's scratch (under 1 MiB), so the peak is about 1 byte per
+    term plus that block.  The ceiling is the peak measured at this code
+    plus 25%."""
     n = 1 << 20
     code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))
     assert code == 0 and "PASS" in capsys.readouterr().out
-    assert peak < 2 * n + (1 << 20), f"peak {peak / n:.2f} bytes per term"
+    assert peak <= 1.25 * 2_035_636, f"peak {peak / n:.2f} bytes per term"
 
 
 def test_verify_prime_base_above_256(capsys):
@@ -846,7 +943,7 @@ def test_bench_lines_hash_the_generated_terms(m, w, n, capsys):
 PEAK_N = 1 << 21
 SUBCOMMAND_PEAKS = [
     (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 2_382_984),
-    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 5_117_655),
+    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 3_084_108),
     (RunConfig("blocks", 2, "0", PEAK_N), PEAK_N + (1 << 19)),
     (RunConfig("powers", 2, "11", PEAK_N, scan_length=PEAK_N),
      1.25 * 8_408_206),

@@ -1,5 +1,6 @@
 """Unit tests for the uniform-morphism presentation."""
 
+import collections
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ from blockseq import (
     generate,
     to_base,
 )
-from blockseq.morphism import TAKE_CHUNK
+from blockseq.morphism import TAKE_CHUNK, fixed_point_chunks
 from support import GRID, as_str, patterns, peak_bytes
 
 
@@ -306,6 +307,32 @@ def test_expand_fixed_point_peak_memory():
             f"p={p}: peak {peak / n:.2f} bytes per term"
 
 
+@pytest.mark.parametrize("p, w", [(2, "11"), (3, "01"), (5, "123"),
+                                  (257, "1 0")])
+def test_fixed_point_chunks_cut_the_expansion(p, w):
+    """The chunks `verify` compares, laid end to end, are the expansion:
+    one chunk per gather of the last level, each ending on a row of
+    mu^d, and only the last one shorter, at lengths around one row and
+    one chunk.  Consumed one at a time they hold the levels before the
+    last gather, n / (P - 1) letters for rows P = p^d letters wide, and
+    one chunk's scratch, never the n terms."""
+    mu = build_morphism(PatternSpec(p, w))
+    width = mu._tables[0].shape[1]
+    step = max(1, TAKE_CHUNK // width) * width
+    for n in (1, width - 1, width, width + 1, step - 1, step, step + 1,
+              3 * step + 7):
+        sizes = [chunk.size for chunk in fixed_point_chunks(mu, n)]
+        assert sizes == [step] * (n // step) + [n % step] * (n % step > 0)
+        got = np.concatenate([c.copy() for c in fixed_point_chunks(mu, n)])
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expand_fixed_point(mu, n)), (p, n)
+    n = 2 ** 20 + 1
+    letter_bytes = mu._tables[0].itemsize
+    _, peak = peak_bytes(
+        lambda: collections.deque(fixed_point_chunks(mu, n), maxlen=0))
+    assert peak <= letter_bytes * n / (width - 1) + 5 * TAKE_CHUNK, (p, peak)
+
+
 def test_expand_fixed_point_builds_its_tables_once():
     """`_tables` holds mu^d for the least d with p^d >= 4 (mu^2 for p = 2
     and 3): each row is mu applied to the row of mu^(d-1), each code the
@@ -378,6 +405,8 @@ def test_expand_fixed_point_refuses_digits_past_uint8():
     for n in (2, width, width + 1, 2 * width + 1):  # one and two levels
         with pytest.raises(ValueError, match="above 255"):
             expand_fixed_point(wide, n)
+        with pytest.raises(ValueError, match="above 255"):
+            collections.deque(fixed_point_chunks(wide, n), maxlen=0)
     assert expand_fixed_point(wide, 1).tolist() == [0]
     unreachable = UniformMorphism(width, rows, (0, 255, 299), 0)
     out = expand_fixed_point(unreachable, 2 * width)

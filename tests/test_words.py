@@ -20,7 +20,8 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import ROW_CHUNK, _low_digits, indexed_rows
+from blockseq.words import (ROW_CHUNK, _low_digits, indexed_rows,
+                            recursion_blocks)
 from support import line_path_chunks, peak_bytes
 
 
@@ -461,6 +462,45 @@ def test_a_prefix_shorter_than_the_pattern_window(m):
             if not spec.is_zero_word and spec.value < n:
                 want[spec.value] = 1
             assert np.array_equal(a_prefix(spec, n), want), (spec, n)
+
+
+@pytest.mark.parametrize("m, w", [(2, "11"), (3, "02"), (6, "50"),
+                                  (65, "0"), (257, "1 0")])
+def test_recursion_blocks_name_the_least_wrong_index(m, w, monkeypatch):
+    """The recursion read from a candidate prefix x instead of a checks x:
+    its blocks, laid end to end, equal x when x = a, and otherwise first
+    differ from x at the least index where x differs from a, and hold
+    a there.  x is a with 1 to 3 random indices set to other values
+    inside or outside [0, m), one of them sometimes a child i * m + 1 of
+    another; blocks of the default size and of 7 terms."""
+    n = 5000
+    spec = PatternSpec(m, w)
+    want = a_batch(spec, np.arange(n))
+    rng = random.Random(m)
+    for chunk in (blockseq.words.PREFIX_CHUNK, 7):
+        monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", chunk)
+        blocks = [b.copy() for b in recursion_blocks(spec, want.copy())]
+        assert np.array_equal(np.concatenate(blocks), want), (spec, chunk)
+        for _ in range(40):
+            x = want.copy()
+            at = rng.sample(range(n), rng.randint(1, 3))
+            if at[0] * m + 1 < n and rng.random() < 0.5:
+                at.append(at[0] * m + 1)
+            for i in at:
+                x[i] = rng.choice([v for v in (0, 1, m - 1, m, 9, 255)
+                                   if v != want[i] and v <= 255])
+            first = int(np.flatnonzero(x != want)[0])
+            lo = 0
+            for block in recursion_blocks(spec, x):
+                got = x[lo:lo + block.size]
+                if not np.array_equal(got, block):
+                    i = lo + int(np.flatnonzero(got != block)[0])
+                    break
+                lo += block.size
+            else:
+                raise AssertionError((spec, chunk, at, "no block differs"))
+            assert (i, block[i - lo]) == (first, want[first]), (spec, at)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("m, w, n", [
