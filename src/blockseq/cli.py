@@ -31,11 +31,12 @@ the last gather of `expand_fixed_point`, one chunk at a time
 (`morphism.fixed_point_chunks`), from the level before it, about N/4
 letters at most.  The oracle leg is the oracle's own digit recursion
 with each parent a(n // m) read from the window
-(`words.recursion_blocks`), block by block: by strong induction it
-passes iff the window is the sequence, and the least index where it
-fails is the least wrong one, where it yields a(n).  So `verify` holds
-about 1 byte per term, plus the oracle's fixed block scratch (under
-1 MiB).  `blocks` holds its prefix and the
+(`words.recursion_mismatch`), one digit column of each chunk of
+children at a time: by strong induction it passes iff the window is
+the sequence, and the least index where it fails is the least wrong
+one, where it gives a(n).  So `verify` holds about 1 byte per term,
+plus the morphism's level or the check's fixed chunk scratch (under
+0.2 MiB).  `blocks` holds its prefix and the
 block check's fixed chunk scratch, and nothing per block: the verified
 type-2 blocks come back as one range, and it prints their count.
 `bench` frees each output before the next timed call allocates its own.
@@ -68,7 +69,7 @@ from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
 from .words import (PatternSpec, a_prefix, digit_string, indexed_rows,
-                    recursion_blocks)
+                    recursion_mismatch)
 
 __all__ = [
     "RunConfig",
@@ -221,20 +222,21 @@ def _first_difference(window: np.ndarray, chunks) -> tuple | None:
 def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
-    # (name, thunk of its chunks) for each leg checked against the window
+    # (name, thunk of its first difference from the window) for each leg
     checks = []
     lines = []
     if spec.modulus_is_prime:
         mu = build_morphism(spec)
-        checks.append(("morphism", lambda: fixed_point_chunks(mu, n)))
+        checks.append(("morphism", lambda: _first_difference(
+            window, fixed_point_chunks(mu, n))))
     else:
         lines.append(f"note: base {spec.base} is composite; "
                      "checking window vs. oracle only\n")
     window = generate(spec, n)
     # the oracle's recursion, reading each parent a(n // m) from the window
-    checks.append(("oracle", lambda: recursion_blocks(spec, window)))
-    for other, chunks in checks:
-        diff = _first_difference(window, chunks())
+    checks.append(("oracle", lambda: recursion_mismatch(spec, window)))
+    for other, check in checks:
+        diff = check()
         if diff is not None:
             i, value = diff
             lines.append(f"FAIL {spec} N={n}: window and {other} disagree "

@@ -15,13 +15,13 @@ carrying its quotient n // m^j in a narrow unsigned dtype; its
 by the digit recursion e(n) = [the lowest window of n is w] + e(n // m),
 testing only each index's lowest window.  Both count a zero-led window
 only where it fits inside the expansion, and neither uses an automaton
-or the doubling.  The recursion's blocks come from one kernel,
-`recursion_blocks`, which reads each parent a(n // m) from an array it
-is given: `a_prefix` gives it its own output, and `verify` gives it
-another generator's output x, so it checks x without building a second
-output.  By strong induction x is a exactly when every block equals x,
-and the least index where a block differs from x is the least index
-where x is wrong, where the block holds the true a(n).
+or the doubling.  `recursion_mismatch` checks another generator's
+output x against the same recursion, with each parent a(n // m) read
+from x, so `verify` checks x without building a second output: by
+strong induction x is a exactly when no index fails, and the least
+index that fails is the least one where x is wrong, where the recursion
+gives the true a(n).  It compares one digit column of children with
+their parents at a time and needs no per-index test of H.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
@@ -60,15 +60,40 @@ from .errors import InvalidBaseError, InvalidPatternError
 MAX_INDEX = 2 ** 62
 
 
+# The first 12 primes: as Miller-Rabin witnesses they decide every
+# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (n has no divisor in [2, sqrt(n)])."""
+    """Exact primality: deterministic Miller-Rabin with WITNESSES below
+    WITNESS_BOUND, trial division above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n >= WITNESS_BOUND:
+        d = WITNESSES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0  # n - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in WITNESSES:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -390,33 +415,24 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
 PREFIX_CHUNK = 1 << 16
 
 
-def recursion_blocks(spec: PatternSpec, parents: np.ndarray,
-                     out: np.ndarray | None = None):
-    """Yield, for the indices n < len(parents) in ascending blocks, the
-    digit recursion of a_{m;w} applied to `parents`:
-    (H(n) + parents[n // m]) mod m, and H(n) for n < m.
+def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
+    """First n_terms values of a_{m;w}, by the digit recursion.
 
     The expansion of n >= m is that of n // m followed by the digit
     n mod m, so e(n) = H(n) + e(n // m), where H(n) = 1 when the lowest
     window of n is an occurrence: the test `a_batch` applies per index,
     n mod m^|w| == (w)_m, plus n >= m^(|w|-1) for a zero-led w with
     |w| > 1.  Below m, e(n) = H(n), which also gives a(0) by the
-    convention.  Hence a(n) = (H(n) + a(n // m)) mod m.  The blocks
-    [lo, hi) hold at most PREFIX_CHUNK indices and hi <= m * lo, so a
-    block reads only parents[:lo].  Each index is tested once, in a
-    uint32 arange (uint64 past 2^32); its parents are read with one
-    np.repeat, and the block is reduced mod m in place.
-
-    A block is written into out[lo:hi] when `out` is given, and
-    otherwise into one uint8 buffer that every block reuses, so it is
-    valid only until the next one.  With out = parents the blocks fill
-    `a_prefix`'s output.  With out = None and parents = a candidate
-    prefix x of a, the blocks check x: by strong induction x = a on
-    [0, N) iff every block equals x[lo:hi], and the least n where a
-    block differs from x is the least n with x(n) != a(n), where the
-    block holds a(n), since its parent n // m < n is already right.
+    convention.  Hence a(n) = (H(n) + a(n // m)) mod m, and the output
+    is filled in ascending blocks [lo, hi) of at most PREFIX_CHUNK
+    terms with hi <= m * lo, so a block reads only entries already
+    written.  Each index is tested once, in a uint32 arange (uint64 past
+    2^32); its parents are read with one np.repeat, and the block is
+    reduced mod m in place, so peak memory is the n_terms output bytes
+    plus one block of scratch.  `recursion_mismatch` checks a given
+    prefix against the same recursion, by columns instead of blocks.
     """
-    n_terms = len(parents)
+    counts = np.empty(n_terms, dtype=np.uint8)
     m, k, wv = spec.base, spec.width, spec.value
     mk, lead = m ** k, m ** (k - 1)
     fit_test = spec.is_zero_word and k > 1
@@ -424,39 +440,99 @@ def recursion_blocks(spec: PatternSpec, parents: np.ndarray,
     dtype = np.uint32 if n_terms <= 2 ** 32 else np.uint64
     win = np.empty(size, dtype=dtype)
     fits = np.empty(size, dtype=bool)
-    reuse = out is None
-    if reuse:
-        out = np.empty(size, dtype=np.uint8)
     lo = 0
     while lo < n_terms:
         hi = min(n_terms, lo + PREFIX_CHUNK, m * lo if lo >= m else m)
         q = np.arange(lo, hi, dtype=dtype)
-        at = 0 if reuse else lo
-        c = out[at:at + hi - lo]
-        h = c.view(bool)  # H is written straight into the block
+        c = counts[lo:hi]
+        h = c.view(bool)  # H is written straight into the output
         # once m^|w| > hi - 1 (it may not fit the dtype) q is its own window
         np.equal(q if mk >= hi else _mod(q, mk, win[:q.size]), wv, out=h)
         if fit_test:
             h &= np.greater_equal(q, lead, out=fits[:q.size])
         if lo >= m:  # add a(n // m): each parent stands for m indices
-            above = np.repeat(parents[lo // m:(hi - 1) // m + 1], m)
-            c += above[lo % m:lo % m + c.size]
+            parents = np.repeat(counts[lo // m:(hi - 1) // m + 1], m)
+            c += parents[lo % m:lo % m + c.size]
             # a(n // m) < m, so c <= m, and c - m wraps above 192 in uint8
             # for c < m and is 0 for c = m; a count stays below the 63
             # windows of an index, so wide bases need no reduction
             if m < 64:
                 np.minimum(c, c - m, out=c)
-        yield c
         lo = hi
-
-
-def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
-    """First n_terms values of a_{m;w}, by the digit recursion: the
-    blocks of `recursion_blocks` written into the output, each reading
-    its parents from the blocks before it.  Peak memory is the n_terms
-    output bytes plus one block of scratch.
-    """
-    counts = np.empty(n_terms, dtype=np.uint8)
-    for _ in recursion_blocks(spec, counts, counts):
-        pass
     return counts
+
+
+# Children per chunk of `recursion_mismatch`: its scratch is two
+# (m, CHECK_CHUNK // m) arrays and a row, under 2.5 bytes per child.
+CHECK_CHUNK = 1 << 16
+
+
+def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
+    """Check a uint8 candidate prefix x of a_{m;w} against the digit
+    recursion a(mq + r) = (a(q) + H(mq + r)) mod m, with a(n) = H(n) for
+    n < m, reading both the children and their parents from x.  Return
+    (n, a(n)) for the least index n that fails, or None.
+
+    By strong induction x = a on [0, N) iff no index fails, and the
+    least failing n is the least n with x(n) != a(n): its parent
+    n // m < n is already right, so (H(n) + x(n // m)) mod m is a(n).
+    H(mq + r) = 1 (see `a_prefix`) only in the digit column
+    r = (w)_m mod m, at the parents q = (w)_m // m mod m^(|w|-1), and
+    not at q = (w)_m // m itself for a zero-led w with |w| > 1, where
+    the window does not fit in the expansion.  So the n < m are one
+    compare with H, and the parents that have all m children are taken
+    CHECK_CHUNK // m at a time: one transposing copy puts each digit
+    column of their children in a row, one broadcast compare checks
+    every row against the parents, and that of the column r is redone
+    at the parents where H = 1.  The last parent's fewer than m
+    children are checked on their own.  No index is held in an array.
+    """
+    n_terms = len(x)
+    m, k, wv = spec.base, spec.width, spec.value
+    col, period, at = wv % m, m ** (k - 1), wv // m
+    unfit = at if spec.is_zero_word and k > 1 else None
+
+    def occurs(q):  # H(mq + col) = 1
+        return q % period == at and q != unfit
+
+    def first_fail(q, value, lo, hi):
+        """(n, a(n)) for the first of the children lo, ..., hi - 1 of q
+        that fails, where a(q) = value, or None."""
+        want = np.full(hi - lo, value, dtype=np.uint8)
+        if col < want.size and occurs(q):
+            want[col] = (value + 1) % m
+        bad = np.flatnonzero(x[lo:hi] != want)
+        return (lo + int(bad[0]), int(want[bad[0]])) if bad.size else None
+
+    # below m, e(n) = H(n): the children of 0, read with a(0) as 0
+    head = first_fail(0, 0, 0, min(m, n_terms))
+    if head:
+        return head
+    full = n_terms // m  # the parents 1, ..., full - 1 have m children
+    per = max(1, CHECK_CHUNK // m)
+    size = min(per, max(full - 1, 0))
+    kids = np.empty((m, size), dtype=np.uint8)
+    diff = np.empty((m, size), dtype=bool)
+    for q0 in range(1, full, per):
+        q1 = min(full, q0 + per)
+        parents = x[q0:q1]
+        rows, ne = kids[:, :q1 - q0], diff[:, :q1 - q0]
+        np.copyto(rows, x[m * q0:m * q1].reshape(-1, m).T)
+        np.not_equal(rows, parents, out=ne)
+        first = q0 + (at - q0) % period  # the first parent with H = 1
+        if not occurs(first):
+            first += period
+        if first < q1:
+            hit = slice(first - q0, None, period)
+            one = parents[hit] + 1
+            # (a(q) + 1) mod m as in a_prefix: a(q) + 1 <= m, and one - m
+            # wraps above 192 below m; a count stays below 63, so wide
+            # bases need no reduction
+            if m < 64:
+                np.minimum(one, one - m, out=one)
+            np.not_equal(rows[col, hit], one, out=ne[col, hit])
+        if ne.any():  # x(q) is right, since q < the least failing index
+            q = q0 + int(np.flatnonzero(ne.any(axis=0))[0])
+            return first_fail(q, int(x[q]), m * q, m * q + m)
+    # the last parent, with fewer than m children
+    return first_fail(full, int(x[full]), m * full, n_terms) if full else None

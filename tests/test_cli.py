@@ -23,8 +23,8 @@ from blockseq.cli import (
     run,
 )
 from blockseq.morphism import TAKE_CHUNK
-from blockseq.words import (PREFIX_CHUNK, ROW_CHUNK, a_prefix, indexed_rows,
-                            recursion_blocks)
+from blockseq.words import (CHECK_CHUNK, PREFIX_CHUNK, ROW_CHUNK, a_prefix,
+                            indexed_rows)
 from support import RS_S3, line_path_chunks, peak_bytes
 
 
@@ -450,16 +450,15 @@ def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
     to the file, stdout stays empty, and the exit code is unchanged."""
     import blockseq.cli
 
-    real = blockseq.cli.recursion_blocks
-
-    def wrong_oracle(spec, parents):  # disagrees with the window at n = 0
-        return corrupted(real(spec, parents), [0], lambda v: 1)
+    def wrong_oracle(spec, x):  # disagrees with the window at n = 0
+        return 0, 1
 
     argv = ["verify", "-m", m, "-w", w, "-N", "1000"]
     out = tmp_path / "verify.txt"
     for code, last in [(0, "agree"), (1, "(0 vs 1)")]:
         if code:
-            monkeypatch.setattr(blockseq.cli, "recursion_blocks", wrong_oracle)
+            monkeypatch.setattr(blockseq.cli, "recursion_mismatch",
+                                wrong_oracle)
         assert main(argv) == code
         expected = capsys.readouterr().out
         assert expected.startswith("note:") == (m == "4")
@@ -479,11 +478,11 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
     def wrong_morphism(mu, n):
         return corrupted(real(mu, n), [7, 500], lambda v: v ^ 1)
 
-    def no_oracle(spec, parents):
+    def no_oracle(spec, x):
         raise AssertionError("the oracle runs after a failed leg")
 
     monkeypatch.setattr(blockseq.cli, "fixed_point_chunks", wrong_morphism)
-    monkeypatch.setattr(blockseq.cli, "recursion_blocks", no_oracle)
+    monkeypatch.setattr(blockseq.cli, "recursion_mismatch", no_oracle)
     window = generate(PatternSpec(2, "11"), 1000)
     assert main(["verify", "-m", "2", "-w", "11", "-N", "1000"]) == 1
     assert capsys.readouterr().out == (
@@ -523,13 +522,6 @@ def test_verify_fail_line_names_the_least_index_across_chunks(first,
         f"n={first} ({window[first]} vs {window[first] ^ 1})\n")
 
 
-def block_starts(spec, n):
-    """Where each of the oracle's blocks over n terms starts, after the
-    first."""
-    blocks = recursion_blocks(spec, generate(spec, n))
-    return np.cumsum([block.size for block in blocks])[:-1].tolist()
-
-
 @pytest.mark.parametrize("m, w, note", [
     ("2", "11", ""),
     ("6", "05", "note: base 6 is composite; checking window vs. oracle only\n"),
@@ -537,44 +529,50 @@ def block_starts(spec, n):
 def test_verify_reports_an_oracle_only_disagreement(m, w, note, monkeypatch,
                                                     capsys):
     """When the window and morphism legs agree and only the oracle
-    differs, the FAIL line names the oracle, after the composite-base
-    note where there is one: inside a block, and on either side of each
-    boundary between its blocks."""
+    differs, the FAIL line names the oracle, the index and the value it
+    reports, after the composite-base note where there is one."""
     import blockseq.cli
 
-    real = blockseq.cli.recursion_blocks
-    spec = PatternSpec(int(m), w)
-    window = generate(spec, VERIFY_N)
-    starts = block_starts(spec, VERIFY_N)
-    # blocks end at powers of m while m * lo is the nearer cut, and then
-    # every PREFIX_CHUNK terms
-    assert int(m) ** 2 in starts
-    assert PREFIX_CHUNK in np.diff(starts)
-    edges = sorted({i for start in starts for i in (start - 1, start)})
-    for bad in [CHUNK_TERMS + 17, *edges]:
-        monkeypatch.setattr(blockseq.cli, "recursion_blocks",
-                            lambda spec, parents: corrupted(
-                                real(spec, parents), [bad], lambda v: 9))
+    window = generate(PatternSpec(int(m), w), VERIFY_N)
+    for bad in [0, CHUNK_TERMS + 17, VERIFY_N - 1]:
+        monkeypatch.setattr(blockseq.cli, "recursion_mismatch",
+                            lambda spec, x: (bad, 9))
         assert main(["verify", "-m", m, "-w", w, "-N", str(VERIFY_N)]) == 1
         assert capsys.readouterr().out == note + (
             f"FAIL m={m} w={w} N={VERIFY_N}: window and oracle disagree at "
             f"n={bad} ({window[bad]} vs 9)\n"), bad
 
 
+def check_chunk_starts(m, n):
+    """Where each of the oracle check's chunks over n terms starts, after
+    the first: CHECK_CHUNK // m whole parents' children at a time from
+    the parent 1, and then the children of the last parent, which has
+    fewer than m of them when m does not divide n."""
+    per = CHECK_CHUNK // m
+    starts = list(range(m + m * per, m * (n // m), m * per))
+    return starts + [m * (n // m)] * (n % m > 0)
+
+
 # Where a corrupted m6 w05 window is checked: the first index, the last
 # one below m and the first one with a parent, PREFIX_CHUNK - 1 and
-# PREFIX_CHUNK, either side of the end of the last block cut at a power
-# of 6 (6^6) and of the first PREFIX_CHUNK-term block, and the last
-# index.
-CORRUPT_AT = [0, 5, 6, PREFIX_CHUNK - 1, PREFIX_CHUNK, 6 ** 6 - 1, 6 ** 6,
-              6 ** 6 + PREFIX_CHUNK - 1, 6 ** 6 + PREFIX_CHUNK, VERIFY_N - 1]
+# PREFIX_CHUNK, either side of 6^6 and of 6^6 + PREFIX_CHUNK (where the
+# recursion's blocks in `a_prefix` are cut), either side of each start of
+# the check's chunks, and the last index, the lone child of the last
+# parent.
+CORRUPT_AT = sorted({
+    0, 5, 6, PREFIX_CHUNK - 1, PREFIX_CHUNK, 6 ** 6 - 1, 6 ** 6,
+    6 ** 6 + PREFIX_CHUNK - 1, 6 ** 6 + PREFIX_CHUNK, VERIFY_N - 1,
+    *(i for start in check_chunk_starts(6, VERIFY_N)
+      for i in (start - 1, start))})
 
 
 @pytest.mark.parametrize("i", CORRUPT_AT)
 def test_verify_checks_the_window_against_the_recursion(i, monkeypatch,
                                                         capsys):
     """For a composite base the window is checked by the oracle's own
-    recursion, each parent a(i // m) read from the window.  A window
+    recursion, each parent a(i // m) read from the window, and the check
+    runs in chunks: CORRUPT_AT holds either side of each chunk start,
+    and VERIFY_N - 1 is the last parent's lone child.  A window
     wrong at i, by a value inside or outside [0, m), fails at i with
     a(i); so does one also wrong at the child i * m + 1, whose parent is
     the wrong i, since the check names the least index that fails."""
@@ -621,14 +619,14 @@ def test_verify_builds_no_second_output(m, w, monkeypatch, capsys):
 def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     """No leg builds a second N-term output: the morphism leg holds the
     window, the next-to-last level (N / 4 letters for m = 2) and one
-    gather chunk, and the oracle leg the window and one block of the
-    recursion's scratch (under 1 MiB), so the peak is about 1 byte per
-    term plus that block.  The ceiling is the peak measured at this code
-    plus 25%."""
+    gather chunk, and the oracle leg the window and one chunk of the
+    check's scratch (under 0.2 MiB), so the peak is about 1 byte per
+    term plus the morphism's level.  The ceiling is the peak measured at
+    this code plus 25%."""
     n = 1 << 20
     code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))
     assert code == 0 and "PASS" in capsys.readouterr().out
-    assert peak <= 1.25 * 2_035_636, f"peak {peak / n:.2f} bytes per term"
+    assert peak <= 1.25 * 1_448_854, f"peak {peak / n:.2f} bytes per term"
 
 
 def test_verify_prime_base_above_256(capsys):
@@ -647,6 +645,19 @@ def test_prime_only_subcommands_reject_composite(sub, capsys):
     assert main([sub, "-m", "4", "-w", "11", "-N", "100"]) == 2
     assert capsys.readouterr().err == \
         f"error: subcommand {sub!r} requires a prime base, got 4\n"
+
+
+def test_blocks_at_a_61_bit_prime_base(capsys):
+    """The prime test decides 2^61 - 1 at once, where trial division
+    would take about 1.5 * 10^9 steps."""
+    import time
+
+    t0 = time.perf_counter()
+    assert main(["blocks", "-m", str(2 ** 61 - 1), "-w", "1", "-N", "10"]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().out == (
+        "claim=block-dichotomy params=[m=2305843009213693951 w=1] scan=10 "
+        "evidence=[type1=0,type2=0] verdict=PASS\n")
 
 
 def test_invalid_pattern_digit_is_usage_error(capsys):
@@ -943,7 +954,7 @@ def test_bench_lines_hash_the_generated_terms(m, w, n, capsys):
 PEAK_N = 1 << 21
 SUBCOMMAND_PEAKS = [
     (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 2_382_984),
-    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 3_084_108),
+    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 2_822_923),
     (RunConfig("blocks", 2, "0", PEAK_N), PEAK_N + (1 << 19)),
     (RunConfig("powers", 2, "11", PEAK_N, scan_length=PEAK_N),
      1.25 * 8_408_206),

@@ -21,8 +21,8 @@ from blockseq import (
     to_base,
 )
 from blockseq.words import (ROW_CHUNK, _low_digits, indexed_rows,
-                            recursion_blocks)
-from support import line_path_chunks, peak_bytes
+                            recursion_mismatch)
+from support import GRID, line_path_chunks, peak_bytes
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -48,6 +48,25 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(40):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    sieve = np.ones(2 * 10 ** 5, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 448):  # 448^2 > 2 * 10^5
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(sieve.size) if is_prime(n)] == \
+        np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_pseudoprimes_and_wide_values():
+    """Carmichael numbers and strong base-2 pseudoprimes are composite,
+    and 61- and 64-bit values are decided at once."""
+    for n in (561, 2047, 41041, 3215031751, (2 ** 31 - 1) ** 2):
+        assert not is_prime(n), n
+    for n in (2 ** 61 - 1, 2 ** 64 - 59):
+        assert is_prime(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +487,18 @@ def test_a_prefix_shorter_than_the_pattern_window(m):
                                   (65, "0"), (257, "1 0")])
 def test_recursion_blocks_name_the_least_wrong_index(m, w, monkeypatch):
     """The recursion read from a candidate prefix x instead of a checks x:
-    its blocks, laid end to end, equal x when x = a, and otherwise first
-    differ from x at the least index where x differs from a, and hold
-    a there.  x is a with 1 to 3 random indices set to other values
-    inside or outside [0, m), one of them sometimes a child i * m + 1 of
-    another; blocks of the default size and of 7 terms."""
+    `recursion_mismatch` passes x = a, and otherwise names the least
+    index where x differs from a, with a there.  x is a with 1 to 3
+    random indices set to other values inside or outside [0, m), one of
+    them sometimes a child i * m + 1 of another; chunks of the default
+    size and of 7 and 1 children."""
     n = 5000
     spec = PatternSpec(m, w)
     want = a_batch(spec, np.arange(n))
     rng = random.Random(m)
-    for chunk in (blockseq.words.PREFIX_CHUNK, 7):
-        monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", chunk)
-        blocks = [b.copy() for b in recursion_blocks(spec, want.copy())]
-        assert np.array_equal(np.concatenate(blocks), want), (spec, chunk)
+    for chunk in (blockseq.words.CHECK_CHUNK, 7, 1):
+        monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", chunk)
+        assert recursion_mismatch(spec, want.copy()) is None, (spec, chunk)
         for _ in range(40):
             x = want.copy()
             at = rng.sample(range(n), rng.randint(1, 3))
@@ -490,17 +508,35 @@ def test_recursion_blocks_name_the_least_wrong_index(m, w, monkeypatch):
                 x[i] = rng.choice([v for v in (0, 1, m - 1, m, 9, 255)
                                    if v != want[i] and v <= 255])
             first = int(np.flatnonzero(x != want)[0])
-            lo = 0
-            for block in recursion_blocks(spec, x):
-                got = x[lo:lo + block.size]
-                if not np.array_equal(got, block):
-                    i = lo + int(np.flatnonzero(got != block)[0])
-                    break
-                lo += block.size
-            else:
-                raise AssertionError((spec, chunk, at, "no block differs"))
-            assert (i, block[i - lo]) == (first, want[first]), (spec, at)
+            assert recursion_mismatch(spec, x) == (first, want[first]), (
+                spec, chunk, at)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m, w", GRID,
+                         ids=[f"{m}-{''.join(map(str, w))}" for m, w in GRID])
+def test_recursion_mismatch_over_the_grid(m, w):
+    """On the grid, at lengths around the head (m - 1, m, m + 1), the
+    first parent with a short last child run (2m + 1), the chunk size and
+    past three chunks: `a_prefix`'s output passes, and a copy wrong at
+    the first index, the last one, or either side of the first chunk's
+    end, by one or by 255, is named at its least wrong index, with a
+    there."""
+    spec = PatternSpec(m, w)
+    chunk = blockseq.words.CHECK_CHUNK
+    # the first chunk holds the children of the parents 1, .., chunk // m
+    edge = m * (chunk // m + 1)
+    for n in sorted({1, m - 1, m, m + 1, 2 * m + 1, chunk - 1, chunk + 1,
+                     3 * 2 ** 16 + 11}):
+        want = a_prefix(spec, n)
+        assert recursion_mismatch(spec, want) is None, n
+        for i in {0, n - 1, edge - 1, edge} & set(range(n)):
+            for bad in ((int(want[i]) + 1) % m, 255):
+                x = want.copy()
+                x[i] = bad
+                first = int(np.flatnonzero(x != want)[0])
+                assert recursion_mismatch(spec, x) == (first, want[first]), (
+                    n, i, bad)
 
 
 @pytest.mark.parametrize("m, w, n", [
