@@ -24,13 +24,14 @@ N the window and morphism legs can tie, and `bench -m 3 -w 011 -N 20000`
 (0.03 to 0.05 ms per leg) prints `ordering ...: FAIL` and exits 1 on
 working code in some runs.
 
-`verify` holds the window output and never a second N-term output: it
-compares each other leg with the window as the leg makes it, chunk by
-chunk, and stops at the first chunk that differs.  The morphism leg is
-the last gather of `expand_fixed_point`, one chunk at a time
-(`morphism.fixed_point_chunks`), from the level before it, about N/4
-letters at most.  The oracle leg is the oracle's own digit recursion
-with each parent a(n // m) read from the window
+`verify` holds the window output and never a second N-term output:
+each other leg is one plain check of the window, which returns the
+least index where it fails, and a leg runs only if the ones before it
+passed.  The morphism leg (`morphism.fixed_point_mismatch`) codes the
+images of the letters before the last gather of `expand_fixed_point`,
+about N/4 of them at most, one reused chunk at a time, and compares
+each chunk with the window.  The oracle leg is the oracle's own digit
+recursion with each parent a(n // m) read from the window
 (`words.recursion_mismatch`), one digit column of each chunk of
 children at a time: by strong induction it passes iff the window is
 the sequence, and the least index where it fails is the least wrong
@@ -64,7 +65,8 @@ import numpy as np
 
 from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
                      InvalidPatternError, VerificationError)
-from .morphism import build_morphism, expand_fixed_point, fixed_point_chunks
+from .morphism import (build_morphism, expand_fixed_point,
+                       fixed_point_mismatch)
 from .series import degree_evidence
 from .structure import ClaimReport, check_power_claims, classify_range
 from .windows import generate
@@ -204,39 +206,23 @@ def _generator_legs(spec: PatternSpec, n: int) -> list:
     return legs
 
 
-def _first_difference(window: np.ndarray, chunks) -> tuple | None:
-    """(the least index where `chunks`, laid end to end from index 0,
-    differ from `window`, the chunk's value there), or None.  Each chunk
-    is compared as it comes, and the next one is asked for only if it
-    agrees."""
-    lo = 0
-    for chunk in chunks:
-        got = window[lo:lo + chunk.size]
-        if not np.array_equal(got, chunk):
-            i = int(np.flatnonzero(got != chunk)[0])
-            return lo + i, int(chunk[i])
-        lo += chunk.size
-    return None
-
-
 def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
-    # (name, thunk of its first difference from the window) for each leg
+    # (name, check of the window returning its first difference) per leg
     checks = []
     lines = []
     if spec.modulus_is_prime:
         mu = build_morphism(spec)
-        checks.append(("morphism", lambda: _first_difference(
-            window, fixed_point_chunks(mu, n))))
+        checks.append(("morphism", lambda x: fixed_point_mismatch(mu, x)))
     else:
         lines.append(f"note: base {spec.base} is composite; "
                      "checking window vs. oracle only\n")
     window = generate(spec, n)
     # the oracle's recursion, reading each parent a(n // m) from the window
-    checks.append(("oracle", lambda: recursion_mismatch(spec, window)))
+    checks.append(("oracle", lambda x: recursion_mismatch(spec, x)))
     for other, check in checks:
-        diff = check()
+        diff = check(window)
         if diff is not None:
             i, value = diff
             lines.append(f"FAIL {spec} N={n}: window and {other} disagree "
@@ -359,7 +345,8 @@ def run(cfg: RunConfig) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
-        print(f"error: not enough memory for this request: {exc}",
+        reason = f": {exc}" if str(exc) else ""
+        print(f"error: not enough memory for this request{reason}",
               file=sys.stderr)
         return EXIT_USAGE
     except BlockseqError as exc:

@@ -6,7 +6,8 @@ class BlockseqError(Exception):
 
 
 class InvalidBaseError(BlockseqError):
-    """A base smaller than 2 was supplied."""
+    """A base smaller than 2, or one too large to test for primality
+    where primality is asked, was supplied."""
 
 
 class InvalidPatternError(BlockseqError):

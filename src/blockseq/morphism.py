@@ -49,11 +49,11 @@ substitution, for the least d with p^d >= 4: the image of the start
 letter under mu^d begins with itself, so mu^d has the same fixed point
 as mu (Cobham, "Uniform tag sequences", 1972), and each gathered index
 yields p^d letters instead of p.  That is mu^2 for p = 2 and 3, and mu
-itself from p = 4 on.  Its last gather, which codes the letters, is one
-routine that writes its chunks either into the whole output or, for
-`fixed_point_chunks`, into one reused chunk that it yields: `verify`
-compares each chunk with the window as it is made, so it holds only the
-level before the last gather and one chunk, never a second output.
+itself from p = 4 on.  Its last gather codes the letters into the
+output.  `fixed_point_mismatch` is `verify`'s check of the window: it
+expands the same level before the last gather, codes that level's
+images one reused chunk at a time and compares each with the window, so
+it holds that level and one chunk, never a second output.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
     "UniformMorphism",
     "build_morphism",
     "expand_fixed_point",
-    "fixed_point_chunks",
+    "fixed_point_mismatch",
 ]
 
 
@@ -163,56 +163,51 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     return UniformMorphism(p, trans, coding, start)
 
 
-# Terms per np.take gather in `_gather`.  np.take copies its indices to
-# int64, so gathering a whole level at once would need 8 scratch bytes
-# per letter read.
+# Terms per np.take gather in `_gather` and `fixed_point_mismatch`.
+# np.take copies its indices to int64, so gathering a whole level at
+# once would need 8 scratch bytes per letter read.
 TAKE_CHUNK = 1 << 15
 
 
-def _gather(table: np.ndarray, seq: np.ndarray, n: int, dtype,
-            out: np.ndarray | None = None):
-    """Yield the first n terms of the rows of `table` that `seq` selects,
-    concatenated (n > (seq.size - 1) * p), in consecutive chunks: the row
-    gather table[seq], written by np.take about TAKE_CHUNK terms at a
-    time.  Each chunk is written into `out`, at its own offset, when
-    `out` holds seq.size * p terms, and otherwise into one buffer that
-    every chunk reuses, so it is valid only until the next one.  With a
-    narrower `dtype` than the table's, each gathered chunk is checked to
-    hold no value above 255 before it is narrowed."""
+def _gather(table: np.ndarray, seq: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the rows of `table` that `seq` selects, laid end
+    to end and cut at out.size, which exceeds (seq.size - 1) * p: the
+    row gather table[seq], written by np.take about TAKE_CHUNK terms at
+    a time, and returned.  A chunk is taken straight into `out` where
+    its rows fit there in the table's dtype, and otherwise into a
+    scratch chunk that is cut and copied; where `out` is narrower than
+    the table, it is checked first to hold no value above 255."""
     p = table.shape[1]
     step = max(1, TAKE_CHUNK // p)
-    size = min(step, seq.size) * p
-    reuse = out is None
-    if reuse:
-        out = np.empty(size, dtype=dtype)
-    scratch = np.empty(size, table.dtype) if table.dtype != dtype else None
+    narrow = out.dtype != table.dtype
+    scratch = None
     for lo in range(0, seq.size, step):
         rows = seq[lo:lo + step]
-        at = 0 if reuse else lo * p
-        dest = out[at:at + rows.size * p]
+        dest = out[lo * p:(lo + rows.size) * p]
         # every letter is a valid row, and "clip" skips the bounds check
         # and the buffering of `dest` that the default mode needs
-        if scratch is None:
+        if not narrow and dest.size == rows.size * p:
             np.take(table, rows, axis=0, out=dest.reshape(-1, p), mode="clip")
-            yield dest[:n - lo * p]
             continue
-        wide = np.take(table, rows, axis=0,
-                       out=scratch[:dest.size].reshape(-1, p),
-                       mode="clip").reshape(-1)[:n - lo * p]
+        if scratch is None:
+            scratch = np.empty((min(step, seq.size), p), dtype=table.dtype)
+        wide = np.take(table, rows, axis=0, out=scratch[:rows.size],
+                       mode="clip").reshape(-1)[:dest.size]
         # a(n) counts at most the 63 windows of n, but a morphism built
         # elsewhere may code a reachable letter past 255: refuse, never wrap
-        if wide.max() > 255:
+        if narrow and wide.max() > 255:
             raise ValueError("coded fixed point holds a digit above 255")
-        dest[:wide.size] = wide
-        yield dest[:wide.size]
+        dest[:] = wide
+    return out
 
 
 def _next_to_last_level(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     """The letters of the fixed point that the last gather reads for its
     first n_terms coded terms: ceil(n_terms / P) of them, for P = p^d
     the width of `UniformMorphism._tables`, or just the start letter
-    when n_terms <= P.  Each level is gathered whole from the one before
-    and cut to the letters the levels after it read."""
+    when n_terms <= P.  Each level is gathered from the one before,
+    only as far as the levels after it read."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     table = mu._tables[0]
@@ -224,23 +219,37 @@ def _next_to_last_level(mu: UniformMorphism, n_terms: int) -> np.ndarray:
         lengths.append(n)
     seq = np.array([mu.start], dtype=table.dtype)
     for n in reversed(lengths):
-        level = np.empty(seq.size * width, dtype=table.dtype)
-        for _ in _gather(table, seq, n, table.dtype, level):
-            pass
-        seq = level[:n]
+        seq = _gather(table, seq, np.empty(n, dtype=table.dtype))
     return seq
 
 
-def fixed_point_chunks(mu: UniformMorphism, n_terms: int):
-    """The first n_terms letters of the fixed point, coded, as an
-    iterator of consecutive uint8 chunks of about TAKE_CHUNK terms: the
-    last gather of `expand_fixed_point`.  It holds the level that gather
-    reads and one chunk, which the next chunk overwrites, so a caller
-    keeps what it needs of a chunk before it asks for the next one.  The
-    levels are expanded here, before the first chunk is asked for, so a
-    bad n_terms raises at once."""
-    seq = _next_to_last_level(mu, n_terms)
-    return _gather(mu._tables[1], seq, n_terms, np.uint8)
+def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
+    """Check a candidate prefix x against the coded fixed point of mu.
+    Return (n, the coded term there) for the least index n where they
+    differ, or None.
+
+    The letters before the last gather of `expand_fixed_point` are
+    expanded as it expands them, and their images are coded
+    TAKE_CHUNK // P letters at a time, for rows P = p^d letters wide,
+    into one reused chunk in the codes' own dtype, which is compared
+    with the matching slice of x.  So the check holds that level, about
+    len(x) / (P - 1) letters, and one chunk, never a second output, and
+    narrows no code: a reachable code past 255 is reported as it is.
+    """
+    seq = _next_to_last_level(mu, len(x))
+    coded = mu._tables[1]
+    width = coded.shape[1]
+    step = max(1, TAKE_CHUNK // width)
+    rows = np.empty((min(step, seq.size), width), dtype=coded.dtype)
+    for q in range(0, seq.size, step):
+        letters = seq[q:q + step]
+        want = x[q * width:(q + letters.size) * width]
+        got = np.take(coded, letters, axis=0, out=rows[:letters.size],
+                      mode="clip").reshape(-1)[:want.size]
+        if not np.array_equal(got, want):
+            i = int(np.flatnonzero(got != want)[0])
+            return q * width + i, int(got[i])
+    return None
 
 
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
@@ -253,18 +262,15 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     P = p^d >= 4 (mu^2 for p = 2 and 3, mu itself from p = 4 on), so
     every gathered letter yields at least 4 letters of the next level.
     Each level is a prefix of the next, and the level i steps before
-    the output is cut to the ceil(n_terms / P^i) letters that the levels
-    after it read, so about n_terms * P / (P - 1) letters are gathered
-    in all, where expanding whole levels could build up to P times
-    n_terms in the last one alone.  Each level is gathered from the one
-    before by `_gather`, a chunked np.take of the rows; the last gather
-    reads the codes of every letter's image and writes the coded terms
-    directly into the uint8 output, by the same routine that yields
-    them chunk by chunk in `fixed_point_chunks`.
+    the output holds just the ceil(n_terms / P^i) letters that the
+    levels after it read, so about n_terms * P / (P - 1) letters are
+    gathered in all, where expanding whole levels could build up to P
+    times n_terms in the last one alone.  Each level is gathered from
+    the one before by `_gather`, a chunked np.take of the rows; the last
+    gather reads the codes of every letter's image and writes the coded
+    terms into the uint8 output, refusing a code past 255.
+    `fixed_point_mismatch` codes the same letters chunk by chunk to
+    check a given prefix instead.
     """
     seq = _next_to_last_level(mu, n_terms)
-    coded = mu._tables[1]
-    out = np.empty(seq.size * coded.shape[1], dtype=np.uint8)
-    for _ in _gather(coded, seq, n_terms, np.uint8, out):
-        pass
-    return out[:n_terms]
+    return _gather(mu._tables[1], seq, np.empty(n_terms, dtype=np.uint8))

@@ -107,9 +107,10 @@ def origin_correction(spec: PatternSpec, order: int) -> np.ndarray:
 
 def _residual(spec: PatternSpec, f: np.ndarray) -> np.ndarray:
     # (1 + t + ... + t^(p-1)) f(t^p) has coefficient f[n // p] at t^n;
-    # only the first ceil(n / p) coefficients are repeated, so memory is O(n)
+    # only the first ceil(n / p) coefficients are repeated, at most n
+    # times each (p > n repeats f[0] alone), so memory is O(n)
     p, n = spec.base, f.size
-    lhs = np.repeat(f[:-(-n // p)].astype(np.int64), p)[:n]
+    lhs = np.repeat(f[:-(-n // p)].astype(np.int64), min(p, n))[:n]
     return (lhs - f - rhs_series(spec, n)
             - origin_correction(spec, n)) % p
 

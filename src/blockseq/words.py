@@ -60,27 +60,25 @@ from .errors import InvalidBaseError, InvalidPatternError
 MAX_INDEX = 2 ** 62
 
 
-# The first 12 primes: as Miller-Rabin witnesses they decide every
-# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
-WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: as Miller-Rabin witnesses they decide every
+# n < psi_13 = 3,317,044,064,679,887,385,961,981; the first 12 alone
+# decide only n < psi_12 = 318,665,857,834,031,151,167,461 (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin with WITNESSES below
-    WITNESS_BOUND, trial division above it."""
+    """Exact primality below WITNESS_BOUND, by deterministic Miller-Rabin
+    with WITNESSES.  An n at or past the bound raises ValueError, as the
+    witnesses do not decide it."""
+    if n >= WITNESS_BOUND:
+        raise ValueError(f"primality is decided only below {WITNESS_BOUND}")
     if n < 2:
         return False
     for p in WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= WITNESS_BOUND:
-        d = WITNESSES[-1] + 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0  # n - 1 = d * 2^s with d odd
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -273,7 +271,12 @@ class PatternSpec:
 
     @property
     def modulus_is_prime(self) -> bool:
-        return is_prime(self.base)
+        """Whether the base is prime.  A base at or past WITNESS_BOUND
+        raises InvalidBaseError, as `is_prime` does not decide it."""
+        try:
+            return is_prime(self.base)
+        except ValueError as exc:
+            raise InvalidBaseError(f"base {self.base}: {exc}") from exc
 
     @property
     def width(self) -> int:
@@ -399,13 +402,16 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     mk = m ** k
     lead = m ** (k - 1)
     for j in range(ndig - k + 1):
+        # q //= m before each window but the first: a second window means
+        # m <= nmax, so m fits q's dtype, where after the last it may not
+        if j:
+            q //= m
         # once m^|w| > nmax (it may not fit the dtype) q is its own window
         window = q if mk > nmax else _mod(q, mk, win)
         np.equal(window, wv, out=hit)
         if fits is not None and j + k > 1:
             hit &= np.greater_equal(q, lead, out=fits)
         counts += hit
-        q //= m
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 

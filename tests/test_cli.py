@@ -430,17 +430,21 @@ def test_verify_composite_drops_morphism_leg(capsys):
     assert "morphism" not in out.split("PASS")[1]
 
 
-def corrupted(chunks, at, change):
-    """The chunks of a verify leg as they come, each value at an index in
-    `at` (counted from the first chunk's start) replaced by
-    change(value)."""
-    lo = 0
-    for chunk in chunks:
+def corrupt_window(monkeypatch, at, change):
+    """Make the window that `verify` checks wrong at each index in `at`:
+    `cli.generate` returns the true terms, each value v at those indices
+    replaced by change(v)."""
+    import blockseq.cli
+
+    real = blockseq.cli.generate
+
+    def wrong_window(spec, n):
+        values = real(spec, n)
         for i in at:
-            if lo <= i < lo + chunk.size:
-                chunk[i - lo] = change(int(chunk[i - lo]))
-        lo += chunk.size
-        yield chunk
+            values[i] = change(int(values[i]))
+        return values
+
+    monkeypatch.setattr(blockseq.cli, "generate", wrong_window)
 
 
 @pytest.mark.parametrize("m, w", [("2", "11"), ("4", "11")])
@@ -469,28 +473,24 @@ def test_verify_out_writes_every_line_to_the_file(m, w, tmp_path,
 
 
 def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
-    """A leg that differs at several indices is reported once, at the
-    least of them, with both values, and the legs after it do not run."""
+    """A window that differs from the morphism at several indices is
+    reported once, at the least of them, with both values, and the legs
+    after it do not run."""
     import blockseq.cli
-
-    real = blockseq.cli.fixed_point_chunks
-
-    def wrong_morphism(mu, n):
-        return corrupted(real(mu, n), [7, 500], lambda v: v ^ 1)
 
     def no_oracle(spec, x):
         raise AssertionError("the oracle runs after a failed leg")
 
-    monkeypatch.setattr(blockseq.cli, "fixed_point_chunks", wrong_morphism)
+    corrupt_window(monkeypatch, [7, 500], lambda v: v ^ 1)
     monkeypatch.setattr(blockseq.cli, "recursion_mismatch", no_oracle)
     window = generate(PatternSpec(2, "11"), 1000)
     assert main(["verify", "-m", "2", "-w", "11", "-N", "1000"]) == 1
     assert capsys.readouterr().out == (
         "FAIL m=2 w=11 N=1000: window and morphism disagree at n=7 "
-        f"({window[7]} vs {window[7] ^ 1})\n")
+        f"({window[7] ^ 1} vs {window[7]})\n")
 
 
-# Four of the morphism's gather chunks for m = 2 (TAKE_CHUNK terms each,
+# Four of the morphism check's chunks for m = 2 (TAKE_CHUNK terms each,
 # the rows of mu^2 being 4 letters wide) and 5 terms of a fifth.
 VERIFY_N = 4 * TAKE_CHUNK + 5
 
@@ -501,25 +501,18 @@ VERIFY_N = 4 * TAKE_CHUNK + 5
 def test_verify_fail_line_names_the_least_index_across_chunks(first,
                                                                monkeypatch,
                                                                capsys):
-    """The morphism leg is compared a gather chunk at a time, and the
-    FAIL line still names the least differing index: at either end of
-    the output, and on either side of a chunk boundary, with a later
-    difference in the same chunk and in the last one."""
-    import blockseq.cli
-
-    real = blockseq.cli.fixed_point_chunks
+    """The morphism leg checks the window a chunk at a time, and the
+    FAIL line still names the least wrong index: at either end of the
+    output, and on either side of a chunk boundary, with a later wrong
+    index in the same chunk and in the last one."""
     later = [i for i in {first + 1, first + TAKE_CHUNK, VERIFY_N - 1}
              if first < i < VERIFY_N]
-
-    def wrong_morphism(mu, n):
-        return corrupted(real(mu, n), [first, *later], lambda v: v ^ 1)
-
-    monkeypatch.setattr(blockseq.cli, "fixed_point_chunks", wrong_morphism)
+    corrupt_window(monkeypatch, [first, *later], lambda v: v ^ 1)
     window = generate(PatternSpec(2, "11"), VERIFY_N)
     assert main(["verify", "-m", "2", "-w", "11", "-N", str(VERIFY_N)]) == 1
     assert capsys.readouterr().out == (
         f"FAIL m=2 w=11 N={VERIFY_N}: window and morphism disagree at "
-        f"n={first} ({window[first]} vs {window[first] ^ 1})\n")
+        f"n={first} ({window[first] ^ 1} vs {window[first]})\n")
 
 
 @pytest.mark.parametrize("m, w, note", [
@@ -599,8 +592,8 @@ def test_verify_checks_the_window_against_the_recursion(i, monkeypatch,
 
 @pytest.mark.parametrize("m, w", [("2", "11"), ("257", "1 0"), ("6", "05")])
 def test_verify_builds_no_second_output(m, w, monkeypatch, capsys):
-    """`verify` checks the morphism's chunks and the oracle's recursion
-    against the window as they are made: it never calls the functions
+    """`verify` checks the window against the morphism's coded images and
+    the oracle's recursion chunk by chunk: it never calls the functions
     that build a whole second output."""
     import blockseq.cli
 
@@ -660,6 +653,55 @@ def test_blocks_at_a_61_bit_prime_base(capsys):
         "evidence=[type1=0,type2=0] verdict=PASS\n")
 
 
+def test_blocks_refuses_a_composite_that_fools_twelve_witnesses(capsys):
+    """318,665,857,834,031,151,167,461 = 399,165,290,221 * 798,330,580,441
+    passes Miller-Rabin to the first 12 primes, and is a usage error."""
+    assert main(["blocks", "-m", "318665857834031151167461", "-w", "1",
+                 "-N", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: subcommand 'blocks' requires a prime "
+                            "base, got 318665857834031151167461\n")
+
+
+@pytest.mark.parametrize("sub", ["verify", "bench", "blocks", "powers",
+                                 "series"])
+def test_a_base_past_the_witness_bound_is_refused_at_once(sub, capsys):
+    """Every subcommand that asks whether the base is prime refuses
+    2^89 - 1, past the bound where the prime test is exact, at once;
+    `generate`, which does not ask, runs at that base."""
+    import time
+
+    base = str(2 ** 89 - 1)
+    t0 = time.perf_counter()
+    assert main([sub, "-m", base, "-w", "1", "-N", "10"]) == 2
+    assert time.perf_counter() - t0 < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: base {base}: primality is decided only "
+                            "below 3317044064679887385961981\n")
+    assert main(["generate", "-m", base, "-w", "1", "-N", "3"]) == 0
+    assert capsys.readouterr().out == "0 1 0\n"
+
+
+@pytest.mark.parametrize("m", ["4294967311", "2305843009213693951"])
+def test_series_at_bases_past_uint32(m, capsys):
+    """Bases past 2^32 end in their two records: the quotient of an
+    index below 2^32 holds no such base, and the left side of the
+    functional equation repeats f(0) at most `order` times, not p.  Ten
+    terms at such a base are 0 1 0 0 ..., so the short scan finds a
+    period and the degree evidence fails."""
+    assert main(["series", "-m", m, "-w", "1", "--order", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        f"seed=0\n"
+        f"claim=functional-equation params=[m={m} w=1] scan=10 evidence=[] "
+        f"verdict=PASS\n"
+        f"claim=degree-evidence params=[m={m} w=1] scan=10 "
+        f"evidence=[residual_zero=True,periods=[1, 2]] verdict=FAIL\n")
+
+
 def test_invalid_pattern_digit_is_usage_error(capsys):
     assert main(["generate", "-m", "2", "-w", "21", "-N", "10"]) == 2
     assert "error" in capsys.readouterr().err
@@ -714,6 +756,16 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert captured.err.startswith("error: ")
     assert "memory" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_out_of_memory_without_a_reason_ends_the_line(capsys):
+    """A MemoryError with no text prints no empty reason: 2^61 - 1 is
+    prime, and the morphism's [0] * p list fails at once, allocating
+    nothing."""
+    assert main(["verify", "-m", str(2 ** 61 - 1), "-w", "1", "-N", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not enough memory for this request\n"
 
 
 def test_unwritable_output_path_is_io_error(capsys):

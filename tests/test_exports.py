@@ -4,6 +4,7 @@ re-exports, or as an import nothing references."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -116,3 +117,25 @@ def test_only_words_names_the_row_chunk_cut():
             if name in CUT_NAMES:
                 named.add(f"{path.name}:{node.lineno}: {name}")
     assert named == set()
+
+
+# Public generator functions of the library layers, and why each stays.
+GENERATOR_EXPORTS = {
+    # streams the bfile/table text a chunk at a time
+    "words.indexed_rows",
+}
+
+
+def test_no_public_function_of_a_library_layer_is_a_generator():
+    """The benchmark tracer times each public function's call, which for
+    a generator function is only the generator's creation, not its work:
+    so no public function of `words`, `windows`, `morphism`, `structure`
+    or `series` is one, except the documented text stream."""
+    found = set()
+    for name in ("words", "windows", "morphism", "structure", "series"):
+        module = importlib.import_module(f"blockseq.{name}")
+        for attr, value in vars(module).items():
+            if (inspect.isgeneratorfunction(value) and not attr.startswith("_")
+                    and value.__module__ == module.__name__):
+                found.add(f"{name}.{attr}")
+    assert found == GENERATOR_EXPORTS

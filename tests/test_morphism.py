@@ -1,6 +1,5 @@
 """Unit tests for the uniform-morphism presentation."""
 
-import collections
 import sys
 
 import numpy as np
@@ -15,7 +14,7 @@ from blockseq import (
     generate,
     to_base,
 )
-from blockseq.morphism import TAKE_CHUNK, fixed_point_chunks
+from blockseq.morphism import TAKE_CHUNK, fixed_point_mismatch
 from support import GRID, as_str, patterns, peak_bytes
 
 
@@ -309,28 +308,58 @@ def test_expand_fixed_point_peak_memory():
 
 @pytest.mark.parametrize("p, w", [(2, "11"), (3, "01"), (5, "123"),
                                   (257, "1 0")])
-def test_fixed_point_chunks_cut_the_expansion(p, w):
-    """The chunks `verify` compares, laid end to end, are the expansion:
-    one chunk per gather of the last level, each ending on a row of
-    mu^d, and only the last one shorter, at lengths around one row and
-    one chunk.  Consumed one at a time they hold the levels before the
-    last gather, n / (P - 1) letters for rows P = p^d letters wide, and
-    one chunk's scratch, never the n terms."""
+def test_fixed_point_mismatch_checks_the_expansion_chunk_by_chunk(p, w):
+    """The check `verify` runs passes the expansion, and names the least
+    index where a copy of it is wrong, with the expansion's term there:
+    at the first and last index and on either side of each edge of the
+    check's chunks, which hold TAKE_CHUNK // P rows of mu^d, P letters
+    each, at lengths around one row and one chunk.  It holds the levels
+    before the last gather, n / (P - 1) letters, and one chunk's
+    scratch, never a second n terms."""
     mu = build_morphism(PatternSpec(p, w))
     width = mu._tables[0].shape[1]
     step = max(1, TAKE_CHUNK // width) * width
     for n in (1, width - 1, width, width + 1, step - 1, step, step + 1,
               3 * step + 7):
-        sizes = [chunk.size for chunk in fixed_point_chunks(mu, n)]
-        assert sizes == [step] * (n // step) + [n % step] * (n % step > 0)
-        got = np.concatenate([c.copy() for c in fixed_point_chunks(mu, n)])
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, expand_fixed_point(mu, n)), (p, n)
+        want = expand_fixed_point(mu, n)
+        assert fixed_point_mismatch(mu, want.copy()) is None, (p, n)
+        edges = {i for edge in range(step, n, step) for i in (edge - 1, edge)}
+        for i in sorted({0, n - 1} | edges):
+            x = want.copy()
+            x[i] = (int(x[i]) + 1) % p
+            assert fixed_point_mismatch(mu, x) == (i, want[i]), (p, n, i)
     n = 2 ** 20 + 1
     letter_bytes = mu._tables[0].itemsize
-    _, peak = peak_bytes(
-        lambda: collections.deque(fixed_point_chunks(mu, n), maxlen=0))
+    x = expand_fixed_point(mu, n)  # allocated before the meter starts
+    found, peak = peak_bytes(fixed_point_mismatch, mu, x)
+    assert found is None
     assert peak <= letter_bytes * n / (width - 1) + 5 * TAKE_CHUNK, (p, peak)
+
+
+@pytest.mark.parametrize("p, w", [*GRID, (257, (1,))],
+                         ids=[f"{p}-{''.join(map(str, w))}"
+                              for p, w in [*GRID, (257, (1,))]])
+def test_fixed_point_mismatch_over_the_grid(p, w):
+    """On the grid and p = 257, at lengths around one letter's image
+    (p - 1, p), one row of mu^d (P, P + 1), one gather chunk and past
+    three chunks: `a_prefix`'s output passes, and a copy wrong at the
+    first index, the last one, or either side of the first chunk's end,
+    by one or by 255, is named at its least wrong index, with a there."""
+    spec = PatternSpec(p, w)
+    mu = build_morphism(spec)
+    width = mu._tables[0].shape[1]
+    edge = max(1, TAKE_CHUNK // width) * width  # the first chunk's end
+    sizes = {1, p - 1, p, width, width + 1, TAKE_CHUNK - 1, TAKE_CHUNK + 1,
+             3 * 2 ** 16 + 11}
+    prefix = a_prefix(spec, max(sizes))
+    for n in sorted(sizes):
+        want = prefix[:n]
+        assert fixed_point_mismatch(mu, want) is None, n
+        for i in {0, n - 1, edge - 1, edge} & set(range(n)):
+            for bad in ((int(want[i]) + 1) % p, 255):
+                x = want.copy()
+                x[i] = bad
+                assert fixed_point_mismatch(mu, x) == (i, want[i]), (n, i, bad)
 
 
 def test_expand_fixed_point_builds_its_tables_once():
@@ -398,15 +427,17 @@ def test_expand_fixed_point_rejects_bad_count():
 
 def test_expand_fixed_point_refuses_digits_past_uint8():
     """A width-300 morphism whose reachable letter codes 299 raises
-    rather than wrapping to 299 mod 256; an unreachable one does not."""
+    rather than wrapping to 299 mod 256, and `fixed_point_mismatch`
+    names that 299 against a zero window; an unreachable one does not
+    raise."""
     width = 300
     rows = ((0, 1) + (0,) * (width - 2), (1,) * width, (2,) * width)
     wide = UniformMorphism(width, rows, (0, 299, 0), 0)
     for n in (2, width, width + 1, 2 * width + 1):  # one and two levels
         with pytest.raises(ValueError, match="above 255"):
             expand_fixed_point(wide, n)
-        with pytest.raises(ValueError, match="above 255"):
-            collections.deque(fixed_point_chunks(wide, n), maxlen=0)
+        # the check compares in the codes' dtype, so 299 is reported as it is
+        assert fixed_point_mismatch(wide, np.zeros(n, np.uint8)) == (1, 299)
     assert expand_fixed_point(wide, 1).tolist() == [0]
     unreachable = UniformMorphism(width, rows, (0, 255, 299), 0)
     out = expand_fixed_point(unreachable, 2 * width)

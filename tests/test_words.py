@@ -69,6 +69,49 @@ def test_is_prime_pseudoprimes_and_wide_values():
         assert is_prime(n), n
 
 
+# psi_12: the least strong pseudoprime to each of the first 12 primes
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > 2 passes the Miller-Rabin test to the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    y = pow(a, d, n)
+    if y in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        y = y * y % n
+        if y == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_needs_a_13th_witness_past_psi_12():
+    """psi_12 = 399,165,290,221 * 798,330,580,441 passes the test to
+    each of the first 12 primes, and 41 shows it composite; 10^24 + 7,
+    a prime past psi_12, is decided at once."""
+    small, large = 399_165_290_221, 798_330_580_441
+    assert small * large == PSI_12 and is_prime(small) and is_prime(large)
+    assert all(strong_probable_prime(PSI_12, a)
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not strong_probable_prime(PSI_12, 41)
+    assert not is_prime(PSI_12)
+    assert is_prime(10 ** 24 + 7)
+
+
+def test_is_prime_refuses_values_past_the_witness_bound():
+    """At or past WITNESS_BOUND the witnesses decide nothing, so
+    `is_prime` raises ValueError, and a base there has no primality:
+    `modulus_is_prime` raises InvalidBaseError."""
+    for n in (blockseq.words.WITNESS_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(n)
+        with pytest.raises(InvalidBaseError, match="only below"):
+            PatternSpec(n, "1").modulus_is_prime
+
+
 # ---------------------------------------------------------------------------
 # base conversion
 # ---------------------------------------------------------------------------
@@ -341,6 +384,17 @@ def test_a_batch_wide_base_counts_are_not_reduced():
         assert a_batch(spec, [ones, 0, m ** 6]).tolist() == [7, 0, 1]
         zero = PatternSpec(m, "0")
         assert a_batch(zero, [m ** 7, 0, ones]).tolist() == [7, 1, 0]
+
+
+@pytest.mark.parametrize("m", [4_294_967_311, 2 ** 61 - 1])
+def test_a_batch_at_bases_past_uint32(m):
+    """A base past 2^32 does not fit the uint32 quotient of indices below
+    2^32, which have a single window: the quotient is divided by m only
+    between windows, never after the last.  Indices from m on take the
+    uint64 quotient and two windows."""
+    spec = PatternSpec(m, "1")
+    for ns in ([0, 1, 2, 9, 10 ** 6], [m - 1, m, m + 1, 2 * m + 1]):
+        assert a_batch(spec, ns).tolist() == [a_value(spec, n) for n in ns]
 
 
 def test_a_batch_rejects_negative_and_oversized():
