@@ -49,7 +49,8 @@ text in chunks, so stdout and `--out` get the same bytes and hold one
 chunk of text at a time, not the whole output.
 `plain` and `report` chunks hold at most CHUNK_TERMS terms, written by
 `words.digit_string`; `bfile` and `table` chunks are cut and written by
-`words.indexed_rows`.
+`words.indexed_rows`, one per block of 10^4 indices (one per index digit
+count below 10^4).
 """
 
 from __future__ import annotations
@@ -194,18 +195,6 @@ def _cmd_generate(cfg: RunConfig) -> tuple:
     return _format_chunks(values, spec, cfg.output_format), EXIT_OK
 
 
-def _generator_legs(spec: PatternSpec, n: int) -> list:
-    """(name, thunk) for each generator `bench` times: the window, then
-    the morphism for a prime base (built here, so a timed thunk only
-    expands it), then the oracle."""
-    legs = [("window", lambda: generate(spec, n))]
-    if spec.modulus_is_prime:
-        mu = build_morphism(spec)
-        legs.append(("morphism", lambda: expand_fixed_point(mu, n)))
-    legs.append(("oracle", lambda: a_prefix(spec, n)))
-    return legs
-
-
 def _cmd_verify(cfg: RunConfig) -> tuple:
     spec = cfg.spec()
     n = cfg.count
@@ -265,10 +254,17 @@ def _cmd_series(cfg: RunConfig) -> tuple:
 
 
 def bench_generators(spec: PatternSpec, n_terms: int) -> list:
-    """Warm up then time each generator (median of 5 passes); checksums
-    must agree across generators."""
+    """Warm up then time each generator (median of 5 passes): the window,
+    then the morphism for a prime base (built here, so a timed thunk only
+    expands it), then the oracle.  Checksums must agree across
+    generators."""
+    legs = [("window", lambda: generate(spec, n_terms))]
+    if spec.modulus_is_prime:
+        mu = build_morphism(spec)
+        legs.append(("morphism", lambda: expand_fixed_point(mu, n_terms)))
+    legs.append(("oracle", lambda: a_prefix(spec, n_terms)))
     records = []
-    for name, fn in _generator_legs(spec, n_terms):
+    for name, fn in legs:
         out = None  # the previous leg's output, freed before the warm-up
         fn()  # warm-up (page faults, allocator)
         times = []

@@ -31,12 +31,13 @@ decimal digit for m <= 10, and for any m at every n below m^9.
 `digit_string` writes one-digit values into one uint8 row each (the
 digit, and a space above base 10) in one add.  `indexed_rows` yields
 the "index value" lines of a whole sequence in chunks it cuts itself,
-at each new index digit count and every ROW_CHUNK rows after it, so
-from 10^4 on each chunk starts on a multiple of 10^4.  Per digit count
-it fills one row matrix once from a template of 10^4 index rows tiled
-from the ten digits, and each later chunk writes over it only the high
-index digits that changed and the values.  Either writes a call or
-chunk that holds a value of 10 or more line by line in Python.
+one per block of a template of at most 10^4 index rows tiled from the
+ten digits: one per index digit count below 10^4, and from 10^4 on one
+per 10^4 indices, each starting on a multiple of 10^4.  Per digit count
+it builds the template once, each chunk is a slice of its rows, and
+each later chunk writes over them only the high index digits that
+changed and the values.  Either writes a call or chunk that holds a
+value of 10 or more line by line in Python.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -98,47 +99,26 @@ def is_prime(n: int) -> bool:
 # An index template holds the low digits of 10^TEMPLATE_DIGITS indices.
 TEMPLATE_DIGITS = 4
 
-# Rows per `bfile` or `table` chunk: whole blocks of the 10^4-row index
-# template, so every chunk from index 10^4 on starts on a block boundary.
-ROW_CHUNK = 2 * 10 ** TEMPLATE_DIGITS
 
-
-def _low_digits(k: int) -> np.ndarray:
-    """The k low decimal digits of 0, 1, ..., 10^k - 1, zero-padded, as a
-    (10^k, k) ASCII matrix: column c repeats each of the ten digits
-    10^(k-1-c) times and tiles that run 10^c times."""
-    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    out = np.empty((k, 10 ** k), dtype=np.uint8)
-    for c in range(k):
-        out[c] = np.tile(np.repeat(ten, 10 ** (k - 1 - c)), 10 ** c)
-    return out.T
-
-
-def _index_rows(lo: int, hi: int, width: int | None,
-                sep: bytes) -> np.ndarray:
-    """Rows "index sep value" for the indices lo, ..., hi - 1 of one
-    digit count d and one-digit values, all but the high index digits
-    and the value: each holds the leading spaces, its index's
-    k = min(d, TEMPLATE_DIGITS) low digits, `sep` and the newline.  They
-    are copied from a template of the 10^k rows of k low digits, one
-    contiguous copy per 10^k-aligned block."""
-    d = len(str(hi - 1))
+def _template(d: int, width: int | None, sep: bytes) -> np.ndarray:
+    """The row matrix of the lines "index sep value" of d-digit indices:
+    one row for each k = min(d, TEMPLATE_DIGITS) low digits 0, ...,
+    10^k - 1, holding the leading spaces, those k digits zero-padded,
+    `sep` and the newline, but not the d - k high digits or the value.
+    Low digit column c repeats each of the ten digits 10^(k-1-c) times
+    and tiles that run 10^c times."""
     low = min(d, TEMPLATE_DIGITS)
-    block = 10 ** low
     high_at = (width or d) - d  # the index's first column
     value_at = high_at + d + len(sep)
-    template = np.empty((block, value_at + 2), dtype=np.uint8)
-    template[:, :high_at] = ord(" ")
+    rows = np.empty((10 ** low, value_at + 2), dtype=np.uint8)
+    rows[:, :high_at] = ord(" ")
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     # one column at a time: one (rows, k) slice is slower
-    for col, column in enumerate(_low_digits(low).T, high_at + d - low):
-        template[:, col] = column
-    template[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
-    template[:, -1] = ord("\n")
-    rows = np.empty((hi - lo, template.shape[1]), dtype=np.uint8)
-    for start in range(lo, hi, block):
-        at = start % block
-        stop = min(hi, start - at + block)
-        rows[start - lo:stop - lo] = template[at:at + stop - start]
+    for c in range(low):
+        rows[:, high_at + d - low + c] = np.tile(
+            np.repeat(ten, 10 ** (low - 1 - c)), 10 ** c)
+    rows[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
+    rows[:, -1] = ord("\n")
     return rows
 
 
@@ -147,19 +127,18 @@ def indexed_rows(values, width: int | None, sep: bytes):
     len(values) - 1, yielded as text chunks.  The index is right-aligned
     in `width` columns, or unpadded when width is None.
 
-    Each index digit count d is cut every ROW_CHUNK rows from its first
-    index, so below 10^4 it is one chunk of at most 9,000 rows, from 10^4
-    on every chunk starts on a multiple of 10^4, and only a digit count's
-    last chunk is shorter than ROW_CHUNK.  A chunk of one-digit values
-    takes the numpy path, as every chunk of a sequence a_{m;w} does for
-    m <= 10, and below m^9 terms for any m (a(n) is at most the number
-    of digits of n).  The first such chunk of a digit count fills a row
-    matrix (`_index_rows`) that is long enough for every later chunk of
-    that digit count, and each later one writes over those rows only
-    its values and, per 10^4-row block, those high index digits that
-    differ from the ones the block's rows hold.  A chunk holding a value
-    of 10 or more is written line by line instead.  A negative value
-    raises ValueError, before any chunk is yielded.
+    Each chunk is one block of the index template: below 10^4 one chunk
+    per index digit count, and from 10^4 on one chunk per 10^4 indices
+    starting on a multiple of 10^4, of which only a digit count's last
+    may be shorter.  A chunk of one-digit values takes the numpy path,
+    as every chunk of a sequence a_{m;w} does for m <= 10, and below m^9
+    terms for any m (a(n) is at most the number of digits of n).  The
+    first such chunk of a digit count builds its row matrix
+    (`_template`), whose rows each later chunk of that digit count
+    reuses: it writes over them only its values and those high index
+    digits that differ from the ones the rows hold.  A chunk holding a
+    value of 10 or more is written line by line instead.  A negative
+    value raises ValueError, before any chunk is yielded.
     """
     n = len(values)
     # checked before the unsafe cast to uint8, where -1 would read as "/"
@@ -172,30 +151,27 @@ def indexed_rows(values, width: int | None, sep: bytes):
         block = 10 ** min(d, TEMPLATE_DIGITS)
         high_at = (width or d) - d  # the index's first column
         value_at = high_at + d + len(sep)
-        rows = held = None  # the row matrix, its high digits per block
-        for lo in range(first, end, ROW_CHUNK):
-            hi = min(end, lo + ROW_CHUNK)
+        rows = held = None  # the row matrix and the high digits it holds
+        for lo in range(first, end, block):
+            hi = min(end, lo + block)
             chunk = values[lo:hi]
             if chunk.max() >= 10:
                 yield "".join(map(line, range(lo, hi), chunk.tolist()))
                 continue
             if rows is None:
-                rows = _index_rows(lo, hi, width, sep)
-                held = [None] * ((hi - lo - 1) // block + 1)
+                rows = _template(d, width, sep)
             if d > TEMPLATE_DIGITS:
-                # high digits one column at a time, over every kept row of
-                # the block, so `held` is true of all of them
-                for slot, start in enumerate(range(lo, hi, block)):
-                    high, was = str(start // block), held[slot]
-                    for col, digit in enumerate(high):
-                        if was is None or was[col] != digit:
-                            rows[slot * block:(slot + 1) * block,
-                                 high_at + col] = ord(digit)
-                    held[slot] = high
-            np.add(chunk, ord("0"), out=rows[:hi - lo, value_at],
-                   casting="unsafe")
+                # high digits one column at a time, over every row, so
+                # `held` is true of all of them
+                high = str(lo // block)
+                for col, digit in enumerate(high):
+                    if held is None or held[col] != digit:
+                        rows[:, high_at + col] = ord(digit)
+                held = high
+            out = rows[lo % block:lo % block + hi - lo]
+            np.add(chunk, ord("0"), out=out[:, value_at], casting="unsafe")
             # decodes the buffer, no bytes copy
-            yield str(rows[:hi - lo], "ascii")
+            yield str(out, "ascii")
         first, d = end, d + 1
 
 

@@ -23,9 +23,12 @@ from blockseq.cli import (
     run,
 )
 from blockseq.morphism import TAKE_CHUNK
-from blockseq.words import (CHECK_CHUNK, PREFIX_CHUNK, ROW_CHUNK, a_prefix,
-                            indexed_rows)
+from blockseq.words import (CHECK_CHUNK, PREFIX_CHUNK, TEMPLATE_DIGITS,
+                            a_prefix, indexed_rows)
 from support import RS_S3, line_path_chunks, peak_bytes
+
+# Rows of a `bfile`/`table` chunk: one block of the index template.
+BLOCK = 10 ** TEMPLATE_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ def test_indexed_formats_refuse_negative_values(fmt, dtype):
     sits in a one-digit chunk or one that holds a wider value; signed
     input that is all non-negative renders as before."""
     spec = PatternSpec(11, "1")
-    for values in ([3, -1, 2], [3, 12, -5], [0] * (ROW_CHUNK + 1) + [-1]):
+    for values in ([3, -1, 2], [3, 12, -5], [0] * (BLOCK + 1) + [-1]):
         with pytest.raises(ValueError, match="non-negative"):
             format_sequence(np.array(values, dtype=dtype), spec, fmt)
     values = np.array([3, 12, 2], dtype=dtype)
@@ -217,9 +220,9 @@ def test_chunks_across_an_index_digit_change_match_reference(fmt, base, n,
 def test_bfile_chunks_of_small_bases_never_pad(base):
     """A `bfile` chunk is cut at each power of ten, so its indices share
     one digit count, and a base <= 10 has one-digit values: every chunk
-    is written in numpy, none line by line.  The cuts at 10 to 10^5 and
-    every ROW_CHUNK rows after them leave the text as the reference
-    writes it."""
+    is written in numpy, none line by line.  The cuts at 10 to 10^4 and
+    every 10^4 rows after them leave the text as the reference writes
+    it."""
     from blockseq.cli import _format_chunks
 
     spec = PatternSpec(base, "1")
@@ -228,8 +231,8 @@ def test_bfile_chunks_of_small_bases_never_pad(base):
     chunks, by_line = line_path_chunks(
         lambda v: _format_chunks(v, spec, "bfile"), values)
     assert_same_text("".join(chunks), reference_format(values, spec, "bfile"))
-    # 0, 10, 100 and 1000; 10^4 + 2 * 10^4 * (0..4); 10^5 and 120,000
-    assert len(by_line) == 4 + 5 + 2 and not any(by_line)
+    # 0, 10, 100 and 1000; 10^4 * (1..9); 10^5 + 10^4 * (0..3)
+    assert len(by_line) == 4 + 9 + 4 and not any(by_line)
 
 
 def reference_prefixes(values, spec, fmt, ns):
@@ -255,7 +258,7 @@ def reference_prefixes(values, spec, fmt, ns):
 
 
 # Every index digit count, each side of each power of ten, and a last
-# chunk that ends inside a 10^4 block (120,000 to 131,072).
+# chunk that ends inside a 10^4 block (130,000 to 131,072).
 TEMPLATE_SIZES = sorted({0, 1, 2 * CHUNK_TERMS + 1}
                         | {10 ** k + d for k in range(1, 6) for d in (-1, 0, 1)})
 # Past 10^6 an index has 7 digits: three high digits per 10^4 block
@@ -266,12 +269,13 @@ WIDE_TEMPLATE_SIZES = [10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1, 1_234_567]
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 @pytest.mark.parametrize("base", [3, 10, 13, 101, 257])
 def test_index_template_rows_match_reference(fmt, base):
-    """The rows copied from the index template, with each block's high
-    digits written over them, read as the reference writes them on both
-    sides of every power of ten, across a last chunk that ends inside a
-    10^4 block, and for 0 and 1 terms.  Random values below the base are
-    written line by line from base 13 on (1 to 3 digits at base 101 and
-    257), and random values below 10 in the row matrix at every base."""
+    """Each chunk's rows, a slice of its digit count's index template
+    with the high digits written over them, read as the reference
+    writes them on both sides of every power of ten, across a last
+    chunk that ends inside a 10^4 block, and for 0 and 1 terms.  Random
+    values below the base are written line by line from base 13 on (1 to
+    3 digits at base 101 and 257), and random values below 10 in the row
+    matrix at every base."""
     sizes = TEMPLATE_SIZES + (WIDE_TEMPLATE_SIZES if base == 257 else [])
     spec = PatternSpec(base, "1")
     rng = np.random.default_rng(base)
@@ -289,7 +293,7 @@ def chunk_starts(n, fmt):
     starts, lo = [], 0
     for chunk in indexed_rows(np.zeros(n, dtype=np.uint8), width, sep):
         size = chunk.count("\n")
-        assert 0 < size <= ROW_CHUNK
+        assert 0 < size <= BLOCK
         assert len(str(lo)) == len(str(lo + size - 1))
         starts.append(lo)
         lo += size
@@ -299,16 +303,22 @@ def chunk_starts(n, fmt):
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
 def test_chunks_past_ten_thousand_start_on_template_blocks(fmt):
-    """The row matrix `indexed_rows` reuses holds whole 10^4-row template
-    blocks, so every chunk at or past index 10^4 starts at a multiple of
-    10^4; chunks tile [0, n) with at most ROW_CHUNK rows of one index
-    digit count each."""
+    """Each chunk is one block of the index template: one per index
+    digit count below 10^4, and from 10^4 on one per 10^4 indices, so
+    every chunk at or past index 10^4 starts at a multiple of 10^4 and
+    only a digit count's last is shorter; chunks tile [0, n) with at
+    most 10^4 rows of one index digit count each."""
     for n in (1, 10, 11, 10 ** 4, 10 ** 4 + 1, 29_999, 30_001, 10 ** 5 + 1,
               131_075, 10 ** 6 + 1, 1_234_567):
         starts = chunk_starts(n, fmt)
         assert starts[0] == 0 and starts == sorted(set(starts)), n
         assert all(lo % 10 ** 4 == 0 for lo in starts if lo >= 10 ** 4), n
         assert {10 ** k for k in range(1, 7) if 10 ** k < n} <= set(starts)
+        assert [lo for lo in starts if lo < BLOCK] == \
+            [0] + [10 ** k for k in range(1, 4) if 10 ** k < n], n
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            if lo >= BLOCK and hi - lo < BLOCK:  # a digit count's last
+                assert hi in (n, 10 ** len(str(lo))), (n, lo)
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "table"])
@@ -357,8 +367,7 @@ def test_reused_rows_across_high_digit_carries(fmt):
         lines = format_sequence(values, spec, fmt).splitlines()
         assert len(lines) == n + header
         for carry in (110_000, 200_000, 10 ** 6, 1_100_000):
-            for i in range(carry - 2 * ROW_CHUNK,
-                           min(n, carry + 2 * ROW_CHUNK)):
+            for i in range(carry - 2 * BLOCK, min(n, carry + 2 * BLOCK)):
                 assert lines[i + header] == \
                     f"{i:>{width}}{sep}{values[i]}", (high, i)
 

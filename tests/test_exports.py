@@ -93,13 +93,13 @@ def test_every_reexport_has_a_caller_in_the_package():
 
 
 # Names of the `bfile`/`table` chunk cut, which `words.indexed_rows` owns.
-CUT_NAMES = {"TEMPLATE_DIGITS", "ROW_CHUNK"}
+CUT_NAMES = {"TEMPLATE_DIGITS"}
 
 
 def test_only_words_names_the_row_chunk_cut():
-    """No module but `words` names TEMPLATE_DIGITS or ROW_CHUNK, as a
-    name, an attribute or an import, so the cut that `indexed_rows`
-    makes is decided in one place."""
+    """No module but `words` names TEMPLATE_DIGITS, as a name, an
+    attribute or an import, so the cut that `indexed_rows` makes is
+    decided in one place."""
     package = Path(blockseq.__file__).parent
     named = set()
     for path in package.glob("*.py"):

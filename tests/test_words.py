@@ -20,7 +20,7 @@ from blockseq import (
     is_prime,
     to_base,
 )
-from blockseq.words import (ROW_CHUNK, _low_digits, indexed_rows,
+from blockseq.words import (TEMPLATE_DIGITS, _template, indexed_rows,
                             recursion_mismatch)
 from support import GRID, line_path_chunks, peak_bytes
 
@@ -170,14 +170,22 @@ def test_digit_string_wide_base_uses_separators():
             digit_string(digits, base)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_low_digits_tile_the_ten_digits(k):
-    """The index template's low digits, tiled from the ten ASCII digits,
-    are each i < 10^k zero-padded to k digits."""
-    got = _low_digits(k)
-    assert got.shape == (10 ** k, k) and got.dtype == np.uint8
-    assert got.tobytes() == "".join(
-        f"{i:0{k}d}" for i in range(10 ** k)).encode("ascii")
+@pytest.mark.parametrize("width, sep", [(None, b" "), (9, b"  ")])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_template_rows_match_f_strings(d, width, sep):
+    """Row i of the index template of digit count d is the line of the
+    d-digit index whose k = min(d, TEMPLATE_DIGITS) low digits are i,
+    zero-padded, once its high digits and its value are written."""
+    rows = _template(d, width, sep)
+    k = min(d, TEMPLATE_DIGITS)
+    assert rows.shape[0] == 10 ** k and rows.dtype == np.uint8
+    high = str(10 ** (d - k - 1)) if d > k else ""
+    for col, digit in enumerate(high, (width or d) - d):
+        rows[:, col] = ord(digit)
+    rows[:, -2] = ord("7")
+    assert rows.tobytes().decode("ascii") == "".join(
+        f"{high}{i:0{k}d}".rjust(width or 0) + f"{sep.decode()}7\n"
+        for i in range(10 ** k))
 
 
 def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
@@ -220,13 +228,13 @@ def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
     of one-digit values fill the row matrix of their digit count, leave
     it to the chunks written line by line, and take it up again, on both
     sides of 10^5 and across the high-digit carries at 10^5 + 10^4 and
-    2 * 10^5."""
+    2 * 10^5: 210,000 takes up the rows 180,000 left, with both high
+    digits stale, after 190,000 and 200,000 are written line by line."""
     n = 230_001
     rng = np.random.default_rng(5)
     values = np.empty(n, dtype=np.uint16)
     starts = sorted({0, 10, 100, 1000}
-                    | set(range(10 ** 4, 10 ** 5, ROW_CHUNK))
-                    | set(range(10 ** 5, n, ROW_CHUNK)))
+                    | set(range(10 ** 4, n, 10 ** TEMPLATE_DIGITS)))
     widths = []
     for j, (lo, hi) in enumerate(zip(starts, starts[1:] + [n])):
         low, high = [(0, 10), (10, 100), (0, 257)][j % 3]
@@ -242,7 +250,9 @@ def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
             assert line == f"{i:>{width or 0}}{sep.decode()}{values[i]}", i
         lo += len(lines)
     assert lo == n and by_line == [w > 1 for w in widths]
-    assert len(chunks) == 4 + 5 + 7
+    assert len(chunks) == 4 + 9 + 14
+    one_digit = [lo for lo, w in zip(starts, widths) if w == 1]
+    assert one_digit[one_digit.index(180_000) + 1] == 210_000
 
 
 # ---------------------------------------------------------------------------
