@@ -24,23 +24,25 @@ N the window and morphism legs can tie, and `bench -m 3 -w 011 -N 20000`
 (0.03 to 0.05 ms per leg) prints `ordering ...: FAIL` and exits 1 on
 working code in some runs.
 
-`verify` holds the window output and never a second N-term output:
-each other leg is one plain check of the window, which returns the
-least index where it fails, and a leg runs only if the ones before it
-passed.  The morphism leg (`morphism.fixed_point_mismatch`) codes the
-images of the letters before the last gather of `expand_fixed_point`,
-about N/4 of them at most, one reused chunk at a time, and compares
-each chunk with the window.  The oracle leg is the oracle's own digit
-recursion with each parent a(n // m) read from the window
-(`words.recursion_mismatch`), one digit column of each chunk of
-children at a time: by strong induction it passes iff the window is
-the sequence, and the least index where it fails is the least wrong
-one, where it gives a(n).  So `verify` holds about 1 byte per term,
-plus the morphism's level or the check's fixed chunk scratch (under
-0.2 MiB).  `blocks` holds its prefix and the
-block check's fixed chunk scratch, and nothing per block: the verified
-type-2 blocks come back as one range, and it prints their count.
-`bench` frees each output before the next timed call allocates its own.
+`verify` holds the window output and never a second N-term output: each
+other leg is one plain check of the window, which returns the least
+index where it fails, and a leg runs only if the ones before it passed.
+The morphism leg (`morphism.fixed_point_mismatch`) expands the fixed
+point through rows of P letters, P = 64 for m = 2, 81 for m = 3, 125
+for m = 5 and m itself from m = 64 on (narrower only where the letter
+table would pass 64 KiB), up to the level before the last gather, about
+N/(P - 1) letters.  It codes their images one reused chunk at a time
+and compares each chunk with the window.  The oracle leg is the
+oracle's own digit recursion with each parent a(n // m) read from the
+window (`words.recursion_mismatch`), one digit column of each chunk of
+children at a time: by strong induction it passes iff the window is the
+sequence, and the least index where it fails is the least wrong one,
+where it gives a(n).  So `verify` holds about 1 byte per term, plus the
+morphism's level or the check's fixed chunk scratch (under 0.2 MiB).
+`blocks` holds its prefix and the block check's fixed chunk scratch,
+and nothing per block: the verified type-2 blocks come back as one
+range, and it prints their count.  `bench` frees each output before the
+next timed call allocates its own.
 
 `generate` renders its terms in numpy, never one Python string per
 term, for every N up to p^9: each of those terms is one digit, and a

@@ -50,10 +50,16 @@ letter under mu^d begins with itself, so mu^d has the same fixed point
 as mu (Cobham, "Uniform tag sequences", 1972), and each gathered index
 yields p^d letters instead of p.  That is mu^2 for p = 2 and 3, and mu
 itself from p = 4 on.  Its last gather codes the letters into the
-output.  `fixed_point_mismatch` is `verify`'s check of the window: it
-expands the same level before the last gather, codes that level's
-images one reused chunk at a time and compares each with the window, so
-it holds that level and one chunk, never a second output.
+output.  `fixed_point_mismatch` is `verify`'s check of the window.  It
+runs on its own wider table, the rows of mu^e for the least e with
+P = p^e >= 64 whose letter table fits in 64 KiB (P = 64 for p = 2, 81
+for p = 3, 125 for p = 5, and p itself from p = 64 on, where it is the
+expansion's table), so each gathered index codes at least 64 terms
+where the cap allows.  It expands the level before the last gather,
+about N / (P - 1) letters for N terms, codes that level's images one
+reused chunk at a time and compares each with the window, so it holds
+that level and one chunk, never a second output.  The expansion keeps
+its narrower rows, so the generators' timings are not moved.
 """
 
 from __future__ import annotations
@@ -71,6 +77,13 @@ __all__ = [
     "expand_fixed_point",
     "fixed_point_mismatch",
 ]
+
+
+# `fixed_point_mismatch` codes rows of at least CHECK_WIDTH letters, so
+# each np.take index yields that many terms, where the letter table of
+# the next power of mu fits in CHECK_TABLE_BYTES.
+CHECK_WIDTH = 64
+CHECK_TABLE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +130,26 @@ class UniformMorphism:
         rows = table = self.substitution
         while table.shape[1] < 4:  # mu^(d+1)(s) is mu applied to mu^d(s)
             table = rows[table].reshape(len(rows), -1)
+        coded = self.coding[table]
+        table.flags.writeable = coded.flags.writeable = False
+        return table, coded
+
+    @cached_property
+    def _check_tables(self) -> tuple:
+        """(letters, codes) of mu^e for `fixed_point_mismatch`, built once
+        and read-only: `_tables` extended by one more application of mu
+        at a time while its rows are under CHECK_WIDTH letters and the
+        next letter table, S x P*p letters, fits in CHECK_TABLE_BYTES.
+        Where nothing is extended (from p = CHECK_WIDTH on, or where the
+        cap binds at once) it is `_tables` itself, so no second table is
+        built."""
+        rows = self.substitution
+        table = self._tables[0]
+        while (table.shape[1] < CHECK_WIDTH
+               and table.nbytes * self.width <= CHECK_TABLE_BYTES):
+            table = rows[table].reshape(len(rows), -1)
+        if table is self._tables[0]:
+            return self._tables
         coded = self.coding[table]
         table.flags.writeable = coded.flags.writeable = False
         return table, coded
@@ -202,22 +235,22 @@ def _gather(table: np.ndarray, seq: np.ndarray,
     return out
 
 
-def _next_to_last_level(mu: UniformMorphism, n_terms: int) -> np.ndarray:
-    """The letters of the fixed point that the last gather reads for its
-    first n_terms coded terms: ceil(n_terms / P) of them, for P = p^d
-    the width of `UniformMorphism._tables`, or just the start letter
-    when n_terms <= P.  Each level is gathered from the one before,
-    only as far as the levels after it read."""
+def _next_to_last_level(table: np.ndarray, start: int,
+                        n_terms: int) -> np.ndarray:
+    """The letters of the fixed point that the last gather through
+    `table`, the rows of a power of mu, P letters each, reads for its
+    first n_terms coded terms: ceil(n_terms / P) of them, or just the
+    start letter when n_terms <= P.  Each level is gathered from the one
+    before, only as far as the levels after it read."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    table = mu._tables[0]
-    width = table.shape[1]  # P = p^d
+    width = table.shape[1]  # P
     lengths = []  # ceil(n_terms / P^i), down to the first one <= P
     n = n_terms
     while n > width:
         n = -(-n // width)
         lengths.append(n)
-    seq = np.array([mu.start], dtype=table.dtype)
+    seq = np.array([start], dtype=table.dtype)
     for n in reversed(lengths):
         seq = _gather(table, seq, np.empty(n, dtype=table.dtype))
     return seq
@@ -228,16 +261,20 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     Return (n, the coded term there) for the least index n where they
     differ, or None.
 
-    The letters before the last gather of `expand_fixed_point` are
-    expanded as it expands them, and their images are coded
-    TAKE_CHUNK // P letters at a time, for rows P = p^d letters wide,
-    into one reused chunk in the codes' own dtype, which is compared
-    with the matching slice of x.  So the check holds that level, about
-    len(x) / (P - 1) letters, and one chunk, never a second output, and
-    narrows no code: a reachable code past 255 is reported as it is.
+    It runs on the rows of `UniformMorphism._check_tables`, mu^e with
+    P = p^e >= CHECK_WIDTH letters where the letter table fits in
+    CHECK_TABLE_BYTES (64 for p = 2, 81 for p = 3, 125 for p = 5, and
+    p itself from p = CHECK_WIDTH on), which has the same fixed point
+    as mu.  The letters before its last gather are expanded as
+    `expand_fixed_point` expands its own, and their images are coded
+    TAKE_CHUNK // P rows at a time into one reused chunk in the codes'
+    own dtype, which is compared with the matching slice of x.  So the
+    check holds that level, about len(x) / (P - 1) letters, and one
+    chunk, never a second output, and narrows no code: a reachable code
+    past 255 is reported as it is.
     """
-    seq = _next_to_last_level(mu, len(x))
-    coded = mu._tables[1]
+    table, coded = mu._check_tables
+    seq = _next_to_last_level(table, mu.start, len(x))
     width = coded.shape[1]
     step = max(1, TAKE_CHUNK // width)
     rows = np.empty((min(step, seq.size), width), dtype=coded.dtype)
@@ -269,8 +306,10 @@ def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
     the one before by `_gather`, a chunked np.take of the rows; the last
     gather reads the codes of every letter's image and writes the coded
     terms into the uint8 output, refusing a code past 255.
-    `fixed_point_mismatch` codes the same letters chunk by chunk to
-    check a given prefix instead.
+    `fixed_point_mismatch` checks a given prefix instead, coding its
+    own level chunk by chunk through the wider rows of
+    `UniformMorphism._check_tables`.
     """
-    seq = _next_to_last_level(mu, n_terms)
-    return _gather(mu._tables[1], seq, np.empty(n_terms, dtype=np.uint8))
+    table, coded = mu._tables
+    seq = _next_to_last_level(table, mu.start, n_terms)
+    return _gather(coded, seq, np.empty(n_terms, dtype=np.uint8))

@@ -500,7 +500,7 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
 
 
 # Four of the morphism check's chunks for m = 2 (TAKE_CHUNK terms each,
-# the rows of mu^2 being 4 letters wide) and 5 terms of a fifth.
+# its rows of mu^6 being 64 letters wide) and 5 terms of a fifth.
 VERIFY_N = 4 * TAKE_CHUNK + 5
 
 
@@ -522,6 +522,30 @@ def test_verify_fail_line_names_the_least_index_across_chunks(first,
     assert capsys.readouterr().out == (
         f"FAIL m=2 w=11 N={VERIFY_N}: window and morphism disagree at "
         f"n={first} ({window[first] ^ 1} vs {window[first]})\n")
+
+
+# For m = 3 the check's rows of mu^4 are 81 letters wide, so a chunk
+# holds TAKE_CHUNK // 81 = 404 rows, 32,724 terms, and not TAKE_CHUNK.
+M3_CHUNK = TAKE_CHUNK // 81 * 81
+M3_N = 3 * M3_CHUNK + 7
+
+
+@pytest.mark.parametrize("first", [0, M3_CHUNK - 1, M3_CHUNK,
+                                   2 * M3_CHUNK - 1, 2 * M3_CHUNK, M3_N - 1])
+def test_verify_fail_line_names_the_least_index_across_m3_chunks(
+        first, monkeypatch, capsys):
+    """At m = 3 the morphism leg's chunks end at multiples of 32,724:
+    the FAIL line names the least wrong index on either side of the
+    first and second of them and at the last index, with later wrong
+    indices just after it, at the chunk edges and at the last index."""
+    later = [i for i in {first + 1, M3_CHUNK, 2 * M3_CHUNK - 1, M3_N - 1}
+             if first < i < M3_N]
+    corrupt_window(monkeypatch, [first, *later], lambda v: (v + 1) % 3)
+    window = generate(PatternSpec(3, "12"), M3_N)
+    assert main(["verify", "-m", "3", "-w", "12", "-N", str(M3_N)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL m=3 w=12 N={M3_N}: window and morphism disagree at "
+        f"n={first} ({(window[first] + 1) % 3} vs {window[first]})\n")
 
 
 @pytest.mark.parametrize("m, w, note", [
@@ -620,7 +644,7 @@ def test_verify_builds_no_second_output(m, w, monkeypatch, capsys):
 @pytest.mark.parametrize("m, w", [(2, "11"), (6, "05")])
 def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     """No leg builds a second N-term output: the morphism leg holds the
-    window, the next-to-last level (N / 4 letters for m = 2) and one
+    window, the next-to-last level (N / 64 letters for m = 2) and one
     gather chunk, and the oracle leg the window and one chunk of the
     check's scratch (under 0.2 MiB), so the peak is about 1 byte per
     term plus the morphism's level.  The ceiling is the peak measured at
@@ -628,7 +652,7 @@ def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     n = 1 << 20
     code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))
     assert code == 0 and "PASS" in capsys.readouterr().out
-    assert peak <= 1.25 * 1_448_854, f"peak {peak / n:.2f} bytes per term"
+    assert peak <= 1.25 * 1_220_567, f"peak {peak / n:.2f} bytes per term"
 
 
 def test_verify_prime_base_above_256(capsys):
@@ -1015,7 +1039,7 @@ def test_bench_lines_hash_the_generated_terms(m, w, n, capsys):
 PEAK_N = 1 << 21
 SUBCOMMAND_PEAKS = [
     (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 2_382_984),
-    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 2_822_923),
+    (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 2_266_407),
     (RunConfig("blocks", 2, "0", PEAK_N), PEAK_N + (1 << 19)),
     (RunConfig("powers", 2, "11", PEAK_N, scan_length=PEAK_N),
      1.25 * 8_408_206),

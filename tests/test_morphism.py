@@ -312,24 +312,30 @@ def test_fixed_point_mismatch_checks_the_expansion_chunk_by_chunk(p, w):
     """The check `verify` runs passes the expansion, and names the least
     index where a copy of it is wrong, with the expansion's term there:
     at the first and last index and on either side of each edge of the
-    check's chunks, which hold TAKE_CHUNK // P rows of mu^d, P letters
-    each, at lengths around one row and one chunk.  It holds the levels
-    before the last gather, n / (P - 1) letters, and one chunk's
+    check's chunks, which hold TAKE_CHUNK // P rows of its table, P
+    letters each, at lengths around one row and one chunk, both of the
+    check's table and of the expansion's narrower one.  It holds the
+    levels before the last gather, n / (P - 1) letters, and one chunk's
     scratch, never a second n terms."""
     mu = build_morphism(PatternSpec(p, w))
-    width = mu._tables[0].shape[1]
-    step = max(1, TAKE_CHUNK // width) * width
-    for n in (1, width - 1, width, width + 1, step - 1, step, step + 1,
-              3 * step + 7):
+    width = mu._check_tables[0].shape[1]
+    sizes, cuts = {1}, set()
+    # around a row and a chunk of the expansion's rows and of the check's
+    for rows in {mu._tables[0].shape[1], width}:
+        cut = max(1, TAKE_CHUNK // rows) * rows
+        sizes |= {rows - 1, rows, rows + 1, cut - 1, cut, cut + 1, 3 * cut + 7}
+        cuts.add(cut)
+    for n in sorted(sizes):
         want = expand_fixed_point(mu, n)
         assert fixed_point_mismatch(mu, want.copy()) is None, (p, n)
-        edges = {i for edge in range(step, n, step) for i in (edge - 1, edge)}
+        edges = {i for cut in cuts for edge in range(cut, n, cut)
+                 for i in (edge - 1, edge)}
         for i in sorted({0, n - 1} | edges):
             x = want.copy()
             x[i] = (int(x[i]) + 1) % p
             assert fixed_point_mismatch(mu, x) == (i, want[i]), (p, n, i)
     n = 2 ** 20 + 1
-    letter_bytes = mu._tables[0].itemsize
+    letter_bytes = mu._check_tables[0].itemsize
     x = expand_fixed_point(mu, n)  # allocated before the meter starts
     found, peak = peak_bytes(fixed_point_mismatch, mu, x)
     assert found is None
@@ -341,21 +347,25 @@ def test_fixed_point_mismatch_checks_the_expansion_chunk_by_chunk(p, w):
                               for p, w in [*GRID, (257, (1,))]])
 def test_fixed_point_mismatch_over_the_grid(p, w):
     """On the grid and p = 257, at lengths around one letter's image
-    (p - 1, p), one row of mu^d (P, P + 1), one gather chunk and past
-    three chunks: `a_prefix`'s output passes, and a copy wrong at the
-    first index, the last one, or either side of the first chunk's end,
-    by one or by 255, is named at its least wrong index, with a there."""
+    (p - 1, p), one row of the expansion's mu^d and of the check's
+    wider table (P, P + 1 for each), one gather chunk and past three
+    chunks: `a_prefix`'s output passes, and a copy wrong at the first
+    index, the last one, or either side of the end of the first chunk
+    of either table's rows, by one or by 255, is named at its least
+    wrong index, with a there."""
     spec = PatternSpec(p, w)
     mu = build_morphism(spec)
-    width = mu._tables[0].shape[1]
-    edge = max(1, TAKE_CHUNK // width) * width  # the first chunk's end
-    sizes = {1, p - 1, p, width, width + 1, TAKE_CHUNK - 1, TAKE_CHUNK + 1,
-             3 * 2 ** 16 + 11}
+    widths = {mu._tables[0].shape[1], mu._check_tables[0].shape[1]}
+    sizes = {1, p - 1, p, TAKE_CHUNK - 1, TAKE_CHUNK + 1, 3 * 2 ** 16 + 11}
+    sizes |= {n for rows in widths for n in (rows, rows + 1)}
+    # the first chunk's end, for the check's rows and the expansion's
+    cuts = {max(1, TAKE_CHUNK // rows) * rows for rows in widths}
+    edges = {i for cut in cuts for i in (cut - 1, cut)}
     prefix = a_prefix(spec, max(sizes))
     for n in sorted(sizes):
         want = prefix[:n]
         assert fixed_point_mismatch(mu, want) is None, n
-        for i in {0, n - 1, edge - 1, edge} & set(range(n)):
+        for i in ({0, n - 1} | edges) & set(range(n)):
             for bad in ((int(want[i]) + 1) % p, 255):
                 x = want.copy()
                 x[i] = bad
@@ -386,6 +396,57 @@ def test_expand_fixed_point_builds_its_tables_once():
         assert np.array_equal(expand_fixed_point(mu, 1000), first)
         assert mu._tables[0] is table and mu._tables[1] is coded
         assert as_lists(mu) == as_lists(build_morphism(spec))
+
+
+def power_rows(mu: UniformMorphism, width: int) -> list:
+    """The rows of mu^e, e the least power with p^e >= width, built in
+    plain Python: mu applied to each letter of a row of mu^(e-1)."""
+    letters = mu.substitution.tolist()
+    rows = letters
+    while len(rows[0]) < width:
+        rows = [[t for s in row for t in letters[s]] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("p, w, width", [
+    (2, "11", 64), (3, "01", 81), (5, "123", 125), (7, "123456", 343),
+    (257, "1", 257),
+    # 300 int64 letters: mu^5 would be 32 letters wide, 75 KiB
+    (2, "1" * 150, 16),
+    # 330 int64 letters: mu^2 would be 121 letters wide, 312 KiB
+    (11, "1 " * 30, 11),
+], ids=["2", "3", "5", "7", "257", "2-capped", "11-capped"])
+def test_check_tables_are_the_widest_power_under_the_cap(p, w, width):
+    """`_check_tables`, which `fixed_point_mismatch` runs on, holds the
+    rows of mu^e for the least e with p^e >= 64 (p = 257 keeps mu), or
+    the last power before the next letter table would pass 64 KiB, and
+    never fewer letters per row than `_tables`: each row is mu applied
+    to the row of mu^(e-1), each code the coding of its letter.  Where
+    nothing is widened it is `_tables` itself.  It is built once and
+    read-only, and `expand_fixed_point` neither builds nor reads it: the
+    expansion keeps its rows of p^d >= 4 letters."""
+    spec = PatternSpec(p, w)
+    mu = build_morphism(spec)
+    expand_fixed_point(mu, 5000)
+    assert "_check_tables" not in vars(mu)
+    narrow = mu._tables[0].shape[1]
+    assert narrow == min(q for q in (p, p * p) if q >= 4)
+
+    table, coded = mu._check_tables
+    rows = power_rows(mu, width)
+    assert table.shape == (mu.alphabet_size, width) and width >= narrow
+    assert table.tolist() == rows
+    codes = mu.coding.tolist()
+    assert coded.tolist() == [[codes[s] for s in row] for row in rows]
+    assert width >= 64 or table.nbytes * p > 1 << 16
+    assert (mu._check_tables is mu._tables) == (width == narrow)
+    for array in (table, coded):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert fixed_point_mismatch(mu, expand_fixed_point(mu, 5000)) is None
+    assert mu._check_tables[0] is table and mu._check_tables[1] is coded
+    assert mu._tables[0].shape[1] == narrow
 
 
 @pytest.mark.parametrize("p", [2, 3])
