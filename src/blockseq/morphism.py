@@ -120,6 +120,8 @@ class UniformMorphism:
 
     @property
     def alphabet_size(self) -> int:
+        """S, the number of letters; the benchmark tracer records it as
+        the size of each `build_morphism` call."""
         return len(self.substitution)
 
     @cached_property
@@ -271,10 +273,11 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     own dtype, which is compared with the matching slice of x.  So the
     check holds that level, about len(x) / (P - 1) letters, and one
     chunk, never a second output, and narrows no code: a reachable code
-    past 255 is reported as it is.
+    past 255 is reported as it is.  An empty x passes.
     """
     table, coded = mu._check_tables
-    seq = _next_to_last_level(table, mu.start, len(x))
+    # an empty x is compared with the empty head of the start letter's row
+    seq = _next_to_last_level(table, mu.start, max(1, len(x)))
     width = coded.shape[1]
     step = max(1, TAKE_CHUNK // width)
     rows = np.empty((min(step, seq.size), width), dtype=coded.dtype)

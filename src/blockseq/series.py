@@ -81,14 +81,16 @@ def series_from_sequence(spec: PatternSpec, order: int,
 
 
 def rhs_series(spec: PatternSpec, order: int) -> np.ndarray:
-    """Expansion of the rational right-hand side: -sum over j of
-    t^(j*p^k + [w]_p), starting at j=0 for nonzero-leading patterns and
-    j=1 for zero-leading ones (1/(t^M - 1) = -sum t^(jM) over F_p)."""
+    """Expansion of the rational right-hand side: -t^n summed over the
+    n = first_end + j*p^k, j >= 0, whose expansion ends in w
+    (`PatternSpec.first_end`; 1/(t^M - 1) = -sum t^(jM) over F_p).
+    For w = "0" it starts at p^k instead, as n = 0 belongs to the q = 0
+    column (`origin_correction`)."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     p = spec.base
     pk = p ** spec.width
-    start = spec.value + (pk if spec.is_zero_word else 0)
+    start = spec.first_end if spec.pattern != (0,) else pk
     out = np.zeros(order, dtype=np.int64)
     if start < order:
         out[start::pk] = p - 1  # -1 mod p

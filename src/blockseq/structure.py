@@ -4,23 +4,22 @@ Block dichotomy.  Group the sequence into p-blocks (a(pn), ..,
 a(pn+p-1)).  Each block is either constant ("type 1") or constant except
 at index i0 = w[|w|-1], where it holds the incremented value mod p
 ("type 2"); and a block is type 2 exactly when w minus its last letter
-is a suffix of [n]_p.  With q = |w| - 1 and s = (w minus last letter)
-read as a base-p integer, the expansion of n ends in those q digits iff
-n >= p^(q-1) and n = s (mod p^q).  (For q = 0 the empty word is a suffix
-of everything, so every block is type 2; n = 0 never passes the q >= 1
-test, which matches reading the expansion of 0 as carrying no digits for
-suffix purposes.)  The predicted type-2 blocks are therefore one
-arithmetic progression: every block when q = 0, else step p^q from the
-first n >= p^(q-1) with n = s (mod p^q).  Their deviating digits sit at
-one strided slice of the sequence, from lo*p + i0 with step p^(q+1).
-Stepping each of those digits back by one, mod p, turns every block
-that obeys both the dichotomy and the predicate into a constant one, and
-no other block with digits in [0, p): so the whole claim is one test
-that every block of the stepped sequence is constant.  Any integer
+is a suffix of [n]_p, that is, when the expansion of pn + i0 ends in w.
+(Block 0 is read through the one-digit expansion of i0, so it is type
+2 only for |w| = 1, where the empty word is a suffix of everything.)
+The n whose expansion ends in w are first_end + j*p^|w|, j >= 0, with
+first_end the least of them (`PatternSpec.first_end`).  The predicted
+type-2 blocks are therefore one arithmetic progression, step p^(|w|-1)
+from first_end // p: every block when |w| = 1.  Their deviating digits
+sit at one strided slice of the sequence, from first_end with step
+p^|w|.  Stepping each of those digits back by one, mod p, turns every
+block that obeys both the dichotomy and the predicate into a constant
+one, and no other block with digits in [0, p): so the whole claim is
+one test that every block of the stepped sequence is constant.  Any integer
 sequence is stepped and tested in chunks of about 2^16 terms, in reused
 scratch of the narrowest unsigned dtype that holds p - 1 (a stepped 0
 wraps past p - 1 and is clipped to it).  Each chunk holds whole periods
-p^(q+1), whose steps are one fixed deviation row, or, for a longer
+p^|w|, whose steps are one fixed deviation row, or, for a longer
 period, at most one deviating digit.  So the check holds chunk-sized
 scratch at any length and for any input dtype.  The library treats the
 dichotomy as a hard contract: a block matching neither shape, or a
@@ -53,7 +52,7 @@ import numpy as np
 
 from .errors import ClaimViolationError, InvalidPatternError
 from .windows import generate
-from .words import PatternSpec, digit_string, from_base
+from .words import PatternSpec, digit_string
 
 __all__ = [
     "ClaimReport",
@@ -96,8 +95,8 @@ BLOCK_CHUNK = 1 << 16
 
 def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
     """Check every complete block in the prefix at once; returns the
-    type-2 block indices, verified, as range(lo, nb, step) with nb =
-    floor(len(prefix)/p).
+    type-2 block indices, verified, as range(first_end // p, nb,
+    p^(|w|-1)) with nb = floor(len(prefix)/p).
 
     The prefix is any integer or bool array, or a list of ints; other
     input that is not empty raises TypeError, never truncates.
@@ -113,12 +112,9 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
     dichotomy, else on the first contradicting the suffix predicate.
     """
     p = spec.base
-    i0 = spec.pattern[-1]
-    q = spec.width - 1
     nb = len(prefix) // p
-    step = p ** q
-    s = from_base(spec.pattern[:-1], p)
-    lo = s if q == 0 or s >= p ** (q - 1) else s + step
+    step = p ** (spec.width - 1)
+    lo = spec.first_end // p
     type2 = range(lo, nb, step)
     x = np.asarray(prefix)
     if x.dtype.kind == "b":
@@ -129,7 +125,7 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
         return type2
 
     x = x[:nb * p]
-    ns = _suspect_blocks(x, p, lo * p + i0, step * p)
+    ns = _suspect_blocks(x, p, spec.first_end, step * p)
     if ns.size:
         # one index in range at most once step >= nb; step and lo may
         # then be past int64
@@ -179,7 +175,7 @@ def _suspect_blocks(x: np.ndarray, p: int, first: int,
         xc, yc, dc = u[a:a + k], y[:k], diff[:k - 1]
         # the one digit this chunk steps unlike the row: the deviating
         # digit of a period longer than the chunk, or, in chunk 0 with
-        # lo = s + step, the digit r of block s, which is not predicted
+        # first > r (a zero-led w), the digit r, which is not predicted
         at = max(first - a, (r - a) % period)
         flip = at if not rows else r if at > r else k
         if flip < k:

@@ -12,7 +12,7 @@ paths are provided: a scalar one built on digit strings (`e_count`,
 `a_batch` takes arbitrary indices and walks each index's windows by
 carrying its quotient n // m^j in a narrow unsigned dtype; its
 `a_prefix` takes the first N indices and fills them in ascending blocks
-by the digit recursion e(n) = [the lowest window of n is w] + e(n // m),
+by the digit recursion e(n) = [the expansion of n ends in w] + e(n // m),
 testing only each index's lowest window.  Both count a zero-led window
 only where it fits inside the expansion, and neither uses an automaton
 or the doubling.  `recursion_mismatch` checks another generator's
@@ -269,6 +269,15 @@ class PatternSpec:
         """True when the pattern starts with digit 0."""
         return self.pattern[0] == 0
 
+    @property
+    def first_end(self) -> int:
+        """The least n whose base-m expansion ends in w: (w)_m, or
+        (w)_m + m^|w| for a zero-led w of two or more digits, whose
+        (w)_m is too short to hold w.  So the n whose expansion ends in
+        w are exactly first_end + j * m^|w|, j >= 0."""
+        short = self.is_zero_word and self.width > 1
+        return self.value + (self.base ** self.width if short else 0)
+
     def __str__(self) -> str:
         return f"m={self.base} w={digit_string(self.pattern, self.base)}"
 
@@ -391,8 +400,8 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
-# Terms per block in `a_prefix`.  A block's scratch is about 11
-# bytes per term (19 past 2^32 terms); the block size also sets the
+# Terms per block in `a_prefix`.  A block's scratch is about 10
+# bytes per term (18 past 2^32 terms); the block size also sets the
 # oracle's speed, which criterion 11 ranks below the morphism leg's.
 PREFIX_CHUNK = 1 << 16
 
@@ -401,11 +410,12 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     """First n_terms values of a_{m;w}, by the digit recursion.
 
     The expansion of n >= m is that of n // m followed by the digit
-    n mod m, so e(n) = H(n) + e(n // m), where H(n) = 1 when the lowest
-    window of n is an occurrence: the test `a_batch` applies per index,
-    n mod m^|w| == (w)_m, plus n >= m^(|w|-1) for a zero-led w with
-    |w| > 1.  Below m, e(n) = H(n), which also gives a(0) by the
-    convention.  Hence a(n) = (H(n) + a(n // m)) mod m, and the output
+    n mod m, so e(n) = H(n) + e(n // m), where H(n) = 1 when the
+    expansion of n ends in w: n = `PatternSpec.first_end` + j * m^|w|,
+    j >= 0.  Those are the n with n mod m^|w| == (w)_m, less (w)_m
+    itself where it is below first_end, too short to hold a zero-led w.
+    Below m, e(n) = H(n), which also gives a(0) by the convention.
+    Hence a(n) = (H(n) + a(n // m)) mod m, and the output
     is filled in ascending blocks [lo, hi) of at most PREFIX_CHUNK
     terms with hi <= m * lo, so a block reads only entries already
     written.  Each index is tested once, in a uint32 arange (uint64 past
@@ -415,13 +425,11 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     prefix against the same recursion, by columns instead of blocks.
     """
     counts = np.empty(n_terms, dtype=np.uint8)
-    m, k, wv = spec.base, spec.width, spec.value
-    mk, lead = m ** k, m ** (k - 1)
-    fit_test = spec.is_zero_word and k > 1
+    m, wv = spec.base, spec.value
+    mk = m ** spec.width
     size = min(PREFIX_CHUNK, n_terms)
     dtype = np.uint32 if n_terms <= 2 ** 32 else np.uint64
     win = np.empty(size, dtype=dtype)
-    fits = np.empty(size, dtype=bool)
     lo = 0
     while lo < n_terms:
         hi = min(n_terms, lo + PREFIX_CHUNK, m * lo if lo >= m else m)
@@ -430,8 +438,9 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
         h = c.view(bool)  # H is written straight into the output
         # once m^|w| > hi - 1 (it may not fit the dtype) q is its own window
         np.equal(q if mk >= hi else _mod(q, mk, win[:q.size]), wv, out=h)
-        if fit_test:
-            h &= np.greater_equal(q, lead, out=fits[:q.size])
+        # the one n = (w)_m mod m^|w| too short to end in w, if any
+        if lo <= wv < hi and wv < spec.first_end:
+            h[wv - lo] = False
         if lo >= m:  # add a(n // m): each parent stands for m indices
             parents = np.repeat(counts[lo // m:(hi - 1) // m + 1], m)
             c += parents[lo % m:lo % m + c.size]
@@ -458,24 +467,26 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     By strong induction x = a on [0, N) iff no index fails, and the
     least failing n is the least n with x(n) != a(n): its parent
     n // m < n is already right, so (H(n) + x(n // m)) mod m is a(n).
-    H(mq + r) = 1 (see `a_prefix`) only in the digit column
-    r = (w)_m mod m, at the parents q = (w)_m // m mod m^(|w|-1), and
-    not at q = (w)_m // m itself for a zero-led w with |w| > 1, where
-    the window does not fit in the expansion.  So the n < m are one
+    H(n) = 1 (see `a_prefix`) exactly at n = `PatternSpec.first_end` +
+    j * m^|w|, j >= 0: in the digit column r = first_end mod m, at the
+    parents q = first_end // m + j * m^(|w|-1).  So the n < m are one
     compare with H, and the parents that have all m children are taken
     CHECK_CHUNK // m at a time: one transposing copy puts each digit
     column of their children in a row, one broadcast compare checks
     every row against the parents, and that of the column r is redone
     at the parents where H = 1.  The last parent's fewer than m
     children are checked on their own.  No index is held in an array.
+    Anything but a uint8 array raises TypeError: a wider value would
+    wrap in the uint8 scratch, where 256 reads as 0.
     """
+    if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
+        raise TypeError("the candidate must be a uint8 array")
     n_terms = len(x)
-    m, k, wv = spec.base, spec.width, spec.value
-    col, period, at = wv % m, m ** (k - 1), wv // m
-    unfit = at if spec.is_zero_word and k > 1 else None
+    m, period = spec.base, spec.base ** (spec.width - 1)
+    lead, col = divmod(spec.first_end, m)
 
     def occurs(q):  # H(mq + col) = 1
-        return q % period == at and q != unfit
+        return q >= lead and (q - lead) % period == 0
 
     def first_fail(q, value, lo, hi):
         """(n, a(n)) for the first of the children lo, ..., hi - 1 of q
@@ -501,9 +512,7 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
         rows, ne = kids[:, :q1 - q0], diff[:, :q1 - q0]
         np.copyto(rows, x[m * q0:m * q1].reshape(-1, m).T)
         np.not_equal(rows, parents, out=ne)
-        first = q0 + (at - q0) % period  # the first parent with H = 1
-        if not occurs(first):
-            first += period
+        first = max(lead, q0 + (lead - q0) % period)  # the first with H = 1
         if first < q1:
             hit = slice(first - q0, None, period)
             one = parents[hit] + 1

@@ -15,6 +15,7 @@ from blockseq import (
     to_base,
 )
 from blockseq.morphism import TAKE_CHUNK, fixed_point_mismatch
+from blockseq.words import recursion_mismatch
 from support import GRID, as_str, patterns, peak_bytes
 
 
@@ -370,6 +371,17 @@ def test_fixed_point_mismatch_over_the_grid(p, w):
                 x = want.copy()
                 x[i] = bad
                 assert fixed_point_mismatch(mu, x) == (i, want[i]), (n, i, bad)
+
+
+@pytest.mark.parametrize("p, w", [(2, "11"), (2, "0"), (3, "01"),
+                                  (257, "1 0")])
+def test_both_check_legs_pass_an_empty_prefix(p, w):
+    """`verify`'s two check legs agree on an empty prefix: no index
+    fails, so each returns None."""
+    spec = PatternSpec(p, w)
+    empty = np.zeros(0, np.uint8)
+    assert fixed_point_mismatch(build_morphism(spec), empty) is None
+    assert recursion_mismatch(spec, empty) is None
 
 
 def test_expand_fixed_point_builds_its_tables_once():

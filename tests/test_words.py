@@ -1,5 +1,6 @@
 """Unit tests for digit expansions, occurrence counting, and the oracle."""
 
+import itertools
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from blockseq import (
 )
 from blockseq.words import (TEMPLATE_DIGITS, _template, indexed_rows,
                             recursion_mismatch)
-from support import GRID, line_path_chunks, peak_bytes
+from support import GRID, line_path_chunks, patterns, peak_bytes
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -547,6 +548,44 @@ def test_a_prefix_shorter_than_the_pattern_window(m):
             assert np.array_equal(a_prefix(spec, n), want), (spec, n)
 
 
+def _prefix_blocks(m: int, n: int, chunk: int):
+    """The blocks [lo, hi) that `a_prefix` fills for n terms with
+    PREFIX_CHUNK = chunk: at most chunk terms each, cut at m below m and
+    at hi <= m * lo from there on."""
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + chunk, m * lo if lo >= m else m)
+        yield lo, hi
+        lo = hi
+
+
+def _zero_led(bases=(2, 3, 5, 10), max_width=3):
+    """Every zero-led pattern of width 1 to max_width over each base,
+    the all-zero ones among them."""
+    return [(m, w) for m in bases for w in patterns(m, max_width)
+            if w[0] == 0]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10])
+def test_a_prefix_clears_only_the_short_index_of_a_zero_led_w(
+        m, monkeypatch):
+    """On every zero-led pattern of width <= 3, a_prefix equals a_value
+    through first_end, with blocks cut so that (w)_m, the one index that
+    is (w)_m mod m^|w| but too short to end in w, is a block's first
+    index, and then its last."""
+    for _, w in _zero_led((m,)):
+        spec = PatternSpec(m, w)
+        v, n = spec.value, spec.first_end + 2
+        want = [a_value(spec, i) for i in range(n)]
+        for edge in (0, -1):  # v first in its block, then last
+            chunks = [c for c in range(1, 2 * v + 3)
+                      if any((lo, hi - 1)[edge] == v
+                             for lo, hi in _prefix_blocks(m, n, c))]
+            monkeypatch.setattr(blockseq.words, "PREFIX_CHUNK", max(chunks))
+            assert a_prefix(spec, n).tolist() == want, (spec, edge)
+            monkeypatch.undo()
+
+
 @pytest.mark.parametrize("m, w", [(2, "11"), (3, "02"), (6, "50"),
                                   (65, "0"), (257, "1 0")])
 def test_recursion_blocks_name_the_least_wrong_index(m, w, monkeypatch):
@@ -603,6 +642,22 @@ def test_recursion_mismatch_over_the_grid(m, w):
                     n, i, bad)
 
 
+@pytest.mark.parametrize("m", [2, 3, 257])
+def test_recursion_mismatch_takes_only_a_uint8_array(m):
+    """A wider array would be copied into the uint8 scratch, where 256
+    reads as 0, and a list has no reshape: both raise one TypeError at
+    entry, at m + 1 terms (the head alone) and at 2m terms (past it)."""
+    spec = PatternSpec(m, "1")
+    for n in (m + 1, 2 * m):
+        want = a_prefix(spec, n)
+        assert recursion_mismatch(spec, want) is None
+        wide = want.astype(np.int64)
+        wide[-1] += 256  # the same as want once wrapped into uint8
+        for x in (want.astype(np.int64), wide, want.tolist()):
+            with pytest.raises(TypeError, match="uint8"):
+                recursion_mismatch(spec, x)
+
+
 @pytest.mark.parametrize("m, w, n", [
     (2, "11", 2 ** 20 + 1), (3, "02", 3 ** 12 + 1), (257, "1", 257 ** 2 + 1),
 ])
@@ -635,6 +690,46 @@ def test_pattern_spec_value_and_flags():
     assert PatternSpec(2, "11").modulus_is_prime
     assert not PatternSpec(4, "11").modulus_is_prime
     assert str(PatternSpec(3, "02")) == "m=3 w=02"
+
+
+def _ends_in(n: int, spec: PatternSpec) -> bool:
+    """Whether the canonical expansion of n has at least |w| digits and
+    ends in w."""
+    digits = to_base(n, spec.base)
+    return len(digits) >= spec.width and digits[-spec.width:] == spec.pattern
+
+
+FIRST_END_CASES = list(dict.fromkeys(
+    GRID + _zero_led()
+    + [(257, (0,)), (257, (0, 1)), (257, (5, 0))]))
+
+
+@pytest.mark.parametrize(
+    "m, w", FIRST_END_CASES,
+    ids=[f"{m}-{'_'.join(map(str, w))}" for m, w in FIRST_END_CASES])
+def test_first_end_is_the_least_index_ending_in_w(m, w):
+    """first_end is the least n whose expansion ends in w, and the n
+    that do, up to two periods past it, are first_end + j * m^|w|."""
+    spec = PatternSpec(m, w)
+    period = m ** spec.width
+    first = next(n for n in itertools.count() if _ends_in(n, spec))
+    assert spec.first_end == first
+    for n in range(first + 2 * period + 1):
+        assert _ends_in(n, spec) == (n >= first and (n - first) % period == 0)
+
+
+def test_first_end_past_two_to_the_64():
+    """At a base past 2^64 a zero-led w ends no index below m^|w|: the
+    n that are (w)_m mod m^|w| are (w)_m and then (w)_m + m^|w|."""
+    m = 2 ** 64 + 13
+    for w in ((0, 1), (0, 0), (0, m - 1, 0)):
+        spec = PatternSpec(m, w)
+        v, period = spec.value, m ** spec.width
+        assert spec.first_end == v + period
+        assert _ends_in(v + period, spec) and not _ends_in(v, spec)
+        assert not any(_ends_in(n, spec) for n in (0, 1, v + 1, period - 1))
+    assert PatternSpec(m, (m - 1, 0)).first_end == (m - 1) * m
+    assert PatternSpec(m, (0,)).first_end == 0
 
 
 def test_pattern_spec_rejects_bad_input():
