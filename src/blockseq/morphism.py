@@ -44,22 +44,28 @@ letter, when w_0 = 0.
   (0, c + 1), because w cannot overlap a run of d's, and w[:q] takes
   (0, c) to (q, c).
 
-`expand_fixed_point` gathers the rows of mu^d, the d-th power of the
-substitution, for the least d with p^d >= 4: the image of the start
-letter under mu^d begins with itself, so mu^d has the same fixed point
-as mu (Cobham, "Uniform tag sequences", 1972), and each gathered index
-yields p^d letters instead of p.  That is mu^2 for p = 2 and 3, and mu
-itself from p = 4 on.  Its last gather codes the letters into the
-output.  `fixed_point_mismatch` is `verify`'s check of the window.  It
-runs on its own wider table, the rows of mu^e for the least e with
-P = p^e >= 64 whose letter table fits in 64 KiB (P = 64 for p = 2, 81
-for p = 3, 125 for p = 5, and p itself from p = 64 on, where it is the
-expansion's table), so each gathered index codes at least 64 terms
-where the cap allows.  It expands the level before the last gather,
-about N / (P - 1) letters for N terms, codes that level's images one
-reused chunk at a time and compares each with the window, so it holds
-that level and one chunk, never a second output.  The expansion keeps
-its narrower rows, so the generators' timings are not moved.
+The coded fixed point x of mu is its own image, and the image of the
+start letter under mu^d begins with itself, so mu^d has the same fixed
+point (Cobham, "Uniform tag sequences", 1972) and, with P = p^d,
+x[:n] = mu^d(x[:ceil(n / P)])[:n].  `_prefix` applies that identity
+recursively, down to x[:1], the start letter, and each level is one
+whole-row gather through the letters of mu^d.  `expand_fixed_point`
+runs on mu^d for the least d with P >= 4, so each gathered letter
+yields at least 4 letters: mu^2 for p = 2 and 3, and mu itself from
+p = 4 on.  Its last gather reads the codes of the images instead of
+the letters, and it is the one place a code is narrowed: codes of
+p > 256 are uint16 and go into the uint8 output one chunk at a time,
+refusing a code past 255.  `fixed_point_mismatch` is `verify`'s check
+of the window.  It runs on its own wider table, the rows of mu^e for
+the least e with P = p^e >= 64 whose letter table fits in 64 KiB
+(P = 64 for p = 2, 81 for p = 3, 125 for p = 5, and p itself from
+p = 64 on, where it is the expansion's table), so each gathered index
+codes at least 64 terms where the cap allows.  It builds
+x[:ceil(N / P)] for N terms, about N / (P - 1) letters in all levels,
+codes those letters' images one reused chunk at a time, in the codes'
+own dtype, and compares each with the window, so it holds that level
+and one chunk, never a second output.  The expansion keeps its
+narrower rows, so the generators' timings are not moved.
 """
 
 from __future__ import annotations
@@ -198,64 +204,36 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     return UniformMorphism(p, trans, coding, start)
 
 
-# Terms per np.take gather in `_gather` and `fixed_point_mismatch`.
-# np.take copies its indices to int64, so gathering a whole level at
-# once would need 8 scratch bytes per letter read.
+# Terms per np.take gather in `_gather` and `fixed_point_mismatch`, and
+# per chunk of wide codes that `expand_fixed_point` narrows.  np.take
+# copies its indices to int64, so gathering a whole level at once would
+# need 8 scratch bytes per letter read.
 TAKE_CHUNK = 1 << 15
 
 
-def _gather(table: np.ndarray, seq: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
-    """Fill `out` with the rows of `table` that `seq` selects, laid end
-    to end and cut at out.size, which exceeds (seq.size - 1) * p: the
-    row gather table[seq], written by np.take about TAKE_CHUNK terms at
-    a time, and returned.  A chunk is taken straight into `out` where
-    its rows fit there in the table's dtype, and otherwise into a
-    scratch chunk that is cut and copied; where `out` is narrower than
-    the table, it is checked first to hold no value above 255."""
+def _gather(table: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """table[seq]: the rows of `table` that `seq` selects, P letters
+    each, laid end to end in one new array of seq.size * P letters in
+    the table's dtype, filled by np.take TAKE_CHUNK // P rows at a
+    time.  Callers slice the result."""
     p = table.shape[1]
     step = max(1, TAKE_CHUNK // p)
-    narrow = out.dtype != table.dtype
-    scratch = None
+    out = np.empty((seq.size, p), dtype=table.dtype)
     for lo in range(0, seq.size, step):
-        rows = seq[lo:lo + step]
-        dest = out[lo * p:(lo + rows.size) * p]
         # every letter is a valid row, and "clip" skips the bounds check
-        # and the buffering of `dest` that the default mode needs
-        if not narrow and dest.size == rows.size * p:
-            np.take(table, rows, axis=0, out=dest.reshape(-1, p), mode="clip")
-            continue
-        if scratch is None:
-            scratch = np.empty((min(step, seq.size), p), dtype=table.dtype)
-        wide = np.take(table, rows, axis=0, out=scratch[:rows.size],
-                       mode="clip").reshape(-1)[:dest.size]
-        # a(n) counts at most the 63 windows of n, but a morphism built
-        # elsewhere may code a reachable letter past 255: refuse, never wrap
-        if narrow and wide.max() > 255:
-            raise ValueError("coded fixed point holds a digit above 255")
-        dest[:] = wide
-    return out
+        # and the buffering of `out` that the default mode needs
+        np.take(table, seq[lo:lo + step], axis=0, out=out[lo:lo + step],
+                mode="clip")
+    return out.reshape(-1)
 
 
-def _next_to_last_level(table: np.ndarray, start: int,
-                        n_terms: int) -> np.ndarray:
-    """The letters of the fixed point that the last gather through
-    `table`, the rows of a power of mu, P letters each, reads for its
-    first n_terms coded terms: ceil(n_terms / P) of them, or just the
-    start letter when n_terms <= P.  Each level is gathered from the one
-    before, only as far as the levels after it read."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    width = table.shape[1]  # P
-    lengths = []  # ceil(n_terms / P^i), down to the first one <= P
-    n = n_terms
-    while n > width:
-        n = -(-n // width)
-        lengths.append(n)
-    seq = np.array([start], dtype=table.dtype)
-    for n in reversed(lengths):
-        seq = _gather(table, seq, np.empty(n, dtype=table.dtype))
-    return seq
+def _prefix(table: np.ndarray, start: int, n: int) -> np.ndarray:
+    """x[:n], n >= 1, for x the fixed point of the power of mu whose
+    rows, P letters each, `table` holds: x is its own image, so x[:n]
+    is the first n letters of the rows of x[:ceil(n / P)]."""
+    if n == 1:
+        return np.array([start], dtype=table.dtype)
+    return _gather(table, _prefix(table, start, -(-n // table.shape[1])))[:n]
 
 
 def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
@@ -267,18 +245,19 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     P = p^e >= CHECK_WIDTH letters where the letter table fits in
     CHECK_TABLE_BYTES (64 for p = 2, 81 for p = 3, 125 for p = 5, and
     p itself from p = CHECK_WIDTH on), which has the same fixed point
-    as mu.  The letters before its last gather are expanded as
-    `expand_fixed_point` expands its own, and their images are coded
-    TAKE_CHUNK // P rows at a time into one reused chunk in the codes'
-    own dtype, which is compared with the matching slice of x.  So the
-    check holds that level, about len(x) / (P - 1) letters, and one
-    chunk, never a second output, and narrows no code: a reachable code
-    past 255 is reported as it is.  An empty x passes.
+    as mu.  The coded fixed point's first len(x) terms are the codes of
+    the rows of its first ceil(len(x) / P) letters, which `_prefix`
+    builds.  Those rows are coded TAKE_CHUNK // P at a time into one
+    reused chunk in the codes' own dtype, which is compared with the
+    matching slice of x.  So the check holds that level, about
+    len(x) / (P - 1) letters, and one chunk, never a second output, and
+    narrows no code: a reachable code past 255 is reported as it is.
+    An empty x passes.
     """
     table, coded = mu._check_tables
-    # an empty x is compared with the empty head of the start letter's row
-    seq = _next_to_last_level(table, mu.start, max(1, len(x)))
     width = coded.shape[1]
+    # an empty x is compared with the empty head of the start letter's row
+    seq = _prefix(table, mu.start, max(1, -(-len(x) // width)))
     step = max(1, TAKE_CHUNK // width)
     rows = np.empty((min(step, seq.size), width), dtype=coded.dtype)
     for q in range(0, seq.size, step):
@@ -293,26 +272,42 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
 
 
 def expand_fixed_point(mu: UniformMorphism, n_terms: int) -> np.ndarray:
-    """First n_terms letters of the fixed point, coded.
+    """First n_terms letters of the fixed point, coded, as uint8.
 
     The start letter's image under mu begins with itself, so its image
-    under mu^d does too, and mu^d has the same fixed point: level i of
-    mu^d is level d*i of mu.  The expansion runs on the rows of mu^d
-    from `UniformMorphism._tables`, with d the least power such that
-    P = p^d >= 4 (mu^2 for p = 2 and 3, mu itself from p = 4 on), so
-    every gathered letter yields at least 4 letters of the next level.
-    Each level is a prefix of the next, and the level i steps before
-    the output holds just the ceil(n_terms / P^i) letters that the
-    levels after it read, so about n_terms * P / (P - 1) letters are
-    gathered in all, where expanding whole levels could build up to P
-    times n_terms in the last one alone.  Each level is gathered from
-    the one before by `_gather`, a chunked np.take of the rows; the last
-    gather reads the codes of every letter's image and writes the coded
-    terms into the uint8 output, refusing a code past 255.
-    `fixed_point_mismatch` checks a given prefix instead, coding its
-    own level chunk by chunk through the wider rows of
-    `UniformMorphism._check_tables`.
+    under mu^d does too, and mu^d has the same fixed point x: x is its
+    own image, so x[:n] = mu^d(x[:ceil(n / P)])[:n] with P = p^d.  The
+    expansion runs on the rows of mu^d from `UniformMorphism._tables`,
+    with d the least power such that P >= 4 (mu^2 for p = 2 and 3, mu
+    itself from p = 4 on), so every gathered letter yields at least 4
+    letters of the next level.  `_prefix` builds x[:ceil(n_terms / P)]
+    by that identity, each level gathered from the one before by
+    `_gather`, a chunked np.take of the rows, so about
+    n_terms * P / (P - 1) letters are gathered in all; the last gather
+    reads the codes of those letters' images.  Codes of p <= 256 are
+    uint8 and are returned as gathered.  Wider codes (p > 256, uint16)
+    are the one place a code is narrowed: one chunk of rows at a time,
+    refusing a code past 255, so the output holds one chunk of wide
+    codes beside it.  `fixed_point_mismatch` checks a given prefix
+    instead, coding its own level chunk by chunk through the wider rows
+    of `UniformMorphism._check_tables`.
     """
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     table, coded = mu._tables
-    seq = _next_to_last_level(table, mu.start, n_terms)
-    return _gather(coded, seq, np.empty(n_terms, dtype=np.uint8))
+    width = coded.shape[1]
+    seq = _prefix(table, mu.start, -(-n_terms // width))
+    if coded.dtype == np.uint8:
+        return _gather(coded, seq)[:n_terms]
+    out = np.empty(n_terms, dtype=np.uint8)
+    step = max(1, TAKE_CHUNK // width)
+    for q in range(0, seq.size, step):
+        dest = out[q * width:(q + step) * width]
+        wide = _gather(coded, seq[q:q + step])[:dest.size]
+        # a(n) counts at most the 63 windows of n, but a morphism built
+        # elsewhere may code a reachable letter past 255: refuse, never wrap
+        if wide.max() > 255:
+            raise ValueError("coded fixed point holds a digit above 255")
+        dest[:] = wide
+        del wide  # so the next chunk is not taken beside this one
+    return out

@@ -344,7 +344,11 @@ def scan_power_prefixes(prefix, exponent: int) -> tuple:
 
 def tail_periods(x: np.ndarray, max_period: int, preperiod: int) -> tuple:
     """Period lengths T <= max_period for which x becomes T-periodic from
-    index `preperiod` on: the tail y has period T iff y[T:] == y[:-T]."""
+    index `preperiod` on: the tail y has period T iff y[T:] == y[:-T].
+    A negative preperiod raises ValueError, as it would read the end of
+    x instead."""
+    if preperiod < 0:
+        raise ValueError("preperiod must be >= 0")
     y = np.ascontiguousarray(x[preperiod:])
     found = _shift_matches(y, min(max_period, y.size - 1), 0, y.size)
     return tuple(found.tolist())

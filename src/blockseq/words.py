@@ -37,7 +37,8 @@ per 10^4 indices, each starting on a multiple of 10^4.  Per digit count
 it builds the template once, each chunk is a slice of its rows, and
 each later chunk writes over them only the high index digits that
 changed and the values.  Either writes a call or chunk that holds a
-value of 10 or more line by line in Python.
+value of 10 or more line by line in Python, and refuses a value that is
+negative or not an integer, which its uint8 cast would misread.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -122,6 +123,16 @@ def _template(d: int, width: int | None, sep: bytes) -> np.ndarray:
     return rows
 
 
+def _integers(values) -> np.ndarray:
+    """values as an array (an ndarray subclass kept as it is).  A
+    non-empty one that holds anything but integers or bools raises
+    TypeError: a renderer's uint8 cast would truncate 1.9 to 1."""
+    values = np.asanyarray(values)
+    if values.size and values.dtype.kind not in "biu":
+        raise TypeError(f"values must be integers, not {values.dtype}")
+    return values
+
+
 def indexed_rows(values, width: int | None, sep: bytes):
     """The lines "index sep value" for the indices 0, 1, ...,
     len(values) - 1, yielded as text chunks.  The index is right-aligned
@@ -138,8 +149,10 @@ def indexed_rows(values, width: int | None, sep: bytes):
     reuses: it writes over them only its values and those high index
     digits that differ from the ones the rows hold.  A chunk holding a
     value of 10 or more is written line by line instead.  A negative
-    value raises ValueError, before any chunk is yielded.
+    value raises ValueError, and a value that is not an integer
+    TypeError, before any chunk is yielded.
     """
+    values = _integers(values)
     n = len(values)
     # checked before the unsafe cast to uint8, where -1 would read as "/"
     if n and values.dtype.kind not in "bu" and values.min() < 0:
@@ -177,11 +190,12 @@ def indexed_rows(values, width: int | None, sep: bytes):
 
 def digit_string(digits, base: int) -> str:
     """Render a digit vector: concatenated for base <= 10, else
-    space-separated.  A digit outside [0, base) raises ValueError.
-    One-digit values are written into one uint8 row per value, in one
-    numpy add, so no Python string is built per value; a vector holding
-    a wider one is written value by value."""
-    digits = np.asarray(digits)
+    space-separated.  A digit outside [0, base) raises ValueError, and
+    one that is not an integer TypeError.  One-digit values are written
+    into one uint8 row per value, in one numpy add, so no Python string
+    is built per value; a vector holding a wider one is written value
+    by value."""
+    digits = _integers(digits)
     high = int(digits.max()) if digits.size else 0
     # checked before the cast to uint8, where 256 would read as 0
     if high >= base or (digits.size and digits.dtype.kind not in "bu"
@@ -400,6 +414,15 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
     return _mod(counts, m, np.empty_like(counts)) if m < 64 else counts
 
 
+def _reduce_once(c: np.ndarray, m: int) -> None:
+    """c mod m in place, for a uint8 c <= m: c - m wraps above 192 for
+    c < m and is 0 for c = m, so the lesser of c and c - m is c mod m.
+    A count stays below the 63 windows of an index, so from m = 64 on
+    c < m already and nothing is done."""
+    if m < 64:
+        np.minimum(c, c - m, out=c)
+
+
 # Terms per block in `a_prefix`.  A block's scratch is about 10
 # bytes per term (18 past 2^32 terms); the block size also sets the
 # oracle's speed, which criterion 11 ranks below the morphism leg's.
@@ -444,11 +467,7 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
         if lo >= m:  # add a(n // m): each parent stands for m indices
             parents = np.repeat(counts[lo // m:(hi - 1) // m + 1], m)
             c += parents[lo % m:lo % m + c.size]
-            # a(n // m) < m, so c <= m, and c - m wraps above 192 in uint8
-            # for c < m and is 0 for c = m; a count stays below the 63
-            # windows of an index, so wide bases need no reduction
-            if m < 64:
-                np.minimum(c, c - m, out=c)
+            _reduce_once(c, m)  # a(n // m) < m, so c <= m
         lo = hi
     return counts
 
@@ -516,11 +535,7 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
         if first < q1:
             hit = slice(first - q0, None, period)
             one = parents[hit] + 1
-            # (a(q) + 1) mod m as in a_prefix: a(q) + 1 <= m, and one - m
-            # wraps above 192 below m; a count stays below 63, so wide
-            # bases need no reduction
-            if m < 64:
-                np.minimum(one, one - m, out=one)
+            _reduce_once(one, m)  # a(q) < m, so one <= m
             np.not_equal(rows[col, hit], one, out=ne[col, hit])
         if ne.any():  # x(q) is right, since q < the least failing index
             q = q0 + int(np.flatnonzero(ne.any(axis=0))[0])

@@ -307,6 +307,21 @@ def test_expand_fixed_point_peak_memory():
             f"p={p}: peak {peak / n:.2f} bytes per term"
 
 
+def test_expand_fixed_point_narrows_wide_codes_a_chunk_at_a_time():
+    """p = 257 codes in uint16, and the expansion narrows them into its
+    uint8 output one chunk at a time: at N = 10^6 the peak is the output,
+    the level before it and one chunk, about 1.1 bytes per term, plus
+    the tables.  Narrowing the whole array at once would hold its 2N
+    bytes of wide codes beside the output, about 3 bytes per term."""
+    p, n = 257, 10 ** 6
+    mu = build_morphism(PatternSpec(p, "1 0"))
+    # int64 letters and uint16 codes
+    table_bytes = (8 + 2) * mu.alphabet_size * p
+    out, peak = peak_bytes(expand_fixed_point, mu, n)
+    assert out.dtype == np.uint8 and out.size == n
+    assert peak <= 1.5 * n + table_bytes, f"peak {peak / n:.2f} bytes per term"
+
+
 @pytest.mark.parametrize("p, w", [(2, "11"), (3, "01"), (5, "123"),
                                   (257, "1 0")])
 def test_fixed_point_mismatch_checks_the_expansion_chunk_by_chunk(p, w):

@@ -573,6 +573,16 @@ def test_scans_compare_wide_symbols_exactly():
         scan_power_prefixes([1 << 70, 1 << 70], 2)
 
 
+def test_tail_periods_refuses_a_negative_preperiod():
+    """A negative preperiod is refused, as x[-2:] would read the end of
+    x instead of its tail from an index on: the last two terms of
+    01010101 have no period, where every tail of it has period 2."""
+    x = np.arange(8) % 2
+    with pytest.raises(ValueError, match="preperiod"):
+        tail_periods(x, 3, -2)
+    assert tail_periods(x, 3, 0) == (2,)
+
+
 @pytest.mark.parametrize("m,w,e", [(5, "0", 2), (5, "23", 6)])
 def test_scan_power_prefixes_peak_memory(m, w, e):
     """At most 12 bytes per term at the 2^22-term `powers` default
