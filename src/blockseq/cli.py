@@ -12,9 +12,11 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (a claim that fails, a
 FAIL ordering from `bench`, or generators that disagree; `powers` then
 prints only its first FAIL record's detail, on stderr), 2 usage error
-(a bad base, pattern, size or seed, or a size whose output does not fit
-in memory), 3 I/O error.  `blocks`, `powers` and `series` require a prime
-base, the paper's setting.  `verify` and `bench` accept composite bases
+(a bad base, pattern, size or seed, a count, order or scan length past
+sys.maxsize = 2^63 - 1, a prime base past sys.maxsize for `verify`,
+`bench` or `series`, or a size whose output does not fit in memory),
+3 I/O error.  `blocks`, `powers` and `series` require a prime base,
+the paper's setting.  `verify` and `bench` accept composite bases
 and compare only the window generator with the oracle there.
 
 `bench`'s ordering verdict compares the median of five timed passes of
@@ -27,17 +29,10 @@ working code in some runs.
 `verify` holds the window output and never a second N-term output: each
 other leg is one plain check of the window, which returns the least
 index where it fails, and a leg runs only if the ones before it passed.
-The morphism leg (`morphism.fixed_point_mismatch`) expands the fixed
-point through rows of P letters, P = 64 for m = 2, 81 for m = 3, 125
-for m = 5 and m itself from m = 64 on (narrower only where the letter
-table would pass 64 KiB), up to the level before the last gather, about
-N/(P - 1) letters.  It codes their images one reused chunk at a time
-and compares each chunk with the window.  The oracle leg is the
-oracle's own digit recursion with each parent a(n // m) read from the
-window (`words.recursion_mismatch`), one digit column of each chunk of
-children at a time: by strong induction it passes iff the window is the
-sequence, and the least index where it fails is the least wrong one,
-where it gives a(n).  So `verify` holds about 1 byte per term, plus the
+The morphism leg is `morphism.fixed_point_mismatch` and the oracle leg
+`words.recursion_mismatch`; their docstrings say how each reads the
+window.  A FAIL line names that least index, the window's term there
+and the leg's.  So `verify` holds about 1 byte per term, plus the
 morphism's level or the check's fixed chunk scratch (under 0.2 MiB).
 `blocks` holds its prefix and the block check's fixed chunk scratch,
 and nothing per block: the verified type-2 blocks come back as one
@@ -58,6 +53,7 @@ count below 10^4).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import statistics
 import sys
@@ -90,17 +86,16 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-PRIME_ONLY = {"blocks", "powers", "series"}
-
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; built from parsed flags."""
+    """Everything one invocation needs, and every flag's default; built
+    from the flags given."""
 
     subcommand: str
     base: int
     pattern: str
-    count: int
+    count: int = 10 ** 5
     output_format: str = "plain"
     output_path: str | None = None
     seed: int = 0
@@ -114,15 +109,18 @@ class RunConfig:
 @dataclass
 class BenchRecord:
     generator: str
-    params: tuple
+    spec: PatternSpec
+    n_terms: int
     wall_time: float
-    throughput: float
     checksum: str
 
+    @property
+    def throughput(self) -> float:
+        return self.n_terms / self.wall_time
+
     def format(self) -> str:
-        m, w, n = self.params
-        return (f"bench generator={self.generator} m={m} w={w} N={n} "
-                f"median_s={self.wall_time:.6f} "
+        return (f"bench generator={self.generator} {self.spec} "
+                f"N={self.n_terms} median_s={self.wall_time:.6f} "
                 f"terms_per_s={self.throughput:.0f} sha256={self.checksum[:16]}")
 
 
@@ -177,13 +175,10 @@ def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
 
 def _emit(chunks, out_path: str | None) -> None:
     """Write each text chunk to stdout, or to out_path opened once."""
-    if out_path is None:
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", encoding="ascii")) as fh:
         for chunk in chunks:
-            sys.stdout.write(chunk)
-    else:
-        with open(out_path, "w", encoding="ascii") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +186,12 @@ def _emit(chunks, out_path: str | None) -> None:
 # or raise for run() to map to an exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_generate(cfg: RunConfig) -> tuple:
-    spec = cfg.spec()
+def _cmd_generate(cfg: RunConfig, spec: PatternSpec) -> tuple:
     values = generate(spec, cfg.count)
     return _format_chunks(values, spec, cfg.output_format), EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple:
-    spec = cfg.spec()
+def _cmd_verify(cfg: RunConfig, spec: PatternSpec) -> tuple:
     n = cfg.count
     # (name, check of the window returning its first difference) per leg
     checks = []
@@ -224,8 +217,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     return lines, EXIT_OK
 
 
-def _cmd_blocks(cfg: RunConfig) -> tuple:
-    spec = cfg.spec()
+def _cmd_blocks(cfg: RunConfig, spec: PatternSpec) -> tuple:
     prefix = generate(spec, cfg.count)
     type2 = classify_range(spec, prefix)  # raises on any violation
     n2 = len(type2)
@@ -237,8 +229,7 @@ def _cmd_blocks(cfg: RunConfig) -> tuple:
     return [report.format() + "\n"], EXIT_OK
 
 
-def _cmd_powers(cfg: RunConfig) -> tuple:
-    spec = cfg.spec()
+def _cmd_powers(cfg: RunConfig, spec: PatternSpec) -> tuple:
     n = (default_scan_length(spec.base) if cfg.scan_length is None
          else cfg.scan_length)
     reports = check_power_claims(spec, n)
@@ -248,8 +239,8 @@ def _cmd_powers(cfg: RunConfig) -> tuple:
     return [r.format() + "\n" for r in reports], EXIT_OK
 
 
-def _cmd_series(cfg: RunConfig) -> tuple:
-    reports = degree_evidence(cfg.spec(), cfg.order, seed=cfg.seed)
+def _cmd_series(cfg: RunConfig, spec: PatternSpec) -> tuple:
+    reports = degree_evidence(spec, cfg.order, seed=cfg.seed)
     return ([f"seed={cfg.seed}\n"] + [r.format() + "\n" for r in reports],
             EXIT_OK if all(r.verdict == "PASS" for r in reports)
             else EXIT_VERIFY)
@@ -277,12 +268,7 @@ def bench_generators(spec: PatternSpec, n_terms: int) -> list:
             times.append(time.perf_counter() - t0)
         wall = statistics.median(times)
         digest = hashlib.sha256(np.ascontiguousarray(out)).hexdigest()
-        records.append(BenchRecord(
-            generator=name,
-            params=(spec.base, digit_string(spec.pattern, spec.base), n_terms),
-            wall_time=wall,
-            throughput=n_terms / wall,
-            checksum=digest))
+        records.append(BenchRecord(name, spec, n_terms, wall, digest))
     checksums = {r.checksum for r in records}
     if len(checksums) != 1:
         raise VerificationError(
@@ -291,46 +277,49 @@ def bench_generators(spec: PatternSpec, n_terms: int) -> list:
     return records
 
 
-def _cmd_bench(cfg: RunConfig) -> tuple:
-    spec = cfg.spec()
+def _cmd_bench(cfg: RunConfig, spec: PatternSpec) -> tuple:
     records = bench_generators(spec, cfg.count)
     text = "\n".join(r.format() for r in records) + "\n"
-    by_name = {r.generator: r for r in records}
-    if "morphism" in by_name:
-        ordered = (by_name["window"].throughput >= by_name["morphism"].throughput
-                   > by_name["oracle"].throughput)
-    else:
-        ordered = by_name["window"].throughput > by_name["oracle"].throughput
+    # legs in order window[, morphism], oracle: with two, tp[0] is tp[-2]
+    tp = [r.throughput for r in records]
+    ordered = tp[0] >= tp[-2] > tp[-1]
     text += f"ordering window>=morphism>oracle: {'PASS' if ordered else 'FAIL'}\n"
     return [text], EXIT_OK if ordered else EXIT_VERIFY
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "verify": _cmd_verify,
-    "blocks": _cmd_blocks,
-    "powers": _cmd_powers,
-    "series": _cmd_series,
-    "bench": _cmd_bench,
+# name -> (body, help text, whether it needs a prime base)
+_SUBCOMMANDS = {
+    "generate": (_cmd_generate, "emit the first N terms (window generator)",
+                 False),
+    "verify": (_cmd_verify, "cross-check window / morphism / oracle outputs",
+               False),
+    "blocks": (_cmd_blocks, "classify p-blocks (prime base only)", True),
+    "powers": (_cmd_powers, "power-prefix divisibility and exclusion checks",
+               True),
+    "series": (_cmd_series,
+               "functional-equation residual and degree evidence", True),
+    "bench": (_cmd_bench, "time all generators on identical parameters",
+              False),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configuration and return the process exit code."""
     try:
-        if cfg.count < 1:
-            raise InvalidPatternError("count must be >= 1")
-        if cfg.order < 1:
-            raise InvalidPatternError("order must be >= 1")
-        if cfg.scan_length is not None and cfg.scan_length < 1:
-            raise InvalidPatternError("scan length must be >= 1")
+        for name, size in [("count", cfg.count), ("order", cfg.order),
+                           ("scan length", cfg.scan_length)]:
+            if size is not None and size < 1:
+                raise InvalidPatternError(f"{name} must be >= 1")
+            if size is not None and size > sys.maxsize:  # numpy's array bound
+                raise InvalidPatternError(f"{name} must be <= {sys.maxsize}")
         if cfg.seed < 0:
             raise InvalidPatternError("seed must be >= 0")
         spec = cfg.spec()  # validates base and digits
-        if cfg.subcommand in PRIME_ONLY and not spec.modulus_is_prime:
+        body, _, prime_only = _SUBCOMMANDS[cfg.subcommand]
+        if prime_only and not spec.modulus_is_prime:
             raise InvalidPatternError(f"subcommand {cfg.subcommand!r} "
                                       f"requires a prime base, got {spec.base}")
-        chunks, code = _HANDLERS[cfg.subcommand](cfg)
+        chunks, code = body(cfg, spec)
         _emit(chunks, cfg.output_path)
         return code
     except (InvalidBaseError, InvalidPatternError) as exc:
@@ -357,31 +346,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="blockseq",
         description="Generate and verify block-counting sequences a_{m;w}(n).")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("generate", "emit the first N terms (window generator)"),
-        ("verify", "cross-check window / morphism / oracle outputs"),
-        ("blocks", "classify p-blocks (prime base only)"),
-        ("powers", "power-prefix divisibility and exclusion checks"),
-        ("series", "functional-equation residual and degree evidence"),
-        ("bench", "time all generators on identical parameters"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, _) in _SUBCOMMANDS.items():
+        # an unset flag stays out of the namespace, so RunConfig's
+        # default applies
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
         sp.add_argument("--base", "-m", type=int, required=True,
                         help="expansion base m >= 2")
         sp.add_argument("--pattern", "-w", type=str, required=True,
                         help="pattern digits, e.g. 11 or 201")
-        sp.add_argument("--count", "-N", type=int, default=10 ** 5,
+        sp.add_argument("--count", "-N", type=int,
                         help="number of sequence terms")
-        sp.add_argument("--format", dest="output_format", default="plain",
+        sp.add_argument("--format", dest="output_format",
                         choices=["plain", "table", "bfile", "report"],
                         help="output layout for generated terms")
-        sp.add_argument("--out", dest="output_path", default=None,
+        sp.add_argument("--out", dest="output_path",
                         help="write output to this file instead of stdout")
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=int,
                         help="seed for randomized spot-checks")
-        sp.add_argument("--scan-length", type=int, default=None,
+        sp.add_argument("--scan-length", type=int,
                         help="terms to scan for power prefixes")
-        sp.add_argument("--order", type=int, default=10 ** 4,
+        sp.add_argument("--order", type=int,
                         help="series truncation order")
     return parser
 

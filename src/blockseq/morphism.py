@@ -70,11 +70,13 @@ narrower rows, so the generators' timings are not moved.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidBaseError
 from .words import PatternSpec
 
 __all__ = [
@@ -183,8 +185,13 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     (a_{p;w}(n)): the minimal automaton of the sequence, constructed from
     the pattern alone.  Letter q*p + c is the state (q, c) and codes c;
     the start letter is 0 for a nonzero-led w and |w|*p for a zero-led w.
+    A base past sys.maxsize raises InvalidBaseError: no list or array
+    holds its p transitions per state.
     """
     p, w, k = spec.base, spec.pattern, spec.width
+    if p > sys.maxsize:
+        raise InvalidBaseError(f"base {p}: a morphism is built only up to "
+                               f"base {sys.maxsize}")
     delta, fail = _kmp_automaton(w, p)
     nxt = np.array(delta)  # KMP state after each digit
     hit = nxt == k         # the digit completes a match
@@ -252,8 +259,12 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     matching slice of x.  So the check holds that level, about
     len(x) / (P - 1) letters, and one chunk, never a second output, and
     narrows no code: a reachable code past 255 is reported as it is.
-    An empty x passes.
+    An empty x passes.  Anything but a uint8 array raises TypeError, as
+    in `words.recursion_mismatch`: a list has no uint8 terms to compare,
+    and a wider array's terms would be compared as ints.
     """
+    if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
+        raise TypeError("the candidate must be a uint8 array")
     table, coded = mu._check_tables
     width = coded.shape[1]
     # an empty x is compared with the empty head of the start letter's row

@@ -20,7 +20,8 @@ A series truncated at order N is the numpy array of its first N
 coefficients.  Since f^p = f(t^p), multiplying by 1 + t + ... + t^(p-1)
 spreads each coefficient of f over p consecutive places, so the left
 side has coefficient f[n // p] at t^n: one `np.repeat`.  The residual is
-reduced mod p in int64, so it is exact for every prime p.
+reduced mod p in int64, so it is exact for every prime p that int64
+holds; `rhs_series` refuses a larger one with InvalidBaseError.
 
 The q = 0 column is the one place the digit-append model breaks: the
 expansion of j is the single digit "j", not "0j".  For every pattern of
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidPatternError, VerificationError
+from .errors import InvalidBaseError, InvalidPatternError, VerificationError
 from .structure import ClaimReport, tail_periods
 from .windows import generate
 from .words import PatternSpec, a_batch
@@ -85,10 +86,14 @@ def rhs_series(spec: PatternSpec, order: int) -> np.ndarray:
     n = first_end + j*p^k, j >= 0, whose expansion ends in w
     (`PatternSpec.first_end`; 1/(t^M - 1) = -sum t^(jM) over F_p).
     For w = "0" it starts at p^k instead, as n = 0 belongs to the q = 0
-    column (`origin_correction`)."""
+    column (`origin_correction`).  A base past int64 raises
+    InvalidBaseError, as its p - 1 would not fit."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     p = spec.base
+    if p > np.iinfo(np.int64).max:
+        raise InvalidBaseError(f"base {p}: series are computed in int64, "
+                               f"so only up to base {np.iinfo(np.int64).max}")
     pk = p ** spec.width
     start = spec.first_end if spec.pattern != (0,) else pk
     out = np.zeros(order, dtype=np.int64)

@@ -522,9 +522,9 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
         return head
     full = n_terms // m  # the parents 1, ..., full - 1 have m children
     per = max(1, CHECK_CHUNK // m)
-    size = min(per, max(full - 1, 0))
-    kids = np.empty((m, size), dtype=np.uint8)
-    diff = np.empty((m, size), dtype=bool)
+    if full > 1:  # so a base past sys.maxsize, with no such parent, passes
+        kids = np.empty((m, min(per, full - 1)), dtype=np.uint8)
+        diff = np.empty(kids.shape, dtype=bool)
     for q0 in range(1, full, per):
         q1 = min(full, q0 + per)
         parents = x[q0:q1]

@@ -827,6 +827,65 @@ def test_out_of_memory_without_a_reason_ends_the_line(capsys):
     assert captured.err == "error: not enough memory for this request\n"
 
 
+PAST_MAXSIZE = str(10 ** 20)
+PRIME_PAST_MAXSIZE = "9223372036854775837"  # the least prime past 2^63 - 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "-m", "2", "-w", "1", "-N", PAST_MAXSIZE], 2),
+    (["verify", "-m", "2", "-w", "1", "-N", PAST_MAXSIZE], 2),
+    (["blocks", "-m", "2", "-w", "1", "-N", PAST_MAXSIZE], 2),
+    (["bench", "-m", "2", "-w", "1", "-N", PAST_MAXSIZE], 2),
+    (["powers", "-m", "2", "-w", "1", "--scan-length", PAST_MAXSIZE], 2),
+    (["series", "-m", "2", "-w", "1", "--order", PAST_MAXSIZE], 2),
+    (["verify", "-m", PRIME_PAST_MAXSIZE, "-w", "1", "-N", "10"], 2),
+    (["bench", "-m", PRIME_PAST_MAXSIZE, "-w", "1", "-N", "10"], 2),
+    (["series", "-m", PRIME_PAST_MAXSIZE, "-w", "1"], 2),
+    (["verify", "-m", str(2 ** 64), "-w", "1 0", "-N", "10"], 0),
+], ids=["generate-N", "verify-N", "blocks-N", "bench-N", "powers-scan",
+        "series-order", "verify-prime", "bench-prime", "series-prime",
+        "verify-composite"])
+def test_sizes_and_bases_past_maxsize_end_in_an_exit_code(argv, code,
+                                                          capsys):
+    """A size past sys.maxsize, which numpy cannot give an array, and a
+    prime base past it, which the morphism's transition lists and the
+    int64 series residual cannot hold, are usage errors that name the
+    bound.  A composite base past it takes only the oracle leg, whose
+    scratch no parent of 10 terms needs, and passes."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.out == (
+            f"note: base {2 ** 64} is composite; checking window vs. "
+            "oracle only\n"
+            f"PASS m={2 ** 64} w=1 0 N=10: window, oracle agree\n")
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(sys.maxsize) in captured.err
+
+
+def test_sizes_and_bases_at_maxsize_keep_their_exit_codes(capsys):
+    """At the bound itself, N = 2^63 - 1 is still refused as memory it
+    cannot have, and the largest prime below it still has a series."""
+    assert main(["generate", "-m", "2", "-w", "1", "-N",
+                 str(sys.maxsize)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not enough memory for this "
+                                   "request")
+    m = "9223372036854775783"  # the largest prime below 2^63
+    assert main(["series", "-m", m, "-w", "1", "--order", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == (
+        f"claim=functional-equation params=[m={m} w=1] scan=10 evidence=[] "
+        "verdict=PASS")
+
+
 def test_unwritable_output_path_is_io_error(capsys):
     code = main(["generate", "-m", "2", "-w", "1", "-N", "4",
                  "--out", "/nonexistent-dir-blockseq/x.txt"])

@@ -399,6 +399,19 @@ def test_both_check_legs_pass_an_empty_prefix(p, w):
     assert recursion_mismatch(spec, empty) is None
 
 
+def test_fixed_point_mismatch_takes_only_a_uint8_array():
+    """As for `recursion_mismatch`, a list or a wider array raises one
+    TypeError at entry; a list used to fail on a missing attribute, and
+    an int64 array was compared as ints."""
+    spec = PatternSpec(2, "11")
+    mu = build_morphism(spec)
+    want = a_prefix(spec, 1000)
+    assert fixed_point_mismatch(mu, want) is None
+    for x in (want.tolist(), want.astype(np.int64), want.astype(np.uint16)):
+        with pytest.raises(TypeError, match="uint8"):
+            fixed_point_mismatch(mu, x)
+
+
 def test_expand_fixed_point_builds_its_tables_once():
     """`_tables` holds mu^d for the least d with p^d >= 4 (mu^2 for p = 2
     and 3): each row is mu applied to the row of mu^(d-1), each code the
