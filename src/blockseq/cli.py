@@ -33,7 +33,8 @@ The morphism leg is `morphism.fixed_point_mismatch` and the oracle leg
 `words.recursion_mismatch`; their docstrings say how each reads the
 window.  A FAIL line names that least index, the window's term there
 and the leg's.  So `verify` holds about 1 byte per term, plus the
-morphism's level or the check's fixed chunk scratch (under 0.2 MiB).
+morphism's level or the oracle check's chunk of expected rows and its
+rotation table (under 0.2 MiB together).
 `blocks` holds its prefix and the block check's fixed chunk scratch,
 and nothing per block: the verified type-2 blocks come back as one
 range, and it prints their count.  `bench` frees each output before the

@@ -16,12 +16,15 @@ by the digit recursion e(n) = [the expansion of n ends in w] + e(n // m),
 testing only each index's lowest window.  Both count a zero-led window
 only where it fits inside the expansion, and neither uses an automaton
 or the doubling.  `recursion_mismatch` checks another generator's
-output x against the same recursion, with each parent a(n // m) read
-from x, so `verify` checks x without building a second output: by
-strong induction x is a exactly when no index fails, and the least
-index that fails is the least one where x is wrong, where the recursion
-gives the true a(n).  It compares one digit column of children with
-their parents at a time and needs no per-index test of H.
+output x against the same recursion taken K digits at a time,
+a(s m^K + r) from a(s), the count of w in r padded to K digits and the
+occurrences across the cut, with every term it reads taken from x, so
+`verify` checks x without building a second output: by strong
+induction x is a exactly when no index fails, and the least index that
+fails is the least one where x is wrong, where the identity gives the
+true a(n).  It compares whole rows of m^K terms, each one fixed row
+plus the row's parent mod m and one on a few slices, and tests no
+index on its own.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
@@ -445,7 +448,8 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     2^32); its parents are read with one np.repeat, and the block is
     reduced mod m in place, so peak memory is the n_terms output bytes
     plus one block of scratch.  `recursion_mismatch` checks a given
-    prefix against the same recursion, by columns instead of blocks.
+    prefix against the same recursion taken K digits at a time, by
+    whole rows of m^K terms instead of blocks.
     """
     counts = np.empty(n_terms, dtype=np.uint8)
     m, wv = spec.base, spec.value
@@ -472,73 +476,120 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     return counts
 
 
-# Children per chunk of `recursion_mismatch`: its scratch is two
-# (m, CHECK_CHUNK // m) arrays and a row, under 2.5 bytes per child.
+# Terms per chunk of `recursion_mismatch`, in whole rows: its scratch is
+# one chunk of expected terms (one row, where a row is longer) and,
+# below m = 64, a rotation table of at most CHECK_CHUNK bytes.
 CHECK_CHUNK = 1 << 16
+# The most terms in a row of `recursion_mismatch`, unless m is more.
+ROW_CAP = 1 << 12
 
 
 def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     """Check a uint8 candidate prefix x of a_{m;w} against the digit
-    recursion a(mq + r) = (a(q) + H(mq + r)) mod m, with a(n) = H(n) for
-    n < m, reading both the children and their parents from x.  Return
-    (n, a(n)) for the least index n that fails, or None.
+    recursion taken K digits at a time, reading every term it needs
+    from x.  Return (n, a(n)) for the least index n that fails, or None.
+
+    Below m, and below 2m for w = "0", a(n) = H(n) (see `a_prefix`).
+    Past that, with L = m^K and n = sL + r, s >= 1 and 0 <= r < L, the
+    expansion of n is that of s followed by r padded to K digits, so
+
+        a(sL + r) = (U[r] + a(s) + #{j : s in S_j and r in I_j}) mod m.
+
+    U[r] counts w in the padded r: 0 for K < |w|, else a(r), or
+    a(L + r) for a zero-led w.  The j, max(1, |w| - K) <= j < |w|, count
+    the occurrences across the cut: w[:j] ends the expansion of s when s
+    is in S_j, the s >= f_j with s = f_j mod m^j for f_j the
+    `PatternSpec.first_end` of w[:j]; the padded r starts with w[j:]
+    when r is in I_j, one interval of m^(K-|w|+j) values.  So a row s
+    of L terms is U rotated by a(s), plus one on the slices (S_j, I_j).
 
     By strong induction x = a on [0, N) iff no index fails, and the
-    least failing n is the least n with x(n) != a(n): its parent
-    n // m < n is already right, so (H(n) + x(n // m)) mod m is a(n).
-    H(n) = 1 (see `a_prefix`) exactly at n = `PatternSpec.first_end` +
-    j * m^|w|, j >= 0: in the digit column r = first_end mod m, at the
-    parents q = first_end // m + j * m^(|w|-1).  So the n < m are one
-    compare with H, and the parents that have all m children are taken
-    CHECK_CHUNK // m at a time: one transposing copy puts each digit
-    column of their children in a row, one broadcast compare checks
-    every row against the parents, and that of the column r is redone
-    at the parents where H = 1.  The last parent's fewer than m
-    children are checked on their own.  No index is held in an array.
-    Anything but a uint8 array raises TypeError: a wider value would
-    wrap in the uint8 scratch, where 256 reads as 0.
+    least failing n is the least n with x(n) != a(n): every term the
+    identity reads from x (s, and r or L + r) lies below n and is
+    right, so the identity gives a(n).  L is the largest power of m at
+    most ROW_CAP, with m * L at most CHECK_CHUNK below m = 64, and m
+    itself past ROW_CAP.  The terms below the first row, and below 2L
+    where U reads a(L + r), are checked by the same identity with K = 1
+    after the compare with H.  Rows are checked CHECK_CHUNK // L at a
+    time: one np.take of the rotation table (U + c) mod m by their
+    parents, clipped (a parent of m or more fails at its own index
+    first), or from m = 64 on, where no count reaches m, one broadcast
+    add; then one added on each slice, one compare with x and one
+    `any`.  No index is held in an array.  Anything but a uint8 array
+    raises TypeError: a wider value would wrap in the uint8 scratch,
+    where 256 reads as 0.
     """
     if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
         raise TypeError("the candidate must be a uint8 array")
-    n_terms = len(x)
-    m, period = spec.base, spec.base ** (spec.width - 1)
-    lead, col = divmod(spec.first_end, m)
+    m, k, n_terms = spec.base, spec.width, len(x)
 
-    def occurs(q):  # H(mq + col) = 1
-        return q >= lead and (q - lead) % period == 0
+    def head(K):  # the indices the identity with L = m^K does not cover
+        return m ** K * (2 if spec.is_zero_word and K >= k else 1)
 
-    def first_fail(q, value, lo, hi):
-        """(n, a(n)) for the first of the children lo, ..., hi - 1 of q
-        that fails, where a(q) = value, or None."""
-        want = np.full(hi - lo, value, dtype=np.uint8)
-        if col < want.size and occurs(q):
-            want[col] = (value + 1) % m
-        bad = np.flatnonzero(x[lo:hi] != want)
-        return (lo + int(bad[0]), int(want[bad[0]])) if bad.size else None
+    end = min(n_terms, head(1))
+    want = np.zeros(end, dtype=np.uint8)  # H below m, or 2m for w = "0"
+    if spec.first_end < end:
+        want[spec.first_end::min(m ** k, end)] = 1
+    bad = np.flatnonzero(x[:end] != want)
+    if bad.size:
+        return int(bad[0]), int(want[bad[0]])
+    top = 1
+    while m ** (top + 1) <= ROW_CAP and (m >= 64
+                                         or m ** (top + 2) <= CHECK_CHUNK):
+        top += 1
+    for K in sorted({1, top}):  # rows of m up to the rows of L, then L
+        lo, hi = head(K), n_terms if K == top else min(n_terms, head(top))
+        fail = _rows_mismatch(spec, x, K, lo, hi) if lo < hi else None
+        if fail:
+            return fail
+    return None
 
-    # below m, e(n) = H(n): the children of 0, read with a(0) as 0
-    head = first_fail(0, 0, 0, min(m, n_terms))
-    if head:
-        return head
-    full = n_terms // m  # the parents 1, ..., full - 1 have m children
-    per = max(1, CHECK_CHUNK // m)
-    if full > 1:  # so a base past sys.maxsize, with no such parent, passes
-        kids = np.empty((m, min(per, full - 1)), dtype=np.uint8)
-        diff = np.empty(kids.shape, dtype=bool)
-    for q0 in range(1, full, per):
-        q1 = min(full, q0 + per)
-        parents = x[q0:q1]
-        rows, ne = kids[:, :q1 - q0], diff[:, :q1 - q0]
-        np.copyto(rows, x[m * q0:m * q1].reshape(-1, m).T)
-        np.not_equal(rows, parents, out=ne)
-        first = max(lead, q0 + (lead - q0) % period)  # the first with H = 1
-        if first < q1:
-            hit = slice(first - q0, None, period)
-            one = parents[hit] + 1
-            _reduce_once(one, m)  # a(q) < m, so one <= m
-            np.not_equal(rows[col, hit], one, out=ne[col, hit])
-        if ne.any():  # x(q) is right, since q < the least failing index
-            q = q0 + int(np.flatnonzero(ne.any(axis=0))[0])
-            return first_fail(q, int(x[q]), m * q, m * q + m)
-    # the last parent, with fewer than m children
-    return first_fail(full, int(x[full]), m * full, n_terms) if full else None
+
+def _rows_mismatch(spec: PatternSpec, x: np.ndarray, K: int, lo: int,
+                   hi: int) -> tuple | None:
+    """`recursion_mismatch` on the indices [lo, hi) by rows of L = m^K
+    terms, lo a multiple of L at or past the head for K, with every
+    index below lo already checked."""
+    m, w = spec.base, spec.pattern
+    k, size = len(w), m ** K
+    if K < k:
+        u = np.zeros(size, dtype=np.uint8)
+    else:
+        u = x[size:2 * size] if spec.is_zero_word else x[:size]
+    spans = []  # (f_j, m^j, I_j) for each j with w[:j] | w[j:] across the cut
+    for j in range(max(1, k - K), k):
+        width = m ** (K - k + j)
+        start = from_base(w[j:], m) * width
+        spans.append((PatternSpec(m, w[:j]).first_end, m ** j,
+                      slice(start, start + width)))
+    if m < 64:  # table[c] = (U + c) mod m
+        table = np.add.outer(np.arange(m, dtype=np.uint8), u)
+        np.remainder(table, m, out=table)
+    per = max(1, CHECK_CHUNK // size)
+    s_lo, s_hi = lo // size, -(-hi // size)
+    expected = np.empty((min(per, s_hi - s_lo), size), dtype=np.uint8)
+    for s0 in range(s_lo, s_hi, per):
+        s1 = min(s_hi, s0 + per)
+        rows, parents = expected[:s1 - s0], x[s0:s1]
+        if m < 64:
+            np.take(table, parents, axis=0, out=rows, mode="clip")
+        else:
+            np.add(u, parents[:, None], out=rows)
+        for f, step, cols in spans:
+            first = max(f, s0 + (f - s0) % step)  # the first s in S_j
+            if first < s1:
+                one = rows[first - s0::min(step, s1 - s0), cols]
+                one += 1
+                _reduce_once(one, m)  # each term was below m
+        n0, n1 = s0 * size, min(hi, s1 * size)
+        flat = rows.reshape(-1)[:n1 - n0]
+        ne = flat.view(bool)
+        np.not_equal(x[n0:n1], flat, out=ne)
+        if ne.any():
+            n = n0 + int(ne.argmax())
+            s, r = divmod(n, size)
+            across = sum(s >= f and (s - f) % step == 0
+                         and cols.start <= r < cols.stop
+                         for f, step, cols in spans)
+            return n, (int(u[r]) + int(x[s]) + across) % m
+    return None

@@ -1,6 +1,7 @@
 """Shared test toolkit: the pattern enumerator, the 60-pattern grid, the
-golden prefixes, a pure-Python digit string, a peak-memory meter and a
-probe of the path each rendered chunk takes.
+golden prefixes, a pure-Python digit string, a peak-memory meter, a
+probe of the path each rendered chunk takes and the layout of the
+oracle check's rows.
 
 Each shared thing is defined here once; test modules import it from
 here and never from one another (`test_toolkit.py` checks both).
@@ -11,6 +12,8 @@ import itertools
 import tracemalloc
 
 import numpy as np
+
+import blockseq.words
 
 
 def patterns(base, max_width):
@@ -104,3 +107,28 @@ def line_path_chunks(render, values):
         by_line.append(bool(watched.read))
         watched.read.clear()
     return chunks, by_line
+
+
+def check_rows(m, w, n):
+    """(L, starts) for `recursion_mismatch` over n terms of a_{m;w} at
+    the module's current CHECK_CHUNK and ROW_CAP: L is the length of its
+    rows, the largest power of m at most ROW_CAP (with m * L at most
+    CHECK_CHUNK below m = 64), or m past it, and `starts` the indices
+    below n where a stretch of the check begins: its rows of m after the
+    compare with H (at m, or 2m for w = "0"), its rows of L (at L, or 2L
+    for a zero-led w no wider than K), and each later chunk of either."""
+    chunk, cap = blockseq.words.CHECK_CHUNK, blockseq.words.ROW_CAP
+    spec = blockseq.words.PatternSpec(m, w)
+    top = 1
+    while m ** (top + 1) <= cap and (m >= 64 or m ** (top + 2) <= chunk):
+        top += 1
+
+    def head(K):  # where the rows of m^K begin
+        return m ** K * (2 if spec.is_zero_word and K >= spec.width else 1)
+
+    starts = set()
+    for K in sorted({1, top}):
+        size = m ** K
+        end = n if K == top else min(n, head(top))
+        starts.update(range(head(K), end, max(1, chunk // size) * size))
+    return m ** top, sorted(i for i in starts | {head(1), head(top)} if i < n)

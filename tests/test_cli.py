@@ -23,9 +23,9 @@ from blockseq.cli import (
     run,
 )
 from blockseq.morphism import TAKE_CHUNK
-from blockseq.words import (CHECK_CHUNK, PREFIX_CHUNK, TEMPLATE_DIGITS,
-                            a_prefix, indexed_rows)
-from support import RS_S3, line_path_chunks, peak_bytes
+from blockseq.words import (PREFIX_CHUNK, TEMPLATE_DIGITS, a_prefix,
+                            indexed_rows)
+from support import RS_S3, check_rows, line_path_chunks, peak_bytes
 
 # Rows of a `bfile`/`table` chunk: one block of the index template.
 BLOCK = 10 ** TEMPLATE_DIGITS
@@ -595,38 +595,34 @@ def test_verify_reports_an_oracle_only_disagreement(m, w, note, monkeypatch,
             f"n={bad} ({window[bad]} vs 9)\n"), bad
 
 
-def check_chunk_starts(m, n):
-    """Where each of the oracle check's chunks over n terms starts, after
-    the first: CHECK_CHUNK // m whole parents' children at a time from
-    the parent 1, and then the children of the last parent, which has
-    fewer than m of them when m does not divide n."""
-    per = CHECK_CHUNK // m
-    starts = list(range(m + m * per, m * (n // m), m * per))
-    return starts + [m * (n // m)] * (n % m > 0)
-
+M6_ROW, M6_STARTS = check_rows(6, "05", VERIFY_N)
 
 # Where a corrupted m6 w05 window is checked: the first index, the last
 # one below m and the first one with a parent, PREFIX_CHUNK - 1 and
 # PREFIX_CHUNK, either side of 6^6 and of 6^6 + PREFIX_CHUNK (where the
-# recursion's blocks in `a_prefix` are cut), either side of each start of
-# the check's chunks, and the last index, the lone child of the last
-# parent.
+# recursion's blocks in `a_prefix` are cut), either side of each start
+# of the oracle check's rows of m, rows of M6_ROW = 6^4 and chunks of
+# rows, of the rows of M6_ROW at 6^4, 3 * 6^4 and the last, and of
+# 65,538 and 131,070 (6 * 10,923 and 6 * 21,845, where the children of
+# 10,922 parents at a time end) and of the last index, VERIFY_N - 1 =
+# 6 * 21,846.
 CORRUPT_AT = sorted({
     0, 5, 6, PREFIX_CHUNK - 1, PREFIX_CHUNK, 6 ** 6 - 1, 6 ** 6,
     6 ** 6 + PREFIX_CHUNK - 1, 6 ** 6 + PREFIX_CHUNK, VERIFY_N - 1,
-    *(i for start in check_chunk_starts(6, VERIFY_N)
+    *(i for start in [*M6_STARTS, M6_ROW, 3 * M6_ROW,
+                      VERIFY_N // M6_ROW * M6_ROW, 65538, 131070, 131076]
       for i in (start - 1, start))})
 
 
 @pytest.mark.parametrize("i", CORRUPT_AT)
 def test_verify_checks_the_window_against_the_recursion(i, monkeypatch,
                                                         capsys):
-    """For a composite base the window is checked by the oracle's own
-    recursion, each parent a(i // m) read from the window, and the check
-    runs in chunks: CORRUPT_AT holds either side of each chunk start,
-    and VERIFY_N - 1 is the last parent's lone child.  A window
-    wrong at i, by a value inside or outside [0, m), fails at i with
-    a(i); so does one also wrong at the child i * m + 1, whose parent is
+    """For a composite base the window is checked by the oracle's
+    recursion taken K digits at a time, each parent a(i // 6^K) read from
+    the window, in rows of 6^K terms and chunks of rows: CORRUPT_AT holds
+    either side of each start of rows and chunks.  A window wrong at i,
+    by a value inside or outside [0, m), fails at i with a(i); so does
+    one also wrong at i * m + 1 and at i * M6_ROW + 1, in the rows of
     the wrong i, since the check names the least index that fails."""
     import blockseq.cli
 
@@ -635,7 +631,7 @@ def test_verify_checks_the_window_against_the_recursion(i, monkeypatch,
     want = a_prefix(spec, VERIFY_N)
     note = "note: base 6 is composite; checking window vs. oracle only\n"
     for bad in [(int(want[i]) + 1) % 6, 9, 255]:
-        for at in ([i], [i, i * 6 + 1]):
+        for at in ([i], [i, i * 6 + 1, i * M6_ROW + 1]):
             def wrong_window(spec, n):
                 values = real(spec, n)
                 values[[j for j in at if j < n]] = bad
@@ -671,9 +667,9 @@ def test_verify_builds_no_second_output(m, w, monkeypatch, capsys):
 def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     """No leg builds a second N-term output: the morphism leg holds the
     window, the next-to-last level (N / 64 letters for m = 2) and one
-    gather chunk, and the oracle leg the window and one chunk of the
-    check's scratch (under 0.2 MiB), so the peak is about 1 byte per
-    term plus the morphism's level.  The ceiling is the peak measured at
+    gather chunk, and the oracle leg the window, one chunk of expected
+    rows and its rotation table (under 0.2 MiB together), so the peak
+    is about 1 byte per term plus the morphism's level.  The ceiling is the peak measured at
     this code plus 25%."""
     n = 1 << 20
     code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))

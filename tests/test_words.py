@@ -23,7 +23,7 @@ from blockseq import (
 )
 from blockseq.words import (TEMPLATE_DIGITS, _template, indexed_rows,
                             recursion_mismatch)
-from support import GRID, line_path_chunks, patterns, peak_bytes
+from support import GRID, check_rows, line_path_chunks, patterns, peak_bytes
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -622,18 +622,20 @@ def test_recursion_mismatch_over_the_grid(m, w):
     """On the grid, at lengths around the head (m - 1, m, m + 1), the
     first parent with a short last child run (2m + 1), the chunk size and
     past three chunks: `a_prefix`'s output passes, and a copy wrong at
-    the first index, the last one, or either side of the first chunk's
-    end, by one or by 255, is named at its least wrong index, with a
-    there."""
+    the first index, the last one, either side of each start of the
+    check's rows of m, rows of L and chunks of rows, and either side of
+    m * (CHECK_CHUNK // m + 1), by one or by 255, is named at its least
+    wrong index, with a there."""
     spec = PatternSpec(m, w)
     chunk = blockseq.words.CHECK_CHUNK
-    # the first chunk holds the children of the parents 1, .., chunk // m
-    edge = m * (chunk // m + 1)
     for n in sorted({1, m - 1, m, m + 1, 2 * m + 1, chunk - 1, chunk + 1,
                      3 * 2 ** 16 + 11}):
         want = a_prefix(spec, n)
         assert recursion_mismatch(spec, want) is None, n
-        for i in {0, n - 1, edge - 1, edge} & set(range(n)):
+        starts = [*check_rows(m, w, n)[1], m * (chunk // m + 1)]
+        edges = {0, n - 1, *(i for start in starts
+                             for i in (start - 1, start))}
+        for i in edges & set(range(n)):
             for bad in ((int(want[i]) + 1) % m, 255):
                 x = want.copy()
                 x[i] = bad
@@ -656,6 +658,103 @@ def test_recursion_mismatch_takes_only_a_uint8_array(m):
         for x in (want.astype(np.int64), wide, want.tolist()):
             with pytest.raises(TypeError, match="uint8"):
                 recursion_mismatch(spec, x)
+
+
+def assert_names_each_edge(spec, n, edges):
+    """`recursion_mismatch` passes a_batch's first n terms, and names the
+    least wrong index, with a there, in a copy wrong at an edge i, by
+    one or by 255, alone or with 255 at its children i * m + 1 and
+    i * L + 1 too."""
+    row = check_rows(spec.base, spec.pattern, n)[0]
+    want = a_batch(spec, np.arange(n))
+    assert recursion_mismatch(spec, want) is None
+    for i in sorted(set(edges) & set(range(n))):
+        for bad in ((int(want[i]) + 1) % spec.base, 255):
+            for kids in ([], [i * spec.base + 1, i * row + 1]):
+                x = want.copy()
+                x[i] = bad
+                x[[j for j in kids if j < n]] = 255
+                first = int(np.flatnonzero(x != want)[0])
+                assert recursion_mismatch(spec, x) == (
+                    first, want[first]), (i, bad, kids)
+
+
+# (m, w, N, CHECK_CHUNK, ROW_CAP), each first at the module's sizes and
+# then with small chunks and rows: K < |w| at m = 2 (L = 2^12 against a
+# 13-digit w) and m = 10 (10^3 against a zero-led 8-digit w), a zero-led
+# w with K >= |w| (U read from [L, 2L), so the rows of L begin at 2L),
+# w = "0" (the compare with H runs to 2m), the broadcast add from m = 64
+# on, and rows of m alone at m = 257, 4099 and 2^64, the last with N < m.
+ROW_CASES = [
+    (2, "1011001110001", 3 * 2 ** 16 + 11, None, None),
+    (2, "1011001110001", 500, 24, 4),
+    (10, "01234567", 3 * 2 ** 16 + 11, None, None),
+    (10, "01234567", 12345, 1000, 100),
+    (3, "02", 3 * 2 ** 16 + 11, None, None),
+    (3, "02", 700, 30, 9),
+    (2, "0", 3 * 2 ** 16 + 11, None, None),
+    (2, "0", 300, 16, 8),
+    (5, "123", 3 * 2 ** 16 + 11, None, None),
+    (5, "123", 2000, 100, 25),
+    (64, "1 0", 3 * 2 ** 16 + 11, None, None),
+    (64, "1 0", 20000, 4096, 64),
+    (257, "1 0", 3 * 2 ** 16 + 11, None, None),
+    (4099, "1", 20 * 4099 + 17, None, None),
+    (4099, "0 5", 10 * 4099 + 5, 4099, 1),
+    (2 ** 64, "1 0", 1000, None, None),
+    (2 ** 64, "0", 1000, 7, 1),
+]
+
+
+@pytest.mark.parametrize("m, w, n, chunk, cap", ROW_CASES,
+                         ids=[f"m{m}-w{w.replace(' ', '_')}-{n}-{chunk}-{cap}"
+                              for m, w, n, chunk, cap in ROW_CASES])
+def test_recursion_mismatch_at_row_chunk_and_head_edges(m, w, n, chunk, cap,
+                                                       monkeypatch):
+    """Wrong terms either side of the end of the compare with H, of each
+    start of the rows of m and of L and of their chunks, of the rows of L
+    at L, 2L, 3L, 4L and the last, at m + 1 and at the last index are
+    each named, and so is a wrong parent whose wrong children lie in a
+    later row, chunk or stretch, which reads it as their parent or U."""
+    if chunk is not None:
+        monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", chunk)
+        monkeypatch.setattr(blockseq.words, "ROW_CAP", cap)
+    row, starts = check_rows(m, w, n)
+    starts += [k * row for k in (1, 2, 3, 4, n // row)]
+    assert_names_each_edge(PatternSpec(m, w), n, [
+        0, m + 1, n - 1, *(i for start in starts for i in (start - 1, start))])
+
+
+@pytest.mark.parametrize("m, width", [(2, 6), (3, 4)])
+def test_recursion_mismatch_on_every_pattern_with_small_rows(m, width,
+                                                             monkeypatch):
+    """Every pattern of widths 1 to `width`, with rows of m^2 terms in
+    chunks of 3m rows, so K < |w| and K >= |w| both arise: wrong terms
+    either side of each start of rows and chunks and at three random
+    indices are named."""
+    monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", 3 * m ** 3)
+    monkeypatch.setattr(blockseq.words, "ROW_CAP", m ** 2)
+    rng = random.Random(m)
+    n = 4 * m ** 5 + 3
+    for w in patterns(m, width):
+        starts = check_rows(m, w, n)[1]
+        assert_names_each_edge(PatternSpec(m, w), n, [
+            *(i for start in starts for i in (start - 1, start)),
+            *rng.sample(range(n), 3)])
+
+
+@pytest.mark.parametrize("m, w", [(2, "11"), (3, "2"), (61, "1"), (64, "1"),
+                                  (257, "1 0"), (2, "1011001110001")])
+def test_recursion_mismatch_scratch_stays_under_a_fifth_of_a_mib(m, w):
+    """At 2^20 terms the check holds one chunk of expected rows and, below
+    m = 64, its rotation table: under the 0.2 MiB that `verify`
+    promises, for a long w too.  A table of m * L bytes for the largest
+    L = m^K <= 4096 would alone take 61 * 3721 bytes at m = 61."""
+    spec = PatternSpec(m, w)
+    x = a_prefix(spec, 1 << 20)
+    result, peak = peak_bytes(recursion_mismatch, spec, x)
+    assert result is None
+    assert peak <= 0.2 * 2 ** 20, f"scratch {peak / 2 ** 20:.3f} MiB"
 
 
 @pytest.mark.parametrize("m, w, n", [
