@@ -13,8 +13,8 @@ from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
 from .morphism import UniformMorphism, build_morphism, expand_fixed_point
 from .series import (degree_evidence, functional_equation_residual,
                      origin_correction, rhs_series, series_from_sequence)
-from .structure import (ClaimReport, check_power_claims, classify_range,
-                        scan_power_prefixes, tail_periods)
+from .structure import (ClaimReport, check_power_claims, classify_chunks,
+                        classify_range, scan_power_prefixes, tail_periods)
 from .windows import generate
 from .words import (PatternSpec, a_batch, a_prefix, a_value,
                     count_occurrences, digit_string, e_count, from_base,

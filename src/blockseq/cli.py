@@ -35,10 +35,14 @@ window.  A FAIL line names that least index, the window's term there
 and the leg's.  So `verify` holds about 1 byte per term, plus the
 morphism's level or the oracle check's chunk of expected rows and its
 rotation table (under 0.2 MiB together).
-`blocks` holds its prefix and the block check's fixed chunk scratch,
-and nothing per block: the verified type-2 blocks come back as one
-range, and it prints their count.  `bench` frees each output before the
-next timed call allocates its own.
+`blocks` never holds its N terms: `windows._row_chunks` writes them a
+chunk of rows at a time into one buffer, and `structure.classify_chunks`
+checks each chunk as it comes, in fixed scratch.  So it holds about N/L
+bytes of parents (L = m^K, up to 4096 terms per row), one chunk, the
+row table and the check's scratch, and nothing per block: the verified
+type-2 blocks come back as one range, and it prints their count.  So an
+N whose N bytes would not fit in memory runs, as long as its N/L do.
+`bench` frees each output before the next timed call allocates its own.
 
 `generate` renders its terms in numpy, never one Python string per
 term, for every N up to p^9: each of those terms is one digit, and a
@@ -68,8 +72,8 @@ from .errors import (BlockseqError, ClaimViolationError, InvalidBaseError,
 from .morphism import (build_morphism, expand_fixed_point,
                        fixed_point_mismatch)
 from .series import degree_evidence
-from .structure import ClaimReport, check_power_claims, classify_range
-from .windows import generate
+from .structure import ClaimReport, check_power_claims, classify_chunks
+from .windows import _row_chunks, generate
 from .words import (PatternSpec, a_prefix, digit_string, indexed_rows,
                     recursion_mismatch)
 
@@ -219,10 +223,11 @@ def _cmd_verify(cfg: RunConfig, spec: PatternSpec) -> tuple:
 
 
 def _cmd_blocks(cfg: RunConfig, spec: PatternSpec) -> tuple:
-    prefix = generate(spec, cfg.count)
-    type2 = classify_range(spec, prefix)  # raises on any violation
+    # generated and checked a chunk of rows at a time; raises on any
+    # violation
+    type2 = classify_chunks(spec, _row_chunks(spec, cfg.count), cfg.count)
     n2 = len(type2)
-    n1 = len(prefix) // spec.base - n2
+    n1 = cfg.count // spec.base - n2
     report = ClaimReport(claim="block-dichotomy", params=str(spec),
                          scan_length=cfg.count,
                          evidence=(f"type1={n1}", f"type2={n2}"),
@@ -364,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="output_path",
                         help="write output to this file instead of stdout")
         sp.add_argument("--seed", type=int,
-                        help="seed for randomized spot-checks")
+                        help="seed, echoed by `series` (its checks are exact)")
         sp.add_argument("--scan-length", type=int,
                         help="terms to scan for power prefixes")
         sp.add_argument("--order", type=int,

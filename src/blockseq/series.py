@@ -50,7 +50,7 @@ import numpy as np
 from .errors import InvalidBaseError, InvalidPatternError, VerificationError
 from .structure import ClaimReport, tail_periods
 from .windows import generate
-from .words import PatternSpec, a_batch
+from .words import PatternSpec, recursion_mismatch
 
 __all__ = [
     "series_from_sequence",
@@ -64,20 +64,17 @@ __all__ = [
 def series_from_sequence(spec: PatternSpec, order: int,
                          seed: int | None = None) -> np.ndarray:
     """The coefficients a(0), .., a(order-1) of f, sourced from the fast
-    window generator with a seeded random sample re-verified against the
-    brute-force oracle (1% of the coefficients, at least 16)."""
+    window generator and checked whole against the oracle's digit
+    recursion (`words.recursion_mismatch`), which names the least
+    index where the window is wrong.  The check is exact, so `seed`
+    selects nothing; it is accepted for the `series` command's --seed."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     coeffs = generate(spec, order)
-    rng = np.random.default_rng(seed)
-    k = min(order, max(16, int(order * 0.01)))
-    sample = rng.integers(0, order, size=k)
-    expect = a_batch(spec, sample)
-    got = coeffs[sample]
-    if not np.array_equal(got, expect):
-        bad = int(sample[np.argmax(got != expect)])
-        raise VerificationError(
-            f"window generator disagrees with the oracle at n={bad} ({spec})")
+    wrong = recursion_mismatch(spec, coeffs)
+    if wrong is not None:
+        raise VerificationError(f"window generator disagrees with the "
+                                f"oracle at n={wrong[0]} ({spec})")
     return coeffs
 
 
@@ -115,11 +112,16 @@ def origin_correction(spec: PatternSpec, order: int) -> np.ndarray:
 def _residual(spec: PatternSpec, f: np.ndarray) -> np.ndarray:
     # (1 + t + ... + t^(p-1)) f(t^p) has coefficient f[n // p] at t^n;
     # only the first ceil(n / p) coefficients are repeated, at most n
-    # times each (p > n repeats f[0] alone), so memory is O(n)
+    # times each (p > n repeats f[0] alone), in f's own dtype.  The rest
+    # is subtracted in place, so one int64 array of n terms is built,
+    # and one more is alive at a time: rhs_series, then
+    # origin_correction.
     p, n = spec.base, f.size
-    lhs = np.repeat(f[:-(-n // p)].astype(np.int64), min(p, n))[:n]
-    return (lhs - f - rhs_series(spec, n)
-            - origin_correction(spec, n)) % p
+    out = np.repeat(f[:-(-n // p)], min(p, n))[:n].astype(np.int64)
+    out -= f
+    out -= rhs_series(spec, n)
+    out -= origin_correction(spec, n)
+    return np.remainder(out, p, out=out)
 
 
 def functional_equation_residual(spec: PatternSpec, order: int,
@@ -140,7 +142,7 @@ def degree_evidence(spec: PatternSpec, order: int,
     the coefficients for an eventual period (candidates and preperiod up
     to order/4): a found period would make f rational, contradicting
     degree p; absence is evidence only, and is labeled as such.  Both
-    read one series, spot-checked against the oracle."""
+    read one series, checked against the oracle's recursion."""
     f = series_from_sequence(spec, order, seed=seed)
     nonzero = np.flatnonzero(_residual(spec, f))
     quarter = max(1, order // 4)

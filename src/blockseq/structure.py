@@ -16,17 +16,20 @@ p^|w|.  Stepping each of those digits back by one, mod p, turns every
 block that obeys both the dichotomy and the predicate into a constant
 one, and no other block with digits in [0, p): so the whole claim is
 one test that every block of the stepped sequence is constant.  Any integer
-sequence is stepped and tested in chunks of about 2^16 terms, in reused
+sequence, whole or as consecutive chunks that start on block
+boundaries, is stepped and tested in pieces of about 2^16 terms, in
 scratch of the narrowest unsigned dtype that holds p - 1 (a stepped 0
-wraps past p - 1 and is clipped to it).  Each chunk holds whole periods
-p^|w|, whose steps are one fixed deviation row, or, for a longer
-period, at most one deviating digit.  So the check holds chunk-sized
-scratch at any length and for any input dtype.  The library treats the
-dichotomy as a hard contract: a block matching neither shape, or a
-type-2 verdict disagreeing with the suffix predicate, raises
-ClaimViolationError.  So a check that passes has verified the predicted
-progression itself, and classify_range returns it as a range; nothing
-is stored per block.
+wraps past p - 1 and is clipped to it), allocated once and reused.
+Where the period p^|w| fits in a piece, its steps are one slice of a
+fixed strided row, at the piece's offset in the period; for a longer
+period a piece holds at most one deviating digit.  So the check holds
+piece-sized scratch at any length, for any input dtype, and `blocks`
+checks the generator's chunks as they come without holding them.  The
+library treats the dichotomy as a hard contract: a block matching
+neither shape, or a type-2 verdict disagreeing with the suffix
+predicate, raises ClaimViolationError.  So a check that passes has
+verified the predicted progression itself, and classify_range returns
+it as a range; nothing is stored per block.
 
 Power prefixes.  A prefix of shape v^e (e identical blocks) at block
 length L means x[L:eL] == x[:(e-1)L]; T is a period of a tail y (the
@@ -57,6 +60,7 @@ from .words import PatternSpec, digit_string
 __all__ = [
     "ClaimReport",
     "classify_range",
+    "classify_chunks",
     "scan_power_prefixes",
     "tail_periods",
     "check_power_claims",
@@ -99,115 +103,131 @@ def classify_range(spec: PatternSpec, prefix: np.ndarray) -> range:
     p^(|w|-1)) with nb = floor(len(prefix)/p).
 
     The prefix is any integer or bool array, or a list of ints; other
-    input that is not empty raises TypeError, never truncates.
+    input that is not empty raises TypeError, never truncates.  It is
+    checked as one chunk by `classify_chunks`, which says how and what
+    it raises.
+    """
+    return classify_chunks(spec, [prefix], len(prefix))
+
+
+def classify_chunks(spec: PatternSpec, chunks, n_terms: int) -> range:
+    """`classify_range` of the n_terms terms that `chunks` holds, in
+    order, each an integer or bool array that starts on a block boundary
+    (only the last may end inside a block); a chunk that does not, or a
+    total other than n_terms, raises ValueError.
+
     The type-2 blocks are the predicted ones, one arithmetic progression
-    (see the module docstring), so nothing is stored per block.  The
-    prefix is checked in chunks of about BLOCK_CHUNK terms
-    (_suspect_blocks): each chunk, less the deviation row, obeys the
-    dichotomy and the predicate exactly when each of its blocks is
-    constant.  Only blocks that fail that test or hold a digit outside
-    [0, p) are classified one by one, against their predicted flags.
+    (see the module docstring), so nothing is stored per block.  Each
+    chunk is checked in pieces of at most BLOCK_CHUNK terms, stepped in
+    scratch allocated once (sized by n_terms) and reused: a piece, less
+    the deviation row, obeys the dichotomy and the predicate exactly
+    when each of its blocks is constant.  When the period p^|w| fits in
+    BLOCK_CHUNK the row is one slice of a strided row of ones, at the
+    piece's offset in the period; else a piece holds at most one
+    deviating digit, set in a zero row for that piece alone.  Only
+    blocks that fail that test or hold a digit outside [0, p) are
+    classified one by one, against their predicted flags.
 
     Raises ClaimViolationError on the first block violating the two-shape
     dichotomy, else on the first contradicting the suffix predicate.
     """
     p = spec.base
-    nb = len(prefix) // p
+    nb = n_terms // p
     step = p ** (spec.width - 1)
-    lo = spec.first_end // p
-    type2 = range(lo, nb, step)
-    x = np.asarray(prefix)
-    if x.dtype.kind == "b":
-        x = x.astype(np.uint8)
-    elif x.size and x.dtype.kind not in "iu":
-        raise TypeError(f"symbols must be integers, not {x.dtype}")
-    if nb == 0:
-        return type2
-
-    x = x[:nb * p]
-    ns = _suspect_blocks(x, p, spec.first_end, step * p)
-    if ns.size:
-        # one index in range at most once step >= nb; step and lo may
-        # then be past int64
-        predicted = (ns == lo if step >= nb
-                     else (ns >= lo) & ((ns - lo) % step == 0))
-        _diagnose(spec, x.reshape(nb, p)[ns].astype(np.int64), ns, predicted)
+    type2 = range(spec.first_end // p, nb, step)
+    end = nb * p  # the terms in complete blocks
+    first, period = spec.first_end, step * p
+    r = first % period
+    rows = period <= BLOCK_CHUNK  # the steps repeat within a piece
+    unit = period if rows else p
+    size = min(end, max(1, BLOCK_CHUNK // unit) * unit)
+    if size:
+        dt = np.min_scalar_type(p - 1)
+        # the deviation row at offset o into the period is dev[o:]
+        dev = np.zeros(size + period - 1 if rows else size, dtype=dt)
+        if rows:
+            dev[::period] = 1
+        inside = np.ones(size - 1, dtype=bool)
+        inside[p - 1::p] = False  # pairs that straddle two blocks
+        cap = np.full(size, p - 1, dtype=dt)
+        y = np.empty(size, dtype=dt)
+        diff = np.empty(size - 1, dtype=bool)
+    mismatch = None  # the first contradiction of the predicate
+    at = 0  # the index of the chunk's first term
+    for chunk in chunks:
+        x = np.asarray(chunk)
+        if x.dtype.kind == "b":
+            x = x.view(np.uint8)
+        elif x.size and x.dtype.kind not in "iu":
+            raise TypeError(f"symbols must be integers, not {x.dtype}")
+        if at % p:
+            raise ValueError("every chunk but the last must end on a "
+                             "block boundary")
+        # read unsigned, a negative digit is at least 2^(bits-1): every
+        # digit outside [0, p) reads >= lim, and none does if lim
+        # exceeds the dtype
+        bits = 8 * x.itemsize
+        lim = min(p, 1 << bits - (x.dtype.kind == "i"))
+        checked = lim < 1 << bits
+        u = x.view(f"u{x.itemsize}")
+        stop = min(end, at + x.size)
+        for a in range(at, stop, max(size, 1)):
+            k, i = min(size, stop - a), a - at
+            xc, uc, yc, dc = x[i:i + k], u[i:i + k], y[:k], diff[:k - 1]
+            # the one digit this piece steps unlike the row: the
+            # deviating digit of a period longer than BLOCK_CHUNK, or
+            # for a zero-led w the digit r < first, which is not
+            # predicted
+            if rows:
+                row = dev[(a - r) % period:][:k]
+                flip = r - a if a <= r < first else k
+            else:
+                row = dev[:k]
+                flip = max(first - a, (r - a) % period)
+            if flip < k:
+                row[flip] ^= 1
+            # in the scratch dtype: a wider digit keeps only its low
+            # bits, which alters only digits outside [0, p), found below
+            np.subtract(uc, row, out=yc, dtype=dt, casting="unsafe")
+            if flip < k:
+                row[flip] ^= 1
+            # a stepped 0 wrapped past p - 1; make it p - 1.  cap is an
+            # array: numpy 2.4 runs a scalar operand 11-21x slower
+            np.minimum(yc, cap[:k], out=yc)
+            np.not_equal(yc[1:], yc[:-1], out=dc)
+            dc &= inside[:k - 1]
+            out_of_range = checked and int(uc.max()) >= lim
+            if not (dc.any() or out_of_range):
+                continue
+            parts = [np.flatnonzero(dc) // p]
+            if out_of_range:
+                parts.append(np.flatnonzero(uc >= lim) // p)
+            local = np.unique(np.concatenate(parts))
+            # raises on a neither block, which beats an earlier mismatch
+            found = _diagnose(spec, xc.reshape(-1, p)[local].astype(np.int64),
+                              a // p + local, nb)
+            mismatch = mismatch or found
+        at += x.size
+    if at != n_terms:
+        raise ValueError(f"the chunks hold {at} terms, not {n_terms}")
+    if mismatch:
+        raise ClaimViolationError(mismatch)
     return type2
 
 
-def _suspect_blocks(x: np.ndarray, p: int, first: int,
-                    period: int) -> np.ndarray:
-    """Ascending indices of the p-blocks of integer x (length a multiple
-    of p) that may break the dichotomy or the predicate, given that the
-    predicted deviating digits are first, first + period, ...
-
-    Each chunk of x, less a deviation row, is written to reused scratch
-    of the narrowest unsigned dtype that holds p - 1, and its blocks are
-    tested for being constant.  When the period fits in a chunk, the
-    chunks are whole periods and the row is fixed; else each chunk holds
-    at most one deviating digit, set in the (zero) row for that chunk
-    alone.  The suspects are the blocks not constant after the step or
-    holding a digit outside [0, p).
-    """
-    n = x.size
-    # read unsigned, a negative digit is at least 2^(bits-1): every digit
-    # outside [0, p) reads >= lim, and none does if lim exceeds the dtype
-    bits = 8 * x.itemsize
-    lim = min(p, 1 << bits - (x.dtype.kind == "i"))
-    checked = lim < 1 << bits
-    u = x.view(f"u{x.itemsize}")
-    rows = period <= BLOCK_CHUNK  # the steps repeat within a chunk
-    unit = period if rows else p
-    size = min(n, max(1, BLOCK_CHUNK // unit) * unit)
-    r = first % period
-    dt = np.min_scalar_type(p - 1)
-    dev = np.zeros(size, dtype=dt)
-    if rows:
-        dev[r::period] = 1
-    inside = np.ones(size - 1, dtype=bool)
-    inside[p - 1::p] = False  # pairs that straddle two blocks
-    cap = np.full(size, p - 1, dtype=dt)
-    y = np.empty(size, dtype=dt)
-    diff = np.empty(size - 1, dtype=bool)
-    found = []
-    for a in range(0, n, size):
-        k = min(size, n - a)
-        xc, yc, dc = u[a:a + k], y[:k], diff[:k - 1]
-        # the one digit this chunk steps unlike the row: the deviating
-        # digit of a period longer than the chunk, or, in chunk 0 with
-        # first > r (a zero-led w), the digit r, which is not predicted
-        at = max(first - a, (r - a) % period)
-        flip = at if not rows else r if at > r else k
-        if flip < k:
-            dev[flip] ^= 1
-        # in the scratch dtype: a wider digit keeps only its low bits,
-        # which alters only digits outside [0, p), found below
-        np.subtract(xc, dev[:k], out=yc, dtype=dt, casting="unsafe")
-        if flip < k:
-            dev[flip] ^= 1
-        # a stepped 0 wrapped past p - 1; make it p - 1.  cap is an
-        # array: numpy 2.4 runs a scalar operand 11-21x slower
-        np.minimum(yc, cap[:k], out=yc)
-        np.not_equal(yc[1:], yc[:-1], out=dc)
-        dc &= inside[:k - 1]
-        out_of_range = checked and int(xc.max()) >= lim
-        if not (dc.any() or out_of_range):
-            continue
-        parts = [np.flatnonzero(dc) // p]
-        if out_of_range:
-            parts.append(np.flatnonzero(xc >= lim) // p)
-        found.append(a // p + np.concatenate(parts))
-    return np.unique(np.concatenate(found)) if found else np.zeros(0, np.intp)
-
-
 def _diagnose(spec: PatternSpec, blocks: np.ndarray, ns: np.ndarray,
-              predicted: np.ndarray) -> None:
-    """Classify the given int64 blocks (block indices ns, ascending) and
-    raise ClaimViolationError on the first that is neither constant nor
-    singly deviant, else on the first whose shape contradicts its
-    predicted flag."""
+              nb: int) -> str | None:
+    """Classify the given int64 blocks (block indices ns, ascending, of
+    nb in all): raise ClaimViolationError on the first that is neither
+    constant nor singly deviant, else return the message for the first
+    whose shape contradicts the suffix predicate, or None."""
     p = spec.base
     i0 = spec.pattern[-1]
+    step, lo = p ** (spec.width - 1), spec.first_end // p
+    # one index in range at most once step >= nb; step and lo may then
+    # be past int64
+    predicted = (ns == lo if step >= nb
+                 else (ns >= lo) & ((ns - lo) % step == 0))
     t = blocks[:, 1] if i0 == 0 else blocks[:, 0]
     rest_ok = np.ones(len(blocks), dtype=bool)
     for j in range(p):
@@ -226,10 +246,10 @@ def _diagnose(spec: PatternSpec, blocks: np.ndarray, ns: np.ndarray,
             f"block at n={int(ns[k])} ({spec}) is neither constant nor "
             f"singly-deviant: {shown}")
     mismatch = is_type2 != predicted
-    if mismatch.any():
-        k = int(np.argmax(mismatch))
-        raise ClaimViolationError(
-            f"block at n={int(ns[k])} ({spec}): classification "
+    if not mismatch.any():
+        return None
+    k = int(np.argmax(mismatch))
+    return (f"block at n={int(ns[k])} ({spec}): classification "
             f"{'type2' if is_type2[k] else 'type1'} contradicts the suffix "
             "predicate")
 

@@ -114,14 +114,17 @@ def _template(d: int, width: int | None, sep: bytes) -> np.ndarray:
     low = min(d, TEMPLATE_DIGITS)
     high_at = (width or d) - d  # the index's first column
     value_at = high_at + d + len(sep)
-    rows = np.empty((10 ** low, value_at + 2), dtype=np.uint8)
-    rows[:, :high_at] = ord(" ")
+    # spaces first, in one contiguous fill: the leading spaces and a
+    # blank `sep` need no write of their own, as slices with a few
+    # columns per row are slow to write
+    rows = np.full((10 ** low, value_at + 2), ord(" "), dtype=np.uint8)
     ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     # one column at a time: one (rows, k) slice is slower
     for c in range(low):
         rows[:, high_at + d - low + c] = np.tile(
             np.repeat(ten, 10 ** (low - 1 - c)), 10 ** c)
-    rows[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
+    if sep.strip(b" "):
+        rows[:, value_at - len(sep):value_at] = np.frombuffer(sep, np.uint8)
     rows[:, -1] = ord("\n")
     return rows
 
@@ -294,6 +297,28 @@ class PatternSpec:
         w are exactly first_end + j * m^|w|, j >= 0."""
         short = self.is_zero_word and self.width > 1
         return self.value + (self.base ** self.width if short else 0)
+
+    def row_head(self, K: int) -> int:
+        """The terms below the first row that a(sL + r) = (U[r] + a(s) +
+        cut terms) mod m covers with L = m^K (see `recursion_mismatch`):
+        L, or 2L for a zero-led w no wider than K, whose U reads a(L + r)."""
+        return self.base ** K * (2 if self.is_zero_word
+                                 and K >= self.width else 1)
+
+    def row_cuts(self, K: int) -> list:
+        """(f_j, m^j, I_j) for each j in [max(1, |w| - K), |w|), the
+        occurrences of w across the cut between s and r padded to K
+        digits: w[:j] ends the expansion of s exactly for the s >= f_j
+        with s = f_j mod m^j (f_j the `first_end` of w[:j]), and the
+        padded r starts with w[j:] exactly for r in the slice I_j."""
+        m, w = self.base, self.pattern
+        cuts = []
+        for j in range(max(1, len(w) - K), len(w)):
+            width = m ** (K - len(w) + j)
+            start = from_base(w[j:], m) * width
+            cuts.append((PatternSpec(m, w[:j]).first_end, m ** j,
+                         slice(start, start + width)))
+        return cuts
 
     def __str__(self) -> str:
         return f"m={self.base} w={digit_string(self.pattern, self.base)}"
@@ -522,11 +547,7 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
         raise TypeError("the candidate must be a uint8 array")
     m, k, n_terms = spec.base, spec.width, len(x)
-
-    def head(K):  # the indices the identity with L = m^K does not cover
-        return m ** K * (2 if spec.is_zero_word and K >= k else 1)
-
-    end = min(n_terms, head(1))
+    end = min(n_terms, spec.row_head(1))
     want = np.zeros(end, dtype=np.uint8)  # H below m, or 2m for w = "0"
     if spec.first_end < end:
         want[spec.first_end::min(m ** k, end)] = 1
@@ -538,7 +559,8 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
                                          or m ** (top + 2) <= CHECK_CHUNK):
         top += 1
     for K in sorted({1, top}):  # rows of m up to the rows of L, then L
-        lo, hi = head(K), n_terms if K == top else min(n_terms, head(top))
+        lo = spec.row_head(K)
+        hi = n_terms if K == top else min(n_terms, spec.row_head(top))
         fail = _rows_mismatch(spec, x, K, lo, hi) if lo < hi else None
         if fail:
             return fail
@@ -550,18 +572,13 @@ def _rows_mismatch(spec: PatternSpec, x: np.ndarray, K: int, lo: int,
     """`recursion_mismatch` on the indices [lo, hi) by rows of L = m^K
     terms, lo a multiple of L at or past the head for K, with every
     index below lo already checked."""
-    m, w = spec.base, spec.pattern
-    k, size = len(w), m ** K
-    if K < k:
+    m = spec.base
+    size = m ** K
+    if K < spec.width:
         u = np.zeros(size, dtype=np.uint8)
     else:
         u = x[size:2 * size] if spec.is_zero_word else x[:size]
-    spans = []  # (f_j, m^j, I_j) for each j with w[:j] | w[j:] across the cut
-    for j in range(max(1, k - K), k):
-        width = m ** (K - k + j)
-        start = from_base(w[j:], m) * width
-        spans.append((PatternSpec(m, w[:j]).first_end, m ** j,
-                      slice(start, start + width)))
+    spans = spec.row_cuts(K)
     if m < 64:  # table[c] = (U + c) mod m
         table = np.add.outer(np.arange(m, dtype=np.uint8), u)
         np.remainder(table, m, out=table)

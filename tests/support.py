@@ -1,7 +1,7 @@
 """Shared test toolkit: the pattern enumerator, the 60-pattern grid, the
 golden prefixes, a pure-Python digit string, a peak-memory meter, a
-probe of the path each rendered chunk takes and the layout of the
-oracle check's rows.
+probe of the path each rendered chunk takes and the layouts of the
+oracle check's rows and of the row generator's chunks.
 
 Each shared thing is defined here once; test modules import it from
 here and never from one another (`test_toolkit.py` checks both).
@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 
+import blockseq.windows
 import blockseq.words
 
 
@@ -132,3 +133,23 @@ def check_rows(m, w, n):
         end = n if K == top else min(n, head(top))
         starts.update(range(head(K), end, max(1, chunk // size) * size))
     return m ** top, sorted(i for i in starts | {head(1), head(top)} if i < n)
+
+
+def row_layout(m, w):
+    """(L, rows, head) of `windows._row_chunks` for a_{m;w} at the
+    module's current ROW_CHUNK and ROW_CAP: L is the row length, the
+    largest power of m at most ROW_CAP (with the table of border
+    classes, min(|w|, K + 1) * m * L bytes, at most ROW_CHUNK below
+    m = 64), or m past it; each chunk but the last holds `rows` rows;
+    and the head, the terms below the first generated row, is L, or 2L
+    for a zero-led w no wider than K."""
+    chunk, cap = blockseq.windows.ROW_CHUNK, blockseq.windows.ROW_CAP
+    spec = blockseq.words.PatternSpec(m, w)
+    k = spec.width
+    K = 1
+    while m ** (K + 1) <= cap and (
+            m >= 64 or min(k, K + 2) * m ** (K + 2) <= chunk):
+        K += 1
+    L = m ** K
+    head = L * (2 if spec.is_zero_word and K >= k else 1)
+    return L, max(1, chunk // L), head

@@ -66,8 +66,15 @@ def test_module_imports_are_used(path):
 UNREFERENCED_EXPORTS = {
     # the scalar oracle the tests judge every generator against
     "a_value",
+    # the vectorized oracle at any indices, which the tests judge
+    # `a_prefix` and the generators against (`series` no longer samples
+    # with it: it checks its window whole with recursion_mismatch)
+    "a_batch",
     # called by the benchmark's set-up snippet and the README tour
     "functional_equation_residual",
+    # the block check of an array in memory, in the README tour; the
+    # `blocks` command checks its generated chunks with classify_chunks
+    "classify_range",
 }
 
 

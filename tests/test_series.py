@@ -15,7 +15,7 @@ from blockseq import (
     rhs_series,
     series_from_sequence,
 )
-from support import patterns, peak_bytes
+from support import GRID, patterns, peak_bytes
 
 
 def residual_of(monkeypatch, spec, f):
@@ -122,6 +122,26 @@ def test_series_reduces_mod_p(monkeypatch):
         want = [(int(f[n // p]) - int(f[n]) - int(rhs[n])) % p
                 for n in range(f.size)]
         assert residual_of(monkeypatch, spec, f).tolist() == want
+
+
+def test_residual_matches_the_whole_array_formula(monkeypatch):
+    """The residual, subtracted in place, equals (lhs - f - rhs - corr)
+    mod p with each term built as an array of its own, on the grid at
+    orders 1, 2, p and 4096, for the sequence's series (all zero) and
+    for a random one."""
+    rng = np.random.default_rng(41)
+    for m, w in GRID:
+        spec = PatternSpec(m, w)
+        for order in (1, 2, m, 4096):
+            for f in (generate(spec, order),
+                      rng.integers(0, m, size=order).astype(np.uint8)):
+                lhs = np.repeat(f[:-(-order // m)].astype(np.int64),
+                                min(m, order))[:order]
+                want = (lhs - f - rhs_series(spec, order)
+                        - origin_correction(spec, order)) % m
+                got = residual_of(monkeypatch, spec, f)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist(), (spec, order)
 
 
 def test_residual_memory_is_linear_in_order(monkeypatch):

@@ -827,3 +827,66 @@ def test_classify_range_returns_the_reference_type2_indices_on_the_grid():
             want = type2_indices(ref_classify_range, spec, x)
             assert isinstance(want, tuple) == (i >= len(valid)), (spec, i)
             assert type2_indices(classify_range, spec, x) == want, (spec, i)
+
+
+# ---------------------------------------------------------------------------
+# the block check over chunks
+# ---------------------------------------------------------------------------
+
+def split(x, p, cuts):
+    """x in chunks ending at the given block indices (and at its end)."""
+    edges = [0, *(c * p for c in cuts if 0 < c * p < len(x)), len(x)]
+    return [x[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("m,w", [(2, "11"), (2, "01"), (3, "021"),
+                                 (5, "23"), (257, "5 0")])
+def test_classify_chunks_matches_classify_range_on_any_cut(monkeypatch,
+                                                           m, w):
+    """Cut at random block boundaries, into chunks of any length that
+    need not hold whole periods, a prefix classifies as classify_range
+    classifies it whole: clean, and with each injected violation and a
+    type-1 block made type 2 in the first chunk ahead of a neither block
+    in the last, at the module's BLOCK_CHUNK and at a period or less."""
+    rng = np.random.default_rng(7 * m)
+    spec = PatternSpec(m, w)
+    period = m ** spec.width
+    clean = generate(spec, 12 * min(period, 5000) + m - 1)
+    nb = len(clean) // m
+    i0 = spec.pattern[-1]
+    both = clean.astype(np.int64)
+    # block 1 the other shape, then block nb - 2 neither shape: a digit
+    # beside the deviating one stepped, or at p = 2 (where two in-range
+    # digits always form one shape) 254 or 255, whose successor mod 2
+    # is not the deviating digit
+    t = int(both[m + (i0 + 1) % m])
+    both[m + i0] = t if both[m + i0] != t else (t + 1) % m
+    n = nb - 2
+    t, d = int(both[n * m + (i0 + 1) % m]), int(both[n * m + i0])
+    both[n * m + (i0 + 1) % m] = 254 + d if m == 2 else (t + 1) % m
+    cases = [clean, both, *injected_violations(spec, clean)]
+    assert "neither" in outcome(classify_range, spec, both)[1]
+    for chunk in (structure.BLOCK_CHUNK, period, period - 1):
+        monkeypatch.setattr(structure, "BLOCK_CHUNK", chunk)
+        for x in cases:
+            want = type2_indices(classify_range, spec, x)
+            for _ in range(4):
+                cuts = np.sort(rng.integers(1, nb, size=rng.integers(1, 6)))
+                got = type2_indices(
+                    lambda spec, x: structure.classify_chunks(
+                        spec, split(x, m, cuts.tolist()), len(x)), spec, x)
+                assert got == want, (chunk, cuts)
+
+
+def test_classify_chunks_refuses_a_bad_cut_or_count():
+    """A chunk that ends inside a block with another after it, or chunks
+    that do not hold the count, raise ValueError."""
+    spec = PatternSpec(3, "12")
+    x = generate(spec, 30)
+    with pytest.raises(ValueError, match="block boundary"):
+        structure.classify_chunks(spec, [x[:4], x[4:]], 30)
+    for count in (29, 31):
+        with pytest.raises(ValueError, match="30 terms"):
+            structure.classify_chunks(spec, [x[:9], x[9:]], count)
+    assert structure.classify_chunks(spec, [x[:9], x[9:29]], 29) \
+        == classify_range(spec, x[:29])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import blockseq.windows
-from blockseq import PatternSpec, a_prefix, generate
-from support import (RS_S1, RS_S2, RS_S3, ZW_PREFIX64, ZW_S0, ZW_S1, ZW_S2,
-                     as_str, patterns, peak_bytes)
+from blockseq import (PatternSpec, a_batch, a_prefix, a_value,
+                      build_morphism, expand_fixed_point, generate)
+from support import (GRID, RS_S1, RS_S2, RS_S3, ZW_PREFIX64, ZW_S0, ZW_S1,
+                     ZW_S2, as_str, patterns, peak_bytes, row_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +279,119 @@ def test_base2_one_pass_levels_on_a_dirty_heap_match_oracle(monkeypatch,
             for _ in range(2):
                 np.full(n, 0xFF, dtype=np.uint8)
             assert np.array_equal(generate(spec, n), want), (spec, n)
+
+
+# ---------------------------------------------------------------------------
+# the row generator: a[0:N) a chunk of whole rows at a time
+# ---------------------------------------------------------------------------
+
+# the grid, bases 4, 6, 10, 11 and 257 (zero-led and not), and 13-digit
+# words at m = 2, where the rows are shorter than w
+ROW_PATTERNS = GRID + [
+    (4, (1,)), (4, (0, 3)), (4, (3, 0, 2)), (6, (5,)), (6, (0,)),
+    (6, (1, 0)), (10, (0, 1, 2, 3, 4, 5, 6, 7)), (10, (9, 9)),
+    (11, (1,)), (11, (10, 0)), (11, (0, 10)), (257, (1,)), (257, (0,)),
+    (257, (5, 0)), (2, (1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1)),
+    (2, (0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0)),
+]
+
+
+def row_chunks(spec, n):
+    """The chunks `_row_chunks` yields for n terms, each copied (they
+    share one buffer), after checking that every chunk but the last is
+    whole rows and that all but the first share the first one's
+    buffer."""
+    L, rows, head = row_layout(spec.base, spec.pattern)
+    chunks, first = [], None
+    for chunk in blockseq.windows._row_chunks(spec, n):
+        assert chunk.dtype == np.uint8
+        if first is None:
+            first = chunk
+        else:
+            assert len(chunks[-1]) == rows * L
+            assert np.shares_memory(chunk, first)
+        chunks.append(chunk.copy())
+    assert sum(map(len, chunks)) == n
+    return chunks
+
+
+def row_sizes(spec, n_max):
+    """N = 1, the edges of the head and of the first rows (L +- 1,
+    2L +- 1, 3L + 1) and of every chunk, and n_max, below n_max."""
+    L, rows, head = row_layout(spec.base, spec.pattern)
+    sizes = {1, n_max}
+    for edge in [L, 2 * L, 3 * L, head, *range(0, n_max, rows * L)]:
+        sizes.update((edge - 1, edge, edge + 1))
+    return sorted(n for n in sizes if 1 <= n <= n_max)
+
+
+@pytest.mark.parametrize("chunk, cap", [(None, None), (1 << 8, 1 << 4)])
+def test_row_chunks_match_the_oracle(monkeypatch, chunk, cap):
+    """For every row pattern, the concatenated chunks are the oracle's
+    a_batch over the first N indices at each of `row_sizes`, with the
+    module's sizes and with rows of at most 16 terms in chunks of 256
+    bytes, where every width-3 word past m = 2, every width-2 word past
+    m = 4 and both 13-digit words have rows shorter than w (K < |w|)."""
+    if chunk:
+        monkeypatch.setattr(blockseq.windows, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(blockseq.windows, "ROW_CAP", cap)
+    for m, w in ROW_PATTERNS:
+        spec = PatternSpec(m, w)
+        L, rows, _ = row_layout(m, w)
+        n_max = min(4 * rows * L + 3 * L + 5, 1 << 18)
+        want = a_batch(spec, np.arange(n_max))
+        for n in row_sizes(spec, n_max):
+            got = np.concatenate(row_chunks(spec, n))
+            assert np.array_equal(got, want[:n]), (spec, n)
+
+
+def test_row_chunks_match_the_scalar_oracle_and_the_morphism():
+    """At 2*10^6 + 3 terms the chunks are the morphism's fixed point
+    (a prime base) or the oracle's a_batch, and each term either side
+    of every chunk edge is a_value's."""
+    n = 2 * 10 ** 6 + 3
+    for m, w in [(2, "11"), (2, "0"), (3, "12"), (5, "10"), (6, "01"),
+                 (257, "5 0"), (2, "1101101101101")]:
+        spec = PatternSpec(m, w)
+        chunks = row_chunks(spec, n)
+        got = np.concatenate(chunks)
+        want = (expand_fixed_point(build_morphism(spec), n)
+                if spec.modulus_is_prime else a_batch(spec, np.arange(n)))
+        assert np.array_equal(got, want), spec
+        edges = np.cumsum([len(c) for c in chunks])[:-1]
+        for i in sorted({0, n - 1, *(edges - 1), *edges}):
+            assert got[i] == a_value(spec, int(i)), (spec, i)
+
+
+def test_row_chunks_of_a_short_request_are_the_window():
+    """Below the head, and for a base past every N, the one chunk is
+    the doubling window itself: m = 2^61 - 1 at 10 terms needs no row."""
+    for spec, n in [(PatternSpec(2, "11"), 100),
+                    (PatternSpec(2 ** 61 - 1, "1"), 10),
+                    (PatternSpec(5003, "0"), 10_006)]:
+        (chunk,) = blockseq.windows._row_chunks(spec, n)
+        assert np.array_equal(chunk, generate(spec, n))
+
+
+def test_row_chunks_reject_bad_count():
+    with pytest.raises(ValueError):
+        next(blockseq.windows._row_chunks(PatternSpec(2, "11"), 0))
+
+
+@pytest.mark.parametrize("m, w", [(2, "0"), (3, "12"), (61, "1 0"),
+                                  (257, "5 0"), (2, "1101101101101")])
+def test_row_chunks_hold_parents_not_terms(m, w):
+    """Consuming 2^23 terms peaks at most the 3 * 2^21 / L more parent
+    bytes above 2^21 terms, plus 8 KiB (1.5 KiB more in all at m = 2,
+    where L = 4096), and under 0.3 MiB: one chunk, the table and the
+    parents."""
+    spec = PatternSpec(m, w)
+    L = row_layout(m, w)[0]
+
+    def consume(n):
+        for _ in blockseq.windows._row_chunks(spec, n):
+            pass
+
+    peaks = [peak_bytes(consume, n)[1] for n in (1 << 21, 1 << 23)]
+    assert peaks[1] - peaks[0] <= 3 * (1 << 21) // L + (8 << 10), peaks
+    assert max(peaks) <= 0.3 * 2 ** 20, peaks

@@ -171,12 +171,15 @@ def test_digit_string_wide_base_uses_separators():
             digit_string(digits, base)
 
 
-@pytest.mark.parametrize("width, sep", [(None, b" "), (9, b"  ")])
+@pytest.mark.parametrize("width, sep", [(None, b" "), (9, b"  "),
+                                        (9, b" = ")])
 @pytest.mark.parametrize("d", range(1, 8))
 def test_template_rows_match_f_strings(d, width, sep):
     """Row i of the index template of digit count d is the line of the
     d-digit index whose k = min(d, TEMPLATE_DIGITS) low digits are i,
-    zero-padded, once its high digits and its value are written."""
+    zero-padded, once its high digits and its value are written: with
+    the blank separators of `bfile` and `table`, which the fill of
+    spaces writes, and with one that is not blank."""
     rows = _template(d, width, sep)
     k = min(d, TEMPLATE_DIGITS)
     assert rows.shape[0] == 10 ** k and rows.dtype == np.uint8
@@ -184,9 +187,11 @@ def test_template_rows_match_f_strings(d, width, sep):
     for col, digit in enumerate(high, (width or d) - d):
         rows[:, col] = ord(digit)
     rows[:, -2] = ord("7")
-    assert rows.tobytes().decode("ascii") == "".join(
+    # compared as lists of lines: a failing compare of the joined text
+    # would make pytest diff 10^4 lines
+    assert rows.tobytes().decode("ascii").splitlines(keepends=True) == [
         f"{high}{i:0{k}d}".rjust(width or 0) + f"{sep.decode()}7\n"
-        for i in range(10 ** k))
+        for i in range(10 ** k)]
 
 
 def test_digit_string_drops_pad_bytes_only_where_a_value_padded():
