@@ -33,8 +33,9 @@ The morphism leg is `morphism.fixed_point_mismatch` and the oracle leg
 `words.recursion_mismatch`; their docstrings say how each reads the
 window.  A FAIL line names that least index, the window's term there
 and the leg's.  So `verify` holds about 1 byte per term, plus the
-morphism's level or the oracle check's chunk of expected rows and its
-rotation table (under 0.2 MiB together).
+morphism's level and one 64 KiB chunk of codes, or the oracle check's
+table of (border class, a(s)) rows and one chunk of expected rows, at
+most 64 KiB + m * L bytes together (under 0.2 MiB).
 `blocks` never holds its N terms: `windows._row_chunks` writes them a
 chunk of rows at a time into one buffer, and `structure.classify_chunks`
 checks each chunk as it comes, in fixed scratch.  So it holds about N/L

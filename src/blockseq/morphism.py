@@ -62,9 +62,10 @@ the least e with P = p^e >= 64 whose letter table fits in 64 KiB
 p = 64 on, where it is the expansion's table), so each gathered index
 codes at least 64 terms where the cap allows.  It builds
 x[:ceil(N / P)] for N terms, about N / (P - 1) letters in all levels,
-codes those letters' images one reused chunk at a time, in the codes'
-own dtype, and compares each with the window, so it holds that level
-and one chunk, never a second output.  The expansion keeps its
+codes those letters' images one reused chunk of 64 KiB of codes at a
+time, in the codes' own dtype, and compares each with the window in
+place, the flags written over the chunk, so it holds that level and one
+chunk, never a second output.  The expansion keeps its
 narrower rows, so the generators' timings are not moved.
 """
 
@@ -92,6 +93,9 @@ __all__ = [
 # the next power of mu fits in CHECK_TABLE_BYTES.
 CHECK_WIDTH = 64
 CHECK_TABLE_BYTES = 1 << 16
+# Bytes of codes per chunk of `fixed_point_mismatch`: 2^16 terms for
+# uint8 codes, half as many for uint16 (p > 256).
+CHECK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +215,10 @@ def build_morphism(spec: PatternSpec) -> UniformMorphism:
     return UniformMorphism(p, trans, coding, start)
 
 
-# Terms per np.take gather in `_gather` and `fixed_point_mismatch`, and
-# per chunk of wide codes that `expand_fixed_point` narrows.  np.take
-# copies its indices to int64, so gathering a whole level at once would
-# need 8 scratch bytes per letter read.
+# Terms per np.take gather in `_gather`, and per chunk of wide codes
+# that `expand_fixed_point` narrows.  np.take copies its indices to
+# int64, so gathering a whole level at once would need 8 scratch bytes
+# per letter read.
 TAKE_CHUNK = 1 << 15
 
 
@@ -254,10 +258,14 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     p itself from p = CHECK_WIDTH on), which has the same fixed point
     as mu.  The coded fixed point's first len(x) terms are the codes of
     the rows of its first ceil(len(x) / P) letters, which `_prefix`
-    builds.  Those rows are coded TAKE_CHUNK // P at a time into one
-    reused chunk in the codes' own dtype, which is compared with the
-    matching slice of x.  So the check holds that level, about
-    len(x) / (P - 1) letters, and one chunk, never a second output, and
+    builds.  Those rows are coded CHECK_CHUNK bytes at a time (2^16
+    terms for uint8 codes, half as many for uint16), whole rows, into
+    one reused chunk in the codes' own dtype.  The chunk is compared
+    with the matching slice of x in place, each code's first byte
+    overwritten by whether it differs, and one `any` tells whether one
+    does; the term at the first that does is read again from the codes.
+    So the check holds that level, about len(x) / (P - 1) letters, and
+    one chunk, never a second output or a temporary per chunk, and
     narrows no code: a reachable code past 255 is reported as it is.
     An empty x passes.  Anything but a uint8 array raises TypeError, as
     in `words.recursion_mismatch`: a list has no uint8 terms to compare,
@@ -269,16 +277,19 @@ def fixed_point_mismatch(mu: UniformMorphism, x: np.ndarray) -> tuple | None:
     width = coded.shape[1]
     # an empty x is compared with the empty head of the start letter's row
     seq = _prefix(table, mu.start, max(1, -(-len(x) // width)))
-    step = max(1, TAKE_CHUNK // width)
+    step = max(1, CHECK_CHUNK // coded.itemsize // width)
     rows = np.empty((min(step, seq.size), width), dtype=coded.dtype)
     for q in range(0, seq.size, step):
         letters = seq[q:q + step]
         want = x[q * width:(q + letters.size) * width]
         got = np.take(coded, letters, axis=0, out=rows[:letters.size],
                       mode="clip").reshape(-1)[:want.size]
-        if not np.array_equal(got, want):
-            i = int(np.flatnonzero(got != want)[0])
-            return q * width + i, int(got[i])
+        # each code's first byte holds whether it differs
+        ne = got.view(bool)[::coded.itemsize]
+        np.not_equal(got, want, out=ne)
+        if ne.any():
+            i = int(ne.argmax())
+            return q * width + i, int(coded[letters[i // width], i % width])
     return None
 
 

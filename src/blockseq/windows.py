@@ -70,14 +70,16 @@ where U[r] counts w in r padded to K digits (0 for K < |w|, else a(r),
 or a(L + r) for a zero-led w, which can start in the padding zeros
 that [r]_m lacks), B(s) is the set of j for which w[:j] ends the expansion of s
 and I_j the interval of r whose padding starts with w[j:]
-(`PatternSpec.row_cuts`; `words.recursion_mismatch` checks a window by
-the same identity).  If J is the largest j in B(s), the others are the
-j < J with w[:j] a suffix of w[:J] (a border), so B(s) is fixed by J:
-one border class.  The head, below L (below 2L where U reads
+(`PatternSpec.row_cuts`).  If J is the largest j in B(s), the others
+are the j < J with w[:j] a suffix of w[:J] (a border), so B(s) is fixed
+by J: one border class.  The head, below L (below 2L where U reads
 a(L + r)), and the parents a(s) come from `generate`; each later row is
 one row of the table (U + c + the cut terms of class J) mod m, picked
 by (J, c = a(s)), or from m = 64 on, where no count reaches m and
-nothing wraps, U plus a(s) plus one on the slices (B(s), I_j).
+nothing wraps, U plus a(s) plus one on the slices (B(s), I_j).  K and
+the table are `PatternSpec.row_digits` and `PatternSpec.row_table`,
+which `words.recursion_mismatch` checks a window with, by the same
+identity.
 """
 
 from __future__ import annotations
@@ -204,84 +206,42 @@ def generate(spec: PatternSpec, n_terms: int) -> np.ndarray:
     return s
 
 
-# Terms per chunk of `_row_chunks`, in whole rows; below m = 64 its
-# table of border classes is at most this many bytes too.
-ROW_CHUNK = 1 << 16
-# The most terms in a row of `_row_chunks`, unless m is more.
-ROW_CAP = 1 << 12
-
-
 def _row_chunks(spec: PatternSpec, n_terms: int):
     """Yield the first n_terms values of (a_{m;w}(n)) in order, as uint8
     chunks of one reused buffer, each valid until the next is asked for.
 
-    Every chunk but the last is whole rows of L = m^K terms, ROW_CHUNK
-    // L rows (one where a row is longer), and the first holds the head
-    (see the module docstring).  L is the largest power of m at most
-    ROW_CAP, with the table of (border class, a(s)) rows at most
-    ROW_CHUNK bytes below m = 64, and m itself past ROW_CAP.  So the
-    chunks cost about N/L bytes of parents from `generate`, one chunk
-    and the table, at any n_terms.
+    Every chunk but the last is whole rows of L = m^K terms,
+    `RowTable.chunk_rows` of them (ROW_CHUNK // L, one where a row is
+    longer), and the first holds the head (see the module docstring).
+    K is `PatternSpec.row_digits`, the rule `words.recursion_mismatch`
+    takes too: L is the largest power of m at most ROW_CAP with the
+    table of (border class, a(s)) rows at most ROW_CHUNK bytes below
+    m = 64, and m itself past ROW_CAP.  So the chunks cost about N/L
+    bytes of parents from `generate`, one chunk and the table, at any
+    n_terms.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    m, w = spec.base, spec.pattern
-    k = len(w)
-    K = 1  # classes: none, or the largest j in [max(1, k - K), k)
-    while m ** (K + 1) <= ROW_CAP and (
-            m >= 64 or min(k, K + 2) * m ** (K + 2) <= ROW_CHUNK):
-        K += 1
-    L = m ** K
+    K = spec.row_digits()
+    L = spec.base ** K
     head = spec.row_head(K)
     if n_terms <= head:
         yield generate(spec, n_terms)
         return
     n_rows = -(-n_terms // L)
     a = generate(spec, max(head, n_rows))  # the head and the parents
-    if K < k:
+    if K < spec.width:
         u = np.zeros(L, dtype=np.uint8)
     else:
         u = a[L:2 * L] if spec.is_zero_word else a[:L]
-    cuts = spec.row_cuts(K)  # (f_j, m^j, I_j), j ascending
-    per = max(1, ROW_CHUNK // L)
-    buf = np.empty((min(per, n_rows), L), dtype=np.uint8)
-    if m < 64:
-        # rows c*m .. c*m + m - 1: (U + v + the cut terms of class c) mod
-        # m, class 0 with no j and class c >= 1 with largest j that of
-        # cuts[c - 1]
-        ramp = np.arange(m, dtype=np.uint8)[:, None]
-        table = np.empty(((len(cuts) + 1) * m, L), dtype=np.uint8)
-        for c in range(len(cuts) + 1):
-            row = u.copy()
-            big = k - len(cuts) + c - 1  # the largest j of class c
-            for j, (_, _, cols) in enumerate(cuts, k - len(cuts)):
-                if j == big or j < big and w[:j] == w[big - j:big]:
-                    _wrap(np.add(row[cols], 1, out=row[cols]), m)
-            np.add(ramp, row, out=table[c * m:(c + 1) * m])
-        _wrap(table.reshape(-1), m)  # every sum is below 2m
-        pick = np.empty(len(buf), dtype=np.intp)
+    row_table = spec.row_table(K, u)
+    buf = np.empty((min(row_table.chunk_rows, n_rows), L), dtype=np.uint8)
     for s0 in range(0, n_rows, len(buf)):
         rows = buf[:min(len(buf), n_rows - s0)]
         s1 = s0 + len(rows)
         lo = min(s1, max(s0, head // L))  # the first row past the head
         if lo > s0:
             rows[:lo - s0] = a[s0 * L:lo * L].reshape(-1, L)
-        out, parents = rows[lo - s0:], a[lo:s1]
-        if m < 64:
-            c = pick[:len(out)]
-            c[:] = 0
-        else:
-            np.add(u, parents[:, None], out=out)
-        # the rows s in each S_j, j ascending: the largest is written last
-        for i, (f, step, cols) in enumerate(cuts, 1):
-            s = max(f, lo + (f - lo) % step)
-            if s < s1:
-                hit = slice(s - lo, None, min(step, s1 - lo))
-                if m < 64:
-                    c[hit] = i * m
-                else:
-                    out[hit, cols] += 1
-        if m < 64:
-            c += parents
-            table.take(c, axis=0, out=out, mode="clip")
+        if lo < s1:
+            row_table.fill(lo, a[lo:s1], rows[lo - s0:])
         yield rows.reshape(-1)[:n_terms - s0 * L]

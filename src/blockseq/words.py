@@ -22,9 +22,10 @@ occurrences across the cut, with every term it reads taken from x, so
 `verify` checks x without building a second output: by strong
 induction x is a exactly when no index fails, and the least index that
 fails is the least one where x is wrong, where the identity gives the
-true a(n).  It compares whole rows of m^K terms, each one fixed row
-plus the row's parent mod m and one on a few slices, and tests no
-index on its own.
+true a(n).  It compares whole rows of m^K terms, each a row of one table
+picked by the row's parent and its border class (`RowTable`, which
+`windows._row_chunks` builds its rows from too, by the same K from
+`PatternSpec.row_digits`), and tests no index on its own.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
@@ -216,6 +217,14 @@ def digit_string(digits, base: int) -> str:
     return str(rows, "ascii")[:rows.size - len(sep)]
 
 
+# The rows of the identity a(sL + r) = (U[r] + a(s) + cut terms) mod m
+# (`PatternSpec.row_digits`): at most ROW_CAP terms each, unless m is
+# more, with the table of border classes at most ROW_CHUNK bytes below
+# m = 64, and ROW_CHUNK // L rows per chunk of `windows._row_chunks`.
+ROW_CAP = 1 << 12
+ROW_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """The pair (base m, pattern word w); the universal parameter object.
@@ -320,8 +329,104 @@ class PatternSpec:
                          slice(start, start + width)))
         return cuts
 
+    def row_digits(self) -> int:
+        """K for the rows of L = m^K terms that `recursion_mismatch` and
+        `windows._row_chunks` take: the largest with L at most ROW_CAP
+        whose table of border classes (`row_table`), min(|w|, K + 1) * m
+        rows of L bytes, fits in ROW_CHUNK below m = 64; at least 1, so
+        L = m where no larger power fits (m itself past ROW_CAP)."""
+        m, k = self.base, self.width
+        K = 1
+        while m ** (K + 1) <= ROW_CAP and (
+                m >= 64 or min(k, K + 2) * m ** (K + 2) <= ROW_CHUNK):
+            K += 1
+        return K
+
+    def row_table(self, K: int, u: np.ndarray) -> "RowTable":
+        """The rows of L = m^K terms past the head, from U = u (see
+        `RowTable`)."""
+        return RowTable(self, K, u)
+
     def __str__(self) -> str:
         return f"m={self.base} w={digit_string(self.pattern, self.base)}"
+
+
+class RowTable:
+    """The rows s >= 1 of L = m^K terms of a_{m;w}, by
+
+        a(sL + r) = (U[r] + a(s) + #{j in B(s) : r in I_j}) mod m,
+
+    with U = u, B(s) the j whose w[:j] ends the expansion of s and I_j
+    the interval of r whose padding starts with w[j:]
+    (`PatternSpec.row_cuts`).  If J is the largest j in B(s), the others
+    are the j < J with w[:j] a border of w[:J], so B(s) is fixed by J:
+    one border class.  Below m = 64 `table` holds, in row c*m + v, the
+    row (U + v + the cut terms of class c) mod m, class 0 having no j
+    and class c >= 1 the largest j of `cuts[c - 1]`, and `fill` writes a
+    chunk of rows with one np.take of it; from m = 64 on, where no count
+    reaches m and nothing wraps, `table` is None and `fill` adds a(s) to
+    U and one on the slices (B(s), I_j).  `chunk_rows` is ROW_CHUNK // L
+    rows (at least one)."""
+
+    def __init__(self, spec: PatternSpec, K: int, u: np.ndarray):
+        m, w = spec.base, spec.pattern
+        self.base, self.u = m, u
+        self.cuts = spec.row_cuts(K)  # (f_j, m^j, I_j), j ascending
+        self.chunk_rows = max(1, ROW_CHUNK // len(u))
+        # per cut: f_j, m^j (capped past every index, so that a slice
+        # takes it), the first table row of its class and I_j
+        self._marks = [(f, min(step, MAX_INDEX), c * m, cols)
+                       for c, (f, step, cols) in enumerate(self.cuts, 1)]
+        self.table = None
+        if m >= 64:
+            return
+        first = len(w) - len(self.cuts)  # the least j
+        # border[i]: the longest proper border of w[:i + 1]
+        border = [0] * len(w)
+        for i in range(1, len(w)):
+            b = border[i - 1]
+            while b and w[i] != w[b]:
+                b = border[b - 1]
+            border[i] = b + (w[i] == w[b])
+        ramp = np.arange(m, dtype=np.uint8)[:, None]
+        table = np.empty(((len(self.cuts) + 1) * m, len(u)), dtype=np.uint8)
+        np.add(ramp, u, out=table[:m])
+        _reduce_once(table[:m], m)  # every sum is below 2m
+        for c, (_, _, cols) in enumerate(self.cuts, 1):
+            # class c is the class of the longest border of w[:j] that is
+            # a cut (class 0 if none is) plus one on I_j, j = first + c - 1
+            b = border[first + c - 2]
+            row = table[c * m]
+            row[:] = table[(b - first + 1) * m if b >= first else 0]
+            one = row[cols]
+            one += 1
+            _reduce_once(one, m)  # each term was below m
+            block = table[c * m + 1:(c + 1) * m]
+            np.add(ramp[1:], row, out=block)
+            _reduce_once(block, m)
+        self.table = table
+
+    def fill(self, s0: int, parents: np.ndarray, out: np.ndarray) -> None:
+        """Write the rows s0, ..., s0 + len(parents) - 1 (s0 >= 1) into
+        out, their parents a(s) given.  A parent of m or more picks a
+        wrong row (the np.take is clipped), but it is wrong at its own
+        index, which comes first."""
+        end = s0 + len(parents)
+        if self.table is None:
+            np.add(self.u, parents[:, None], out=out)
+        else:
+            pick = np.zeros(len(parents), dtype=np.intp)
+        # the rows s in each S_j, j ascending: the largest is written last
+        for f, step, at, cols in self._marks:
+            s = f if f >= s0 else s0 + (f - s0) % step  # the first >= s0
+            if s < end:
+                if self.table is None:
+                    out[s - s0::step, cols] += 1
+                else:
+                    pick[s - s0::step] = at
+        if self.table is not None:
+            pick += parents
+            self.table.take(pick, axis=0, out=out, mode="clip")
 
 
 def to_base(n: int, m: int) -> tuple:
@@ -443,10 +548,10 @@ def a_batch(spec: PatternSpec, ns) -> np.ndarray:
 
 
 def _reduce_once(c: np.ndarray, m: int) -> None:
-    """c mod m in place, for a uint8 c <= m: c - m wraps above 192 for
-    c < m and is 0 for c = m, so the lesser of c and c - m is c mod m.
-    A count stays below the 63 windows of an index, so from m = 64 on
-    c < m already and nothing is done."""
+    """c mod m in place, for a uint8 c < 2m: c - m wraps above 192 for
+    c < m and is c mod m from c = m on, so the lesser of c and c - m is
+    c mod m.  A count stays below the 63 windows of an index, so from
+    m = 64 on c < m already and nothing is done."""
     if m < 64:
         np.minimum(c, c - m, out=c)
 
@@ -501,14 +606,6 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     return counts
 
 
-# Terms per chunk of `recursion_mismatch`, in whole rows: its scratch is
-# one chunk of expected terms (one row, where a row is longer) and,
-# below m = 64, a rotation table of at most CHECK_CHUNK bytes.
-CHECK_CHUNK = 1 << 16
-# The most terms in a row of `recursion_mismatch`, unless m is more.
-ROW_CAP = 1 << 12
-
-
 def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     """Check a uint8 candidate prefix x of a_{m;w} against the digit
     recursion taken K digits at a time, reading every term it needs
@@ -526,23 +623,24 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     is in S_j, the s >= f_j with s = f_j mod m^j for f_j the
     `PatternSpec.first_end` of w[:j]; the padded r starts with w[j:]
     when r is in I_j, one interval of m^(K-|w|+j) values.  So a row s
-    of L terms is U rotated by a(s), plus one on the slices (S_j, I_j).
+    of L terms is U rotated by a(s), plus one on the slices (S_j, I_j),
+    and those depend on s only through its border class (`RowTable`).
 
     By strong induction x = a on [0, N) iff no index fails, and the
     least failing n is the least n with x(n) != a(n): every term the
     identity reads from x (s, and r or L + r) lies below n and is
-    right, so the identity gives a(n).  L is the largest power of m at
-    most ROW_CAP, with m * L at most CHECK_CHUNK below m = 64, and m
-    itself past ROW_CAP.  The terms below the first row, and below 2L
-    where U reads a(L + r), are checked by the same identity with K = 1
-    after the compare with H.  Rows are checked CHECK_CHUNK // L at a
-    time: one np.take of the rotation table (U + c) mod m by their
-    parents, clipped (a parent of m or more fails at its own index
-    first), or from m = 64 on, where no count reaches m, one broadcast
-    add; then one added on each slice, one compare with x and one
-    `any`.  No index is held in an array.  Anything but a uint8 array
-    raises TypeError: a wider value would wrap in the uint8 scratch,
-    where 256 reads as 0.
+    right, so the identity gives a(n).  K is `PatternSpec.row_digits`,
+    the rule `windows._row_chunks` takes too.  The terms below the first
+    row, and below 2L where U reads a(L + r), are checked by the same
+    identity with K = 1 after the compare with H.  Each chunk of rows is
+    one `RowTable.fill` from their parents (below m = 64 one np.take of
+    the table of (border class, a(s)) rows, from m = 64 on one broadcast
+    add and one on a few slices), one in-place compare with x and one
+    `any`.  The table's bytes past m * L come out of the chunk of
+    expected rows, ROW_CHUNK bytes less those, so the scratch, the table
+    and one chunk, is at most ROW_CHUNK + m * L bytes.  No index is held
+    in an array.  Anything but a uint8 array raises TypeError: a wider
+    value would wrap in the uint8 scratch, where 256 reads as 0.
     """
     if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
         raise TypeError("the candidate must be a uint8 array")
@@ -554,10 +652,7 @@ def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
     bad = np.flatnonzero(x[:end] != want)
     if bad.size:
         return int(bad[0]), int(want[bad[0]])
-    top = 1
-    while m ** (top + 1) <= ROW_CAP and (m >= 64
-                                         or m ** (top + 2) <= CHECK_CHUNK):
-        top += 1
+    top = spec.row_digits()
     for K in sorted({1, top}):  # rows of m up to the rows of L, then L
         lo = spec.row_head(K)
         hi = n_terms if K == top else min(n_terms, spec.row_head(top))
@@ -578,28 +673,19 @@ def _rows_mismatch(spec: PatternSpec, x: np.ndarray, K: int, lo: int,
         u = np.zeros(size, dtype=np.uint8)
     else:
         u = x[size:2 * size] if spec.is_zero_word else x[:size]
-    spans = spec.row_cuts(K)
-    if m < 64:  # table[c] = (U + c) mod m
-        table = np.add.outer(np.arange(m, dtype=np.uint8), u)
-        np.remainder(table, m, out=table)
-    per = max(1, CHECK_CHUNK // size)
+    row_table = spec.row_table(K, u)
+    per = row_table.chunk_rows
+    # the table's bytes past m * L come out of the chunk of expected rows
+    if row_table.table is not None:
+        per = max(1, per - len(row_table.table) + m)
     s_lo, s_hi = lo // size, -(-hi // size)
     expected = np.empty((min(per, s_hi - s_lo), size), dtype=np.uint8)
     for s0 in range(s_lo, s_hi, per):
         s1 = min(s_hi, s0 + per)
-        rows, parents = expected[:s1 - s0], x[s0:s1]
-        if m < 64:
-            np.take(table, parents, axis=0, out=rows, mode="clip")
-        else:
-            np.add(u, parents[:, None], out=rows)
-        for f, step, cols in spans:
-            first = max(f, s0 + (f - s0) % step)  # the first s in S_j
-            if first < s1:
-                one = rows[first - s0::min(step, s1 - s0), cols]
-                one += 1
-                _reduce_once(one, m)  # each term was below m
+        chunk = expected[:s1 - s0]
+        row_table.fill(s0, x[s0:s1], chunk)
         n0, n1 = s0 * size, min(hi, s1 * size)
-        flat = rows.reshape(-1)[:n1 - n0]
+        flat = chunk.reshape(-1)[:n1 - n0]
         ne = flat.view(bool)
         np.not_equal(x[n0:n1], flat, out=ne)
         if ne.any():
@@ -607,6 +693,6 @@ def _rows_mismatch(spec: PatternSpec, x: np.ndarray, K: int, lo: int,
             s, r = divmod(n, size)
             across = sum(s >= f and (s - f) % step == 0
                          and cols.start <= r < cols.stop
-                         for f, step, cols in spans)
+                         for f, step, cols in row_table.cuts)
             return n, (int(u[r]) + int(x[s]) + across) % m
     return None

@@ -30,10 +30,11 @@ The cases:
   prime bases and of the oracle check at the composite ones, and at the
   last index: one wrong term, and 255 there and at its children
   i*m + 1 and i*L + 1.  The chunk starts are taken for both chunkings
-  each check has had: 2^15 and 2^16 bytes of codes per morphism chunk,
-  and for the oracle 2^16 bytes of expected rows beside an m * L table,
-  or the border-class table with its bytes past m * L taken out of the
-  rows (see `words.recursion_mismatch`).
+  each check has had: for the morphism chunks of 2^15 and of 2^16 bytes
+  of codes (its chunks held 2^15 codes, and now 2^16 bytes), and for
+  the oracle 2^16 bytes of expected rows beside an m * L table, or the
+  border-class table with its bytes past m * L taken out of the rows
+  (see `words.recursion_mismatch`).
 
 Regenerate the table with `PYTHONPATH=src python tests/corpus.py`.  A
 change that has to do so changes an output, and must say which and why.
@@ -168,7 +169,7 @@ ORACLE_FAULTS = [(4, "12"), (4, "1230123"), (6, "05"), (6, "0"),
                  (63, "5"), (64, "1 0"), (65, "7")]
 
 
-def _rows(m, k, table_rows):
+def _rows(m, table_rows):
     """The oracle's K: the largest with m^K <= 4096 whose table of
     table_rows(K) rows of m^K bytes fits 2^16 bytes (no table from
     m = 64 on), at least 1."""
@@ -189,7 +190,7 @@ def _oracle_starts(m, w, n):
     zero = w[0] == "0"
     starts = set()
     for classes in (lambda K: 1, lambda K: min(k, K + 1)):
-        top = _rows(m, k, lambda K: classes(K) * m)
+        top = _rows(m, lambda K: classes(K) * m)
         for K in sorted({1, top}):
             size = m ** K
             head = size * (2 if zero and K >= k else 1)

@@ -1,19 +1,19 @@
 """Shared test toolkit: the pattern enumerator, the 60-pattern grid, the
 golden prefixes, a pure-Python digit string, a peak-memory meter, a
-probe of the path each rendered chunk takes and the layouts of the
-oracle check's rows and of the row generator's chunks.
+probe of the path each rendered chunk takes and the layout of the rows
+that the oracle check and the row generator share.
 
 Each shared thing is defined here once; test modules import it from
 here and never from one another (`test_toolkit.py` checks both).
 pytest does not collect this module, since its name is not test_*.py.
 """
 
+import collections
 import itertools
 import tracemalloc
 
 import numpy as np
 
-import blockseq.windows
 import blockseq.words
 
 
@@ -110,46 +110,47 @@ def line_path_chunks(render, values):
     return chunks, by_line
 
 
-def check_rows(m, w, n):
-    """(L, starts) for `recursion_mismatch` over n terms of a_{m;w} at
-    the module's current CHECK_CHUNK and ROW_CAP: L is the length of its
-    rows, the largest power of m at most ROW_CAP (with m * L at most
-    CHECK_CHUNK below m = 64), or m past it, and `starts` the indices
-    below n where a stretch of the check begins: its rows of m after the
-    compare with H (at m, or 2m for w = "0"), its rows of L (at L, or 2L
-    for a zero-led w no wider than K), and each later chunk of either."""
-    chunk, cap = blockseq.words.CHECK_CHUNK, blockseq.words.ROW_CAP
+# The row identity's layout: see `row_layout`.
+Rows = collections.namedtuple("Rows", "L rows head starts")
+
+
+def row_layout(m, w, n=0):
+    """The rows of a(sL + r) = (U[r] + a(s) + cut terms) mod m for
+    a_{m;w} at the current `words.ROW_CHUNK` and `ROW_CAP`, which both
+    `recursion_mismatch` and `windows._row_chunks` take:
+
+    * L = m^K, the largest power of m at most ROW_CAP whose table of
+      border classes, min(|w|, K + 1) * m rows of L bytes, is at most
+      ROW_CHUNK below m = 64, or m past ROW_CAP;
+    * rows: the rows in each chunk of `_row_chunks` but the last,
+      ROW_CHUNK // L, or one where a row is longer;
+    * head: the terms below the first row, L, or 2L for a zero-led w no
+      wider than K;
+    * starts: the indices below n where a stretch of
+      `recursion_mismatch` begins: its rows of m after the compare with
+      H (at m, or 2m for w = "0"), its rows of L (at the head), and each
+      later chunk of either, whose rows of m^J number ROW_CHUNK // m^J
+      less the table's rows past m."""
+    chunk, cap = blockseq.words.ROW_CHUNK, blockseq.words.ROW_CAP
     spec = blockseq.words.PatternSpec(m, w)
-    top = 1
-    while m ** (top + 1) <= cap and (m >= 64 or m ** (top + 2) <= chunk):
-        top += 1
+    k = spec.width
+
+    def table_rows(K):  # no table from m = 64 on
+        return min(k, K + 1) * m if m < 64 else 0
 
     def head(K):  # where the rows of m^K begin
-        return m ** K * (2 if spec.is_zero_word and K >= spec.width else 1)
+        return m ** K * (2 if spec.is_zero_word and K >= k else 1)
 
-    starts = set()
+    top = 1
+    while m ** (top + 1) <= cap and (
+            m >= 64 or table_rows(top + 1) * m ** (top + 1) <= chunk):
+        top += 1
+    starts = {head(1), head(top)}
     for K in sorted({1, top}):
         size = m ** K
         end = n if K == top else min(n, head(top))
-        starts.update(range(head(K), end, max(1, chunk // size) * size))
-    return m ** top, sorted(i for i in starts | {head(1), head(top)} if i < n)
-
-
-def row_layout(m, w):
-    """(L, rows, head) of `windows._row_chunks` for a_{m;w} at the
-    module's current ROW_CHUNK and ROW_CAP: L is the row length, the
-    largest power of m at most ROW_CAP (with the table of border
-    classes, min(|w|, K + 1) * m * L bytes, at most ROW_CHUNK below
-    m = 64), or m past it; each chunk but the last holds `rows` rows;
-    and the head, the terms below the first generated row, is L, or 2L
-    for a zero-led w no wider than K."""
-    chunk, cap = blockseq.windows.ROW_CHUNK, blockseq.windows.ROW_CAP
-    spec = blockseq.words.PatternSpec(m, w)
-    k = spec.width
-    K = 1
-    while m ** (K + 1) <= cap and (
-            m >= 64 or min(k, K + 2) * m ** (K + 2) <= chunk):
-        K += 1
-    L = m ** K
-    head = L * (2 if spec.is_zero_word and K >= k else 1)
-    return L, max(1, chunk // L), head
+        per = max(1, chunk // size - max(0, table_rows(K) - m))
+        starts.update(range(head(K), end, per * size))
+    L = m ** top
+    return Rows(L, max(1, chunk // L), head(top),
+                sorted(i for i in starts if i < n))

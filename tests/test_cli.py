@@ -24,10 +24,10 @@ from blockseq.cli import (
     main,
     run,
 )
-from blockseq.morphism import TAKE_CHUNK
+from blockseq.morphism import CHECK_CHUNK, TAKE_CHUNK
 from blockseq.words import (PREFIX_CHUNK, TEMPLATE_DIGITS, a_prefix,
                             indexed_rows)
-from support import RS_S3, check_rows, line_path_chunks, peak_bytes
+from support import RS_S3, line_path_chunks, peak_bytes, row_layout
 
 # Rows of a `bfile`/`table` chunk: one block of the index template.
 BLOCK = 10 ** TEMPLATE_DIGITS
@@ -527,14 +527,17 @@ def test_verify_fail_line_names_the_first_disagreement(monkeypatch, capsys):
         f"({window[7] ^ 1} vs {window[7]})\n")
 
 
-# Four of the morphism check's chunks for m = 2 (TAKE_CHUNK terms each,
-# its rows of mu^6 being 64 letters wide) and 5 terms of a fifth.
+# Four TAKE_CHUNKs of terms and 5 terms of a fifth: for m = 2 the
+# morphism check's rows of mu^6 are 64 letters wide, so its chunks of
+# CHECK_CHUNK one-byte codes end at multiples of M2_CHUNK = 2^16, two of
+# them, and the chunks of TAKE_CHUNK terms it had before at four.
 VERIFY_N = 4 * TAKE_CHUNK + 5
+M2_CHUNK = CHECK_CHUNK // 64 * 64
 
 
-@pytest.mark.parametrize("first", [0, TAKE_CHUNK - 1, TAKE_CHUNK,
-                                   2 * TAKE_CHUNK - 1, 2 * TAKE_CHUNK,
-                                   VERIFY_N - 1])
+@pytest.mark.parametrize("first", sorted({
+    0, TAKE_CHUNK - 1, TAKE_CHUNK, 2 * TAKE_CHUNK - 1, 2 * TAKE_CHUNK,
+    M2_CHUNK - 1, M2_CHUNK, 2 * M2_CHUNK - 1, 2 * M2_CHUNK, VERIFY_N - 1}))
 def test_verify_fail_line_names_the_least_index_across_chunks(first,
                                                                monkeypatch,
                                                                capsys):
@@ -542,7 +545,8 @@ def test_verify_fail_line_names_the_least_index_across_chunks(first,
     FAIL line still names the least wrong index: at either end of the
     output, and on either side of a chunk boundary, with a later wrong
     index in the same chunk and in the last one."""
-    later = [i for i in {first + 1, first + TAKE_CHUNK, VERIFY_N - 1}
+    later = [i for i in {first + 1, first + TAKE_CHUNK, first + M2_CHUNK,
+                         VERIFY_N - 1}
              if first < i < VERIFY_N]
     corrupt_window(monkeypatch, [first, *later], lambda v: v ^ 1)
     window = generate(PatternSpec(2, "11"), VERIFY_N)
@@ -552,21 +556,27 @@ def test_verify_fail_line_names_the_least_index_across_chunks(first,
         f"n={first} ({window[first] ^ 1} vs {window[first]})\n")
 
 
-# For m = 3 the check's rows of mu^4 are 81 letters wide, so a chunk
-# holds TAKE_CHUNK // 81 = 404 rows, 32,724 terms, and not TAKE_CHUNK.
+# For m = 3 the check's rows of mu^4 are 81 letters wide, so a chunk of
+# CHECK_CHUNK codes holds 809 rows, 65,529 terms (M3_CHECK); its chunks
+# of TAKE_CHUNK // 81 = 404 rows, 32,724 terms (M3_CHUNK), end at the
+# other edges.
 M3_CHUNK = TAKE_CHUNK // 81 * 81
+M3_CHECK = CHECK_CHUNK // 81 * 81
 M3_N = 3 * M3_CHUNK + 7
 
 
 @pytest.mark.parametrize("first", [0, M3_CHUNK - 1, M3_CHUNK,
-                                   2 * M3_CHUNK - 1, 2 * M3_CHUNK, M3_N - 1])
+                                   2 * M3_CHUNK - 1, 2 * M3_CHUNK,
+                                   M3_CHECK - 1, M3_CHECK, M3_N - 1])
 def test_verify_fail_line_names_the_least_index_across_m3_chunks(
         first, monkeypatch, capsys):
-    """At m = 3 the morphism leg's chunks end at multiples of 32,724:
-    the FAIL line names the least wrong index on either side of the
-    first and second of them and at the last index, with later wrong
-    indices just after it, at the chunk edges and at the last index."""
-    later = [i for i in {first + 1, M3_CHUNK, 2 * M3_CHUNK - 1, M3_N - 1}
+    """At m = 3 the morphism leg's chunks end at multiples of 65,529 (and
+    ended at multiples of 32,724): the FAIL line names the least wrong
+    index on either side of each and at the last index, with later
+    wrong indices just after it, at the chunk edges and at the last
+    index."""
+    later = [i for i in {first + 1, M3_CHUNK, 2 * M3_CHUNK - 1, M3_CHECK,
+                         M3_N - 1}
              if first < i < M3_N]
     corrupt_window(monkeypatch, [first, *later], lambda v: (v + 1) % 3)
     window = generate(PatternSpec(3, "12"), M3_N)
@@ -574,6 +584,30 @@ def test_verify_fail_line_names_the_least_index_across_m3_chunks(
     assert capsys.readouterr().out == (
         f"FAIL m=3 w=12 N={M3_N}: window and morphism disagree at "
         f"n={first} ({(window[first] + 1) % 3} vs {window[first]})\n")
+
+
+# For p = 257 the codes are uint16, and the check's rows are mu's own,
+# 257 letters: a chunk of CHECK_CHUNK bytes holds 127 rows, 32,639 terms.
+M257_CHUNK = CHECK_CHUNK // 2 // 257 * 257
+
+
+@pytest.mark.parametrize("first", [0, M257_CHUNK - 1, M257_CHUNK,
+                                   2 * M257_CHUNK + 5])
+def test_verify_fail_line_names_the_coded_term_at_p_257(first, monkeypatch,
+                                                        capsys):
+    """With uint16 codes the compare writes its flags over the chunk's
+    first bytes, and the FAIL line still names the least wrong index and
+    the coded term there, either side of a chunk edge, with a later
+    wrong index in the same chunk and in the next."""
+    n = 3 * M257_CHUNK
+    corrupt_window(monkeypatch, [i for i in (first, first + 1,
+                                             first + M257_CHUNK) if i < n],
+                   lambda v: 200 + v)
+    window = generate(PatternSpec(257, "1 0"), n)
+    assert main(["verify", "-m", "257", "-w", "1 0", "-N", str(n)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL m=257 w=1 0 N={n}: window and morphism disagree at "
+        f"n={first} ({200 + window[first]} vs {window[first]})\n")
 
 
 @pytest.mark.parametrize("m, w, note", [
@@ -597,21 +631,22 @@ def test_verify_reports_an_oracle_only_disagreement(m, w, note, monkeypatch,
             f"n={bad} ({window[bad]} vs 9)\n"), bad
 
 
-M6_ROW, M6_STARTS = check_rows(6, "05", VERIFY_N)
+M6_ROW, _, _, M6_STARTS = row_layout(6, "05", VERIFY_N)
 
 # Where a corrupted m6 w05 window is checked: the first index, the last
 # one below m and the first one with a parent, PREFIX_CHUNK - 1 and
 # PREFIX_CHUNK, either side of 6^6 and of 6^6 + PREFIX_CHUNK (where the
 # recursion's blocks in `a_prefix` are cut), either side of each start
 # of the oracle check's rows of m, rows of M6_ROW = 6^4 and chunks of
-# rows, of the rows of M6_ROW at 6^4, 3 * 6^4 and the last, and of
-# 65,538 and 131,070 (6 * 10,923 and 6 * 21,845, where the children of
-# 10,922 parents at a time end) and of the last index, VERIFY_N - 1 =
-# 6 * 21,846.
+# rows, of 67,392 (where its second chunk began when a chunk held 50
+# rows of M6_ROW), of the rows of M6_ROW at 6^4, 3 * 6^4 and the last,
+# and of 65,538 and 131,070 (6 * 10,923 and 6 * 21,845, where the
+# children of 10,922 parents at a time end) and of the last index,
+# VERIFY_N - 1 = 6 * 21,846.
 CORRUPT_AT = sorted({
     0, 5, 6, PREFIX_CHUNK - 1, PREFIX_CHUNK, 6 ** 6 - 1, 6 ** 6,
     6 ** 6 + PREFIX_CHUNK - 1, 6 ** 6 + PREFIX_CHUNK, VERIFY_N - 1,
-    *(i for start in [*M6_STARTS, M6_ROW, 3 * M6_ROW,
+    *(i for start in [*M6_STARTS, 67392, M6_ROW, 3 * M6_ROW,
                       VERIFY_N // M6_ROW * M6_ROW, 65538, 131070, 131076]
       for i in (start - 1, start))})
 
@@ -670,9 +705,9 @@ def test_verify_holds_the_window_and_one_other_leg(m, w, capsys):
     """No leg builds a second N-term output: the morphism leg holds the
     window, the next-to-last level (N / 64 letters for m = 2) and one
     gather chunk, and the oracle leg the window, one chunk of expected
-    rows and its rotation table (under 0.2 MiB together), so the peak
-    is about 1 byte per term plus the morphism's level.  The ceiling is the peak measured at
-    this code plus 25%."""
+    rows and its table of border classes (under 0.2 MiB together), so
+    the peak is about 1 byte per term plus the morphism's level.  The
+    ceiling is the peak measured at this code plus 25%."""
     n = 1 << 20
     code, peak = peak_bytes(lambda: run(RunConfig("verify", m, w, n)))
     assert code == 0 and "PASS" in capsys.readouterr().out
@@ -952,10 +987,9 @@ def test_blocks_over_faulty_chunks_reports_as_classify_range(
     block either side of a chunk edge, and in the last complete block;
     and a fault in the partial block, which is not checked."""
     import blockseq.cli
-    from support import row_layout
 
     spec = PatternSpec(m, w)
-    L, rows, _ = row_layout(m, w)
+    L, rows, _, _ = row_layout(m, w)
     edge = rows * L  # the first chunk edge
     n = 3 * edge + L + 1
     clean = generate(spec, n)

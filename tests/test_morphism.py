@@ -14,7 +14,7 @@ from blockseq import (
     generate,
     to_base,
 )
-from blockseq.morphism import TAKE_CHUNK, fixed_point_mismatch
+from blockseq.morphism import CHECK_CHUNK, TAKE_CHUNK, fixed_point_mismatch
 from blockseq.words import recursion_mismatch
 from support import GRID, as_str, patterns, peak_bytes
 
@@ -328,17 +328,23 @@ def test_fixed_point_mismatch_checks_the_expansion_chunk_by_chunk(p, w):
     """The check `verify` runs passes the expansion, and names the least
     index where a copy of it is wrong, with the expansion's term there:
     at the first and last index and on either side of each edge of the
-    check's chunks, which hold TAKE_CHUNK // P rows of its table, P
-    letters each, at lengths around one row and one chunk, both of the
-    check's table and of the expansion's narrower one.  It holds the
-    levels before the last gather, n / (P - 1) letters, and one chunk's
-    scratch, never a second n terms."""
+    check's chunks, which hold CHECK_CHUNK bytes of codes, rows of its
+    table of P letters each (2^16 terms at p = 2, 809 * 81 = 65,529 at
+    p = 3, 524 * 125 = 65,500 at p = 5, and 127 * 257 two-byte codes at
+    p = 257), and of TAKE_CHUNK // P rows, at lengths around one row and
+    one chunk, both of the check's table and of the expansion's
+    narrower one.  It holds the levels before the last gather,
+    n / (P - 1) letters, and one chunk's scratch, never a second n
+    terms."""
     mu = build_morphism(PatternSpec(p, w))
     width = mu._check_tables[0].shape[1]
+    code_bytes = mu._check_tables[1].itemsize
     sizes, cuts = {1}, set()
     # around a row and a chunk of the expansion's rows and of the check's
-    for rows in {mu._tables[0].shape[1], width}:
-        cut = max(1, TAKE_CHUNK // rows) * rows
+    check = max(1, CHECK_CHUNK // code_bytes // width) * width
+    for rows, cut in {(rows, max(1, TAKE_CHUNK // rows) * rows)
+                      for rows in {mu._tables[0].shape[1], width}} | {
+                          (width, check)}:
         sizes |= {rows - 1, rows, rows + 1, cut - 1, cut, cut + 1, 3 * cut + 7}
         cuts.add(cut)
     for n in sorted(sizes):
@@ -367,15 +373,19 @@ def test_fixed_point_mismatch_over_the_grid(p, w):
     wider table (P, P + 1 for each), one gather chunk and past three
     chunks: `a_prefix`'s output passes, and a copy wrong at the first
     index, the last one, or either side of the end of the first chunk
-    of either table's rows, by one or by 255, is named at its least
-    wrong index, with a there."""
+    of either table's rows (a gather's, and the check's of CHECK_CHUNK
+    bytes of codes), by one or by 255, is named at its least wrong
+    index, with a there."""
     spec = PatternSpec(p, w)
     mu = build_morphism(spec)
-    widths = {mu._tables[0].shape[1], mu._check_tables[0].shape[1]}
+    width = mu._check_tables[0].shape[1]
+    widths = {mu._tables[0].shape[1], width}
     sizes = {1, p - 1, p, TAKE_CHUNK - 1, TAKE_CHUNK + 1, 3 * 2 ** 16 + 11}
     sizes |= {n for rows in widths for n in (rows, rows + 1)}
     # the first chunk's end, for the check's rows and the expansion's
     cuts = {max(1, TAKE_CHUNK // rows) * rows for rows in widths}
+    cuts.add(max(1, CHECK_CHUNK // mu._check_tables[1].itemsize // width)
+             * width)
     edges = {i for cut in cuts for i in (cut - 1, cut)}
     prefix = a_prefix(spec, max(sizes))
     for n in sorted(sizes):

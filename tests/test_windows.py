@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blockseq.windows
+import blockseq.words
 from blockseq import (PatternSpec, a_batch, a_prefix, a_value,
                       build_morphism, expand_fixed_point, generate)
 from support import (GRID, RS_S1, RS_S2, RS_S3, ZW_PREFIX64, ZW_S0, ZW_S1,
@@ -301,7 +302,7 @@ def row_chunks(spec, n):
     share one buffer), after checking that every chunk but the last is
     whole rows and that all but the first share the first one's
     buffer."""
-    L, rows, head = row_layout(spec.base, spec.pattern)
+    L, rows, _, _ = row_layout(spec.base, spec.pattern)
     chunks, first = [], None
     for chunk in blockseq.windows._row_chunks(spec, n):
         assert chunk.dtype == np.uint8
@@ -318,7 +319,7 @@ def row_chunks(spec, n):
 def row_sizes(spec, n_max):
     """N = 1, the edges of the head and of the first rows (L +- 1,
     2L +- 1, 3L + 1) and of every chunk, and n_max, below n_max."""
-    L, rows, head = row_layout(spec.base, spec.pattern)
+    L, rows, head, _ = row_layout(spec.base, spec.pattern)
     sizes = {1, n_max}
     for edge in [L, 2 * L, 3 * L, head, *range(0, n_max, rows * L)]:
         sizes.update((edge - 1, edge, edge + 1))
@@ -333,11 +334,11 @@ def test_row_chunks_match_the_oracle(monkeypatch, chunk, cap):
     bytes, where every width-3 word past m = 2, every width-2 word past
     m = 4 and both 13-digit words have rows shorter than w (K < |w|)."""
     if chunk:
-        monkeypatch.setattr(blockseq.windows, "ROW_CHUNK", chunk)
-        monkeypatch.setattr(blockseq.windows, "ROW_CAP", cap)
+        monkeypatch.setattr(blockseq.words, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(blockseq.words, "ROW_CAP", cap)
     for m, w in ROW_PATTERNS:
         spec = PatternSpec(m, w)
-        L, rows, _ = row_layout(m, w)
+        L, rows, _, _ = row_layout(m, w)
         n_max = min(4 * rows * L + 3 * L + 5, 1 << 18)
         want = a_batch(spec, np.arange(n_max))
         for n in row_sizes(spec, n_max):
@@ -386,7 +387,7 @@ def test_row_chunks_hold_parents_not_terms(m, w):
     where L = 4096), and under 0.3 MiB: one chunk, the table and the
     parents."""
     spec = PatternSpec(m, w)
-    L = row_layout(m, w)[0]
+    L = row_layout(m, w).L
 
     def consume(n):
         for _ in blockseq.windows._row_chunks(spec, n):

@@ -23,7 +23,7 @@ from blockseq import (
 )
 from blockseq.words import (TEMPLATE_DIGITS, _template, indexed_rows,
                             recursion_mismatch)
-from support import GRID, check_rows, line_path_chunks, patterns, peak_bytes
+from support import GRID, line_path_chunks, patterns, peak_bytes, row_layout
 
 
 def ref_digits(n: int, m: int) -> list:
@@ -604,8 +604,8 @@ def test_recursion_blocks_name_the_least_wrong_index(m, w, monkeypatch):
     spec = PatternSpec(m, w)
     want = a_batch(spec, np.arange(n))
     rng = random.Random(m)
-    for chunk in (blockseq.words.CHECK_CHUNK, 7, 1):
-        monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", chunk)
+    for chunk in (blockseq.words.ROW_CHUNK, 7, 1):
+        monkeypatch.setattr(blockseq.words, "ROW_CHUNK", chunk)
         assert recursion_mismatch(spec, want.copy()) is None, (spec, chunk)
         for _ in range(40):
             x = want.copy()
@@ -629,15 +629,15 @@ def test_recursion_mismatch_over_the_grid(m, w):
     past three chunks: `a_prefix`'s output passes, and a copy wrong at
     the first index, the last one, either side of each start of the
     check's rows of m, rows of L and chunks of rows, and either side of
-    m * (CHECK_CHUNK // m + 1), by one or by 255, is named at its least
+    m * (ROW_CHUNK // m + 1), by one or by 255, is named at its least
     wrong index, with a there."""
     spec = PatternSpec(m, w)
-    chunk = blockseq.words.CHECK_CHUNK
+    chunk = blockseq.words.ROW_CHUNK
     for n in sorted({1, m - 1, m, m + 1, 2 * m + 1, chunk - 1, chunk + 1,
                      3 * 2 ** 16 + 11}):
         want = a_prefix(spec, n)
         assert recursion_mismatch(spec, want) is None, n
-        starts = [*check_rows(m, w, n)[1], m * (chunk // m + 1)]
+        starts = [*row_layout(m, w, n).starts, m * (chunk // m + 1)]
         edges = {0, n - 1, *(i for start in starts
                              for i in (start - 1, start))}
         for i in edges & set(range(n)):
@@ -670,7 +670,7 @@ def assert_names_each_edge(spec, n, edges):
     least wrong index, with a there, in a copy wrong at an edge i, by
     one or by 255, alone or with 255 at its children i * m + 1 and
     i * L + 1 too."""
-    row = check_rows(spec.base, spec.pattern, n)[0]
+    row = row_layout(spec.base, spec.pattern).L
     want = a_batch(spec, np.arange(n))
     assert recursion_mismatch(spec, want) is None
     for i in sorted(set(edges) & set(range(n))):
@@ -684,7 +684,7 @@ def assert_names_each_edge(spec, n, edges):
                     first, want[first]), (i, bad, kids)
 
 
-# (m, w, N, CHECK_CHUNK, ROW_CAP), each first at the module's sizes and
+# (m, w, N, ROW_CHUNK, ROW_CAP), each first at the module's sizes and
 # then with small chunks and rows: K < |w| at m = 2 (L = 2^12 against a
 # 13-digit w) and m = 10 (10^3 against a zero-led 8-digit w), a zero-led
 # w with K >= |w| (U read from [L, 2L), so the rows of L begin at 2L),
@@ -722,12 +722,37 @@ def test_recursion_mismatch_at_row_chunk_and_head_edges(m, w, n, chunk, cap,
     each named, and so is a wrong parent whose wrong children lie in a
     later row, chunk or stretch, which reads it as their parent or U."""
     if chunk is not None:
-        monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", chunk)
+        monkeypatch.setattr(blockseq.words, "ROW_CHUNK", chunk)
         monkeypatch.setattr(blockseq.words, "ROW_CAP", cap)
-    row, starts = check_rows(m, w, n)
+    row, _, _, starts = row_layout(m, w, n)
     starts += [k * row for k in (1, 2, 3, 4, n // row)]
     assert_names_each_edge(PatternSpec(m, w), n, [
         0, m + 1, n - 1, *(i for start in starts for i in (start - 1, start))])
+
+
+# The widest tables of border classes on the np.take path: at m = 61,
+# 62 and 63 a row of m^2 <= 4096 terms would need a table past 2^16
+# bytes, so the rows are m terms long and the table min(|w|, 2) * m rows
+# of them, whose bytes past m * L shorten each chunk; zero-led words,
+# K < |w| there, and 13-digit words at m = 2, where K = 11 < |w|.
+SWEEP_CASES = [(61, "0 60"), (61, "5 0 5"), (62, "0 1"), (62, "61 61 61"),
+               (63, "0 0 62"), (63, "7"), (2, "0110110110110"),
+               (2, "1101101101101")]
+
+
+@pytest.mark.parametrize("m, w", SWEEP_CASES,
+                         ids=[f"m{m}-w{w.replace(' ', '_')}"
+                              for m, w in SWEEP_CASES])
+def test_recursion_mismatch_names_faults_at_each_chunk_start(m, w):
+    """Over three chunks and more, a wrong term at the first or last
+    index or either side of each start of the rows and their chunks, by
+    one or by 255, alone or with wrong children, is named at its least
+    wrong index with a_batch's term there."""
+    n = 3 * 2 ** 16 + 11
+    starts = row_layout(m, w, n).starts
+    assert len(starts) >= 3, starts  # the head and two chunks past it
+    assert_names_each_edge(PatternSpec(m, w), n, [
+        0, n - 1, *(i for start in starts for i in (start - 1, start))])
 
 
 @pytest.mark.parametrize("m, width", [(2, 6), (3, 4)])
@@ -737,12 +762,12 @@ def test_recursion_mismatch_on_every_pattern_with_small_rows(m, width,
     chunks of 3m rows, so K < |w| and K >= |w| both arise: wrong terms
     either side of each start of rows and chunks and at three random
     indices are named."""
-    monkeypatch.setattr(blockseq.words, "CHECK_CHUNK", 3 * m ** 3)
+    monkeypatch.setattr(blockseq.words, "ROW_CHUNK", 3 * m ** 3)
     monkeypatch.setattr(blockseq.words, "ROW_CAP", m ** 2)
     rng = random.Random(m)
     n = 4 * m ** 5 + 3
     for w in patterns(m, width):
-        starts = check_rows(m, w, n)[1]
+        starts = row_layout(m, w, n).starts
         assert_names_each_edge(PatternSpec(m, w), n, [
             *(i for start in starts for i in (start - 1, start)),
             *rng.sample(range(n), 3)])
@@ -752,7 +777,7 @@ def test_recursion_mismatch_on_every_pattern_with_small_rows(m, width,
                                   (257, "1 0"), (2, "1011001110001")])
 def test_recursion_mismatch_scratch_stays_under_a_fifth_of_a_mib(m, w):
     """At 2^20 terms the check holds one chunk of expected rows and, below
-    m = 64, its rotation table: under the 0.2 MiB that `verify`
+    m = 64, its table of border classes: under the 0.2 MiB that `verify`
     promises, for a long w too.  A table of m * L bytes for the largest
     L = m^K <= 4096 would alone take 61 * 3721 bytes at m = 61."""
     spec = PatternSpec(m, w)
