@@ -370,7 +370,7 @@ class RowTable:
 
     def __init__(self, spec: PatternSpec, K: int, u: np.ndarray):
         m, w = spec.base, spec.pattern
-        self.base, self.u = m, u
+        self.u = u
         self.cuts = spec.row_cuts(K)  # (f_j, m^j, I_j), j ascending
         self.chunk_rows = max(1, ROW_CHUNK // len(u))
         # per cut: f_j, m^j (capped past every index, so that a slice
