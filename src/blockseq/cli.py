@@ -14,7 +14,8 @@ FAIL ordering from `bench`, or generators that disagree; `powers` then
 prints only its first FAIL record's detail, on stderr), 2 usage error
 (a bad base, pattern, size or seed, a count, order or scan length past
 sys.maxsize = 2^63 - 1, a prime base past sys.maxsize for `verify`,
-`bench` or `series`, or a size whose output does not fit in memory),
+`bench` or `series`, or a size whose output does not fit in memory;
+for `generate` and `blocks`, whose N/L bytes of parents do not),
 3 I/O error.  `blocks`, `powers` and `series` require a prime base,
 the paper's setting.  `verify` and `bench` accept composite bases
 and compare only the window generator with the oracle there.
@@ -45,15 +46,22 @@ type-2 blocks come back as one range, and it prints their count.  So an
 N whose N bytes would not fit in memory runs, as long as its N/L do.
 `bench` frees each output before the next timed call allocates its own.
 
-`generate` renders its terms in numpy, never one Python string per
-term, for every N up to p^9: each of those terms is one digit, and a
-chunk that holds a wider one is written line by line.  It writes the
-text in chunks, so stdout and `--out` get the same bytes and hold one
-chunk of text at a time, not the whole output.
-`plain` and `report` chunks hold at most CHUNK_TERMS terms, written by
-`words.digit_string`; `bfile` and `table` chunks are cut and written by
-`words.indexed_rows`, one per block of 10^4 indices (one per index digit
-count below 10^4).
+`generate` never holds its N terms either: it renders the chunks of
+`windows._row_chunks` as they come.  So it holds about N/L bytes of
+parents (at least the head's L or 2L), one row chunk, the row table,
+and one chunk of text with its scratch: for `bfile` and `table` one
+block of the index template, and a block that straddles two row chunks
+stitched in a buffer of at most 10^4 values.  Its parents are allocated
+before any text is written or `--out` is opened, so a request they do
+not fit ends in the memory error with no output.  It renders its
+terms in numpy, never one Python string per term, for every N up to
+p^9: each of those terms is one digit, and a chunk that holds a wider
+one is written line by line.  stdout and `--out` get the same bytes.
+`plain` and `report` text comes one row chunk at a time, at most
+CHUNK_TERMS terms (a chunk of rows is one row of m terms past
+m = 2^16), written by `words.digit_string`; `bfile` and `table` text is
+cut and written by `words.indexed_rows`, one chunk per block of 10^4
+indices (one per index digit count below 10^4).
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import statistics
 import sys
 import time
@@ -142,16 +151,20 @@ def default_scan_length(p: int) -> int:
 # output formatting
 # ---------------------------------------------------------------------------
 
-# Terms rendered per chunk of `plain` and `report` text.
+# Terms per chunk of `plain` and `report` text, and per value chunk
+# that `format_sequence` cuts its values into.  A chunk of
+# `windows._row_chunks`, which `generate` renders, holds about as many
+# below m = 2^16, and one row of m terms past it.
 CHUNK_TERMS = 1 << 16
 
 
-def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
-    """The text of `fmt` for `values` in chunks (after a header line for
-    `table` and `report`): at most CHUNK_TERMS terms per `plain` or
-    `report` chunk, and the chunks of `indexed_rows` for `bfile` and
-    `table`."""
-    n = len(values)
+def _render(chunks, n: int, spec: PatternSpec, fmt: str):
+    """The text of `fmt` for the n values that the arrays in `chunks`
+    hold in turn, in text chunks (after a header line for `table` and
+    `report`): `words.digit_string` of at most CHUNK_TERMS values at a
+    time for `plain` and `report`, and the chunks of `indexed_rows` for
+    `bfile` and `table`.  Each value chunk is read before the next is
+    asked for, so it may be a buffer its source reuses."""
     if fmt == "table":
         width, sep = len(str(n - 1)), b"  "
         yield f"{'n':>{width}}  a(n)\n"
@@ -163,19 +176,32 @@ def _format_chunks(values: np.ndarray, spec: PatternSpec, fmt: str):
     elif fmt != "plain":
         raise InvalidPatternError(f"unknown output format {fmt!r}")
     if fmt in ("bfile", "table"):
-        yield from indexed_rows(values, width, sep)
+        yield from indexed_rows(chunks, width, sep)
         return
     between = " " if spec.base > 10 else ""
-    for lo in range(0, max(n, 1), CHUNK_TERMS):
-        hi = min(n, lo + CHUNK_TERMS)
-        yield digit_string(values[lo:hi], spec.base) + ("\n" if hi == n
-                                                        else between)
+    done = 0
+    for chunk in chunks:
+        for lo in range(0, len(chunk), CHUNK_TERMS):
+            part = chunk[lo:lo + CHUNK_TERMS]
+            done += len(part)
+            yield digit_string(part, spec.base) + ("\n" if done == n
+                                                   else between)
+    if n == 0:
+        yield "\n"
+
+
+def _format_chunks(values, spec: PatternSpec, fmt: str):
+    """`_render` of values held in memory, cut into chunks of
+    CHUNK_TERMS values."""
+    n = len(values)
+    return _render((values[lo:lo + CHUNK_TERMS]
+                    for lo in range(0, n, CHUNK_TERMS)), n, spec, fmt)
 
 
 def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
-    """The whole text of `fmt` for `values`: the chunks `generate`
-    writes, joined.  It holds every chunk and the joined text at once
-    (about twice the text), where `generate` streams them."""
+    """The whole text of `fmt` for `values`: the text `generate` writes,
+    rendered by the same path.  It holds every chunk and the joined text
+    at once (about twice the text), where `generate` streams them."""
     return "".join(_format_chunks(values, spec, fmt))
 
 
@@ -193,8 +219,12 @@ def _emit(chunks, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(cfg: RunConfig, spec: PatternSpec) -> tuple:
-    values = generate(spec, cfg.count)
-    return _format_chunks(values, spec, cfg.output_format), EXIT_OK
+    chunks = _row_chunks(spec, cfg.count)
+    # the first chunk allocates the parents, so a request they do not
+    # fit ends here, before `_emit` opens --out or writes a byte
+    first = next(chunks)
+    return (_render(itertools.chain([first], chunks), cfg.count, spec,
+                    cfg.output_format), EXIT_OK)
 
 
 def _cmd_verify(cfg: RunConfig, spec: PatternSpec) -> tuple:

@@ -61,7 +61,9 @@ prime m.
 
 `_row_chunks` yields the same terms a chunk at a time, holding about
 N/L bytes of them instead of N, by the doubling step generalized to
-every aligned block of L = m^K terms.  With n = sL + r, s >= 1 and
+every aligned block of L = m^K terms.  The `generate` and `blocks`
+subcommands take their terms from it, so neither holds N bytes; the
+others take theirs from `generate`.  With n = sL + r, s >= 1 and
 0 <= r < L,
 
     a(sL + r) = (U[r] + a(s) + #{j in B(s) : r in I_j}) mod m,
@@ -218,7 +220,8 @@ def _row_chunks(spec: PatternSpec, n_terms: int):
     table of (border class, a(s)) rows at most ROW_CHUNK bytes below
     m = 64, and m itself past ROW_CAP.  So the chunks cost about N/L
     bytes of parents from `generate`, one chunk and the table, at any
-    n_terms.
+    n_terms.  All three are allocated before the first chunk is
+    yielded, so a request they do not fit fails on the first one.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")

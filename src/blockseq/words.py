@@ -34,15 +34,19 @@ be: a(n) is at most the number of digits of n, so every value is one
 decimal digit for m <= 10, and for any m at every n below m^9.
 `digit_string` writes one-digit values into one uint8 row each (the
 digit, and a space above base 10) in one add.  `indexed_rows` yields
-the "index value" lines of a whole sequence in chunks it cuts itself,
-one per block of a template of at most 10^4 index rows tiled from the
-ten digits: one per index digit count below 10^4, and from 10^4 on one
-per 10^4 indices, each starting on a multiple of 10^4.  Per digit count
+the "index value" lines of a sequence that comes in chunks of values
+of any length, re-cut into chunks of its own, one per block of a
+template of at most 10^4 index rows tiled from the ten digits: one per
+index digit count below 10^4, and from 10^4 on one per 10^4 indices,
+each starting on a multiple of 10^4.  A block that straddles two value
+chunks is stitched in a buffer of at most 10^4 values.  Per digit count
 it builds the template once, each chunk is a slice of its rows, and
 each later chunk writes over them only the high index digits that
-changed and the values.  Either writes a call or chunk that holds a
-value of 10 or more line by line in Python, and refuses a value that is
-negative or not an integer, which its uint8 cast would misread.
+changed and the values.  So `generate` renders `bfile` and `table` text
+from about N/L bytes of parents, one row chunk and one template block.
+Either renderer writes a call or block that holds a value of 10 or more
+line by line in Python, and refuses a value that is negative or not an
+integer, which its uint8 cast would misread.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -140,59 +144,104 @@ def _integers(values) -> np.ndarray:
     return values
 
 
-def indexed_rows(values, width: int | None, sep: bytes):
-    """The lines "index sep value" for the indices 0, 1, ...,
-    len(values) - 1, yielded as text chunks.  The index is right-aligned
-    in `width` columns, or unpadded when width is None.
+def _template_blocks(chunks):
+    """(lo, values, wide) for each block of the index template over the
+    values that the arrays in `chunks` hold in turn, indexed from 0: lo
+    is the block's first index, values its values, and wide is false
+    only where no value of a chunk they came from is 10 or more.  A block
+    inside one chunk is a view of it.  One that straddles chunks is
+    stitched in a buffer of its own, at most 10^TEMPLATE_DIGITS values,
+    each part copied in before the next chunk is asked for, since a
+    chunk may be a buffer its source reuses.  The last block is the
+    values left at the end, even if fewer than its block holds.  A
+    chunk that holds a negative value raises ValueError, and one that
+    holds a value that is not an integer TypeError, before any block of
+    it is yielded."""
+    lo = have = 0  # the next block's first index; its values in `stitch`
+    stitch, stitch_wide = None, False
+    for chunk in chunks:
+        chunk = _integers(chunk)
+        # checked before the unsafe cast to uint8, where -1 would read
+        # as "/"
+        if chunk.size and chunk.dtype.kind not in "bu" and chunk.min() < 0:
+            raise ValueError("values must be non-negative")
+        wide = bool(chunk.size) and chunk.max() >= 10
+        at = 0
+        while at < len(chunk):
+            block = 10 ** min(len(str(lo)), TEMPLATE_DIGITS)
+            size = block - lo % block  # to the end of lo's block
+            take = min(size - have, len(chunk) - at)
+            part, part_wide = chunk[at:at + take], wide
+            at += take
+            if take < size:  # the block straddles chunks
+                if not have:
+                    stitch = np.empty_like(chunk, shape=size)
+                    stitch_wide = False
+                stitch[have:have + take] = part
+                stitch_wide |= wide
+                have += take
+                if have < size:  # the chunk ends inside the block
+                    continue
+                part, part_wide, have = stitch, stitch_wide, 0
+            yield lo, part, part_wide
+            lo += size
+    if have:
+        yield lo, stitch[:have], stitch_wide
 
-    Each chunk is one block of the index template: below 10^4 one chunk
-    per index digit count, and from 10^4 on one chunk per 10^4 indices
-    starting on a multiple of 10^4, of which only a digit count's last
-    may be shorter.  A chunk of one-digit values takes the numpy path,
-    as every chunk of a sequence a_{m;w} does for m <= 10, and below m^9
-    terms for any m (a(n) is at most the number of digits of n).  The
-    first such chunk of a digit count builds its row matrix
-    (`_template`), whose rows each later chunk of that digit count
-    reuses: it writes over them only its values and those high index
-    digits that differ from the ones the rows hold.  A chunk holding a
-    value of 10 or more is written line by line instead.  A negative
-    value raises ValueError, and a value that is not an integer
-    TypeError, before any chunk is yielded.
+
+def indexed_rows(chunks, width: int | None, sep: bytes):
+    """The lines "index sep value" for the values that the arrays in
+    `chunks` hold in turn, indexed 0, 1, ..., yielded as text chunks.
+    The index is right-aligned in `width` columns, or unpadded when
+    width is None.  A chunk of values may be a buffer its source reuses:
+    it is read before the next one is asked for.  So `generate`, which
+    feeds it the row chunks of `windows._row_chunks`, holds about N/L
+    bytes of parents, one row chunk and one template block, at any N.
+
+    Each text chunk is one block of the index template, whatever the
+    value chunks' lengths: below 10^4 one per index digit count, and
+    from 10^4 on one per 10^4 indices starting on a multiple of 10^4, of
+    which only a digit count's last may be shorter (`_template_blocks`
+    re-cuts the value chunks, stitching a block that straddles two).  A
+    block of one-digit values takes the numpy path, as every block of a
+    sequence a_{m;w} does for m <= 10, and below m^9 terms for any m
+    (a(n) is at most the number of digits of n).  The first such block
+    of a digit count builds its row matrix (`_template`), whose rows
+    each later block of that digit count reuses: it writes over them
+    only its values and those high index digits that differ from the
+    ones the rows hold.  Each value chunk is tested for a value of 10 or
+    more once, and only the blocks of a chunk that holds one are tested
+    again: a block holding one is written line by line instead.  A
+    negative value raises ValueError, and a value that is not an integer
+    TypeError, before any text of its value chunk is yielded.
     """
-    values = _integers(values)
-    n = len(values)
-    # checked before the unsafe cast to uint8, where -1 would read as "/"
-    if n and values.dtype.kind not in "bu" and values.min() < 0:
-        raise ValueError("values must be non-negative")
     line = f"{{:>{width or 0}}}{sep.decode()}{{}}\n".format
-    first, d = 0, 1
-    while first < n:
-        end = min(n, 10 ** d)
-        block = 10 ** min(d, TEMPLATE_DIGITS)
-        high_at = (width or d) - d  # the index's first column
-        value_at = high_at + d + len(sep)
-        rows = held = None  # the row matrix and the high digits it holds
-        for lo in range(first, end, block):
-            hi = min(end, lo + block)
-            chunk = values[lo:hi]
-            if chunk.max() >= 10:
-                yield "".join(map(line, range(lo, hi), chunk.tolist()))
-                continue
-            if rows is None:
-                rows = _template(d, width, sep)
-            if d > TEMPLATE_DIGITS:
-                # high digits one column at a time, over every row, so
-                # `held` is true of all of them
-                high = str(lo // block)
-                for col, digit in enumerate(high):
-                    if held is None or held[col] != digit:
-                        rows[:, high_at + col] = ord(digit)
-                held = high
-            out = rows[lo % block:lo % block + hi - lo]
-            np.add(chunk, ord("0"), out=out[:, value_at], casting="unsafe")
-            # decodes the buffer, no bytes copy
-            yield str(out, "ascii")
-        first, d = end, d + 1
+    d = 0  # the index digit count of the row matrix `rows`
+    for lo, values, wide in _template_blocks(chunks):
+        hi = lo + len(values)
+        if len(str(lo)) != d:
+            d = len(str(lo))
+            block = 10 ** min(d, TEMPLATE_DIGITS)
+            high_at = (width or d) - d  # the index's first column
+            value_at = high_at + d + len(sep)
+            rows = held = None  # the row matrix and the high digits it holds
+        if wide and values.max() >= 10:
+            yield "".join(map(line, range(lo, hi), values.tolist()))
+            continue
+        if rows is None:
+            rows = _template(d, width, sep)
+        if d > TEMPLATE_DIGITS:
+            # high digits one column at a time, over every row, so
+            # `held` is true of all of them
+            high = str(lo // block)
+            for col, digit in enumerate(high):
+                if held is None or held[col] != digit:
+                    rows[:, high_at + col] = ord(digit)
+            held = high
+        out = rows[lo % block:lo % block + hi - lo]
+        np.add(values, ord("0"), out=out[:, value_at], casting="unsafe")
+        # decodes the buffer, no bytes copy
+        yield str(out, "ascii")
 
 
 def digit_string(digits, base: int) -> str:

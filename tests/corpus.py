@@ -36,8 +36,10 @@ The cases:
   border-class table with its bytes past m * L taken out of the rows
   (see `words.recursion_mismatch`).
 
-Regenerate the table with `PYTHONPATH=src python tests/corpus.py`.  A
-change that has to do so changes an output, and must say which and why.
+Regenerate the table with `PYTHONPATH=src python tests/corpus.py`,
+which prints the argv and changed fields of every record that differs
+from the committed table before it rewrites it.  A change that has to
+do so changes an output, and must say which and why.
 """
 
 import contextlib
@@ -45,6 +47,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -294,7 +297,37 @@ def load():
     return [json.loads(line) for line in TABLE.read_text().splitlines()]
 
 
+FIELDS = ("code", "stdout", "stderr", "out")
+
+
+def _label(record):
+    """The record's argv as a shell line, and its faults if any."""
+    faults = f" faults={record['faults']}" if record["faults"] else ""
+    return shlex.join(record["argv"]) + faults
+
+
+def changes(old, new):
+    """One line for each record of `new` that differs from the record of
+    `old` with its argv and faults: the argv and each changed field, old
+    and new.  A record in only one of them is named as new or dropped."""
+    def key(record):
+        return json.dumps([record["argv"], record["faults"]])
+
+    before = {key(r): r for r in old}
+    lines = []
+    for r in new:
+        was = before.pop(key(r), None)
+        if was is None:
+            lines.append(f"{_label(r)}: new")
+        elif was != r:
+            lines.append(f"{_label(r)}: " + ", ".join(
+                f"{f} {was[f]} -> {r[f]}" for f in FIELDS if was[f] != r[f]))
+    return lines + [f"{_label(r)}: dropped" for r in before.values()]
+
+
 if __name__ == "__main__":
     records = run_all(cases())
+    for line in changes(load() if TABLE.exists() else [], records):
+        print(line)
     TABLE.write_text("".join(json.dumps(r) + "\n" for r in records))
     print(f"wrote {len(records)} records to {TABLE}")

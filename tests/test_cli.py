@@ -255,18 +255,20 @@ def test_bfile_chunks_of_small_bases_never_pad(base):
     assert len(by_line) == 4 + 9 + 4 and not any(by_line)
 
 
-def reference_prefixes(values, spec, fmt, ns):
-    """reference_format(values[:n], spec, fmt) for each n in ns.  Past
-    n = 100 the text is cut from one reference text per index-column
-    width: a longer text with the same width (always, for `bfile`)
-    starts with the same lines.  Only the widest text is formatted: a
-    narrower `table` text is its header and lines with the padding that
-    the wider index column adds cut from the front of each."""
+def reference_prefixes(values, spec, fmt, ns, render=None):
+    """render(values[:n], spec, fmt) for each n in ns, render being
+    reference_format unless given.  Past n = 100 the text is cut from
+    one rendered text per index-column width: a longer text with the
+    same width (always, for `bfile`) starts with the same lines.  Only
+    the widest text is rendered: a narrower `table` text is its header
+    and lines with the padding that the wider index column adds cut from
+    the front of each."""
+    render = render or reference_format
     texts, expected = {}, {}
     lines = None  # the widest text's, split when a narrower one is cut
     for n in sorted(ns, reverse=True):
         if n <= 100:
-            expected[n] = reference_format(values[:n], spec, fmt)
+            expected[n] = render(values[:n], spec, fmt)
             continue
         key = len(str(n - 1)) if fmt == "table" else None
         if key not in texts:
@@ -275,7 +277,7 @@ def reference_prefixes(values, spec, fmt, ns):
                     lines = texts[widest][0].splitlines(keepends=True)
                 text = "".join([line[widest - key:] for line in lines[:n + 1]])
             else:
-                text, widest = reference_format(values[:n], spec, fmt), key
+                text, widest = render(values[:n], spec, fmt), key
             ends = np.flatnonzero(np.frombuffer(text.encode("ascii"),
                                                 dtype=np.uint8) == ord("\n"))
             texts[key] = text, ends
@@ -319,7 +321,7 @@ def chunk_starts(n, fmt):
     in the layout of `fmt`, from the chunks' cumulative line counts."""
     width, sep = (None, b" ") if fmt == "bfile" else (len(str(n - 1)), b"  ")
     starts, lo = [], 0
-    for chunk in indexed_rows(np.zeros(n, dtype=np.uint8), width, sep):
+    for chunk in indexed_rows([np.zeros(n, dtype=np.uint8)], width, sep):
         size = chunk.count("\n")
         assert 0 < size <= BLOCK
         assert len(str(lo)) == len(str(lo + size - 1))
@@ -446,6 +448,80 @@ def test_chunked_output_peak_memory_does_not_grow_with_n(fmt):
         _, peak = peak_bytes(lambda: collections.deque(
             _format_chunks(values, spec, fmt), maxlen=0))
         assert peak <= 40 * CHUNK_TERMS, (n, peak / CHUNK_TERMS)
+
+
+# `generate` streams rows of L = m^K terms, `rows` rows per chunk
+# (`windows._row_chunks`): a pattern of each row layout, a zero-led one
+# with a head of 2L, m = 257 with rows one digit long, and K < |w| last.
+SEAM_PATTERNS = [(2, "11"), (3, "01"), (5, "123"), (11, "10"), (257, "1 0"),
+                 (2, "1101101101101")]
+
+
+def seam_sizes(m, w):
+    """Counts either side of each edge of the streamed terms: the head,
+    the first two row-chunk edges, each power of ten below the second
+    and a multiple of 10^4 inside the second row chunk."""
+    layout = row_layout(m, w)
+    chunk = layout.rows * layout.L
+    edges = {layout.head, chunk, 2 * chunk, 10 ** 4 * (chunk // 10 ** 4 + 1)}
+    edges |= {10 ** d for d in range(1, len(str(2 * chunk)))}
+    return sorted({e + d for e in edges for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("m, w", SEAM_PATTERNS,
+                         ids=[f"{m}-{w}" for m, w in SEAM_PATTERNS])
+def test_streamed_generate_matches_the_whole_window(m, w, fmt, capsys):
+    """`generate` renders its terms a row chunk at a time, re-cut into
+    template blocks for `bfile` and `table`; either side of every seam
+    its text is the text of the whole window `windows.generate` builds."""
+    spec = PatternSpec(m, w)
+    sizes = seam_sizes(m, w)
+    window = generate(spec, sizes[-1])
+    if fmt in ("bfile", "table"):
+        want = reference_prefixes(window, spec, fmt, sizes,
+                                  render=format_sequence)
+    else:
+        want = {n: format_sequence(window[:n], spec, fmt) for n in sizes}
+    for n in sizes:
+        # `run`, not `main`: argument parsing would take most of the time
+        assert run(RunConfig("generate", m, w, n, output_format=fmt)) == 0
+        assert_same_text(capsys.readouterr().out, want[n], n)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_generate_memory_error_writes_nothing(fmt, tmp_path, capsys):
+    """The parents of 2^63 - 1 terms, 2^51 bytes, are allocated before
+    any text is written or --out is opened: the memory error prints no
+    header line and creates no file."""
+    argv = ["generate", "-m", "2", "-w", "1", "-N", str(sys.maxsize),
+            "--format", fmt]
+    target = tmp_path / "seq.txt"
+    for out in ([], ["--out", str(target)]):
+        assert main(argv + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: not enough memory for this request: ")
+        assert "(2251799813685248,)" in captured.err
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_generate_peak_does_not_grow_with_the_count(fmt, tmp_path):
+    """`generate` holds the parents, one row chunk and one template
+    block, not the terms: at 2^23 terms to --out its peak is within
+    8 KiB of its peak at 2^21 (the parents grow by 1.5 KiB).  A first
+    run imports the ascii codec, which the first --out of a process
+    does."""
+    peaks = []
+    for n in (10, 1 << 21, 1 << 23):
+        code, peak = peak_bytes(run, RunConfig(
+            "generate", 2, "11", n, output_format=fmt,
+            output_path=str(tmp_path / "o")))
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[2] - peaks[1]) <= 8 << 10, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +917,7 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     def no_memory(spec, n_terms):
         raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
-    monkeypatch.setattr("blockseq.cli.generate", no_memory)
+    monkeypatch.setattr("blockseq.windows.generate", no_memory)
     assert main(["generate", "-m", "2", "-w", "11", "-N", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1277,11 +1353,11 @@ def test_bench_lines_hash_the_generated_terms(m, w, n, capsys):
 
 
 # (config, ceiling in bytes) at N = 2^21 terms, written to a file: the
-# peaks measured at this code plus 25% (`blocks` holds no prefix, so
-# its ceiling does not grow with N)
+# peaks measured at this code plus 25% (`generate` and `blocks` hold
+# no prefix, so their ceilings do not grow with N)
 PEAK_N = 1 << 21
 SUBCOMMAND_PEAKS = [
-    (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 2_382_984),
+    (RunConfig("generate", 2, "11", PEAK_N), 1.25 * 290_594),
     (RunConfig("verify", 2, "11", PEAK_N), 1.25 * 2_266_407),
     (RunConfig("blocks", 2, "0", PEAK_N), 1.25 * 419_959),
     (RunConfig("powers", 2, "11", PEAK_N, scan_length=PEAK_N),

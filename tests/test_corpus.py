@@ -24,4 +24,6 @@ SLICE = 250
 def test_corpus_outputs_are_byte_identical(lo):
     want = RECORDS[lo:lo + SLICE]
     got = corpus.run_all([(r["argv"], r["faults"]) for r in want])
-    assert [(w, g) for g, w in zip(got, want) if g != w] == []
+    # names each differing record's argv and changed fields
+    changed = "\n".join(corpus.changes(want, got))
+    assert not changed, changed

@@ -219,12 +219,12 @@ def test_indexed_rows_needs_one_index_digit_count():
     """The template holds one digit count's rows, so the indices 0-9 and
     10-11 come in two chunks, in either layout."""
     values = np.ones(12, dtype=np.uint8)
-    assert list(indexed_rows(values[:3], None, b" ")) == ["0 1\n1 1\n2 1\n"]
-    assert list(indexed_rows(values, None, b" ")) == [
+    assert list(indexed_rows([values[:3]], None, b" ")) == ["0 1\n1 1\n2 1\n"]
+    assert list(indexed_rows([values], None, b" ")) == [
         "".join(f"{i} 1\n" for i in range(10)), "10 1\n11 1\n"]
-    assert list(indexed_rows(values, 3, b"  ")) == [
+    assert list(indexed_rows([values], 3, b"  ")) == [
         "".join(f"{i:>3}  1\n" for i in range(10)), " 10  1\n 11  1\n"]
-    assert list(indexed_rows(values[:0], None, b" ")) == []
+    assert list(indexed_rows([values[:0]], None, b" ")) == []
 
 
 @pytest.mark.parametrize("width, sep", [(None, b" "), (7, b"  ")])
@@ -248,7 +248,7 @@ def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
         values[hi - 1] = high - 1
         widths.append(len(str(high - 1)))
     chunks, by_line = line_path_chunks(
-        lambda v: indexed_rows(v, width, sep), values)
+        lambda v: indexed_rows([v], width, sep), values)
     lo = 0
     for chunk in chunks:
         lines = chunk.splitlines()
@@ -259,6 +259,43 @@ def test_indexed_rows_reuse_rows_across_any_chunks(width, sep):
     assert len(chunks) == 4 + 9 + 14
     one_digit = [lo for lo, w in zip(starts, widths) if w == 1]
     assert one_digit[one_digit.index(180_000) + 1] == 210_000
+
+
+def reused_buffer_chunks(values, sizes):
+    """values in chunks of the given sizes, in turn, each written into
+    one buffer that the next overwrites, as `windows._row_chunks`
+    yields them."""
+    buf = np.empty_like(values, shape=max(sizes))
+    lo = 0
+    for size in sizes:
+        buf[:size] = values[lo:lo + size]
+        lo += size
+        yield buf[:size]
+
+
+@pytest.mark.parametrize("width, sep", [(None, b" "), (6, b"  ")])
+def test_indexed_rows_stitch_blocks_across_value_chunks(width, sep):
+    """Value chunks of any length, in one reused buffer, are re-cut into
+    the template blocks: a block inside a chunk, one across two chunks
+    or across several shorter than it, and a last block left over.  A
+    value of 10 or more in a block that straddles two chunks, in either
+    part, has that block alone written line by line."""
+    n = 61_234
+    values = np.random.default_rng(3).integers(0, 10, n).astype(np.uint8)
+    values[[15_003, 44_999]] = [12, 10]  # blocks 10^4 and 4 * 10^4
+    # cuts at 7, 15,004 and 18,000 (inside blocks), every 3000 to 45,000
+    # and at 50,000 (a block edge)
+    sizes = [7, 3, 2990, 12_004, 2996] + [3000] * 9 + [5000, 11_234]
+    assert sum(sizes) == n
+    chunks, by_line = line_path_chunks(
+        lambda v: indexed_rows(reused_buffer_chunks(v, sizes), width, sep),
+        values)
+    assert "".join(chunks) == "".join(
+        f"{i:>{width or 0}}{sep.decode()}{v}\n"
+        for i, v in enumerate(values.tolist()))
+    starts = [0, 10, 100, 1000] + list(range(10 ** 4, n, 10 ** 4))
+    assert [c.count("\n") for c in chunks] == np.diff(starts + [n]).tolist()
+    assert by_line == [lo in (10 ** 4, 4 * 10 ** 4) for lo in starts]
 
 
 # ---------------------------------------------------------------------------
