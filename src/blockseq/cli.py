@@ -50,8 +50,7 @@ N whose N bytes would not fit in memory runs, as long as its N/L do.
 `windows._row_chunks` as they come.  So it holds about N/L bytes of
 parents (at least the head's L or 2L), one row chunk, the row table,
 and one chunk of text with its scratch: for `bfile` and `table` one
-block of the index template, and a block that straddles two row chunks
-stitched in a buffer of at most 10^4 values.  Its parents are allocated
+block of the index template.  Its parents are allocated
 before any text is written or `--out` is opened, so a request they do
 not fit ends in the memory error with no output.  It renders its
 terms in numpy, never one Python string per term, for every N up to
@@ -61,7 +60,8 @@ one is written line by line.  stdout and `--out` get the same bytes.
 CHUNK_TERMS terms (a chunk of rows is one row of m terms past
 m = 2^16), written by `words.digit_string`; `bfile` and `table` text is
 cut and written by `words.indexed_rows`, one chunk per block of 10^4
-indices (one per index digit count below 10^4).
+indices (one per index digit count below 10^4), or per part of a block
+that lies in one row chunk.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ def default_scan_length(p: int) -> int:
 # output formatting
 # ---------------------------------------------------------------------------
 
-# Terms per chunk of `plain` and `report` text, and per value chunk
-# that `format_sequence` cuts its values into.  A chunk of
+# Terms per chunk of `plain` and `report` text.  A chunk of
 # `windows._row_chunks`, which `generate` renders, holds about as many
 # below m = 2^16, and one row of m terms past it.
 CHUNK_TERMS = 1 << 16
@@ -191,11 +190,8 @@ def _render(chunks, n: int, spec: PatternSpec, fmt: str):
 
 
 def _format_chunks(values, spec: PatternSpec, fmt: str):
-    """`_render` of values held in memory, cut into chunks of
-    CHUNK_TERMS values."""
-    n = len(values)
-    return _render((values[lo:lo + CHUNK_TERMS]
-                    for lo in range(0, n, CHUNK_TERMS)), n, spec, fmt)
+    """`_render` of values held in memory, as one chunk of values."""
+    return _render([values], len(values), spec, fmt)
 
 
 def format_sequence(values: np.ndarray, spec: PatternSpec, fmt: str) -> str:
@@ -277,7 +273,7 @@ def _cmd_powers(cfg: RunConfig, spec: PatternSpec) -> tuple:
 
 
 def _cmd_series(cfg: RunConfig, spec: PatternSpec) -> tuple:
-    reports = degree_evidence(spec, cfg.order, seed=cfg.seed)
+    reports = degree_evidence(spec, cfg.order)
     return ([f"seed={cfg.seed}\n"] + [r.format() + "\n" for r in reports],
             EXIT_OK if all(r.verdict == "PASS" for r in reports)
             else EXIT_VERIFY)

@@ -61,13 +61,11 @@ __all__ = [
 ]
 
 
-def series_from_sequence(spec: PatternSpec, order: int,
-                         seed: int | None = None) -> np.ndarray:
+def series_from_sequence(spec: PatternSpec, order: int) -> np.ndarray:
     """The coefficients a(0), .., a(order-1) of f, sourced from the fast
     window generator and checked whole against the oracle's digit
     recursion (`words.recursion_mismatch`), which names the least
-    index where the window is wrong.  The check is exact, so `seed`
-    selects nothing; it is accepted for the `series` command's --seed."""
+    index where the window is wrong."""
     if not spec.modulus_is_prime:
         raise InvalidPatternError("series over F_p needs a prime base")
     coeffs = generate(spec, order)
@@ -124,16 +122,15 @@ def _residual(spec: PatternSpec, f: np.ndarray) -> np.ndarray:
     return np.remainder(out, p, out=out)
 
 
-def functional_equation_residual(spec: PatternSpec, order: int,
-                                 seed: int | None = None) -> np.ndarray:
+def functional_equation_residual(spec: PatternSpec,
+                                 order: int) -> np.ndarray:
     """The coefficients of (1 + t + ... + t^(p-1)) f^p - f - rhs -
     origin_correction in [0, p), truncated at the given order;
     identically zero for every pattern."""
-    return _residual(spec, series_from_sequence(spec, order, seed=seed))
+    return _residual(spec, series_from_sequence(spec, order))
 
 
-def degree_evidence(spec: PatternSpec, order: int,
-                    seed: int | None = None) -> tuple:
+def degree_evidence(spec: PatternSpec, order: int) -> tuple:
     """The records (functional-equation, degree-evidence) for one series
     truncated at the given order.
 
@@ -143,7 +140,7 @@ def degree_evidence(spec: PatternSpec, order: int,
     to order/4): a found period would make f rational, contradicting
     degree p; absence is evidence only, and is labeled as such.  Both
     read one series, checked against the oracle's recursion."""
-    f = series_from_sequence(spec, order, seed=seed)
+    f = series_from_sequence(spec, order)
     nonzero = np.flatnonzero(_residual(spec, f))
     quarter = max(1, order // 4)
     periods = tail_periods(f, max_period=quarter, preperiod=quarter)

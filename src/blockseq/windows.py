@@ -61,27 +61,14 @@ prime m.
 
 `_row_chunks` yields the same terms a chunk at a time, holding about
 N/L bytes of them instead of N, by the doubling step generalized to
-every aligned block of L = m^K terms.  The `generate` and `blocks`
-subcommands take their terms from it, so neither holds N bytes; the
-others take theirs from `generate`.  With n = sL + r, s >= 1 and
-0 <= r < L,
-
-    a(sL + r) = (U[r] + a(s) + #{j in B(s) : r in I_j}) mod m,
-
-where U[r] counts w in r padded to K digits (0 for K < |w|, else a(r),
-or a(L + r) for a zero-led w, which can start in the padding zeros
-that [r]_m lacks), B(s) is the set of j for which w[:j] ends the expansion of s
-and I_j the interval of r whose padding starts with w[j:]
-(`PatternSpec.row_cuts`).  If J is the largest j in B(s), the others
-are the j < J with w[:j] a suffix of w[:J] (a border), so B(s) is fixed
-by J: one border class.  The head, below L (below 2L where U reads
-a(L + r)), and the parents a(s) come from `generate`; each later row is
-one row of the table (U + c + the cut terms of class J) mod m, picked
-by (J, c = a(s)), or from m = 64 on, where no count reaches m and
-nothing wraps, U plus a(s) plus one on the slices (B(s), I_j).  K and
-the table are `PatternSpec.row_digits` and `PatternSpec.row_table`,
-which `words.recursion_mismatch` checks a window with, by the same
-identity.
+every aligned block of L = m^K terms: the row identity a(sL + r) =
+(U[r] + a(s) + cut terms) mod m that `words.RowTable` states, and that
+`words.recursion_mismatch` checks a window with.  The `generate` and
+`blocks` subcommands take their terms from it, so neither holds N
+bytes; the others take theirs from `generate`.  The head, below L
+(below 2L where U reads a(L + r)), and the parents a(s) come from
+`generate`; each later row is one row of the table of (border class,
+a(s)) rows, or from m = 64 on U plus a(s) plus one on a few slices.
 """
 
 from __future__ import annotations
@@ -214,30 +201,28 @@ def _row_chunks(spec: PatternSpec, n_terms: int):
 
     Every chunk but the last is whole rows of L = m^K terms,
     `RowTable.chunk_rows` of them (ROW_CHUNK // L, one where a row is
-    longer), and the first holds the head (see the module docstring).
-    K is `PatternSpec.row_digits`, the rule `words.recursion_mismatch`
-    takes too: L is the largest power of m at most ROW_CAP with the
-    table of (border class, a(s)) rows at most ROW_CHUNK bytes below
-    m = 64, and m itself past ROW_CAP.  So the chunks cost about N/L
-    bytes of parents from `generate`, one chunk and the table, at any
-    n_terms.  All three are allocated before the first chunk is
-    yielded, so a request they do not fit fails on the first one.
+    longer), and the first holds the head; the rows past it are
+    `RowTable.fill`'s.  L is the largest power of m at most ROW_CAP with
+    the table of (border class, a(s)) rows at most ROW_CHUNK bytes below
+    m = 64, and m itself past ROW_CAP (`PatternSpec.row_digits`).  So
+    the chunks cost about N/L bytes of parents from `generate`, one
+    chunk and the table, at any n_terms.  All three are allocated
+    before the first chunk is yielded, so a request they do not fit
+    fails on the first one.  Past m = 4096, where L = m, the head and
+    the one-row buffer of L terms each take about L bytes, so the peak
+    is about 2L when n_terms is just past L, above the n_terms bytes of
+    `generate`'s whole window.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    K = spec.row_digits()
-    L = spec.base ** K
-    head = spec.row_head(K)
+    head = spec.row_head()
     if n_terms <= head:
         yield generate(spec, n_terms)
         return
+    L = spec.base ** spec.row_digits()
     n_rows = -(-n_terms // L)
     a = generate(spec, max(head, n_rows))  # the head and the parents
-    if K < spec.width:
-        u = np.zeros(L, dtype=np.uint8)
-    else:
-        u = a[L:2 * L] if spec.is_zero_word else a[:L]
-    row_table = spec.row_table(K, u)
+    row_table = spec.row_table(a)
     buf = np.empty((min(row_table.chunk_rows, n_rows), L), dtype=np.uint8)
     for s0 in range(0, n_rows, len(buf)):
         rows = buf[:min(len(buf), n_rows - s0)]

@@ -16,16 +16,14 @@ by the digit recursion e(n) = [the expansion of n ends in w] + e(n // m),
 testing only each index's lowest window.  Both count a zero-led window
 only where it fits inside the expansion, and neither uses an automaton
 or the doubling.  `recursion_mismatch` checks another generator's
-output x against the same recursion taken K digits at a time,
-a(s m^K + r) from a(s), the count of w in r padded to K digits and the
-occurrences across the cut, with every term it reads taken from x, so
-`verify` checks x without building a second output: by strong
-induction x is a exactly when no index fails, and the least index that
-fails is the least one where x is wrong, where the identity gives the
-true a(n).  It compares whole rows of m^K terms, each a row of one table
-picked by the row's parent and its border class (`RowTable`, which
-`windows._row_chunks` builds its rows from too, by the same K from
-`PatternSpec.row_digits`), and tests no index on its own.
+output x against the same recursion with every term it reads taken
+from x, so `verify` checks x without building a second output: below
+the row head term by term, and past it by whole rows of m^K terms, each
+a row of one table picked by the row's parent and its border class
+(the row identity that `RowTable` states, which `windows._row_chunks`
+builds its rows from too).  By strong induction the least index that
+fails is the least one where x is wrong, and the check gives the true
+a(n) there.  It tests no index on its own.
 The scalar path is the ground truth for tests; the vectorized path is
 the workhorse the rest of the package validates against, and `a_batch`
 is the independent check of `a_prefix`.  The package's text renderers
@@ -35,18 +33,17 @@ decimal digit for m <= 10, and for any m at every n below m^9.
 `digit_string` writes one-digit values into one uint8 row each (the
 digit, and a space above base 10) in one add.  `indexed_rows` yields
 the "index value" lines of a sequence that comes in chunks of values
-of any length, re-cut into chunks of its own, one per block of a
-template of at most 10^4 index rows tiled from the ten digits: one per
-index digit count below 10^4, and from 10^4 on one per 10^4 indices,
-each starting on a multiple of 10^4.  A block that straddles two value
-chunks is stitched in a buffer of at most 10^4 values.  Per digit count
-it builds the template once, each chunk is a slice of its rows, and
-each later chunk writes over them only the high index digits that
-changed and the values.  So `generate` renders `bfile` and `table` text
-from about N/L bytes of parents, one row chunk and one template block.
-Either renderer writes a call or block that holds a value of 10 or more
-line by line in Python, and refuses a value that is negative or not an
-integer, which its uint8 cast would misread.
+of any length, as text chunks cut at the edges of the value chunks and
+of the blocks of a template of at most 10^4 index rows tiled from the
+ten digits: one block per index digit count below 10^4, and from 10^4
+on one per 10^4 indices, each starting on a multiple of 10^4.  Per
+digit count it builds the template once, each text chunk is a slice of
+its rows, and each later one writes over them only the high index
+digits that changed and the values.  So `generate` renders `bfile` and
+`table` text from about N/L bytes of parents, one row chunk and one
+template block.  Either renderer writes a piece that holds a value of
+10 or more line by line in Python, and refuses a value that is negative
+or not an integer, which its uint8 cast would misread.
 
 Conventions, fixed deliberately and relied on throughout:
 
@@ -58,6 +55,7 @@ Conventions, fixed deliberately and relied on throughout:
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -144,51 +142,6 @@ def _integers(values) -> np.ndarray:
     return values
 
 
-def _template_blocks(chunks):
-    """(lo, values, wide) for each block of the index template over the
-    values that the arrays in `chunks` hold in turn, indexed from 0: lo
-    is the block's first index, values its values, and wide is false
-    only where no value of a chunk they came from is 10 or more.  A block
-    inside one chunk is a view of it.  One that straddles chunks is
-    stitched in a buffer of its own, at most 10^TEMPLATE_DIGITS values,
-    each part copied in before the next chunk is asked for, since a
-    chunk may be a buffer its source reuses.  The last block is the
-    values left at the end, even if fewer than its block holds.  A
-    chunk that holds a negative value raises ValueError, and one that
-    holds a value that is not an integer TypeError, before any block of
-    it is yielded."""
-    lo = have = 0  # the next block's first index; its values in `stitch`
-    stitch, stitch_wide = None, False
-    for chunk in chunks:
-        chunk = _integers(chunk)
-        # checked before the unsafe cast to uint8, where -1 would read
-        # as "/"
-        if chunk.size and chunk.dtype.kind not in "bu" and chunk.min() < 0:
-            raise ValueError("values must be non-negative")
-        wide = bool(chunk.size) and chunk.max() >= 10
-        at = 0
-        while at < len(chunk):
-            block = 10 ** min(len(str(lo)), TEMPLATE_DIGITS)
-            size = block - lo % block  # to the end of lo's block
-            take = min(size - have, len(chunk) - at)
-            part, part_wide = chunk[at:at + take], wide
-            at += take
-            if take < size:  # the block straddles chunks
-                if not have:
-                    stitch = np.empty_like(chunk, shape=size)
-                    stitch_wide = False
-                stitch[have:have + take] = part
-                stitch_wide |= wide
-                have += take
-                if have < size:  # the chunk ends inside the block
-                    continue
-                part, part_wide, have = stitch, stitch_wide, 0
-            yield lo, part, part_wide
-            lo += size
-    if have:
-        yield lo, stitch[:have], stitch_wide
-
-
 def indexed_rows(chunks, width: int | None, sep: bytes):
     """The lines "index sep value" for the values that the arrays in
     `chunks` hold in turn, indexed 0, 1, ..., yielded as text chunks.
@@ -198,50 +151,61 @@ def indexed_rows(chunks, width: int | None, sep: bytes):
     feeds it the row chunks of `windows._row_chunks`, holds about N/L
     bytes of parents, one row chunk and one template block, at any N.
 
-    Each text chunk is one block of the index template, whatever the
-    value chunks' lengths: below 10^4 one per index digit count, and
-    from 10^4 on one per 10^4 indices starting on a multiple of 10^4, of
-    which only a digit count's last may be shorter (`_template_blocks`
-    re-cuts the value chunks, stitching a block that straddles two).  A
-    block of one-digit values takes the numpy path, as every block of a
-    sequence a_{m;w} does for m <= 10, and below m^9 terms for any m
-    (a(n) is at most the number of digits of n).  The first such block
-    of a digit count builds its row matrix (`_template`), whose rows
-    each later block of that digit count reuses: it writes over them
-    only its values and those high index digits that differ from the
-    ones the rows hold.  Each value chunk is tested for a value of 10 or
-    more once, and only the blocks of a chunk that holds one are tested
-    again: a block holding one is written line by line instead.  A
-    negative value raises ValueError, and a value that is not an integer
-    TypeError, before any text of its value chunk is yielded.
+    Each text chunk is the piece of one value chunk that lies in one
+    block of the index template: below 10^4 one block per index digit
+    count, and from 10^4 on one per 10^4 indices starting on a multiple
+    of 10^4.  A block that straddles two value chunks comes out as two
+    pieces, whose text joins to the block's.  A piece of one-digit
+    values takes the numpy path, as every piece of a sequence a_{m;w}
+    does for m <= 10, and below m^9 terms for any m (a(n) is at most
+    the number of digits of n).  The first such piece of a digit count
+    builds its row matrix (`_template`), whose rows each later piece of
+    that digit count reuses: it writes over them only its values and
+    those high index digits that differ from the ones the rows hold.
+    Each value chunk is tested for a value of 10 or more once, and only
+    the pieces of a chunk that holds one are tested again: a piece
+    holding one is written line by line instead.  A negative value
+    raises ValueError, and a value that is not an integer TypeError,
+    before any text of its value chunk is yielded.
     """
     line = f"{{:>{width or 0}}}{sep.decode()}{{}}\n".format
-    d = 0  # the index digit count of the row matrix `rows`
-    for lo, values, wide in _template_blocks(chunks):
-        hi = lo + len(values)
-        if len(str(lo)) != d:
-            d = len(str(lo))
-            block = 10 ** min(d, TEMPLATE_DIGITS)
-            high_at = (width or d) - d  # the index's first column
-            value_at = high_at + d + len(sep)
-            rows = held = None  # the row matrix and the high digits it holds
-        if wide and values.max() >= 10:
-            yield "".join(map(line, range(lo, hi), values.tolist()))
-            continue
-        if rows is None:
-            rows = _template(d, width, sep)
-        if d > TEMPLATE_DIGITS:
-            # high digits one column at a time, over every row, so
-            # `held` is true of all of them
-            high = str(lo // block)
-            for col, digit in enumerate(high):
-                if held is None or held[col] != digit:
-                    rows[:, high_at + col] = ord(digit)
-            held = high
-        out = rows[lo % block:lo % block + hi - lo]
-        np.add(values, ord("0"), out=out[:, value_at], casting="unsafe")
-        # decodes the buffer, no bytes copy
-        yield str(out, "ascii")
+    lo = d = 0  # the next index; the index digit count of `rows`
+    for chunk in chunks:
+        chunk = _integers(chunk)
+        # checked before the unsafe cast to uint8, where -1 would read
+        # as "/"
+        if chunk.size and chunk.dtype.kind not in "bu" and chunk.min() < 0:
+            raise ValueError("values must be non-negative")
+        wide = bool(chunk.size) and chunk.max() >= 10
+        at = 0
+        while at < len(chunk):
+            if len(str(lo)) != d:
+                d = len(str(lo))
+                block = 10 ** min(d, TEMPLATE_DIGITS)
+                high_at = (width or d) - d  # the index's first column
+                value_at = high_at + d + len(sep)
+                rows = held = None  # the row matrix and its high digits
+            # to the end of lo's block or of the chunk
+            values = chunk[at:at + block - lo % block]
+            first, lo = lo, lo + len(values)
+            at += len(values)
+            if wide and values.max() >= 10:
+                yield "".join(map(line, range(first, lo), values.tolist()))
+                continue
+            if rows is None:
+                rows = _template(d, width, sep)
+            if d > TEMPLATE_DIGITS:
+                # high digits one column at a time, over every row, so
+                # `held` is true of all of them
+                high = str(first // block)
+                for col, digit in enumerate(high):
+                    if held is None or held[col] != digit:
+                        rows[:, high_at + col] = ord(digit)
+                held = high
+            out = rows[first % block:first % block + len(values)]
+            np.add(values, ord("0"), out=out[:, value_at], casting="unsafe")
+            # decodes the buffer, no bytes copy
+            yield str(out, "ascii")
 
 
 def digit_string(digits, base: int) -> str:
@@ -267,8 +231,8 @@ def digit_string(digits, base: int) -> str:
 
 
 # The rows of the identity a(sL + r) = (U[r] + a(s) + cut terms) mod m
-# (`PatternSpec.row_digits`): at most ROW_CAP terms each, unless m is
-# more, with the table of border classes at most ROW_CHUNK bytes below
+# (`RowTable`, L = m^K by `PatternSpec.row_digits`): at most ROW_CAP
+# terms each, unless m is more, with the table of border classes at most ROW_CHUNK bytes below
 # m = 64, and ROW_CHUNK // L rows per chunk of `windows._row_chunks`.
 ROW_CAP = 1 << 12
 ROW_CHUNK = 1 << 16
@@ -356,20 +320,21 @@ class PatternSpec:
         short = self.is_zero_word and self.width > 1
         return self.value + (self.base ** self.width if short else 0)
 
-    def row_head(self, K: int) -> int:
-        """The terms below the first row that a(sL + r) = (U[r] + a(s) +
-        cut terms) mod m covers with L = m^K (see `recursion_mismatch`):
-        L, or 2L for a zero-led w no wider than K, whose U reads a(L + r)."""
+    def row_head(self) -> int:
+        """The terms below the first row of `RowTable`: L, or 2L for a
+        zero-led w no wider than K, whose U reads a(L + r)."""
+        K = self.row_digits()
         return self.base ** K * (2 if self.is_zero_word
                                  and K >= self.width else 1)
 
-    def row_cuts(self, K: int) -> list:
+    def row_cuts(self) -> list:
         """(f_j, m^j, I_j) for each j in [max(1, |w| - K), |w|), the
         occurrences of w across the cut between s and r padded to K
-        digits: w[:j] ends the expansion of s exactly for the s >= f_j
-        with s = f_j mod m^j (f_j the `first_end` of w[:j]), and the
-        padded r starts with w[j:] exactly for r in the slice I_j."""
-        m, w = self.base, self.pattern
+        digits (see `RowTable`): w[:j] ends the expansion of s exactly
+        for the s >= f_j with s = f_j mod m^j (f_j the `first_end` of
+        w[:j]), and the padded r starts with w[j:] exactly for r in the
+        slice I_j."""
+        m, w, K = self.base, self.pattern, self.row_digits()
         cuts = []
         for j in range(max(1, len(w) - K), len(w)):
             width = m ** (K - len(w) + j)
@@ -379,57 +344,78 @@ class PatternSpec:
         return cuts
 
     def row_digits(self) -> int:
-        """K for the rows of L = m^K terms that `recursion_mismatch` and
-        `windows._row_chunks` take: the largest with L at most ROW_CAP
-        whose table of border classes (`row_table`), min(|w|, K + 1) * m
-        rows of L bytes, fits in ROW_CHUNK below m = 64; at least 1, so
-        L = m where no larger power fits (m itself past ROW_CAP)."""
-        m, k = self.base, self.width
-        K = 1
-        while m ** (K + 1) <= ROW_CAP and (
-                m >= 64 or min(k, K + 2) * m ** (K + 2) <= ROW_CHUNK):
-            K += 1
-        return K
+        """K for the rows of L = m^K terms of `RowTable`: the largest
+        with L at most ROW_CAP whose table of border classes, min(|w|,
+        K + 1) * m rows of L bytes, fits in ROW_CHUNK below m = 64; at
+        least 1, so L = m where no larger power fits (m itself past
+        ROW_CAP)."""
+        return _row_digits(self.base, self.width, ROW_CAP, ROW_CHUNK)
 
-    def row_table(self, K: int, u: np.ndarray) -> "RowTable":
-        """The rows of L = m^K terms past the head, from U = u (see
-        `RowTable`)."""
-        return RowTable(self, K, u)
+    def row_table(self, prefix: np.ndarray) -> "RowTable":
+        """The rows of L = m^K terms past the head, with U read from
+        `prefix` (see `RowTable`)."""
+        return RowTable(self, prefix)
 
     def __str__(self) -> str:
         return f"m={self.base} w={digit_string(self.pattern, self.base)}"
 
 
+@functools.lru_cache(maxsize=None)
+def _row_digits(m: int, k: int, cap: int, chunk: int) -> int:
+    """`PatternSpec.row_digits` at ROW_CAP = cap and ROW_CHUNK = chunk,
+    kept per (m, |w|), since each row check and row generator asks for
+    it a few times."""
+    K = 1
+    while m ** (K + 1) <= cap and (
+            m >= 64 or min(k, K + 2) * m ** (K + 2) <= chunk):
+        K += 1
+    return K
+
+
 class RowTable:
-    """The rows s >= 1 of L = m^K terms of a_{m;w}, by
+    """The rows s >= 1 of L = m^K terms of a_{m;w}, K being
+    `PatternSpec.row_digits`.  With n = sL + r, s >= 1 and 0 <= r < L,
+    the expansion of n is that of s followed by r padded to K digits, so
 
-        a(sL + r) = (U[r] + a(s) + #{j in B(s) : r in I_j}) mod m,
+        a(sL + r) = (U[r] + a(s) + #{j in B(s) : r in I_j}) mod m.
 
-    with U = u, B(s) the j whose w[:j] ends the expansion of s and I_j
-    the interval of r whose padding starts with w[j:]
+    U[r] counts w in the padded r: 0 for K < |w|, else a(r), or a(L + r)
+    for a zero-led w, which can start in the padding zeros that [r]_m
+    lacks; U is read from `prefix`, which holds the terms below the head
+    (`PatternSpec.row_head`).  The j, max(1, |w| - K) <= j < |w|, count
+    the occurrences across the cut: j is in B(s) when w[:j] ends the
+    expansion of s, that is s >= f_j and s = f_j mod m^j for f_j the
+    `PatternSpec.first_end` of w[:j], and I_j is the slice of r whose
+    padding starts with w[j:], m^(K-|w|+j) values
     (`PatternSpec.row_cuts`).  If J is the largest j in B(s), the others
     are the j < J with w[:j] a border of w[:J], so B(s) is fixed by J:
     one border class.  Below m = 64 `table` holds, in row c*m + v, the
     row (U + v + the cut terms of class c) mod m, class 0 having no j
-    and class c >= 1 the largest j of `cuts[c - 1]`, and `fill` writes a
-    chunk of rows with one np.take of it; from m = 64 on, where no count
-    reaches m and nothing wraps, `table` is None and `fill` adds a(s) to
-    U and one on the slices (B(s), I_j).  `chunk_rows` is ROW_CHUNK // L
-    rows (at least one)."""
+    and class c >= 1 the c-th least j as its largest, and `fill` writes
+    a chunk of rows with one np.take of it; from m = 64 on, where no
+    count reaches m and nothing wraps, `table` is None and `fill` adds
+    a(s) to U and one on the slices (B(s), I_j).  `chunk_rows` is
+    ROW_CHUNK // L rows (at least one)."""
 
-    def __init__(self, spec: PatternSpec, K: int, u: np.ndarray):
+    def __init__(self, spec: PatternSpec, prefix: np.ndarray):
         m, w = spec.base, spec.pattern
+        K = spec.row_digits()
+        L = m ** K
+        if K < len(w):
+            u = np.zeros(L, dtype=np.uint8)
+        else:
+            u = prefix[L:2 * L] if spec.is_zero_word else prefix[:L]
         self.u = u
-        self.cuts = spec.row_cuts(K)  # (f_j, m^j, I_j), j ascending
-        self.chunk_rows = max(1, ROW_CHUNK // len(u))
+        cuts = spec.row_cuts()  # (f_j, m^j, I_j), j ascending
+        self.chunk_rows = max(1, ROW_CHUNK // L)
         # per cut: f_j, m^j (capped past every index, so that a slice
         # takes it), the first table row of its class and I_j
         self._marks = [(f, min(step, MAX_INDEX), c * m, cols)
-                       for c, (f, step, cols) in enumerate(self.cuts, 1)]
+                       for c, (f, step, cols) in enumerate(cuts, 1)]
         self.table = None
         if m >= 64:
             return
-        first = len(w) - len(self.cuts)  # the least j
+        first = len(w) - len(cuts)  # the least j
         # border[i]: the longest proper border of w[:i + 1]
         border = [0] * len(w)
         for i in range(1, len(w)):
@@ -438,10 +424,10 @@ class RowTable:
                 b = border[b - 1]
             border[i] = b + (w[i] == w[b])
         ramp = np.arange(m, dtype=np.uint8)[:, None]
-        table = np.empty(((len(self.cuts) + 1) * m, len(u)), dtype=np.uint8)
+        table = np.empty(((len(cuts) + 1) * m, L), dtype=np.uint8)
         np.add(ramp, u, out=table[:m])
         _reduce_once(table[:m], m)  # every sum is below 2m
-        for c, (_, _, cols) in enumerate(self.cuts, 1):
+        for c, (_, _, cols) in enumerate(cuts, 1):
             # class c is the class of the longest border of w[:j] that is
             # a cut (class 0 if none is) plus one on I_j, j = first + c - 1
             b = border[first + c - 2]
@@ -627,8 +613,8 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
     2^32); its parents are read with one np.repeat, and the block is
     reduced mod m in place, so peak memory is the n_terms output bytes
     plus one block of scratch.  `recursion_mismatch` checks a given
-    prefix against the same recursion taken K digits at a time, by
-    whole rows of m^K terms instead of blocks.
+    prefix against the same recursion below the row head, and past it
+    by whole rows of m^K terms (`RowTable`).
     """
     counts = np.empty(n_terms, dtype=np.uint8)
     m, wv = spec.base, spec.value
@@ -656,92 +642,62 @@ def a_prefix(spec: PatternSpec, n_terms: int) -> np.ndarray:
 
 
 def recursion_mismatch(spec: PatternSpec, x: np.ndarray) -> tuple | None:
-    """Check a uint8 candidate prefix x of a_{m;w} against the digit
-    recursion taken K digits at a time, reading every term it needs
-    from x.  Return (n, a(n)) for the least index n that fails, or None.
+    """Check a uint8 candidate prefix x of a_{m;w}, reading every term it
+    needs from x.  Return (n, a(n)) for the least index n that fails, or
+    None.
 
-    Below m, and below 2m for w = "0", a(n) = H(n) (see `a_prefix`).
-    Past that, with L = m^K and n = sL + r, s >= 1 and 0 <= r < L, the
-    expansion of n is that of s followed by r padded to K digits, so
-
-        a(sL + r) = (U[r] + a(s) + #{j : s in S_j and r in I_j}) mod m.
-
-    U[r] counts w in the padded r: 0 for K < |w|, else a(r), or
-    a(L + r) for a zero-led w.  The j, max(1, |w| - K) <= j < |w|, count
-    the occurrences across the cut: w[:j] ends the expansion of s when s
-    is in S_j, the s >= f_j with s = f_j mod m^j for f_j the
-    `PatternSpec.first_end` of w[:j]; the padded r starts with w[j:]
-    when r is in I_j, one interval of m^(K-|w|+j) values.  So a row s
-    of L terms is U rotated by a(s), plus one on the slices (S_j, I_j),
-    and those depend on s only through its border class (`RowTable`).
-
-    By strong induction x = a on [0, N) iff no index fails, and the
-    least failing n is the least n with x(n) != a(n): every term the
-    identity reads from x (s, and r or L + r) lies below n and is
-    right, so the identity gives a(n).  K is `PatternSpec.row_digits`,
-    the rule `windows._row_chunks` takes too.  The terms below the first
-    row, and below 2L where U reads a(L + r), are checked by the same
-    identity with K = 1 after the compare with H.  Each chunk of rows is
-    one `RowTable.fill` from their parents (below m = 64 one np.take of
-    the table of (border class, a(s)) rows, from m = 64 on one broadcast
-    add and one on a few slices), one in-place compare with x and one
-    `any`.  The table's bytes past m * L come out of the chunk of
-    expected rows, ROW_CHUNK bytes less those, so the scratch, the table
-    and one chunk, is at most ROW_CHUNK + m * L bytes.  No index is held
-    in an array.  Anything but a uint8 array raises TypeError: a wider
-    value would wrap in the uint8 scratch, where 256 reads as 0.
+    Below the row head (`PatternSpec.row_head`, L or 2L) it checks the
+    digit recursion a(n) = (H(n) + a(n // m)) mod m of `a_prefix` in one
+    pass, a(n) = H(n) below m; past it, the rows of L = m^K terms by the
+    row identity that `RowTable` states.  By strong induction x = a on
+    [0, N) iff no index fails, and the least failing n is the least n
+    with x(n) != a(n): every term either rule reads from x (n // m, or
+    s and U's r or L + r) lies below n and is right, so the rule gives
+    a(n), here read from the failing row written again.  Each chunk of
+    rows is one `RowTable.fill` from their parents (below m = 64 one
+    np.take of the table of (border class, a(s)) rows, from m = 64 on
+    one broadcast add and one on a few slices), one in-place compare
+    with x and one `any`.  The table's bytes past m * L come out of the
+    chunk of expected rows, ROW_CHUNK bytes less those, so the scratch,
+    the table and one chunk, is at most ROW_CHUNK + m * L bytes.  No
+    index is held in an array.  Anything but a uint8 array raises
+    TypeError: a wider value would wrap in the uint8 scratch, where 256
+    reads as 0.
     """
     if not isinstance(x, np.ndarray) or x.dtype != np.uint8:
         raise TypeError("the candidate must be a uint8 array")
-    m, k, n_terms = spec.base, spec.width, len(x)
-    end = min(n_terms, spec.row_head(1))
-    want = np.zeros(end, dtype=np.uint8)  # H below m, or 2m for w = "0"
+    m, n_terms = spec.base, len(x)
+    end = min(n_terms, spec.row_head())
+    want = np.zeros(end, dtype=np.uint8)  # H(n)
     if spec.first_end < end:
-        want[spec.first_end::min(m ** k, end)] = 1
+        want[spec.first_end::min(m ** spec.width, end)] = 1
+    if end > m:  # add a(n // m): each parent stands for m indices
+        want[m:] += np.repeat(x[1:-(-end // m)], m)[:end - m]
+        _reduce_once(want[m:], m)  # a right parent is below m
     bad = np.flatnonzero(x[:end] != want)
     if bad.size:
         return int(bad[0]), int(want[bad[0]])
-    top = spec.row_digits()
-    for K in sorted({1, top}):  # rows of m up to the rows of L, then L
-        lo = spec.row_head(K)
-        hi = n_terms if K == top else min(n_terms, spec.row_head(top))
-        fail = _rows_mismatch(spec, x, K, lo, hi) if lo < hi else None
-        if fail:
-            return fail
-    return None
-
-
-def _rows_mismatch(spec: PatternSpec, x: np.ndarray, K: int, lo: int,
-                   hi: int) -> tuple | None:
-    """`recursion_mismatch` on the indices [lo, hi) by rows of L = m^K
-    terms, lo a multiple of L at or past the head for K, with every
-    index below lo already checked."""
-    m = spec.base
-    size = m ** K
-    if K < spec.width:
-        u = np.zeros(size, dtype=np.uint8)
-    else:
-        u = x[size:2 * size] if spec.is_zero_word else x[:size]
-    row_table = spec.row_table(K, u)
+    if end == n_terms:
+        return None
+    del want, bad  # freed before the rows' scratch is allocated
+    row_table = spec.row_table(x)
+    L = len(row_table.u)
     per = row_table.chunk_rows
     # the table's bytes past m * L come out of the chunk of expected rows
     if row_table.table is not None:
         per = max(1, per - len(row_table.table) + m)
-    s_lo, s_hi = lo // size, -(-hi // size)
-    expected = np.empty((min(per, s_hi - s_lo), size), dtype=np.uint8)
+    s_lo, s_hi = end // L, -(-n_terms // L)
+    expected = np.empty((min(per, s_hi - s_lo), L), dtype=np.uint8)
     for s0 in range(s_lo, s_hi, per):
         s1 = min(s_hi, s0 + per)
         chunk = expected[:s1 - s0]
         row_table.fill(s0, x[s0:s1], chunk)
-        n0, n1 = s0 * size, min(hi, s1 * size)
-        flat = chunk.reshape(-1)[:n1 - n0]
+        n0 = s0 * L
+        flat = chunk.reshape(-1)[:n_terms - n0]
         ne = flat.view(bool)
-        np.not_equal(x[n0:n1], flat, out=ne)
+        np.not_equal(x[n0:n0 + len(flat)], flat, out=ne)
         if ne.any():
-            n = n0 + int(ne.argmax())
-            s, r = divmod(n, size)
-            across = sum(s >= f and (s - f) % step == 0
-                         and cols.start <= r < cols.stop
-                         for f, step, cols in row_table.cuts)
-            return n, (int(u[r]) + int(x[s]) + across) % m
+            s, r = divmod(n0 + int(ne.argmax()), L)
+            row_table.fill(s, x[s:s + 1], chunk[:1])
+            return s * L + r, int(chunk[0, r])
     return None

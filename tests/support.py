@@ -126,11 +126,9 @@ def row_layout(m, w, n=0):
       ROW_CHUNK // L, or one where a row is longer;
     * head: the terms below the first row, L, or 2L for a zero-led w no
       wider than K;
-    * starts: the indices below n where a stretch of
-      `recursion_mismatch` begins: its rows of m after the compare with
-      H (at m, or 2m for w = "0"), its rows of L (at the head), and each
-      later chunk of either, whose rows of m^J number ROW_CHUNK // m^J
-      less the table's rows past m."""
+    * starts: the indices below n where a chunk of rows of
+      `recursion_mismatch` begins: the head, and every per * L after it,
+      per being ROW_CHUNK // L rows less the table's rows past m."""
     chunk, cap = blockseq.words.ROW_CHUNK, blockseq.words.ROW_CAP
     spec = blockseq.words.PatternSpec(m, w)
     k = spec.width
@@ -138,19 +136,11 @@ def row_layout(m, w, n=0):
     def table_rows(K):  # no table from m = 64 on
         return min(k, K + 1) * m if m < 64 else 0
 
-    def head(K):  # where the rows of m^K begin
-        return m ** K * (2 if spec.is_zero_word and K >= k else 1)
-
-    top = 1
-    while m ** (top + 1) <= cap and (
-            m >= 64 or table_rows(top + 1) * m ** (top + 1) <= chunk):
-        top += 1
-    starts = {head(1), head(top)}
-    for K in sorted({1, top}):
-        size = m ** K
-        end = n if K == top else min(n, head(top))
-        per = max(1, chunk // size - max(0, table_rows(K) - m))
-        starts.update(range(head(K), end, per * size))
-    L = m ** top
-    return Rows(L, max(1, chunk // L), head(top),
-                sorted(i for i in starts if i < n))
+    K = 1
+    while m ** (K + 1) <= cap and (
+            m >= 64 or table_rows(K + 1) * m ** (K + 1) <= chunk):
+        K += 1
+    L = m ** K
+    head = L * (2 if spec.is_zero_word and K >= k else 1)
+    per = max(1, chunk // L - max(0, table_rows(K) - m))
+    return Rows(L, max(1, chunk // L), head, list(range(head, n, per * L)))

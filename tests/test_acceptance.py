@@ -238,7 +238,7 @@ def test_criterion_9_functional_equation():
     bad = []
     for base, pat in GRID:
         spec = PatternSpec(base, pat)
-        res = functional_equation_residual(spec, order, seed=9)
+        res = functional_equation_residual(spec, order)
         if res.any():
             bad.append((str(spec), int(np.flatnonzero(res)[0])))
     elapsed = time.perf_counter() - t0
@@ -257,7 +257,7 @@ def test_criterion_10_degree_evidence():
     order = 1 << 16
     bad = []
     for base, pat in GRID:
-        for report in degree_evidence(PatternSpec(base, pat), order, seed=10):
+        for report in degree_evidence(PatternSpec(base, pat), order):
             if report.verdict != "PASS":
                 bad.append(report.format())
     ok = not bad

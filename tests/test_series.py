@@ -22,7 +22,7 @@ def residual_of(monkeypatch, spec, f):
     """functional_equation_residual with the series of the sequence
     replaced by the coefficient array f."""
     monkeypatch.setattr(blockseq.series, "series_from_sequence",
-                        lambda spec, order, seed=None: np.asarray(f))
+                        lambda spec, order: np.asarray(f))
     return functional_equation_residual(spec, len(f))
 
 
@@ -57,7 +57,7 @@ def test_series_from_sequence_spot_check_catches_corruption(monkeypatch):
 
     monkeypatch.setattr(blockseq.series, "generate", corrupted)
     with pytest.raises(VerificationError):
-        series_from_sequence(PatternSpec(2, "1"), 2048, seed=3)
+        series_from_sequence(PatternSpec(2, "1"), 2048)
 
 
 def test_series_from_sequence_rejects_composite():
@@ -237,7 +237,7 @@ def test_uncorrected_residual_is_exactly_the_correction(monkeypatch):
 def test_functional_equation_residual_zero():
     for m, w in [(2, "1"), (2, "11"), (2, "01"), (2, "0"), (3, "0"),
                  (3, "12"), (5, "23"), (5, "0")]:
-        res = functional_equation_residual(PatternSpec(m, w), 2000, seed=7)
+        res = functional_equation_residual(PatternSpec(m, w), 2000)
         assert not res.any(), f"nonzero residual for m={m} w={w}"
 
 
@@ -252,7 +252,7 @@ def test_series_zero_predicates(monkeypatch):
             return r
 
         monkeypatch.setattr(blockseq.series, "rhs_series", bumped)
-        equation, ev = degree_evidence(spec, 1000, seed=1)
+        equation, ev = degree_evidence(spec, 1000)
         assert equation.evidence == (f"first_nonzero={k}",)
         assert equation.verdict == "FAIL"
         assert "residual_zero=False" in ev.evidence
@@ -260,14 +260,14 @@ def test_series_zero_predicates(monkeypatch):
 
 
 def test_degree_evidence_passes_for_known_sequences():
-    equation, ev = degree_evidence(PatternSpec(2, "1"), 1 << 14, seed=1)
+    equation, ev = degree_evidence(PatternSpec(2, "1"), 1 << 14)
     assert isinstance(equation, ClaimReport) and isinstance(ev, ClaimReport)
     assert equation.evidence == ()
     assert equation.verdict == "PASS"
     assert ev.verdict == "PASS"
     assert ev.evidence == ("residual_zero=True", "periods=[]")
 
-    equation, ev = degree_evidence(PatternSpec(3, "0"), 3 ** 8, seed=1)
+    equation, ev = degree_evidence(PatternSpec(3, "0"), 3 ** 8)
     assert equation.verdict == ev.verdict == "PASS"
 
 
@@ -281,13 +281,13 @@ def test_degree_evidence_zero_word_scan_length_artifact():
     and a 2^17-term scan, whose candidate band 5^k in [N/5, N/4]
     contains no power of five, finds no period at all.
     """
-    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 16, seed=1)
+    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 16)
     assert ev.verdict == "FAIL"
     # the functional equation itself is fine
     assert equation.verdict == "PASS"
     assert ev.evidence == ("residual_zero=True", "periods=[15625]")
 
-    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 17, seed=1)
+    equation, ev = degree_evidence(PatternSpec(5, "0"), 1 << 17)
     assert ev.verdict == "PASS"
     assert ev.evidence == ("residual_zero=True", "periods=[]")
 
@@ -306,14 +306,14 @@ def test_degree_evidence_large_base_window_artifact():
             (7, "0", 10_000, [2401]),
             (7, "0", 1 << 15, []),
             (7, "0", 100_000, [16807])]:
-        equation, ev = degree_evidence(PatternSpec(m, w), order, seed=1)
+        equation, ev = degree_evidence(PatternSpec(m, w), order)
         assert equation.verdict == "PASS"
         assert ev.evidence == ("residual_zero=True", f"periods={periods}")
         assert ev.verdict == ("FAIL" if periods else "PASS")
 
 
 def test_degree_evidence_format():
-    equation, ev = degree_evidence(PatternSpec(2, "11"), 4096, seed=1)
+    equation, ev = degree_evidence(PatternSpec(2, "11"), 4096)
     assert equation.format() == ("claim=functional-equation params=[m=2 w=11] "
                                  "scan=4096 evidence=[] verdict=PASS")
     line = ev.format()

@@ -274,15 +274,19 @@ def reused_buffer_chunks(values, sizes):
 
 
 @pytest.mark.parametrize("width, sep", [(None, b" "), (6, b"  ")])
-def test_indexed_rows_stitch_blocks_across_value_chunks(width, sep):
-    """Value chunks of any length, in one reused buffer, are re-cut into
-    the template blocks: a block inside a chunk, one across two chunks
-    or across several shorter than it, and a last block left over.  A
-    value of 10 or more in a block that straddles two chunks, in either
-    part, has that block alone written line by line."""
+def test_indexed_rows_cut_blocks_at_value_chunk_edges(width, sep):
+    """Value chunks of any length, in one reused buffer, come out as text
+    cut at the template blocks' edges and at the value chunks' edges: a
+    block inside a chunk, one across two chunks or across several
+    shorter than it, and a last block left over.  The text joins to the
+    reference, each text chunk lies inside one block and one value
+    chunk, and a value of 10 or more has only the piece of its own
+    value chunk that holds it written line by line, not the rest of its
+    block or of its value chunk."""
     n = 61_234
     values = np.random.default_rng(3).integers(0, 10, n).astype(np.uint8)
-    values[[15_003, 44_999]] = [12, 10]  # blocks 10^4 and 4 * 10^4
+    wide = [15_003, 44_999]  # in blocks 10^4 and 4 * 10^4
+    values[wide] = [12, 10]
     # cuts at 7, 15,004 and 18,000 (inside blocks), every 3000 to 45,000
     # and at 50,000 (a block edge)
     sizes = [7, 3, 2990, 12_004, 2996] + [3000] * 9 + [5000, 11_234]
@@ -293,9 +297,14 @@ def test_indexed_rows_stitch_blocks_across_value_chunks(width, sep):
     assert "".join(chunks) == "".join(
         f"{i:>{width or 0}}{sep.decode()}{v}\n"
         for i, v in enumerate(values.tolist()))
-    starts = [0, 10, 100, 1000] + list(range(10 ** 4, n, 10 ** 4))
-    assert [c.count("\n") for c in chunks] == np.diff(starts + [n]).tolist()
-    assert by_line == [lo in (10 ** 4, 4 * 10 ** 4) for lo in starts]
+    blocks = [0, 10, 100, 1000] + list(range(10 ** 4, n, 10 ** 4))
+    edges = np.cumsum([0] + sizes[:-1]).tolist()
+    lines = [c.count("\n") for c in chunks]
+    starts = np.cumsum([0] + lines[:-1]).tolist()
+    assert min(lines) > 0 and starts == sorted(set(blocks) | set(edges))
+    assert by_line == [any(lo <= i < lo + size for i in wide)
+                       for lo, size in zip(starts, lines)]
+    assert by_line.count(True) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -753,18 +762,51 @@ ROW_CASES = [
                               for m, w, n, chunk, cap in ROW_CASES])
 def test_recursion_mismatch_at_row_chunk_and_head_edges(m, w, n, chunk, cap,
                                                        monkeypatch):
-    """Wrong terms either side of the end of the compare with H, of each
-    start of the rows of m and of L and of their chunks, of the rows of L
-    at L, 2L, 3L, 4L and the last, at m + 1 and at the last index are
-    each named, and so is a wrong parent whose wrong children lie in a
-    later row, chunk or stretch, which reads it as their parent or U."""
+    """Wrong terms either side of m, where the head's parents begin, of
+    the head and each chunk of rows after it, of the rows of L at L, 2L,
+    3L, 4L and the last, at m + 1 and at the last index are each named,
+    and so is a wrong parent whose wrong children lie in a later row,
+    chunk or the rows past the head, which read it as their parent or
+    U."""
     if chunk is not None:
         monkeypatch.setattr(blockseq.words, "ROW_CHUNK", chunk)
         monkeypatch.setattr(blockseq.words, "ROW_CAP", cap)
     row, _, _, starts = row_layout(m, w, n)
-    starts += [k * row for k in (1, 2, 3, 4, n // row)]
+    starts += [m, *(k * row for k in (1, 2, 3, 4, n // row))]
     assert_names_each_edge(PatternSpec(m, w), n, [
         0, m + 1, n - 1, *(i for start in starts for i in (start - 1, start))])
+
+
+# K < |w| and K >= |w| below m = 64 (table rows), a zero-led w (U read
+# from [L, 2L)), a 13-digit w at m = 2 (K = 11) and the broadcast add of
+# m = 257.
+CUT_CASES = [(2, "101"), (3, "012"), (2, "1101101101101"), (257, "1 0")]
+
+
+@pytest.mark.parametrize("m, w", CUT_CASES,
+                         ids=[f"m{m}-w{w.replace(' ', '_')}"
+                              for m, w in CUT_CASES])
+def test_recursion_mismatch_names_a_fault_at_each_cut_slice(m, w):
+    """For each cut j, a term wrong at the first r of I_j (the r whose
+    padding to K digits starts with w[j:]) in the first row s past the
+    head whose expansion ends in w[:j] is named with a_value there, by
+    one or by 255: that row is filled again from the table to read it."""
+    spec = PatternSpec(m, w)
+    L, _, head, _ = row_layout(m, w)
+    K, k = len(to_base(L, m)) - 1, spec.width
+    faults = []
+    for j in range(max(1, k - K), k):
+        f, step = PatternSpec(m, spec.pattern[:j]).first_end, m ** j
+        s = f + -(-max(0, head // L - f) // step) * step
+        faults.append(s * L + from_base(spec.pattern[j:], m) * m ** (K - k + j))
+    assert len(faults) == min(K, k - 1) and min(faults) >= head
+    want = a_prefix(spec, max(faults) + 1)
+    for n in faults:
+        for bad in ((int(want[n]) + 1) % m, 255):
+            x = want.copy()
+            x[n] = bad
+            assert recursion_mismatch(spec, x) == (n, a_value(spec, n)), (
+                n, bad)
 
 
 # The widest tables of border classes on the np.take path: at m = 61,
